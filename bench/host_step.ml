@@ -1,0 +1,98 @@
+(* Host cost of the simulator's step loop: Bechamel times [Machine.step]
+   on 1 and 4 cores, with the observability hooks off and on.
+
+   Every experiment in this repository runs through [Machine.step], so
+   its host cost is the ceiling on serve runs and explorer sweeps.  The
+   workload is a user-mode loop under an installed address map (so
+   every data reference takes the protection check) with a mix of
+   register, load, store and read-modify-write instructions, plus a
+   device that re-arms itself every 16 cycles the way the NIC polls
+   its doorbell cells.  On 4 cores every core runs its own copy of the
+   loop.  Wall-clock numbers are noisy, so this table is recorded, not
+   gated; the simulated rows elsewhere are the gate. *)
+
+open Bechamel
+open Toolkit
+module M = Quamachine.Machine
+module I = Quamachine.Insn
+
+let steps_per_run = 1_000
+let poll_cycles = 16
+let data = 0x4000
+
+let noop_hooks =
+  {
+    M.h_post = (fun ~source:_ ~level:_ ~vector:_ -> ());
+    h_irq = (fun ~level:_ ~vector:_ -> ());
+    h_device = (fun _ -> ());
+    h_fault = (fun _ -> ());
+  }
+
+let loop cell =
+  [
+    I.Label "lap";
+    I.Move (I.Abs cell, I.Reg I.r1);
+    I.Alu (I.Add, I.Imm 3, I.r1);
+    I.Move (I.Reg I.r1, I.Abs cell);
+    I.Alu_mem (I.Add, I.Imm 1, I.Abs (cell + 1));
+    I.Cmp (I.Imm 0, I.Reg I.r1);
+    I.B (I.Always, I.To_label "lap");
+  ]
+
+(* A machine whose cores all spin in user mode over their own cells. *)
+let machine ~cores ~hooks =
+  let m = M.create ~mem_words:(1 lsl 16) ~cores Quamachine.Cost.sun3_emulation in
+  M.define_map m ~id:1 [ (data, 16 * cores) ];
+  for i = 0 to cores - 1 do
+    let entry, _ = Quamachine.Asm.assemble m (loop (data + (16 * i))) in
+    M.set_active_core m i;
+    M.set_pc m entry;
+    M.set_map m 1;
+    M.set_supervisor m false;
+    if i > 0 then M.start_core m i
+  done;
+  M.set_active_core m 0;
+  let poll = M.add_device m ~name:"poll" ~due:poll_cycles ~tick:(fun _ -> ()) in
+  poll.M.dev_tick <- (fun m' -> M.device_schedule m' poll (M.cycles m' + poll_cycles));
+  if hooks then M.set_hooks m (Some noop_hooks);
+  m
+
+let configs = [ (1, false); (1, true); (4, false); (4, true) ]
+
+let name (cores, hooks) =
+  Printf.sprintf "%d core%s, hooks %s" cores
+    (if cores = 1 then "" else "s")
+    (if hooks then "on" else "off")
+
+let tests () =
+  Test.make_grouped ~name:"Machine.step" ~fmt:"%s %s"
+    (List.map
+       (fun (cores, hooks) ->
+         let m = machine ~cores ~hooks in
+         Test.make ~name:(name (cores, hooks))
+           (Staged.stage (fun () ->
+                for _ = 1 to steps_per_run do
+                  M.step m
+                done)))
+       configs)
+
+let run () =
+  Repro_harness.Harness.header
+    "host: Machine.step host time (Bechamel, recorded, not gated)";
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  let instance = Instance.monotonic_clock in
+  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~stabilize:true () in
+  let raw = Benchmark.all cfg [ instance ] (tests ()) in
+  let results = Analyze.all ols instance raw in
+  Fmt.pr "%-36s %12s %14s@." "config" "ns/step" "Msteps/host s";
+  List.iter
+    (fun c ->
+      match Hashtbl.find_opt results ("Machine.step " ^ name c) with
+      | Some o -> (
+        match Analyze.OLS.estimates o with
+        | Some (est :: _) ->
+          let ns = est /. float_of_int steps_per_run in
+          Fmt.pr "%-36s %12.1f %14.2f@." (name c) ns (1e3 /. ns)
+        | _ -> Fmt.pr "%-36s %12s@." (name c) "n/a")
+      | None -> Fmt.pr "%-36s %12s@." (name c) "n/a")
+    configs

@@ -36,6 +36,7 @@ let all_benches ~scale () =
   Ablations.run ();
   Sizes.run ();
   Host_queues.run ();
+  Host_step.run ();
   Bechamel_suite.run ();
   emit_json "BENCH_tables.json"
 
@@ -143,6 +144,7 @@ let main_cmd =
       cmd_of "queues" Queues.run;
       cmd_of "sizes" Sizes.run;
       cmd_of "host-queues" Host_queues.run;
+      cmd_of "host-step" Host_step.run;
       cmd_of "ablations" Ablations.run;
       cmd_of "trace-overhead" Trace_overhead.run;
       cmd_of "span-overhead" Span_overhead.run;

@@ -573,10 +573,9 @@ let read_block_sync t block ~max_insns =
 let watchdog_tick t m =
   let k = t.ds_kernel in
   match t.ds_active with
-  | None -> watchdog_idle t
+  | None -> ()
   | Some req ->
-    if Machine.peek m (req.r_desc + 3) <> 0 then watchdog_idle t
-    else begin
+    if Machine.peek m (req.r_desc + 3) = 0 then begin
       t.ds_timeouts <- t.ds_timeouts + 1;
       Metrics.bump k.Kernel.metrics "disk.timeouts";
       Kernel.trace k (Ktrace.Fault "disk_timeout");
@@ -601,7 +600,6 @@ let watchdog_tick t m =
         | None -> ());
         Machine.poke m (req.r_desc + 3) 2;
         t.ds_active <- None;
-        watchdog_idle t;
         (* a failed write-back re-dirties its block; a failed
            cache-fill read must not leave a garbage "hit" behind *)
         if req.r_write then writeback_failed t req

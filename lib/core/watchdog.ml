@@ -84,7 +84,6 @@ let tick t m =
         t.wd_audit_repairs + Kernel.audit_code ~origin:"watchdog" t.wd_kernel;
     Machine.device_schedule m t.wd_dev (Machine.cycles m + t.wd_period_cycles)
   end
-  else Machine.device_idle m t.wd_dev
 
 let install k ?(period_us = 2_000.0) () =
   let m = k.Kernel.machine in

@@ -180,13 +180,16 @@ let us_cycles t us =
 
 let now t = Machine.cycles t.lg_m
 
+(* Arm the device for the earliest pending event.  Device deadlines
+   are one-shot (the machine idles the device before [tick] runs), so
+   between ticks [next_due] is the earliest event armed so far and a
+   new event can only pull it in; with no events left it stays idle. *)
 let reschedule t =
   match (t.lg_dev, heap_peek t.lg_heap) with
   | Some d, Some due ->
     let due = max due (now t + 1) in
     if d.Machine.next_due > due then Machine.device_schedule t.lg_m d due
-  | Some d, None -> Machine.device_idle t.lg_m d
-  | None, _ -> ()
+  | _ -> ()
 
 let inject t w =
   t.lg_sent <- t.lg_sent + 1;

@@ -50,7 +50,6 @@ module Timer = struct
     dev.Machine.dev_tick <-
       (fun m ->
         t.armed_at <- max_int;
-        Machine.device_idle m dev;
         Machine.post_interrupt ~source:name ?cpu m ~level ~vector);
     Machine.map_mmio_write m ~addr (fun us ->
         if us = 0 then begin
@@ -119,7 +118,7 @@ module Tty = struct
     in
     dev.Machine.dev_tick <-
       (fun m ->
-        if Queue.is_empty t.input then Machine.device_idle m dev
+        if Queue.is_empty t.input then ()
         else if not t.data_taken then
           (* The previous character is still in the holding register:
              overwriting it here would make the pending interrupt's
@@ -134,8 +133,7 @@ module Tty = struct
           t.data_taken <- false;
           Machine.post_interrupt ~source:"tty" m ~level:Mmio_map.tty_level
             ~vector:Mmio_map.tty_vector;
-          if Queue.is_empty t.input then Machine.device_idle m dev
-          else
+          if not (Queue.is_empty t.input) then
             Machine.device_schedule m dev
               (Machine.cycles m
               + Cost.cycles_of_us (Machine.cost_model m) t.char_interval_us)
@@ -204,7 +202,6 @@ module Disk = struct
     in
     dev.Machine.dev_tick <-
       (fun m ->
-        Machine.device_idle m dev;
         if t.powered then begin
           (match t.pending with
           | None -> ()
@@ -332,8 +329,7 @@ module Ad = struct
     let t = { machine = m; sample = 0; rate_hz = 0; seq = 1; delivered = 0; dev } in
     dev.Machine.dev_tick <-
       (fun m ->
-        if t.rate_hz = 0 then Machine.device_idle m dev
-        else begin
+        if t.rate_hz <> 0 then begin
           t.sample <- next_sample t;
           t.delivered <- t.delivered + 1;
           Machine.post_interrupt ~source:"ad" m ~level:Mmio_map.ad_level
@@ -708,10 +704,7 @@ module Nic = struct
         rx_seq = 0;
       }
     in
-    dev.Machine.dev_tick <-
-      (fun m ->
-        Machine.device_idle m dev;
-        service t);
+    dev.Machine.dev_tick <- (fun _ -> service t);
     let wr addr f = Machine.map_mmio_write m ~addr f in
     let rd addr f = Machine.map_mmio_read m ~addr f in
     wr Mmio_map.nic_rx_ring (fun v -> t.rx_ring <- v);

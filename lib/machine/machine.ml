@@ -15,13 +15,13 @@
    progress in simulated-parallel time (N cores doing N units of work
    finish in ~1 unit of wall-clock cycles), and the global clock — the
    minimum over runnable cores — advances monotonically.  Devices fire
-   against the global clock; interrupts are routed per level to a
-   core and delivered from that core's private pending vector.  Cores
-   interleave at instruction granularity, so every shared-memory
-   access is a potential switch point and another core's committed
-   [Cas] is a real contention source: the compare simply fails.  With
-   one core the scheduler degenerates to today's machine — cycle
-   counts, traces, and attribution are identical. *)
+   against the global clock, once per deadline; interrupts are routed
+   per level to a core and delivered from that core's private pending
+   vector.  Cores interleave at instruction granularity, so every
+   shared-memory access is a potential switch point and another core's
+   committed [Cas] is a real contention source: the compare simply
+   fails.  With one core the scheduler degenerates to today's machine
+   — cycle counts, traces, and attribution are identical. *)
 
 type fault =
   | Bus_error of int
@@ -51,6 +51,9 @@ type hooks = {
   h_fault : fault -> unit; (* a CPU fault was raised *)
 }
 
+(* A device deadline is one-shot: [run_due_devices] idles the device
+   just before its tick runs, and a device that wants another tick
+   re-arms itself with [device_schedule]. *)
 type device = {
   dev_name : string;
   mutable next_due : int; (* absolute cycle count; max_int when idle *)
@@ -77,8 +80,13 @@ and cpu = {
   mutable fp_enabled : bool;
   mutable last_fault_addr : int;
   mutable cpu_map : int; (* -1: no user map installed *)
-  (* pending interrupts: vector per level 1..7, -1 = none *)
+  (* the installed map's segments, resolved at install time so user
+     data references skip the map table *)
+  mutable cpu_segs : (int * int) list;
+  (* pending interrupts: vector per level 1..7, -1 = none; bit [l] of
+     [pending_mask] is set iff [pending.(l) >= 0] *)
   pending : int array;
+  mutable pending_mask : int;
   mutable stopped : bool;
   (* has [start_core] ever woken this core?  Distinguishes a core that
      never booted from one merely stop-waiting for an interrupt (both
@@ -96,6 +104,7 @@ and cpu = {
 
 and t = {
   cost : Cost.t;
+  ref_cycles : int; (* [Cost.mem_ref_cycles cost], off the step path *)
   mem : int array;
   mem_words : int;
   cpus : cpu array;
@@ -108,6 +117,7 @@ and t = {
   irq_routes : int array;
   (* code store *)
   mutable code : Insn.insn array;
+  mutable code_cost : int array; (* [Cost.base] of each code slot *)
   mutable code_len : int;
   (* machine-wide counters; [cycles] is the global clock — the minimum
      over runnable cores' local clocks, monotone because the minimum
@@ -136,8 +146,11 @@ and t = {
   mutable cas_fail_hook : t -> unit;
   (* a fault raised while entering a fault handler halts the machine *)
   mutable double_fault : bool;
-  (* devices *)
-  mutable devices : device list;
+  (* devices in registration order, [n_devices] live; ticks visit them
+     newest first.  [next_device_due] is the minimum deadline over
+     them, kept exact between [run_due_devices] passes. *)
+  mutable devices : device array;
+  mutable n_devices : int;
   mutable next_device_due : int;
   (* power-cut hooks: device name -> cut handler.  The argument is the
      torn-word count for an in-flight write (-1 = the transfer is lost
@@ -179,6 +192,14 @@ and t = {
 let mmio_base = 0xF0_0000
 let max_cores = 8
 
+(* [Word.mask], [Word.of_int] and [Word.is_negative], restated for the
+   step loop: modules compiled separately (-opaque, dune's default
+   profile) cannot inline each other, and these run several times per
+   instruction. *)
+let word_mask = 0xFFFF_FFFF
+let word v = v land word_mask
+let negative v = v land 0x8000_0000 <> 0
+
 let make_cpu cid =
   {
     cid;
@@ -197,7 +218,9 @@ let make_cpu cid =
     fp_enabled = true;
     last_fault_addr = 0;
     cpu_map = -1;
+    cpu_segs = [];
     pending = Array.make 8 (-1);
+    pending_mask = 0;
     (* secondary cores sleep until the kernel boots them *)
     stopped = cid > 0;
     started = cid = 0;
@@ -214,6 +237,7 @@ let create ?(mem_words = 1 lsl 20) ?(cores = 1) cost =
   let cpus = Array.init cores make_cpu in
   {
     cost;
+    ref_cycles = Cost.mem_ref_cycles cost;
     mem = Array.make mem_words 0;
     mem_words;
     cpus;
@@ -222,6 +246,7 @@ let create ?(mem_words = 1 lsl 20) ?(cores = 1) cost =
     sched_hook = None;
     irq_routes = Array.make 8 0;
     code = Array.make 4096 Insn.Halt;
+    code_cost = Array.make 4096 (Cost.base Insn.Halt);
     code_len = 0;
     cycles = 0;
     insns = 0;
@@ -235,7 +260,8 @@ let create ?(mem_words = 1 lsl 20) ?(cores = 1) cost =
     cas_fail_next = max_int;
     cas_fail_hook = (fun _ -> ());
     double_fault = false;
-    devices = [];
+    devices = [||];
+    n_devices = 0;
     next_device_due = max_int;
     power_hooks = [];
     frame_hooks = [];
@@ -281,7 +307,7 @@ let charge t cy = t.cur.c_time <- t.cur.c_time + cy
 let charge_refs t n =
   t.refs <- t.refs + n;
   t.cur.c_refs <- t.cur.c_refs + n;
-  t.cur.c_time <- t.cur.c_time + (n * Cost.mem_ref_cycles t.cost)
+  t.cur.c_time <- t.cur.c_time + (n * t.ref_cycles)
 
 type stats = { s_cycles : int; s_insns : int; s_refs : int }
 
@@ -315,7 +341,7 @@ let max_core_cycles t =
 (* Registers, flags, status register *)
 
 let get_reg t r = t.cur.regs.(r)
-let set_reg t r v = t.cur.regs.(r) <- Word.of_int v
+let set_reg t r v = t.cur.regs.(r) <- word v
 let get_freg t r = t.cur.fregs.(r)
 let set_freg t r v = t.cur.fregs.(r) <- v
 let get_pc t = t.cur.pc
@@ -355,8 +381,11 @@ let unpack_sr t sr =
 (* ------------------------------------------------------------------ *)
 (* Memory *)
 
-let segment_allows segs addr =
-  List.exists (fun (base, len) -> addr >= base && addr < base + len) segs
+let rec segment_allows segs addr =
+  match segs with
+  | [] -> false
+  | (base, len) :: rest ->
+    (addr >= base && addr < base + len) || segment_allows rest addr
 
 let check_access t addr =
   let c = t.cur in
@@ -368,11 +397,9 @@ let check_access t addr =
     if addr < 0 || addr >= t.mem_words then (
       c.last_fault_addr <- addr;
       raise (Cpu_fault (Bus_error addr)));
-    if c.cpu_map >= 0 then
-      let segs = try Hashtbl.find t.maps c.cpu_map with Not_found -> [] in
-      if not (segment_allows segs addr) then (
-        c.last_fault_addr <- addr;
-        raise (Cpu_fault (Bus_error addr)))
+    if c.cpu_map >= 0 && not (segment_allows c.cpu_segs addr) then (
+      c.last_fault_addr <- addr;
+      raise (Cpu_fault (Bus_error addr)))
   end
 
 let read_mem t addr =
@@ -380,10 +407,10 @@ let read_mem t addr =
   let c = t.cur in
   t.refs <- t.refs + 1;
   c.c_refs <- c.c_refs + 1;
-  c.c_time <- c.c_time + Cost.mem_ref_cycles t.cost;
+  c.c_time <- c.c_time + t.ref_cycles;
   if addr >= mmio_base then (
     match Hashtbl.find_opt t.mmio_read addr with
-    | Some f -> Word.of_int (f ())
+    | Some f -> word (f ())
     | None ->
       c.last_fault_addr <- addr;
       raise (Cpu_fault (Bus_error addr)))
@@ -394,28 +421,36 @@ let write_mem t addr v =
   let c = t.cur in
   t.refs <- t.refs + 1;
   c.c_refs <- c.c_refs + 1;
-  c.c_time <- c.c_time + Cost.mem_ref_cycles t.cost;
+  c.c_time <- c.c_time + t.ref_cycles;
   if addr >= mmio_base then (
     match Hashtbl.find_opt t.mmio_write addr with
-    | Some f -> f (Word.of_int v)
+    | Some f -> f (word v)
     | None ->
       c.last_fault_addr <- addr;
       raise (Cpu_fault (Bus_error addr)))
-  else t.mem.(addr) <- Word.of_int v
+  else t.mem.(addr) <- word v
 
 (* Host-side (uncharged, unchecked) memory access, for kernel services
    and tests; explicit [charge]/[charge_refs] accounts for their cost. *)
 let peek t addr = t.mem.(addr)
-let poke t addr v = t.mem.(addr) <- Word.of_int v
+let poke t addr v = t.mem.(addr) <- word v
 
 let map_mmio_read t ~addr f = Hashtbl.replace t.mmio_read addr f
 let map_mmio_write t ~addr f = Hashtbl.replace t.mmio_write addr f
 
-let define_map t ~id segments = Hashtbl.replace t.maps id segments
-
 let map_segments t ~id = try Hashtbl.find t.maps id with Not_found -> []
+
+(* Install map [id] on core [c]; -1 (or any negative id) removes it. *)
+let install_map t c id =
+  c.cpu_map <- id;
+  c.cpu_segs <- (if id >= 0 then map_segments t ~id else [])
+
+let define_map t ~id segments =
+  Hashtbl.replace t.maps id segments;
+  Array.iter (fun c -> if c.cpu_map = id then c.cpu_segs <- segments) t.cpus
+
 let current_map t = t.cur.cpu_map
-let set_map t id = t.cur.cpu_map <- id
+let set_map t id = install_map t t.cur id
 
 (* ------------------------------------------------------------------ *)
 (* Code store *)
@@ -428,8 +463,15 @@ let ensure_code_capacity t n =
     done;
     let code = Array.make !cap Insn.Halt in
     Array.blit t.code 0 code 0 t.code_len;
-    t.code <- code
+    t.code <- code;
+    let cost = Array.make !cap (Cost.base Insn.Halt) in
+    Array.blit t.code_cost 0 cost 0 t.code_len;
+    t.code_cost <- cost
   end
+
+let set_code t addr insn =
+  t.code.(addr) <- insn;
+  t.code_cost.(addr) <- Cost.base insn
 
 (* Append resolved instructions; returns the entry address.  Labels
    must have been resolved by [Asm.assemble]. *)
@@ -441,7 +483,7 @@ let append_code t insns =
     (fun i insn ->
       match insn with
       | Insn.Label l -> invalid_arg ("append_code: unresolved label " ^ l)
-      | _ -> t.code.(entry + i) <- insn)
+      | _ -> set_code t (entry + i) insn)
     insns;
   t.code_len <- t.code_len + n;
   entry
@@ -452,13 +494,13 @@ let reserve_code t n =
   let entry = t.code_len in
   t.code_len <- t.code_len + n;
   for i = entry to entry + n - 1 do
-    t.code.(i) <- Insn.Halt
+    set_code t i Insn.Halt
   done;
   entry
 
 let patch_code t addr insn =
   if addr < 0 || addr >= t.code_len then invalid_arg "patch_code: out of range";
-  t.code.(addr) <- insn
+  set_code t addr insn
 
 let read_code t addr =
   if addr < 0 || addr >= t.code_len then invalid_arg "read_code: out of range";
@@ -484,25 +526,48 @@ let register_hcall t f =
 (* Devices and interrupts *)
 
 let recompute_device_due t =
-  t.next_device_due <-
-    List.fold_left (fun acc d -> min acc d.next_due) max_int t.devices
+  let due = ref max_int in
+  for i = 0 to t.n_devices - 1 do
+    let d = t.devices.(i) in
+    if d.next_due < !due then due := d.next_due
+  done;
+  t.next_device_due <- !due
 
 let add_device t ~name ~due ~tick =
   let d = { dev_name = name; next_due = due; dev_tick = tick } in
-  t.devices <- d :: t.devices;
-  recompute_device_due t;
+  if t.n_devices = Array.length t.devices then begin
+    let a = Array.make (max 8 (2 * t.n_devices)) d in
+    Array.blit t.devices 0 a 0 t.n_devices;
+    t.devices <- a
+  end;
+  t.devices.(t.n_devices) <- d;
+  t.n_devices <- t.n_devices + 1;
+  if due < t.next_device_due then t.next_device_due <- due;
   d
 
+(* O(1) unless [d] held the minimum deadline and moves it later. *)
 let device_schedule t d due =
+  let old = d.next_due in
   d.next_due <- due;
-  recompute_device_due t
+  if due < t.next_device_due then t.next_device_due <- due
+  else if due > old && old = t.next_device_due then recompute_device_due t
 
 let device_idle t d = device_schedule t d max_int
 
-let find_device t name = List.find_opt (fun d -> d.dev_name = name) t.devices
+let find_device t name =
+  let rec scan i =
+    if i < 0 then None
+    else if t.devices.(i).dev_name = name then Some t.devices.(i)
+    else scan (i - 1)
+  in
+  scan (t.n_devices - 1)
 
+(* Removal copies the array, so a [run_due_devices] pass in progress
+   keeps visiting the devices it started with. *)
 let remove_device t d =
-  t.devices <- List.filter (fun d' -> d' != d) t.devices;
+  let live = Array.to_list (Array.sub t.devices 0 t.n_devices) in
+  t.devices <- Array.of_list (List.filter (fun d' -> d' != d) live);
+  t.n_devices <- Array.length t.devices;
   recompute_device_due t
 
 let register_power_hook t ~device f =
@@ -547,6 +612,7 @@ let post_interrupt ?(source = "") ?cpu t ~level ~vector =
     | None -> t.cpus.(t.irq_routes.(level))
   in
   target.pending.(level) <- vector;
+  target.pending_mask <- target.pending_mask lor (1 lsl level);
   if target.stopped then begin
     target.stopped <- false;
     (* A sleeping core wakes at the moment of the interrupt, not in
@@ -558,24 +624,23 @@ let post_interrupt ?(source = "") ?cpu t ~level ~vector =
   end;
   match t.hooks with Some h -> h.h_post ~source ~level ~vector | None -> ()
 
-let pending_level c =
-  let rec scan l = if l = 0 then 0 else if c.pending.(l) >= 0 then l else scan (l - 1) in
-  scan 7
-
 (* Devices fire against the global clock (the minimum over runnable
    cores), so a tick never runs before every core has reached it —
-   conservative discrete-event order. *)
+   conservative discrete-event order.  Each deadline fires once: the
+   device is idled before its tick, which re-arms it if it wants more.
+   The pass visits the devices registered when it began, newest first;
+   callers run it only once [t.cycles >= t.next_device_due]. *)
 let run_due_devices t =
-  if t.cycles >= t.next_device_due then begin
-    List.iter
-      (fun d ->
-        if t.cycles >= d.next_due then begin
-          (match t.hooks with Some h -> h.h_device d.dev_name | None -> ());
-          d.dev_tick t
-        end)
-      t.devices;
-    recompute_device_due t
-  end
+  let devs = t.devices in
+  for i = t.n_devices - 1 downto 0 do
+    let d = devs.(i) in
+    if t.cycles >= d.next_due then begin
+      d.next_due <- max_int;
+      (match t.hooks with Some h -> h.h_device d.dev_name | None -> ());
+      d.dev_tick t
+    end
+  done;
+  recompute_device_due t
 
 (* ------------------------------------------------------------------ *)
 (* Hooks and cycle attribution by owner *)
@@ -666,6 +731,7 @@ let switch_cur t c =
     t.cur <- c;
     t.attr_mark <- c.c_time
   end
+[@@inline]
 
 let set_active_core t i =
   if i < 0 || i >= num_cores t then invalid_arg "set_active_core";
@@ -699,19 +765,19 @@ let effective_addr t = function
   | Insn.Imm _ | Insn.Lbl _ | Insn.Reg _ ->
     invalid_arg "effective_addr: not a memory operand"
   | Insn.Ind r -> t.cur.regs.(r)
-  | Insn.Idx (r, d) -> Word.of_int (t.cur.regs.(r) + d)
+  | Insn.Idx (r, d) -> word (t.cur.regs.(r) + d)
   | Insn.Abs a -> a
   | Insn.Post_inc r ->
     let a = t.cur.regs.(r) in
-    t.cur.regs.(r) <- Word.of_int (a + 1);
+    t.cur.regs.(r) <- word (a + 1);
     a
   | Insn.Pre_dec r ->
-    let a = Word.of_int (t.cur.regs.(r) - 1) in
+    let a = word (t.cur.regs.(r) - 1) in
     t.cur.regs.(r) <- a;
     a
 
 let read_operand t = function
-  | Insn.Imm v -> Word.of_int v
+  | Insn.Imm v -> word v
   | Insn.Lbl l -> invalid_arg ("read_operand: unresolved label " ^ l)
   | Insn.Reg r -> t.cur.regs.(r)
   | op -> read_mem t (effective_addr t op)
@@ -719,12 +785,38 @@ let read_operand t = function
 let write_operand t op v =
   match op with
   | Insn.Imm _ -> invalid_arg "write_operand: immediate destination"
-  | Insn.Reg r -> t.cur.regs.(r) <- Word.of_int v
+  | Insn.Reg r -> t.cur.regs.(r) <- word v
   | op -> write_mem t (effective_addr t op) v
 
 let set_nz t v =
-  t.cur.cc_n <- Word.is_negative v;
+  t.cur.cc_n <- negative v;
   t.cur.cc_z <- v = 0
+
+(* [b + a] and [b - a] setting NZVC on the acting core: the flags of
+   [Word.add_full]/[Word.sub_full], written in place rather than
+   returned as a tuple the step loop would allocate. *)
+let add_set_flags t b a =
+  let c = t.cur in
+  let a = a land word_mask and b = b land word_mask in
+  let sum = a + b in
+  let r = sum land word_mask in
+  c.cc_n <- negative r;
+  c.cc_z <- r = 0;
+  c.cc_c <- sum > word_mask;
+  c.cc_v <-
+    negative a = negative b && negative r <> negative a;
+  r
+
+let sub_set_flags t b a =
+  let c = t.cur in
+  let a = a land word_mask and b = b land word_mask in
+  let r = (b - a) land word_mask in
+  c.cc_n <- negative r;
+  c.cc_z <- r = 0;
+  c.cc_c <- b < a;
+  c.cc_v <-
+    negative b <> negative a && negative r <> negative b;
+  r
 
 let set_nz_clear_cv t v =
   set_nz t v;
@@ -737,18 +829,8 @@ let set_nz_clear_cv t v =
 let alu_apply t op a b =
   (* [b] is the destination operand value, [a] the source: dst op src. *)
   match op with
-  | Insn.Add ->
-    let r, c, v = Word.add_full b a in
-    set_nz t r;
-    t.cur.cc_c <- c;
-    t.cur.cc_v <- v;
-    r
-  | Insn.Sub ->
-    let r, c, v = Word.sub_full b a in
-    set_nz t r;
-    t.cur.cc_c <- c;
-    t.cur.cc_v <- v;
-    r
+  | Insn.Add -> add_set_flags t b a
+  | Insn.Sub -> sub_set_flags t b a
   | Insn.Mul ->
     let r = Word.mul b a in
     set_nz_clear_cv t r;
@@ -813,7 +895,7 @@ let resolve_target t = function
 
 let push t v =
   let c = t.cur in
-  let a = Word.of_int (c.regs.(Insn.sp) - 1) in
+  let a = word (c.regs.(Insn.sp) - 1) in
   c.regs.(Insn.sp) <- a;
   write_mem t a v
 
@@ -821,7 +903,7 @@ let pop t =
   let c = t.cur in
   let a = c.regs.(Insn.sp) in
   let v = read_mem t a in
-  c.regs.(Insn.sp) <- Word.of_int (a + 1);
+  c.regs.(Insn.sp) <- word (a + 1);
   v
 
 let require_supervisor t = if not t.cur.supervisor then raise (Cpu_fault Privilege)
@@ -855,19 +937,25 @@ let take_exception t ~vector ~new_ipl =
   let handler = read_mem t (c.vbr + vector) in
   c.pc <- handler
 
+(* The highest level set in a nonzero pending mask. *)
+let rec top_level mask l = if mask land (1 lsl l) <> 0 then l else top_level mask (l - 1)
+
+(* Take the highest pending interrupt if it is above the core's mask. *)
 let deliver_pending_interrupt t =
   let c = t.cur in
-  let level = pending_level c in
-  if level > c.ipl then begin
+  if c.pending_mask lsr (c.ipl + 1) = 0 then false
+  else begin
+    let level = top_level c.pending_mask 7 in
     let vector = c.pending.(level) in
     c.pending.(level) <- -1;
+    c.pending_mask <- c.pending_mask land lnot (1 lsl level);
     t.irqs_taken <- t.irqs_taken + 1;
     c.c_irqs <- c.c_irqs + 1;
     (match t.hooks with Some h -> h.h_irq ~level ~vector | None -> ());
     take_exception t ~vector ~new_ipl:(Some level);
     true
   end
-  else false
+[@@inline]
 
 (* ------------------------------------------------------------------ *)
 (* Instruction execution *)
@@ -880,7 +968,7 @@ let exec t insn =
     let v = read_operand t src in
     write_operand t dst v;
     set_nz_clear_cv t v
-  | Insn.Lea (op, r) -> t.cur.regs.(r) <- Word.of_int (effective_addr t op)
+  | Insn.Lea (op, r) -> t.cur.regs.(r) <- word (effective_addr t op)
   | Insn.Alu (op, src, rd) ->
     let a = read_operand t src in
     t.cur.regs.(rd) <- alu_apply t op a t.cur.regs.(rd)
@@ -892,10 +980,7 @@ let exec t insn =
   | Insn.Cmp (src, dst) ->
     let a = read_operand t src in
     let b = read_operand t dst in
-    let r, c, v = Word.sub_full b a in
-    set_nz t r;
-    t.cur.cc_c <- c;
-    t.cur.cc_v <- v
+    ignore (sub_set_flags t b a)
   | Insn.Tst op ->
     let v = read_operand t op in
     set_nz_clear_cv t v
@@ -911,9 +996,9 @@ let exec t insn =
     set_nz_clear_cv t v
   | Insn.B (c, tgt) -> if cond_holds t c then t.cur.pc <- resolve_target t tgt
   | Insn.Dbra (r, tgt) ->
-    let v = Word.sub t.cur.regs.(r) 1 in
+    let v = word (t.cur.regs.(r) - 1) in
     t.cur.regs.(r) <- v;
-    if v <> Word.mask then t.cur.pc <- resolve_target t tgt
+    if v <> word_mask then t.cur.pc <- resolve_target t tgt
   | Insn.Jmp tgt -> t.cur.pc <- resolve_target t tgt
   | Insn.Jsr tgt ->
     let dest = resolve_target t tgt in
@@ -942,10 +1027,7 @@ let exec t insn =
     t.cas_count <- t.cas_count + 1;
     c.c_cas <- c.c_cas + 1;
     let forced = t.cas_count = t.cas_fail_next in
-    let r, cc, ovf = Word.sub_full v c.regs.(rc) in
-    set_nz t r;
-    c.cc_c <- cc;
-    c.cc_v <- ovf;
+    ignore (sub_set_flags t v c.regs.(rc));
     if v = c.regs.(rc) && not forced then write_mem t addr c.regs.(ru)
     else begin
       c.regs.(rc) <- v;
@@ -960,7 +1042,7 @@ let exec t insn =
   | Insn.Movem_save (rs, sreg) ->
     List.iter
       (fun r ->
-        let a = Word.of_int (t.cur.regs.(sreg) - 1) in
+        let a = word (t.cur.regs.(sreg) - 1) in
         t.cur.regs.(sreg) <- a;
         write_mem t a t.cur.regs.(r))
       (List.rev rs)
@@ -969,7 +1051,7 @@ let exec t insn =
       (fun r ->
         let a = t.cur.regs.(sreg) in
         t.cur.regs.(r) <- read_mem t a;
-        t.cur.regs.(sreg) <- Word.of_int (a + 1))
+        t.cur.regs.(sreg) <- word (a + 1))
       rs
   | Insn.Push op -> push t (read_operand t op)
   | Insn.Pop r -> t.cur.regs.(r) <- pop t
@@ -981,7 +1063,7 @@ let exec t insn =
     t.cur.vbr <- read_operand t op
   | Insn.Move_mmu op ->
     require_supervisor t;
-    t.cur.cpu_map <- Word.signed (read_operand t op)
+    install_map t t.cur (Word.signed (read_operand t op))
   | Insn.Fmove_imm (f, d) ->
     if not t.cur.fp_enabled then raise (Cpu_fault Fp_unavailable);
     t.cur.fregs.(d) <- f
@@ -1001,7 +1083,7 @@ let exec t insn =
     (* FP context is wide: three memory words per register. *)
     for i = Insn.num_fregs - 1 downto 0 do
       let bits = Int64.to_int (Int64.logand (Int64.bits_of_float t.cur.fregs.(i)) 0xFFFF_FFFFL) in
-      let a = Word.of_int (t.cur.regs.(sreg) - 3) in
+      let a = word (t.cur.regs.(sreg) - 3) in
       t.cur.regs.(sreg) <- a;
       write_mem t a bits;
       write_mem t (a + 1)
@@ -1014,7 +1096,7 @@ let exec t insn =
       let lo = read_mem t a in
       let hi = read_mem t (a + 1) in
       let _tag = read_mem t (a + 2) in
-      t.cur.regs.(sreg) <- Word.of_int (a + 3);
+      t.cur.regs.(sreg) <- word (a + 3);
       t.cur.fregs.(i) <-
         Int64.float_of_bits
           (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
@@ -1037,6 +1119,7 @@ let fetch t =
   let pc = t.cur.pc in
   if pc < 0 || pc >= t.code_len then raise (Wild_jump pc);
   t.code.(pc)
+[@@inline]
 
 let record_trace t pc =
   t.trace_ring.(t.trace_pos) <- pc;
@@ -1094,70 +1177,65 @@ let trace_window t n =
       in
       t.trace_ring.(pos))
 
-(* The global clock: the smallest local clock among runnable cores, or
-   — with every core asleep — among all of them.  Monotone, because
-   [pick_core] always runs the minimum core. *)
+(* The global clock on N cores: the smallest local clock among
+   runnable cores, or — with every core asleep — among all of them.
+   Monotone, because [pick_core] always runs the minimum core.  (With
+   one core it is that core's clock; [step] reads it directly.) *)
 let frontier t =
-  let n = Array.length t.cpus in
-  if n = 1 then t.cpus.(0).c_time
-  else begin
-    let best = ref max_int and any = ref false in
-    for i = 0 to n - 1 do
-      let c = t.cpus.(i) in
-      if not c.stopped then begin
-        any := true;
-        if c.c_time < !best then best := c.c_time
-      end
-    done;
-    if !any then !best
-    else Array.fold_left (fun acc c -> min acc c.c_time) max_int t.cpus
-  end
+  let best = ref max_int and any = ref false in
+  for i = 0 to Array.length t.cpus - 1 do
+    let c = t.cpus.(i) in
+    if not c.stopped then begin
+      any := true;
+      if c.c_time < !best then best := c.c_time
+    end
+  done;
+  if !any then !best
+  else Array.fold_left (fun acc c -> min acc c.c_time) max_int t.cpus
 
-(* The next core to step: runnable with the smallest local clock.
-   Ties go to a rotating start position (seeded by
-   [set_schedule_seed]); the explorer's [sched_hook] may override the
-   pick with any runnable core — its per-step preemption lever. *)
+(* The id of the next core to step on N cores, or -1 if none is
+   runnable: the runnable core with the smallest local clock.  Ties go
+   to a rotating start position (seeded by [set_schedule_seed]); the
+   explorer's [sched_hook] may override the pick with any runnable core
+   — its per-step preemption lever. *)
 let pick_core t =
   let n = Array.length t.cpus in
-  if n = 1 then (if t.cpus.(0).stopped then None else Some t.cpus.(0))
+  let best = ref (-1) and bt = ref max_int in
+  let i = ref t.sched_rr in
+  for _ = 1 to n do
+    let c = t.cpus.(!i) in
+    if (not c.stopped) && c.c_time < !bt then begin
+      bt := c.c_time;
+      best := !i
+    end;
+    i := if !i = n - 1 then 0 else !i + 1
+  done;
+  if !best < 0 then -1
   else begin
-    let best = ref (-1) and bt = ref max_int in
-    for k = 0 to n - 1 do
-      let i = (t.sched_rr + k) mod n in
-      let c = t.cpus.(i) in
-      if (not c.stopped) && c.c_time < !bt then begin
-        bt := c.c_time;
-        best := i
-      end
-    done;
-    if !best < 0 then None
-    else begin
-      t.sched_rr <- (t.sched_rr + 1) mod n;
-      let choice =
-        match t.sched_hook with
-        | None -> !best
-        | Some f ->
-          let runnable =
-            Array.of_list
-              (List.filter_map
-                 (fun c -> if c.stopped then None else Some c.cid)
-                 (Array.to_list t.cpus))
-          in
-          let pick = f runnable !best in
-          if pick >= 0 && pick < n && not t.cpus.(pick).stopped then pick
-          else !best
+    t.sched_rr <- (if t.sched_rr = n - 1 then 0 else t.sched_rr + 1);
+    match t.sched_hook with
+    | None -> !best
+    | Some f ->
+      let runnable =
+        Array.of_list
+          (List.filter_map
+             (fun c -> if c.stopped then None else Some c.cid)
+             (Array.to_list t.cpus))
       in
-      Some t.cpus.(choice)
-    end
+      let pick = f runnable !best in
+      if pick >= 0 && pick < n && not t.cpus.(pick).stopped then pick
+      else !best
   end
 
 let step t =
   (* cycles charged host-side between steps belong to host services *)
-  attr_window t owner_host;
+  if t.attr_on then attr_window t owner_host;
   if t.halted then ()
   else
-    match pick_core t with
-    | None ->
+    (* one core: no pick, and the global clock is that core's clock *)
+    let single = Array.length t.cpus = 1 in
+    let i = if single then (if t.cpus.(0).stopped then -1 else 0) else pick_core t in
+    if i < 0 then begin
       (* Every core is stopped: fast-forward simulated time to the
          next device event, warping the sleepers' clocks.  One halted
          core never skips past another's pending work — this path only
@@ -1176,7 +1254,9 @@ let step t =
             if deliver_pending_interrupt t then attr_window t owner_irq
           end)
         t.cpus
-    | Some c ->
+    end
+    else begin
+      let c = t.cpus.(i) in
       switch_cur t c;
       if deliver_pending_interrupt t then attr_window t owner_irq
       else begin
@@ -1188,7 +1268,7 @@ let step t =
         c.pc <- c.pc + 1;
         t.insns <- t.insns + 1;
         c.c_insns <- c.c_insns + 1;
-        c.c_time <- c.c_time + Cost.base insn;
+        c.c_time <- c.c_time + t.code_cost.(at);
         (try exec t insn
          with Cpu_fault f -> (
            c.pc <- c.pc - 1;
@@ -1212,12 +1292,13 @@ let step t =
         end;
         if trace_this && not t.halted then
           take_exception t ~vector:Insn.Vector.trace ~new_ipl:None;
-        attr_window t (owner_at t at)
+        if t.attr_on then attr_window t (owner_at t at)
       end;
-      t.cycles <- frontier t;
-      run_due_devices t;
+      t.cycles <- (if single then c.c_time else frontier t);
+      if t.cycles >= t.next_device_due then run_due_devices t;
       (* device ticks charge host-side *)
-      attr_window t owner_host
+      if t.attr_on then attr_window t owner_host
+    end
 
 type run_result = Halted | Insn_limit
 

@@ -45,7 +45,13 @@ type hooks = {
   h_fault : fault -> unit;  (** a CPU fault was raised *)
 }
 
-(** A device: [dev_tick] runs when simulated time reaches [next_due]. *)
+(** A device: [dev_tick] runs once when the global clock (the minimum
+    over runnable cores' clocks) reaches [next_due].  Deadlines are
+    one-shot: the machine sets [next_due] to [max_int] just before the
+    tick runs, so a tick that wants to fire again must re-arm the
+    device with {!device_schedule}; a tick that does not re-arm fires
+    exactly once.  Change [next_due] only through {!device_schedule}
+    and {!device_idle}. *)
 type device = {
   dev_name : string;
   mutable next_due : int;
@@ -210,8 +216,17 @@ val register_hcall : t -> (t -> unit) -> int
 
 (** {1 Devices and interrupts} *)
 
+(** Register a device with its first deadline ([max_int] = idle).
+    Devices due at the same step tick newest first. *)
 val add_device : t -> name:string -> due:int -> tick:(t -> unit) -> device
+
+(** Set the device's next (one-shot) deadline, replacing any pending
+    one.  O(1) unless it moves the machine's earliest deadline later.
+    A deadline at or before the present fires at the next device pass,
+    which runs at the end of a step. *)
 val device_schedule : t -> device -> int -> unit
+
+(** Cancel the device's pending deadline. *)
 val device_idle : t -> device -> unit
 
 (** Look up an installed device by name (kfault stalls device

@@ -16,9 +16,10 @@
    pseudo-random 1/every sprinkle, which is still a valid stressor —
    the invariant checks never depend on *which* CAS was vetoed. *)
 
-let period = Atomic.make 0 (* 0 = disarmed *)
+let period = Atomic.make 0 (* 0 = disarmed, -1 = interposer pending *)
 let ticket = Atomic.make 0
 let forced_count = Atomic.make 0
+let interposer : (unit -> unit) option Atomic.t = Atomic.make None
 
 let arm ~seed ~every =
   if every < 2 then invalid_arg "Oq.Fault.arm: every must be >= 2";
@@ -26,13 +27,28 @@ let arm ~seed ~every =
   Atomic.set forced_count 0;
   Atomic.set period every
 
-let disarm () = Atomic.set period 0
-let armed () = Atomic.get period <> 0
+let disarm () =
+  Atomic.set period 0;
+  Atomic.set interposer None
+
+let armed () = Atomic.get period > 0
 let forced () = Atomic.get forced_count
+
+(* The next CAS runs [f] first, with the seam disarmed, then attempts
+   its exchange: on one domain, [f] plays every other thread while
+   the caller is stalled between reading the queue and its claim. *)
+let before_next_cas f =
+  Atomic.set interposer (Some f);
+  Atomic.set period (-1)
 
 let cas (a : 'a Atomic.t) (old : 'a) (nw : 'a) =
   let every = Atomic.get period in
   if every = 0 then Atomic.compare_and_set a old nw
+  else if every < 0 then begin
+    Atomic.set period 0;
+    (match Atomic.exchange interposer None with Some f -> f () | None -> ());
+    Atomic.compare_and_set a old nw
+  end
   else if Atomic.fetch_and_add ticket 1 mod every = 0 then begin
     Atomic.incr forced_count;
     false

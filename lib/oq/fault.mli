@@ -20,5 +20,13 @@ val armed : unit -> bool
 val forced : unit -> int
 (** Vetoes delivered since the last {!arm}. *)
 
+val before_next_cas : (unit -> unit) -> unit
+(** Run [f] once, just before the next {!cas} library-wide attempts its
+    exchange (the seam is disarmed while [f] runs, so [f]'s own queue
+    operations go straight through).  A deterministic single-domain
+    stand-in for a thread stalled between reading a queue's state and
+    its claim: [f] replays what the other threads did meanwhile.
+    Replaces any armed veto schedule. *)
+
 val cas : 'a Atomic.t -> 'a -> 'a -> bool
 (** [compare_and_set], possibly vetoed. *)

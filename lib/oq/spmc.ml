@@ -1,55 +1,67 @@
 (* Single-producer multiple-consumer optimistic queue.
 
-   Mirror image of the MP-SC queue: the producer owns [head] and the
-   per-slot valid flags tell it when a slot has been fully drained;
+   Mirror image of the MP-SC queue: the producer owns [head] and
    consumers race on [tail] with compare-and-swap.  A consumer first
-   *claims* a slot (CAS on tail) and only then reads it and clears the
-   flag, so no two consumers ever touch the same slot and the producer
-   cannot overwrite a slot that is still being read. *)
+   *claims* a ticket (CAS on tail) and only then reads its slot, so no
+   two consumers ever touch the same slot.
+
+   [head] and [tail] are unbounded tickets (slot = ticket mod size) and
+   each slot carries a sequence number, as in [Mpmc]: the producer
+   fills ticket [h] when its slot shows [h] (drained last lap) and
+   publishes [h + 1]; a consumer claims ticket [t] when the slot shows
+   [t + 1] and, after reading it, hands the slot to ticket [t + size].
+   With wrapped indices and a bare valid flag, a consumer that stalled
+   between reading [tail] and its CAS could claim a slot a whole lap
+   later, after the other consumers had drained it: its CAS compared
+   equal wrapped indices, it read an empty slot, and [tail] ended one
+   past [head] for good.  Unbounded tickets make that CAS fail. *)
 
 type 'a t = {
   buf : 'a option array;
-  flag : bool Atomic.t array;
+  seq : int Atomic.t array;
   size : int;
-  head : int Atomic.t; (* written only by the producer *)
-  tail : int Atomic.t; (* claimed by consumers (CAS) *)
+  head : int Atomic.t; (* producer ticket, written only by the producer *)
+  tail : int Atomic.t; (* consumer ticket, claimed by CAS *)
 }
 
 let create size =
   if size < 2 then invalid_arg "Spmc.create: size must be >= 2";
   {
     buf = Array.make size None;
-    flag = Array.init size (fun _ -> Atomic.make false);
+    seq = Array.init size (fun i -> Atomic.make i);
     size;
     head = Atomic.make 0;
     tail = Atomic.make 0;
   }
 
-let next t x = if x = t.size - 1 then 0 else x + 1
-
 let try_put t v =
   let h = Atomic.get t.head in
-  (* The slot is reusable only when its flag has been cleared by the
-     consumer that drained it. *)
-  if Atomic.get t.flag.(h) || next t h = Atomic.get t.tail then false
+  let slot = h mod t.size in
+  (* The slot is reusable only once the consumer of the previous lap
+     has drained it; one slot stays empty, as in the other rings. *)
+  if Atomic.get t.seq.(slot) <> h || h - Atomic.get t.tail >= t.size - 1 then false
   else begin
-    t.buf.(h) <- Some v;
-    Atomic.set t.flag.(h) true;
-    Atomic.set t.head (next t h);
+    t.buf.(slot) <- Some v;
+    Atomic.set t.seq.(slot) (h + 1);
+    Atomic.set t.head (h + 1);
     true
   end
 
 let rec try_get t =
   let tl = Atomic.get t.tail in
-  if not (Atomic.get t.flag.(tl)) then None (* empty or not yet published *)
-  else if Fault.cas t.tail tl (next t tl) then begin
-    (* Slot claimed: we are its only reader. *)
-    let v = t.buf.(tl) in
-    t.buf.(tl) <- None;
-    Atomic.set t.flag.(tl) false;
-    v
-  end
-  else try_get t (* another consumer won the claim; retry *)
+  let slot = tl mod t.size in
+  let s = Atomic.get t.seq.(slot) in
+  if s = tl + 1 then
+    if Fault.cas t.tail tl (tl + 1) then begin
+      (* Ticket claimed: we are its slot's only reader. *)
+      let v = t.buf.(slot) in
+      t.buf.(slot) <- None;
+      Atomic.set t.seq.(slot) (tl + t.size);
+      v
+    end
+    else try_get t (* another consumer won the claim; retry *)
+  else if s <= tl then None (* empty or not yet published *)
+  else try_get t (* tail moved on since we read it *)
 
 let rec put t v = if not (try_put t v) then (Domain.cpu_relax (); put t v)
 
@@ -60,10 +72,9 @@ let rec get t =
     Domain.cpu_relax ();
     get t
 
-let is_empty t = not (Atomic.get t.flag.(Atomic.get t.tail))
+let is_empty t =
+  let tl = Atomic.get t.tail in
+  Atomic.get t.seq.(tl mod t.size) <> tl + 1
 
-let length t =
-  let h = Atomic.get t.head and tl = Atomic.get t.tail in
-  if h >= tl then h - tl else h - tl + t.size
-
+let length t = max 0 (Atomic.get t.head - Atomic.get t.tail)
 let capacity t = t.size - 1

@@ -424,6 +424,45 @@ let test_stop_wait_deadlock () =
   Alcotest.check_raises "deadlock detected" Machine.Deadlock (fun () ->
       ignore (Machine.run ~max_insns:100 m))
 
+(* Device deadlines are one-shot: a tick that does not re-arm its
+   device fires exactly once, however long the machine runs on. *)
+let test_device_fires_once () =
+  let m = machine () in
+  let ticks = ref 0 in
+  ignore (Machine.add_device m ~name:"once" ~due:100 ~tick:(fun _ -> incr ticks));
+  let entry, _ =
+    Asm.assemble m
+      [
+        I.Move (I.Imm 5000, I.Reg I.r0);
+        I.Label "spin";
+        I.Dbra (I.r0, I.To_label "spin");
+        I.Halt;
+      ]
+  in
+  Machine.set_pc m entry;
+  Machine.set_reg m I.sp 0x8000;
+  ignore (Machine.run ~max_insns:100_000 m);
+  check_bool "ran well past the deadline" true (Machine.cycles m > 10_000);
+  check_int "fired exactly once" 1 !ticks
+
+(* A spent deadline is not a pending event: with the core stopped and
+   the only device fired and not re-armed, the idle path fast-forwards
+   to the deadline, runs the tick once, then reports [Deadlock] — it
+   must not spin on the stale deadline forever. *)
+let test_spent_deadline_deadlocks () =
+  let m = machine () in
+  let ticks = ref 0 in
+  ignore (Machine.add_device m ~name:"once" ~due:5_000 ~tick:(fun _ -> incr ticks));
+  let entry, _ = Asm.assemble m [ I.Stop_wait; I.Halt ] in
+  Machine.set_pc m entry;
+  Machine.set_reg m I.sp 0x8000;
+  Alcotest.check_raises "deadlock detected" Machine.Deadlock (fun () ->
+      for _ = 1 to 1_000 do
+        Machine.step m
+      done);
+  check_int "the tick ran once" 1 !ticks;
+  check_int "idle time fast-forwarded to the deadline" 5_000 (Machine.cycles m)
+
 (* FP register save/restore through memory round-trips exactly. *)
 let test_fmovem_round_trip () =
   let m = machine () in
@@ -534,6 +573,8 @@ let () =
       ( "devices",
         [
           Alcotest.test_case "one-shot timer" `Quick test_timer_device;
+          Alcotest.test_case "unarmed tick fires once" `Quick
+            test_device_fires_once;
           Alcotest.test_case "disk error status" `Quick test_disk_error_status;
           Alcotest.test_case "timer cancel/remaining" `Quick
             test_timer_cancel_and_remaining;
@@ -553,6 +594,8 @@ let () =
           Alcotest.test_case "nested interrupt levels" `Quick test_nested_interrupts;
           Alcotest.test_case "stop_wait deadlock detection" `Quick
             test_stop_wait_deadlock;
+          Alcotest.test_case "spent deadline deadlocks" `Quick
+            test_spent_deadline_deadlocks;
           Alcotest.test_case "fmovem round trip" `Quick test_fmovem_round_trip;
         ] );
       ("word", [ Alcotest.test_case "word ops" `Quick test_word_ops ]);

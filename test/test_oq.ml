@@ -57,6 +57,42 @@ let test_spmc_fifo () =
     check_int "fifo order" i (match Oq.Spmc.try_get q with Some v -> v | None -> -1)
   done
 
+(* Repro for the SP-MC lap-ABA: consumer A reads tail = 0 and sees
+   slot 0 full, then stalls before its claim.  Meanwhile the other
+   consumers drain a whole lap, so tail comes back round to slot 0
+   before the producer refills it.  With wrapped indices A's CAS 0 -> 1
+   still succeeded: A read an empty slot and left tail one past head,
+   after which every put reported "full" and every get "empty" — the
+   hang of the 3-consumer domain test.  With unbounded tickets A's
+   claim fails and it sees an empty queue. *)
+let test_spmc_stalled_consumer () =
+  let q = Oq.Spmc.create 4 in
+  List.iter (fun i -> check_bool "put" true (Oq.Spmc.try_put q i)) [ 1; 2; 3 ];
+  let others () =
+    List.iter
+      (fun i -> check_int "others drain" i (Oq.Spmc.get q))
+      [ 1; 2; 3 ];
+    check_bool "producer refills slot 3" true (Oq.Spmc.try_put q 4);
+    check_int "others drain the lap" 4 (Oq.Spmc.get q)
+  in
+  Oq.Fault.before_next_cas others;
+  let a = Oq.Spmc.try_get q in
+  Oq.Fault.disarm ();
+  check_bool "stalled consumer gets nothing" true (a = None);
+  check_bool "queue is empty" true (Oq.Spmc.is_empty q);
+  check_int "length" 0 (Oq.Spmc.length q);
+  check_bool "producer can still put" true (Oq.Spmc.try_put q 5);
+  check_int "and it comes back" 5
+    (match Oq.Spmc.try_get q with Some v -> v | None -> -1);
+  for i = 6 to 8 do
+    check_bool "next lap put" true (Oq.Spmc.try_put q i)
+  done;
+  check_bool "capacity still size - 1" false (Oq.Spmc.try_put q 9);
+  for i = 6 to 8 do
+    check_int "next lap fifo" i
+      (match Oq.Spmc.try_get q with Some v -> v | None -> -1)
+  done
+
 let test_mpmc_fifo () =
   let q = Oq.Mpmc.create 8 in
   for i = 1 to 8 do
@@ -313,6 +349,8 @@ let () =
           Alcotest.test_case "mpsc fifo" `Quick test_mpsc_fifo;
           Alcotest.test_case "mpsc multi-insert" `Quick test_mpsc_multi_insert;
           Alcotest.test_case "spmc fifo" `Quick test_spmc_fifo;
+          Alcotest.test_case "spmc stalled consumer (lap-ABA)" `Quick
+            test_spmc_stalled_consumer;
           Alcotest.test_case "mpmc fifo" `Quick test_mpmc_fifo;
           Alcotest.test_case "dedicated wrap" `Quick test_dedicated_wrap;
         ] );

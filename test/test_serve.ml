@@ -55,6 +55,46 @@ let test_sessions_complete_exactly_once () =
     (Histogram.count h);
   check_bool "the controller retuned worker quanta" true (st.Kserve.n_retunes > 0)
 
+(* The load generator is a device that fires at its next client event:
+   its ticks are O(events), not O(instructions).  (With deadlines that
+   stayed due after a tick it ran on every step once its first event
+   had fired — millions of ticks for a few hundred events.) *)
+let test_loadgen_ticks_per_event () =
+  let boot = Boot.boot () in
+  let m = boot.Boot.kernel.Kernel.machine in
+  let ticks = ref 0 in
+  Machine.set_hooks m
+    (Some
+       {
+         Machine.h_post = (fun ~source:_ ~level:_ ~vector:_ -> ());
+         h_irq = (fun ~level:_ ~vector:_ -> ());
+         h_device = (fun name -> if name = "loadgen" then incr ticks);
+         h_fault = (fun _ -> ());
+       });
+  let srv = Kserve.create boot in
+  let sessions = 50 in
+  let lg =
+    Loadgen.create
+      ~config:
+        { Loadgen.default_config with lg_clients = sessions; lg_reqs_per_session = 3 }
+      ~on_complete:(fun () -> Kserve.shutdown srv)
+      srv
+  in
+  (match Boot.go ~max_insns:40_000_000 boot with
+  | Machine.Halted -> ()
+  | Machine.Insn_limit -> Alcotest.fail "serve run did not converge");
+  Machine.set_hooks m None;
+  check_bool "all sessions finished" true (Loadgen.finished lg);
+  (* each session arrives once; each send arms at most one timeout and
+     its response at most one think-time event *)
+  let events = sessions + (2 * Loadgen.sent lg) in
+  check_bool
+    (Printf.sprintf "loadgen ticks %d <= events %d" !ticks events)
+    true
+    (!ticks > 0 && !ticks <= events);
+  check_bool "far fewer ticks than instructions" true
+    (!ticks * 100 < Machine.insns_executed m)
+
 let test_warm_restart_hits_cache () =
   let boot = Boot.boot () in
   let srv = Kserve.create boot in
@@ -165,6 +205,8 @@ let () =
         [
           Alcotest.test_case "sessions complete exactly once" `Quick
             test_sessions_complete_exactly_once;
+          Alcotest.test_case "load generator ticks per event" `Quick
+            test_loadgen_ticks_per_event;
           Alcotest.test_case "warm restart hits the synthesis cache" `Quick
             test_warm_restart_hits_cache;
           Alcotest.test_case "overload sheds and converges" `Quick

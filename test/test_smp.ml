@@ -400,6 +400,69 @@ let prop_queue_cross_core =
       in
       r.E.x_violations = [] && r.E.x_consumed = r.E.x_producers * r.E.x_items)
 
+(* ------------------------------------------------------------------ *)
+(* Devices fire on the global clock *)
+
+(* Device deadlines are one-shot and fire against the global clock —
+   the minimum over runnable cores — never against whichever core
+   happens to step.  The device below re-arms the way the load
+   generator does, pulling its deadline in to the earliest event and
+   never pushing it out.  With deadlines that stayed due after a tick,
+   it fired on every step after its first event, on cores whose clocks
+   ran ahead of the global one. *)
+let test_device_fires_on_global_clock () =
+  let m = Machine.create ~mem_words:(1 lsl 16) ~cores:4 Cost.sun3_emulation in
+  let global () =
+    let g = ref max_int in
+    for i = 0 to Machine.num_cores m - 1 do
+      if not (Machine.core_stopped m i) then g := min !g (Machine.core_cycles m i)
+    done;
+    !g
+  in
+  let n_events = 40 in
+  let events = ref (List.init n_events (fun i -> 2_000 + (i * 1_500))) in
+  let dev = ref None in
+  let ticks = ref 0 and early = ref 0 and handled = ref 0 in
+  let rearm m' d =
+    match !events with
+    | e :: _ -> if d.Machine.next_due > e then Machine.device_schedule m' d e
+    | [] -> Machine.device_idle m' d
+  in
+  let tick m' =
+    incr ticks;
+    let now = global () in
+    (match !events with e :: _ when e <= now -> () | _ -> incr early);
+    let due, rest = List.partition (fun e -> e <= now) !events in
+    handled := !handled + List.length due;
+    events := rest;
+    Option.iter (rearm m') !dev
+  in
+  dev := Some (Machine.add_device m ~name:"events" ~due:(List.hd !events) ~tick);
+  (* core i spins doing i + 1 read-modify-writes per lap, so the local
+     clocks drift apart; core 3 also starts 4,000 cycles behind *)
+  for i = 0 to 3 do
+    let body =
+      List.init (i + 1) (fun _ -> I.Alu_mem (I.Add, I.Imm 1, I.Abs (0x100 + i)))
+    in
+    let entry, _ =
+      Asm.assemble m ((I.Label "lap" :: body) @ [ I.B (I.Always, I.To_label "lap") ])
+    in
+    Machine.set_active_core m i;
+    Machine.set_pc m entry;
+    Machine.set_reg m I.sp (0x8000 - (i * 0x100));
+    if i > 0 then Machine.start_core m i
+  done;
+  Machine.stall_core m ~cpu:3 ~cycles:4_000;
+  let steps = ref 0 in
+  while global () < 70_000 && !steps < 1_000_000 do
+    Machine.step m;
+    incr steps
+  done;
+  check_bool "global clock passed every event" true (global () >= 70_000);
+  check_int "no tick before the global clock reached an event" 0 !early;
+  check_int "every event handled" n_events !handled;
+  check_int "one tick per event" n_events !ticks
+
 let () =
   Alcotest.run "smp"
     [
@@ -409,6 +472,8 @@ let () =
             test_two_cores_run_in_parallel;
           Alcotest.test_case "idle core never fast-forwards past a busy core"
             `Quick test_idle_core_does_not_fast_forward_past_busy_core;
+          Alcotest.test_case "devices fire on the global clock" `Quick
+            test_device_fires_on_global_clock;
         ] );
       ( "percpu",
         [
