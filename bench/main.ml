@@ -18,11 +18,8 @@ let json_benches ~scale () =
   Table3.run ();
   Table4.run ();
   Table5.run ();
-  Trace_overhead.run ();
-  Span_overhead.run ();
+  Overhead.run ();
   Latency.run ();
-  Pmu_overhead.run ();
-  Fault_overhead.run ();
   Fault_recovery.run ();
   Fault_repair.run ();
   Fs_crash.run ();
@@ -146,11 +143,8 @@ let main_cmd =
       cmd_of "host-queues" Host_queues.run;
       cmd_of "host-step" Host_step.run;
       cmd_of "ablations" Ablations.run;
-      cmd_of "trace-overhead" Trace_overhead.run;
-      cmd_of "span-overhead" Span_overhead.run;
+      cmd_of "overhead" Overhead.run;
       cmd_of "latency" Latency.run;
-      cmd_of "pmu-overhead" Pmu_overhead.run;
-      cmd_of "fault-overhead" Fault_overhead.run;
       cmd_of "fault-recovery" Fault_recovery.run;
       cmd_of "fault-repair" Fault_repair.run;
       cmd_of "synth-scale" Synth_scale.run;

@@ -139,7 +139,16 @@ let cmd_trace out =
     (Ktrace.dropped tr);
   if attributed <> traced then exit 1
 
-(* kfault: run the interleaving explorer across all four queue kinds
+(* What --subject accepts: every explorer subject by name, plus the
+   groups "all", "queues" (every queue/ subject) and "crash" (every
+   crash/ subject). *)
+let subject_choices =
+  String.concat ", "
+    ([ "all"; "queues"; "crash" ]
+    @ List.map Repro_harness.Explorer.subject_name
+        Repro_harness.Explorer.subjects)
+
+(* kfault: run the interleaving explorer over the selected subjects
    for one seed (or a --seeds N sweep), plus the targeted recovery
    scenarios.  Exits non-zero on any invariant violation, so CI can
    gate on `make faultsim`. *)
@@ -176,38 +185,6 @@ let cmd_faultsim subject cores seed seeds verbose postmortem_dir =
       Option.iter (write (base ^ ".postmortem.txt")) r.E.s_postmortem;
       Option.iter (write (base ^ ".blackbox.json")) r.E.s_blackbox_json
   in
-  (* the four lock-free queue kinds, plus the timer-loss recovery *)
-  let run_queues () =
-    for s = first to last do
-      List.iter
-        (fun (r : E.result) ->
-          let ok = r.E.x_violations = [] in
-          if not ok then incr failures;
-          if verbose || not ok then
-            Fmt.pr
-              "seed %3d %-4s %dp/%dc: %d/%d consumed, stride %d, %d \
-               preemptions, %d faults -> %s@."
-              r.E.x_seed (E.kind_name r.E.x_kind) r.E.x_producers
-              r.E.x_consumers r.E.x_consumed
-              (r.E.x_producers * r.E.x_items)
-              r.E.x_stride r.E.x_preemptions r.E.x_injected
-              (if ok then "ok" else "FAIL");
-          List.iter (fun v -> Fmt.pr "    violation: %s@." v) r.E.x_violations)
-        (E.run_all ~seed:s ())
-    done;
-    Fmt.pr "faultsim[queues]: %d runs (seeds %d..%d x 4 kinds), %d failed@."
-      (4 * seeds) first last !failures;
-    let tl = E.timer_loss ~seed () in
-    Fmt.pr
-      "timer-loss: dropped completion at cycle %d, watchdog restarts %d, \
-       recovered in %d cycles (stall %d)@."
-      tl.E.tl_drop_cycle tl.E.tl_restarts tl.E.tl_recovery_cycles
-      tl.E.tl_stall_cycles;
-    if tl.E.tl_restarts < 1 || tl.E.tl_recovery_cycles <= 0 then begin
-      incr failures;
-      Fmt.pr "    FAIL: timer loss not recovered@."
-    end
-  in
   (* one pluggable subject: seed sweep, then a determinism re-run and
      a sabotage run that must be caught *)
   let run_subject_sweep sub =
@@ -219,7 +196,7 @@ let cmd_faultsim subject cores seed seeds verbose postmortem_dir =
       if not ok then incr failures;
       if verbose || not ok then
         Fmt.pr
-          "seed %3d %-11s: %d/%d progress, stride %d, %d preemptions, %d \
+          "seed %3d %-19s: %d/%d progress, stride %d, %d preemptions, %d \
            faults, trace %x -> %s@."
           r.E.s_seed name r.E.s_progress r.E.s_goal r.E.s_stride
           r.E.s_preemptions r.E.s_injected r.E.s_trace_hash
@@ -244,74 +221,19 @@ let cmd_faultsim subject cores seed seeds verbose postmortem_dir =
       first last
       (!failures - before)
   in
-  (* kcrash: the crash-point explorer — per litmus family, a seed
-     sweep with all mechanisms on (must pass), a determinism re-run,
-     and a mechanism-disabled negative run (must fail: the litmus has
-     to bite when its mechanism is off) *)
-  let run_crash_sweep () =
-    let before = !failures in
-    let save_crash_report (r : E.crash_result) =
-      match (r.E.c_report, postmortem_dir) with
-      | Some report, Some dir ->
-        (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-         with Sys_error _ -> ());
-        let path = Fmt.str "%s/crash-%s-seed%d.report.txt" dir r.E.c_family r.E.c_seed in
-        (match open_out path with
-        | oc ->
-          output_string oc report;
-          close_out oc;
-          Fmt.pr "    wrote %s@." path
-        | exception Sys_error msg -> Fmt.epr "cannot write %s: %s@." path msg)
-      | _ -> ()
-    in
-    List.iter
-      (fun family ->
-        let name = E.crash_family_name family in
-        for s = first to last do
-          let r = E.run_crash family ~seed:s () in
-          let ok = r.E.c_violations = [] in
-          if not ok then incr failures;
-          if verbose || not ok then
-            Fmt.pr
-              "seed %3d crash/%-13s: %d states (%d torn, %d writes), %d \
-               replays, live-cut=%b, trace %x -> %s@."
-              r.E.c_seed name r.E.c_states r.E.c_torn r.E.c_journal_len
-              r.E.c_replays r.E.c_live_cut r.E.c_trace_hash
-              (if ok then "ok" else "FAIL");
-          List.iter (fun v -> Fmt.pr "    violation: %s@." v) r.E.c_violations;
-          if not ok then save_crash_report r
-        done;
-        let a = E.run_crash family ~seed:first () in
-        let b = E.run_crash family ~seed:first () in
-        if a.E.c_trace_hash <> b.E.c_trace_hash then begin
-          incr failures;
-          Fmt.pr "    FAIL: crash/%s seed %d is nondeterministic (%x vs %x)@."
-            name first a.E.c_trace_hash b.E.c_trace_hash
-        end;
-        let mech, label =
-          match family with
-          | E.Replace ->
-            ({ Synthesis.Dfs.m_barriers = true; m_journal = false }, "intent log off")
-          | E.Create_rename | E.Prefix_append ->
-            ({ Synthesis.Dfs.m_barriers = false; m_journal = true }, "barriers off")
-        in
-        let n = E.run_crash ~mechanisms:mech family ~seed:first () in
-        if n.E.c_violations = [] then begin
-          incr failures;
-          Fmt.pr "    FAIL: crash/%s litmus held with %s — mechanism not load-bearing@."
-            name label
-        end
-        else if verbose then
-          Fmt.pr "crash/%-13s negative (%s): %d violating states found, as \
-                  expected@."
-            name label
-            (List.length n.E.c_violations))
-      E.crash_families;
+  (* targeted timer-loss recovery: the watchdog must re-arm a lost
+     quantum-timer completion *)
+  let run_timer_loss () =
+    let tl = E.timer_loss ~seed () in
     Fmt.pr
-      "faultsim[crash]: %d families x seeds %d..%d + determinism + negative, \
-       %d failed@."
-      (List.length E.crash_families)
-      first last (!failures - before)
+      "timer-loss: dropped completion at cycle %d, watchdog restarts %d, \
+       recovered in %d cycles (stall %d)@."
+      tl.E.tl_drop_cycle tl.E.tl_restarts tl.E.tl_recovery_cycles
+      tl.E.tl_stall_cycles;
+    if tl.E.tl_restarts < 1 || tl.E.tl_recovery_cycles <= 0 then begin
+      incr failures;
+      Fmt.pr "    FAIL: timer loss not recovered@."
+    end
   in
   (* targeted disk-recovery scenarios *)
   let run_disk_recovery () =
@@ -333,29 +255,30 @@ let cmd_faultsim subject cores seed seeds verbose postmortem_dir =
         (E.Disk_bad_block, "bad-block", false);
       ]
   in
+  let named prefix =
+    List.filter
+      (fun sub -> String.starts_with ~prefix (E.subject_name sub))
+      E.subjects
+  in
   (match subject with
   | "all" ->
-    run_queues ();
     List.iter run_subject_sweep E.subjects;
-    run_disk_recovery ();
-    run_crash_sweep ()
-  | "queues" -> run_queues ()
-  | "ready-queue" -> run_subject_sweep E.ready_queue_subject
-  | "kpipe" -> run_subject_sweep E.kpipe_subject
-  | "codeflip" -> run_subject_sweep E.codeflip_subject
-  | "synthcache" -> run_subject_sweep E.synthcache_subject
+    run_timer_loss ();
+    run_disk_recovery ()
+  | "queues" ->
+    List.iter run_subject_sweep (named "queue/");
+    run_timer_loss ()
+  | "crash" -> List.iter run_subject_sweep (named "crash/")
   | "smp" -> run_subject_sweep (E.smp_subject ?cores ())
-  | "serve" -> run_subject_sweep E.serve_subject
-  | "crash" -> run_crash_sweep ()
   | "disk" ->
     run_subject_sweep E.disk_subject;
     run_disk_recovery ()
-  | s ->
-    Fmt.pr
-      "unknown subject %S (try all, queues, ready-queue, kpipe, disk, \
-       codeflip, synthcache, smp, serve, crash)@."
-      s;
-    exit 2);
+  | s -> (
+    match List.find_opt (fun sub -> E.subject_name sub = s) E.subjects with
+    | Some sub -> run_subject_sweep sub
+    | None ->
+      Fmt.pr "unknown subject %S (try %s)@." s subject_choices;
+      exit 2));
   if !failures > 0 then begin
     Fmt.pr "faultsim FAILED (%d)@." !failures;
     exit 1
@@ -420,9 +343,7 @@ let cmds =
        Arg.(
          value & opt string "all"
          & info [ "subject" ] ~docv:"SUBJECT"
-             ~doc:
-               "workload to stress: all, queues, ready-queue, kpipe, disk, \
-                codeflip, synthcache, smp, serve, or crash")
+             ~doc:("workload to stress: one of " ^ subject_choices))
      in
      let cores =
        Arg.(

@@ -4,12 +4,14 @@
    kernel code stays correct under arbitrary preemption and interrupt
    timing.  This module stresses exactly that, deterministically.
 
-   The explorer is organised around pluggable *subjects*: a subject
-   boots a kernel, builds a workload (threads of machine code plus
-   host-visible counters), and exposes invariant checks.  A shared
-   driver then runs the machine while forcing a context switch every
-   k-th instruction (posting the quantum-timer interrupt, which every
-   thread's private vector table routes to its own switch-out code) —
+   The explorer is organised around pluggable *subjects*, each a name
+   plus a run function; [run_subject] is the only way to run one.  A
+   driven subject boots a kernel, builds a workload (threads of machine
+   code plus host-visible counters), and exposes invariant checks.  A
+   shared driver then runs the machine while forcing a context switch
+   every k-th instruction (posting the quantum-timer interrupt, which
+   every thread's private vector table routes to its own switch-out
+   code) —
    so preemption points sweep across every instruction of the kernel
    paths as seeds vary.  A seeded [Fault_inject] plan adds spurious
    interrupts, bit flips, forced CAS failures, and stalled/dropped
@@ -28,7 +30,11 @@
      EOF, no premature EOF under spurious wakeups);
    - the disk elevator under stalled, dropped, and spurious
      completions (completion-exactly-once with the right data, SCAN
-     service order, no starvation).
+     service order, no starvation);
+   - kheal code flips, the shared synthesized-page repair, kSMP work
+     stealing and the kserve serving stack;
+   - the three kcrash litmus families, which enumerate power-cut
+     states instead of forcing preemptions (see the kcrash section).
 
    [timer_loss] and [disk_fault] are targeted recovery scenarios: a
    dropped quantum-timer completion (livelock recovered by the
@@ -83,10 +89,6 @@ type instance = {
   i_sabotage : (unit -> unit) option;
 }
 
-type subject = { sub_name : string; sub_build : seed:int -> instance }
-
-let subject_name s = s.sub_name
-
 (* Every subject boots with the flight recorder armed: a *disabled*
    trace (the always-on black-box ring, but zero probes) plus the span
    layer, attached before the subject synthesizes its pipelines so the
@@ -98,6 +100,18 @@ let observed_boot ?(cores = 1) () =
   Kernel.attach_tracing k (Ktrace.create ~enabled:false k.Kernel.machine);
   ignore (Kernel.attach_spans k);
   b
+
+(* Start the idle thread so host-driven synchronous disk waits can
+   take completion interrupts. *)
+let start_idle k =
+  let m = k.Kernel.machine in
+  match Kernel.anchor k 0 with
+  | Some t ->
+    Machine.set_supervisor m true;
+    Machine.set_reg m I.sp Layout.boot_stack_top;
+    Machine.set_ipl m 0;
+    Machine.set_pc m t.Kernel.sw_in_mmu
+  | None -> invalid_arg "explorer: no idle thread"
 
 let enter_scheduler k =
   let m = k.Kernel.machine in
@@ -230,27 +244,30 @@ let run_instance ~name ~seed ~faults ~sabotage inst =
     s_blackbox_json = blackbox;
   }
 
+(* A subject is a name plus its run function.  Most subjects build an
+   [instance] for the forced-preemption driver above ([driven]); the
+   crash families enumerate power-cut states instead ([crash_subject]).
+   Either way [run_subject] is the only entry point. *)
+type subject = {
+  sub_name : string;
+  sub_run : seed:int -> faults:bool -> sabotage:bool -> subject_result;
+}
+
+let subject_name s = s.sub_name
+
+let driven name build =
+  {
+    sub_name = name;
+    sub_run =
+      (fun ~seed ~faults ~sabotage ->
+        run_instance ~name ~seed ~faults ~sabotage (build ~seed));
+  }
+
 let run_subject ?(faults = true) ?(sabotage = false) subject ~seed () =
-  run_instance ~name:subject.sub_name ~seed ~faults ~sabotage
-    (subject.sub_build ~seed)
+  subject.sub_run ~seed ~faults ~sabotage
 
 (* ---------------------------------------------------------------- *)
 (* Subject 1: the four lock-free Kqueue kinds *)
-
-type result = {
-  x_kind : Kqueue.kind;
-  x_seed : int;
-  x_producers : int;
-  x_consumers : int;
-  x_items : int; (* per producer *)
-  x_consumed : int;
-  x_stride : int; (* instructions between forced preemptions *)
-  x_preemptions : int; (* forced context switches posted *)
-  x_injected : int; (* faults delivered by the plan *)
-  x_violations : string list; (* empty = all invariants held *)
-  x_insns : int;
-  x_cycles : int;
-}
 
 let kind_name = function
   | Kqueue.Spsc -> "spsc"
@@ -369,8 +386,8 @@ let explorer_config () =
 (* Build the queue workload into an already-booted kernel: producers
    and consumers pinned round-robin across [cores] (all on core 0 for
    a uniprocessor boot), so on an SMP boot the queue code really is
-   entered from several cores at once.  Returns the progress and
-   final-check closures. *)
+   entered from several cores at once.  Returns the goal (items to
+   consume) and the progress, final-check and sabotage closures. *)
 let queue_workload b ~items ~kind ~cores =
   let k = b.Boot.kernel in
   let m = k.Kernel.machine in
@@ -421,60 +438,25 @@ let queue_workload b ~items ~kind ~cores =
   (* a phantom consume: bump one consumer's count without a matching
      item — the presence check must notice *)
   let sabotage () = Machine.poke m counts (peek counts + 1) in
-  (consumed, final, sabotage, producers, consumers)
+  (total, consumed, final, sabotage)
 
-let queue_instance ?(cores = 1) ~items ~kind () =
-  let b = observed_boot ~cores () in
-  let consumed, final, sabotage, producers, consumers =
-    queue_workload b ~items ~kind ~cores
-  in
-  let total = producers * items in
-  let inst =
-    {
-      i_boot = b;
-      i_goal = total;
-      i_budget = 6_000_000;
-      i_fault_config = Some (explorer_config ());
-      i_progress = consumed;
-      i_agitate = None;
-      i_check = (fun () -> []);
-      i_final = final;
-      i_sabotage = Some sabotage;
-    }
-  in
-  (inst, producers, consumers)
-
-let queue_subject kind =
-  {
-    sub_name = "queue/" ^ kind_name kind;
-    sub_build = (fun ~seed:_ -> let inst, _, _ = queue_instance ~items:32 ~kind () in inst);
-  }
-
-let run_queue ?(items = 32) ?(faults = true) ?(cores = 1) ~kind ~seed () =
-  let inst, producers, consumers = queue_instance ~cores ~items ~kind () in
-  let r =
-    run_instance ~name:("queue/" ^ kind_name kind) ~seed ~faults
-      ~sabotage:false inst
-  in
-  {
-    x_kind = kind;
-    x_seed = seed;
-    x_producers = producers;
-    x_consumers = consumers;
-    x_items = items;
-    x_consumed = r.s_progress;
-    x_stride = r.s_stride;
-    x_preemptions = r.s_preemptions;
-    x_injected = r.s_injected;
-    x_violations = r.s_violations;
-    x_insns = r.s_insns;
-    x_cycles = r.s_cycles;
-  }
-
-let run_all ?(items = 32) ~seed () =
-  List.map
-    (fun kind -> run_queue ~items ~kind ~seed ())
-    [ Kqueue.Spsc; Kqueue.Mpsc; Kqueue.Spmc; Kqueue.Mpmc ]
+let queue_subject ?(cores = 1) ?(items = 32) kind =
+  driven ("queue/" ^ kind_name kind) (fun ~seed:_ ->
+      let b = observed_boot ~cores () in
+      let total, consumed, final, sabotage =
+        queue_workload b ~items ~kind ~cores
+      in
+      {
+        i_boot = b;
+        i_goal = total;
+        i_budget = 6_000_000;
+        i_fault_config = Some (explorer_config ());
+        i_progress = consumed;
+        i_agitate = None;
+        i_check = (fun () -> []);
+        i_final = final;
+        i_sabotage = Some sabotage;
+      })
 
 (* ---------------------------------------------------------------- *)
 (* Subject 2: the executable ready queue under a thread-state storm *)
@@ -633,7 +615,7 @@ let ready_queue_subject =
             | None -> ());
     }
   in
-  { sub_name = "ready-queue"; sub_build = build }
+  driven "ready-queue" build
 
 (* ---------------------------------------------------------------- *)
 (* Subject 3: a Kpipe producer/consumer pair *)
@@ -810,7 +792,7 @@ let kpipe_subject =
         Some (fun () -> Machine.poke m (dst + 3) (value 3 lxor 0x5555));
     }
   in
-  { sub_name = "kpipe"; sub_build = build }
+  driven "kpipe" build
 
 (* ---------------------------------------------------------------- *)
 (* Subject 4: the disk elevator under completion faults *)
@@ -946,7 +928,7 @@ let disk_subject =
             first_done.(0) <- false)
     }
   in
-  { sub_name = "disk"; sub_build = build }
+  driven "disk" build
 
 (* ---------------------------------------------------------------- *)
 (* Subject 5: kheal — code-region flips with resynthesis repair *)
@@ -1127,7 +1109,7 @@ let codeflip_subject =
             | None -> failwith "codeflip: no bad_fd region to sabotage");
     }
   in
-  { sub_name = "codeflip"; sub_build = build }
+  driven "codeflip" build
 
 (* ---------------------------------------------------------------- *)
 (* Subject 6: synthcache — a corrupted shared page repairs once for
@@ -1311,7 +1293,7 @@ let synthcache_subject =
             | None -> failwith "synthcache: no region to sabotage");
     }
   in
-  { sub_name = "synthcache"; sub_build = build }
+  driven "synthcache" build
 
 (* ---------------------------------------------------------------- *)
 (* Subject 6: kSMP — several cores over one shared memory *)
@@ -1353,7 +1335,7 @@ let smp_subject ?cores () =
     let k = b.Boot.kernel in
     let m = k.Kernel.machine in
     Machine.set_schedule_seed m seed;
-    let consumed, queue_final, _, producers, _ =
+    let goal, consumed, queue_final, _ =
       queue_workload b ~items ~kind ~cores
     in
     (* one spinning filler per core: ready work for the stealers and a
@@ -1439,7 +1421,7 @@ let smp_subject ?cores () =
     in
     {
       i_boot = b;
-      i_goal = producers * items;
+      i_goal = goal;
       i_budget = 12_000_000;
       i_fault_config =
         Some
@@ -1457,7 +1439,7 @@ let smp_subject ?cores () =
       i_sabotage = Some (fun () -> sab_pending := true);
     }
   in
-  { sub_name = "smp"; sub_build = build }
+  driven "smp" build
 
 (* ---------------------------------------------------------------- *)
 (* Subject 7: kserve — an accept/request/close storm over the NIC *)
@@ -1594,18 +1576,7 @@ let serve_subject =
         Some (fun () -> Machine.frame_fault m ~device:"nic" ~dir:1 ~kind:1);
     }
   in
-  { sub_name = "serve"; sub_build = build }
-
-let subjects =
-  [
-    ready_queue_subject;
-    kpipe_subject;
-    disk_subject;
-    codeflip_subject;
-    synthcache_subject;
-    smp_subject ();
-    serve_subject;
-  ]
+  driven "serve" build
 
 (* ---------------------------------------------------------------- *)
 (* kcrash: the crash-point explorer *)
@@ -1634,10 +1605,12 @@ let subjects =
    - replace: overwrite a multi-block file with same-length different
      content — readers see exactly old or new, never a torn mix.
 
-   The [Dfs.mechanisms] toggles make the runs falsifiable: with
+   Sabotage disables the family's load-bearing [Dfs.mechanisms]: with
    barriers off the first two families must fail (metadata outruns
    data still dirty in the cache); with the intent log off, replace
-   must fail (in-place tearing).  The CLI asserts both directions. *)
+   must fail (in-place tearing).  With every mechanism on, the run
+   must also show the enumerator did its job: a torn variant
+   explored, the live cut fired, the intent log replayed. *)
 
 type crash_family = Create_rename | Prefix_append | Replace
 
@@ -1647,21 +1620,6 @@ let crash_family_name = function
   | Create_rename -> "create-rename"
   | Prefix_append -> "prefix-append"
   | Replace -> "replace"
-
-type crash_result = {
-  c_family : string;
-  c_seed : int;
-  c_barriers : bool;
-  c_journal : bool;
-  c_states : int; (* crash states explored (cut points + torn + live cut) *)
-  c_torn : int; (* of which torn-write variants *)
-  c_journal_len : int; (* platter writes recorded by the workload *)
-  c_replays : int; (* intent-log replays across all reboots *)
-  c_live_cut : bool; (* the device-level power cut actually fired *)
-  c_violations : string list;
-  c_trace_hash : int;
-  c_report : string option; (* forensic text when any litmus failed *)
-}
 
 let bwords = Disk_server.block_words
 
@@ -1785,18 +1743,6 @@ let crash_workload family ~seed =
       w_final_content = b;
     }
 
-(* Start the idle thread so host-driven synchronous disk waits can
-   take completion interrupts. *)
-let start_idle k =
-  let m = k.Kernel.machine in
-  match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 0;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> invalid_arg "crash explorer: no idle thread"
-
 (* The recording run: format, mount, settle, then execute the workload
    on a journaling device.  Returns the pre-workload platter image,
    the commit-ordered write journal, and the cycles the workload took
@@ -1903,7 +1849,7 @@ let crash_reboot ~img ~check ?expect_read () =
           viol :=
             !viol
             @ [ Fmt.str "synthesized read data mismatch at word %d" !bad ]));
-  (List.rev (List.rev !viol), replays)
+  (!viol, replays)
 
 (* Enumerate crash states: every journal prefix, plus one seeded
    prefix-torn variant of each next write.  [(tag, image, torn,
@@ -1969,8 +1915,15 @@ let crash_live_cut family ~seed ~mech ~op_cycles =
   let fired = not (Devices.Disk.powered k.Kernel.disk) in
   (w, Devices.Disk.image k.Kernel.disk, fired)
 
-let run_crash ?(mechanisms = Dfs.all_mechanisms) family ~seed () =
+let explore_crashes family ~seed ~sabotage =
   let name = crash_family_name family in
+  let mechanisms =
+    match (sabotage, family) with
+    | false, _ -> Dfs.all_mechanisms
+    | true, Replace -> { Dfs.m_barriers = true; m_journal = false }
+    | true, (Create_rename | Prefix_append) ->
+      { Dfs.m_barriers = false; m_journal = true }
+  in
   let w, img0, journal, op_cycles = crash_record family ~seed ~mech:mechanisms in
   let hash = ref (mix seed 0xC4A5) in
   let fold v = hash := mix !hash (v land max_int) in
@@ -2027,6 +1980,13 @@ let run_crash ?(mechanisms = Dfs.all_mechanisms) family ~seed () =
     end
     else false
   in
+  (* enumerator health: a clean verdict means nothing if the run never
+     reached the states that could have failed it *)
+  if not sabotage then
+    add "health"
+      ((if !torn = 0 then [ "no torn variant explored" ] else [])
+      @ (if not live_fired then [ "the live power cut never fired" ] else [])
+      @ if !replays = 0 then [ "the intent log never replayed" ] else []);
   let violations = List.rev !violations in
   let report =
     if violations = [] then None
@@ -2044,19 +2004,40 @@ let run_crash ?(mechanisms = Dfs.all_mechanisms) family ~seed () =
            (String.concat "\n" (List.map (fun v -> "  " ^ v) violations)))
   in
   {
-    c_family = name;
-    c_seed = seed;
-    c_barriers = mechanisms.Dfs.m_barriers;
-    c_journal = mechanisms.Dfs.m_journal;
-    c_states = !explored;
-    c_torn = !torn;
-    c_journal_len = List.length journal;
-    c_replays = !replays;
-    c_live_cut = live_fired;
-    c_violations = violations;
-    c_trace_hash = !hash;
-    c_report = report;
+    s_subject = "crash/" ^ name;
+    s_seed = seed;
+    s_stride = 0;
+    s_preemptions = 0;
+    s_injected = !torn + Bool.to_int live_fired;
+    s_progress = !explored;
+    s_goal = List.length states + 1;
+    s_violations = violations;
+    s_insns = 0;
+    s_cycles = 0;
+    s_trace_hash = !hash;
+    s_postmortem = report;
+    s_blackbox_json = None;
   }
+
+let crash_subject family =
+  {
+    sub_name = "crash/" ^ crash_family_name family;
+    sub_run =
+      (fun ~seed ~faults:_ ~sabotage -> explore_crashes family ~seed ~sabotage);
+  }
+
+let subjects =
+  List.map queue_subject [ Kqueue.Spsc; Kqueue.Mpsc; Kqueue.Spmc; Kqueue.Mpmc ]
+  @ [
+      ready_queue_subject;
+      kpipe_subject;
+      disk_subject;
+      codeflip_subject;
+      synthcache_subject;
+      smp_subject ();
+      serve_subject;
+    ]
+  @ List.map crash_subject crash_families
 
 (* ---------------------------------------------------------------- *)
 (* Targeted recovery scenarios *)
@@ -2197,14 +2178,7 @@ let disk_fault ?(seed = 1) ~mode () =
   let ds = Disk_server.install k ~timeout_us:4_000.0 ~max_tries:4 () in
   Devices.Disk.write_block k.Kernel.disk 7
     (Array.init Devices.Disk.block_words (fun i -> 7_000 + i));
-  (* idle thread must be resumable so completion interrupts are taken *)
-  (match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 0;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> invalid_arg "disk_fault: no idle thread");
+  start_idle k;
   let block = match mode with Disk_bad_block -> 1 lsl 20 | _ -> 7 in
   let fi =
     match mode with

@@ -6,13 +6,15 @@
     stalled/dropped device completions — then checks subject-specific
     invariants at every forced preemption and at the end of the run.
 
-    Workloads are pluggable {!subject}s: the four lock-free
-    {!Synthesis.Kqueue} kinds (via {!run_queue}), the executable ready
-    queue under a thread stop/start/restart storm, a
-    {!Synthesis.Kpipe} producer/consumer pair, and the disk elevator
-    under completion faults.  Every run folds a deterministic trace
-    hash, so a (subject, seed) pair names exactly one interleaving on
-    every host — CI asserts this.
+    Workloads are pluggable {!subject}s, all run through
+    {!run_subject}: the four lock-free {!Synthesis.Kqueue} kinds, the
+    executable ready queue under a thread stop/start/restart storm, a
+    {!Synthesis.Kpipe} producer/consumer pair, the disk elevator under
+    completion faults, the kheal, ksynth, kSMP and kserve storms, and
+    the three kcrash power-cut litmus families.  Every run folds a
+    deterministic trace hash, so a (subject, seed) pair names exactly
+    one interleaving on every host — CI asserts this, and a test pins
+    the hashes of seeds 1..3.
 
     Also provides targeted recovery scenarios: a dropped quantum-timer
     completion recovered by the flow-rate {!Synthesis.Watchdog}, and
@@ -24,7 +26,10 @@
 type subject_result = {
   s_subject : string;
   s_seed : int;
-  s_stride : int;  (** instructions between forced preemptions *)
+  s_stride : int;
+      (** instructions between forced preemptions (0 for the crash
+          subjects, whose runs span many machines; likewise
+          [s_preemptions], [s_insns] and [s_cycles]) *)
   s_preemptions : int;  (** forced context switches posted *)
   s_injected : int;  (** faults delivered by the plan *)
   s_progress : int;  (** work completed (subject-specific unit) *)
@@ -35,7 +40,8 @@ type subject_result = {
   s_trace_hash : int;  (** seed-deterministic interleaving fingerprint *)
   s_postmortem : string option;
       (** flight-recorder dump ({!Synthesis.Kernel.postmortem}) when
-          any check failed: open spans name the in-flight requests *)
+          any check failed: open spans name the in-flight requests.  A
+          crash subject gives its litmus report instead. *)
   s_blackbox_json : string option;
       (** the black-box ring as Chrome trace JSON, same condition *)
 }
@@ -43,6 +49,16 @@ type subject_result = {
 type subject
 
 val subject_name : subject -> string
+
+val queue_subject : ?cores:int -> ?items:int -> Synthesis.Kqueue.kind -> subject
+(** One boot, one queue of the given kind, 1–3 producers × 1–3
+    consumers of machine code, [items] (default 32) per producer.
+    [~cores] (default 1) boots an SMP kernel and pins the participants
+    round-robin across the cores, so the queue code is entered from
+    several cores at once.  Invariants: no loss, no duplication, no
+    corruption, per-producer FIFO.  Sabotage is a phantom consume (a
+    count bump without an item); the presence check must catch it.
+    Named [queue/<kind>]. *)
 
 val ready_queue_subject : subject
 (** Counting workers under a seeded storm of host-driven
@@ -110,59 +126,7 @@ val serve_subject : subject
     frame ({!Quamachine.Machine.frame_fault}); the ledger must catch
     the second copy. *)
 
-val subjects : subject list
-(** The kernel subjects above (the queue workloads keep their
-    dedicated {!run_queue} entry point). *)
-
-val run_subject :
-  ?faults:bool -> ?sabotage:bool -> subject -> seed:int -> unit -> subject_result
-(** Build and drive one subject instance.  [~faults:false] runs the
-    pure interleaving sweep with no injected faults; [~sabotage:true]
-    deliberately corrupts subject state mid-run — used by the negative
-    tests to prove the invariants bite (the result must report at
-    least one violation). *)
-
-(** {1 Queue workloads} *)
-
-type result = {
-  x_kind : Synthesis.Kqueue.kind;
-  x_seed : int;
-  x_producers : int;
-  x_consumers : int;
-  x_items : int;  (** per producer *)
-  x_consumed : int;
-  x_stride : int;  (** instructions between forced preemptions *)
-  x_preemptions : int;  (** forced context switches posted *)
-  x_injected : int;  (** faults delivered by the plan *)
-  x_violations : string list;  (** empty = all invariants held *)
-  x_insns : int;
-  x_cycles : int;
-}
-
-val kind_name : Synthesis.Kqueue.kind -> string
-
-val queue_subject : Synthesis.Kqueue.kind -> subject
-(** The queue workload as a subject (32 items per producer). *)
-
-val run_queue :
-  ?items:int ->
-  ?faults:bool ->
-  ?cores:int ->
-  kind:Synthesis.Kqueue.kind ->
-  seed:int ->
-  unit ->
-  result
-(** One boot, one queue of [kind], 1–3 producers × 1–3 consumers of
-    machine code, preemption forced every seed-derived stride.
-    [~faults:false] runs the pure interleaving sweep with no injected
-    faults.  [~cores] (default 1) boots an SMP kernel and pins the
-    participants round-robin across the cores, so the queue code is
-    entered from several cores at once. *)
-
-val run_all : ?items:int -> seed:int -> unit -> result list
-(** [run_queue] across all four kinds. *)
-
-(** {1 kcrash: the crash-point explorer} *)
+(** {2 kcrash: the crash-point explorer} *)
 
 type crash_family =
   | Create_rename
@@ -177,29 +141,8 @@ type crash_family =
           content: readers see exactly old or new, never a torn mix *)
 
 val crash_families : crash_family list
-val crash_family_name : crash_family -> string
 
-type crash_result = {
-  c_family : string;
-  c_seed : int;
-  c_barriers : bool;
-  c_journal : bool;
-  c_states : int;  (** crash states explored (cut points + torn + live cut) *)
-  c_torn : int;  (** of which prefix-torn write variants *)
-  c_journal_len : int;  (** platter writes the workload committed *)
-  c_replays : int;  (** intent-log replays observed across reboots *)
-  c_live_cut : bool;  (** the device-level power cut actually fired *)
-  c_violations : string list;
-  c_trace_hash : int;  (** seed-deterministic fingerprint *)
-  c_report : string option;  (** forensic text when any litmus failed *)
-}
-
-val run_crash :
-  ?mechanisms:Synthesis.Dfs.mechanisms ->
-  crash_family ->
-  seed:int ->
-  unit ->
-  crash_result
+val crash_subject : crash_family -> subject
 (** Record the workload's platter-write journal on a journaling
     device, enumerate every legal crash state (journal prefixes plus a
     seeded prefix-torn variant of each next write — exactly the
@@ -207,8 +150,29 @@ val run_crash :
     each into a fresh machine through {!Synthesis.Boot.at_boot}
     recovery, and run the family's litmus predicate; ends with a
     device-level {!Quamachine.Fault_inject.Power_cut} run mid-workload.
-    With [mechanisms] partially disabled the violations demonstrate
-    what each mechanism buys (the CLI asserts they appear). *)
+    [s_progress]/[s_goal] count crash states explored/enumerated;
+    [s_injected] counts torn variants plus the live cut.  With all
+    mechanisms on, the run also fails if no torn variant was explored,
+    the live cut never fired, or the intent log never replayed.
+    Sabotage disables the family's load-bearing mechanism (barriers
+    for create-rename and prefix-append, the intent log for replace);
+    the litmus predicate must then fail.  [~faults] is ignored: the
+    crash states are the faults.  Named [crash/<family>]. *)
+
+(** {2 The whole set} *)
+
+val subjects : subject list
+(** Every subject: [queue/spsc], [queue/mpsc], [queue/spmc],
+    [queue/mpmc], the seven kernel subjects above, then
+    [crash/create-rename], [crash/prefix-append], [crash/replace]. *)
+
+val run_subject :
+  ?faults:bool -> ?sabotage:bool -> subject -> seed:int -> unit -> subject_result
+(** Run one subject.  [~faults:false] runs the pure interleaving sweep
+    with no injected faults; [~sabotage:true] deliberately corrupts
+    subject state mid-run — used by the negative tests to prove the
+    invariants bite (the result must report at least one
+    violation). *)
 
 (** {1 Targeted recovery scenarios} *)
 

@@ -233,53 +233,52 @@ let prop_cache_matches_model =
 (* ---------------------------------------------------------------- *)
 (* Crash-consistency litmus families *)
 
+(* With every mechanism on, a clean verdict also requires the
+   enumerator's health checks: a torn variant explored, the live power
+   cut fired, the intent log replayed. *)
 let test_litmus_holds_with_mechanisms () =
   List.iter
     (fun fam ->
-      let r = E.run_crash fam ~seed:1 () in
+      let r = E.run_subject (E.crash_subject fam) ~seed:1 () in
       Alcotest.(check (list string))
-        (E.crash_family_name fam ^ " litmus") [] r.E.c_violations;
-      check_bool "explored crash states" true (r.E.c_states > 2);
-      check_bool "explored torn variants" true (r.E.c_torn > 0);
-      check_bool "live power cut fired" true r.E.c_live_cut)
+        (r.E.s_subject ^ " litmus") [] r.E.s_violations;
+      check_bool "explored crash states" true (r.E.s_progress > 2);
+      check_int "explored every enumerated state" r.E.s_goal r.E.s_progress)
     E.crash_families
 
 (* Committed repros: each family must FAIL with its load-bearing
    mechanism disabled — otherwise the mechanism is dead weight and
-   the litmus proves nothing. *)
+   the litmus proves nothing.  The subject's sabotage lever is exactly
+   that switch. *)
+
+let sabotaged fam = E.run_subject ~sabotage:true (E.crash_subject fam) ~seed:1 ()
 
 let test_repro_barriers_off () =
   List.iter
     (fun fam ->
-      let r =
-        E.run_crash
-          ~mechanisms:{ Dfs.m_barriers = false; m_journal = true }
-          fam ~seed:1 ()
-      in
+      let r = sabotaged fam in
       check_bool
-        (E.crash_family_name fam ^ " violates without write barriers")
+        (r.E.s_subject ^ " violates without write barriers")
         true
-        (r.E.c_violations <> []))
+        (r.E.s_violations <> []))
     [ E.Create_rename; E.Prefix_append ]
 
 let test_repro_journal_off () =
-  let r =
-    E.run_crash
-      ~mechanisms:{ Dfs.m_barriers = true; m_journal = false }
-      E.Replace ~seed:1 ()
-  in
+  let r = sabotaged E.Replace in
   check_bool "replace tears without the intent log" true
-    (r.E.c_violations <> [])
+    (r.E.s_violations <> [])
 
 let test_recovery_replays_counted () =
-  (* across a full exploration at least one enumerated crash state
-     lands inside the commit window, so the intent log must replay *)
-  let replays =
-    List.fold_left
-      (fun acc seed -> acc + (E.run_crash E.Replace ~seed ()).E.c_replays)
-      0 [ 1; 2 ]
-  in
-  check_bool "intent log replayed at least once" true (replays >= 1)
+  (* at least one enumerated crash state lands inside the commit
+     window, so the intent log must replay; a run where it never does
+     reports a health violation *)
+  List.iter
+    (fun seed ->
+      let r = E.run_subject (E.crash_subject E.Replace) ~seed () in
+      Alcotest.(check (list string))
+        (Fmt.str "seed %d: clean, intent log replayed" seed)
+        [] r.E.s_violations)
+    [ 1; 2 ]
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 

@@ -390,26 +390,24 @@ let test_plan_deterministic () =
     (a.Fault_inject.events <> c.Fault_inject.events)
 
 let test_explorer_deterministic () =
-  let a = E.run_queue ~kind:Kqueue.Spmc ~seed:5 () in
-  let b = E.run_queue ~kind:Kqueue.Spmc ~seed:5 () in
-  check_bool "no violations" true (a.E.x_violations = []);
-  check_int "same consumed" a.E.x_consumed b.E.x_consumed;
-  check_int "same preemptions" a.E.x_preemptions b.E.x_preemptions;
-  check_int "same injected faults" a.E.x_injected b.E.x_injected;
-  check_int "same instruction count" a.E.x_insns b.E.x_insns;
-  check_int "same cycle count" a.E.x_cycles b.E.x_cycles
+  let a = E.run_subject (E.queue_subject Kqueue.Spmc) ~seed:5 () in
+  let b = E.run_subject (E.queue_subject Kqueue.Spmc) ~seed:5 () in
+  check_bool "no violations" true (a.E.s_violations = []);
+  check_int "same consumed" a.E.s_progress b.E.s_progress;
+  check_int "same preemptions" a.E.s_preemptions b.E.s_preemptions;
+  check_int "same injected faults" a.E.s_injected b.E.s_injected;
+  check_int "same instruction count" a.E.s_insns b.E.s_insns;
+  check_int "same cycle count" a.E.s_cycles b.E.s_cycles
 
 let test_explorer_smoke () =
   List.iter
-    (fun r ->
+    (fun kind ->
+      let r = E.run_subject (E.queue_subject ~items:16 kind) ~seed:2 () in
       Alcotest.(check (list string))
-        (E.kind_name r.E.x_kind ^ " invariants hold")
-        [] r.E.x_violations;
-      check_int
-        (E.kind_name r.E.x_kind ^ " all items consumed")
-        (r.E.x_producers * r.E.x_items)
-        r.E.x_consumed)
-    (E.run_all ~items:16 ~seed:2 ())
+        (r.E.s_subject ^ " invariants hold")
+        [] r.E.s_violations;
+      check_int (r.E.s_subject ^ " all items consumed") r.E.s_goal r.E.s_progress)
+    [ Kqueue.Spsc; Kqueue.Mpsc; Kqueue.Spmc; Kqueue.Mpmc ]
 
 (* ------------------------------------------------------------------ *)
 (* kheal: code-region corruption, audit, and repair by resynthesis *)

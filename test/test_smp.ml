@@ -396,9 +396,11 @@ let prop_queue_cross_core =
       triple (int_range 0 3) (int_range 2 4) (int_range 0 10_000))
     (fun (ki, cores, seed) ->
       let r =
-        E.run_queue ~items:8 ~faults:false ~cores ~kind:kinds.(ki) ~seed ()
+        E.run_subject ~faults:false
+          (E.queue_subject ~cores ~items:8 kinds.(ki))
+          ~seed ()
       in
-      r.E.x_violations = [] && r.E.x_consumed = r.E.x_producers * r.E.x_items)
+      r.E.s_violations = [] && r.E.s_progress = r.E.s_goal)
 
 (* ------------------------------------------------------------------ *)
 (* Devices fire on the global clock *)
