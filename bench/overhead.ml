@@ -1,34 +1,21 @@
-(* Zero cost when off: every instrumentation layer either splices its
-   probes into synthesized code only when enabled at synthesis time
-   (ktrace, kspan) or observes the machine from the host side (the PMU,
-   the fault injector).  Switched off, a kernel with the layer attached
-   runs the *identical* instruction stream as a plain kernel.
+(* Zero cost on and off: every instrumentation layer observes the
+   machine from the host side — ktrace and kspan through host-side
+   probes on synthesized code, the PMU through pc sampling in the step
+   loop, the fault injector through an idle device.  Attached, with or
+   without collection, a kernel runs the *identical* instruction
+   stream as a plain kernel, in the same cycles.
 
    One table proves it for all four layers.  The shared two-stage pipe
    pipeline runs once plain, then once per row with that row's setup
-   applied right after boot (before anything is synthesized).  A
-   [Free_cycles] row must cost exactly zero simulated cycles; a
-   [Free_stream] row must match the plain run's cycles *and*
-   instructions (host-side observers must not perturb anything, even
-   with PMU pc sampling on: samples cost host time, never simulated
-   cycles); a [Priced] row records what its probes cost when on (one
-   Hcall, 2 cycles, per probe site crossed).  Every row lands in the
-   [overhead] baseline table as [extra_cycles]. *)
+   applied right after boot (before anything is synthesized).  Every
+   row must match the plain run's cycles *and* instructions, and lands
+   in the [overhead] baseline table as [extra_cycles]. *)
 
 open Quamachine
 open Synthesis
 
-type gate = Priced | Free_cycles | Free_stream
-
-(* [setup] instruments a freshly booted kernel and returns what to run
-   once the workload is done (stop the PMU, disarm a plan). *)
-type row = {
-  row : string;
-  label : string;
-  gate : gate;
-  setup : Boot.t -> unit -> unit;
-}
-
+(* A row's setup instruments a freshly booted kernel and returns what
+   to run once the workload is done (stop the PMU, disarm a plan). *)
 let nothing () = ()
 
 let trace ~enabled b =
@@ -36,8 +23,8 @@ let trace ~enabled b =
   Kernel.attach_tracing k (Ktrace.create ~enabled k.Kernel.machine);
   nothing
 
-let spans ~enabled b =
-  ignore (Kernel.attach_spans ~enabled b.Boot.kernel);
+let spans b =
+  ignore (Kernel.attach_spans b.Boot.kernel);
   nothing
 
 let pmu ~sampling b =
@@ -74,25 +61,16 @@ let fault_armed_idle b =
   in
   fun () -> Fault_inject.disarm m fi
 
+(* (baseline row, label, setup) *)
 let rows =
   [
-    { row = "trace_off"; label = "ktrace attached, disabled at synthesis";
-      gate = Free_cycles; setup = trace ~enabled:false };
-    { row = "trace_on"; label = "ktrace attached, probes compiled in";
-      gate = Priced; setup = trace ~enabled:true };
-    { row = "span_off"; label = "kspan attached, disabled at synthesis";
-      gate = Free_cycles; setup = spans ~enabled:false };
-    { row = "span_on"; label = "kspan attached, probes compiled in";
-      gate = Priced; setup = spans ~enabled:true };
-    { row = "pmu_idle"; label = "pmu counting, sampling off";
-      gate = Free_stream; setup = pmu ~sampling:false };
-    { row = "pmu_sampling"; label = "pmu counting + pc sampling (period 251)";
-      gate = Free_stream; setup = pmu ~sampling:true };
-    { row = "fault_compiled"; label = "fault plan compiled, never armed";
-      gate = Free_stream; setup = fault_compiled };
-    { row = "fault_armed_idle";
-      label = "fault plan armed, horizon beyond the run";
-      gate = Free_stream; setup = fault_armed_idle };
+    ("trace_off", "ktrace attached, collection off", trace ~enabled:false);
+    ("trace_on", "ktrace attached, collecting", trace ~enabled:true);
+    ("span_on", "kspan attached", spans);
+    ("pmu_idle", "pmu counting, sampling off", pmu ~sampling:false);
+    ("pmu_sampling", "pmu counting + pc sampling (period 251)", pmu ~sampling:true);
+    ("fault_compiled", "fault plan compiled, never armed", fault_compiled);
+    ("fault_armed_idle", "fault plan armed, horizon beyond the run", fault_armed_idle);
   ]
 
 let workload setup =
@@ -106,7 +84,7 @@ let workload setup =
 
 let run () =
   Repro_harness.Harness.header
-    "zero cost when off: ktrace, kspan, the PMU and kfault";
+    "zero cost on and off: ktrace, kspan, the PMU and kfault";
   let plain_cy, plain_in = workload (fun _ -> nothing) in
   Fmt.pr "%-44s %12s %12s %8s@." "configuration" "cycles" "insns" "extra";
   Fmt.pr "%-44s %12d %12d@." "plain kernel (no instrumentation)" plain_cy
@@ -115,19 +93,16 @@ let run () =
     (float_of_int plain_cy);
   let failed =
     List.filter
-      (fun r ->
-        let cy, insns = workload r.setup in
-        Fmt.pr "%-44s %12d %12d %8d@." r.label cy insns (cy - plain_cy);
-        Bench_json.record ~table:"overhead" ~row:r.row ~metric:"extra_cycles"
+      (fun (row, label, setup) ->
+        let cy, insns = workload setup in
+        Fmt.pr "%-44s %12d %12d %8d@." label cy insns (cy - plain_cy);
+        Bench_json.record ~table:"overhead" ~row ~metric:"extra_cycles"
           (float_of_int (cy - plain_cy));
-        match r.gate with
-        | Priced -> false
-        | Free_cycles -> cy <> plain_cy
-        | Free_stream -> cy <> plain_cy || insns <> plain_in)
+        cy <> plain_cy || insns <> plain_in)
       rows
   in
   match failed with
-  | [] -> Fmt.pr "every off row: exactly zero (identical instruction streams)@."
+  | [] -> Fmt.pr "every row: exactly zero (identical instruction streams)@."
   | _ ->
     Fmt.failwith "overhead: %s perturbed the plain run"
-      (String.concat ", " (List.map (fun r -> r.row) failed))
+      (String.concat ", " (List.map (fun (row, _, _) -> row) failed))

@@ -107,10 +107,9 @@ let cmd_demo () =
   Fmt.pr "@.threads at exit:@.";
   Inspect.pp_threads k Fmt.stdout ()
 
-(* Boot a kernel with tracing attached from the start (so the context
-   switch and queue probes are compiled into the synthesized code),
-   run the quickstart-style two-stage pipe workload, then print the
-   cycle-attribution summary and export Chrome trace JSON. *)
+(* Boot a kernel with tracing attached, run the quickstart-style
+   two-stage pipe workload, then print the cycle-attribution summary
+   and export Chrome trace JSON. *)
 let cmd_trace out =
   let b = Boot.boot () in
   let k = b.Boot.kernel in

@@ -4,12 +4,6 @@
 
 open Quamachine
 
-(* Annotation function built from the synthesis registry. *)
-let annotator k : Monitor.annotation =
-  let by_addr = Hashtbl.create 64 in
-  List.iter (fun (name, entry, _) -> Hashtbl.replace by_addr entry name) (Kernel.registry k);
-  fun addr -> Hashtbl.find_opt by_addr addr
-
 let find k name =
   List.find_opt (fun (n, _, _) -> n = name) (Kernel.registry k)
 
@@ -26,12 +20,33 @@ let grep k substr =
       contains 0)
     (Kernel.registry k)
 
+(* The probe points bound at [addr], as "<layer> <name>". *)
+let probe_notes k addr =
+  let notes base points =
+    List.filter_map
+      (fun (off, (name, act)) ->
+        if base + off <> addr then None
+        else
+          Some
+            ((match act with Kernel.Trace _ -> "ktrace " | Kernel.Span _ -> "kspan ")
+            ^ name))
+      points
+  in
+  List.concat_map
+    (fun r -> notes r.Kernel.cr_entry r.Kernel.cr_probes)
+    (Kernel.code_regions k)
+  @ notes 0 k.Kernel.program_probes
+
 let disassemble_routine k ppf name =
   match find k name with
   | None -> Fmt.pf ppf "no such routine: %s@." name
   | Some (n, entry, len) ->
-    Fmt.pf ppf "%s (%d instructions at %d):@." n len entry;
-    Monitor.disassemble ~annotate:(annotator k) k.Kernel.machine ~from:entry ~len ppf;
+    Fmt.pf ppf "%s (%d instructions at %d):@.%s:@." n len entry n;
+    (* probe points emit no instructions: list them as comments *)
+    for a = entry to entry + len - 1 do
+      List.iter (Fmt.pf ppf "         ; probe %s@.") (probe_notes k a);
+      Fmt.pf ppf "  %5d  %a@." a Insn.pp (Machine.read_code k.Kernel.machine a)
+    done;
     Fmt.pf ppf "static cycles (excl. memory refs): %d@."
       (Monitor.static_cycles k.Kernel.machine ~from:entry ~len)
 
@@ -54,38 +69,3 @@ let pp_threads k ppf () =
         t.Kernel.base t.Kernel.map_id t.Kernel.quantum_us t.Kernel.uses_fp
         t.Kernel.sw_out t.Kernel.sw_in)
     k.Kernel.threads
-
-(* Aggregate a machine cycle profile by synthesized routine: which
-   kernel code the cycles went to (the monitor's profiling view). *)
-let profile_by_routine k ~top =
-  let m = k.Kernel.machine in
-  let routines =
-    List.sort
-      (fun (_, e1, _) (_, e2, _) -> compare e1 e2)
-      (Kernel.registry k)
-  in
-  let containing addr =
-    List.fold_left
-      (fun acc (name, entry, len) ->
-        if addr >= entry && addr < entry + len then Some name else acc)
-      None routines
-  in
-  let totals = Hashtbl.create 32 in
-  List.iter
-    (fun (addr, cycles) ->
-      let key = match containing addr with Some n -> n | None -> "<user/other>" in
-      Hashtbl.replace totals key
-        (cycles + (try Hashtbl.find totals key with Not_found -> 0)))
-    (Quamachine.Machine.profile_top m 100_000);
-  Hashtbl.fold (fun name cy acc -> (name, cy) :: acc) totals []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
-  |> List.filteri (fun i _ -> i < top)
-
-let pp_profile k ppf ~top =
-  let total = float_of_int (Quamachine.Machine.cycles k.Kernel.machine) in
-  List.iter
-    (fun (name, cy) ->
-      Fmt.pf ppf "  %8d cycles %5.1f%%  %s@." cy
-        (100.0 *. float_of_int cy /. total)
-        name)
-    (profile_by_routine k ~top)

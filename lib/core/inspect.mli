@@ -1,8 +1,6 @@
 (** Inspection of synthesized code: find routines by registry name and
     disassemble them — the window into what the synthesizer emitted. *)
 
-val annotator : Kernel.t -> Quamachine.Monitor.annotation
-
 (** Find a routine by exact registry name: (name, entry, length). *)
 val find : Kernel.t -> string -> (string * int * int) option
 
@@ -13,10 +11,3 @@ val grep : Kernel.t -> string -> (string * int * int) list
 val disassemble_routine : Kernel.t -> Format.formatter -> string -> unit
 val pp_registry : Kernel.t -> Format.formatter -> unit -> unit
 val pp_threads : Kernel.t -> Format.formatter -> unit -> unit
-
-(** Aggregate a machine cycle profile by synthesized routine, hottest
-    first (enable {!Quamachine.Machine.profile_enable} before the
-    run). *)
-val profile_by_routine : Kernel.t -> top:int -> (string * int) list
-
-val pp_profile : Kernel.t -> Format.formatter -> top:int -> unit

@@ -31,6 +31,17 @@ type synth_page = {
   sp_pinned : bool;  (** boot-time install: never evicted or released *)
 }
 
+(** Host-side probes.  A template marks zero-width probe points
+    ([Insn.Probe name]); the synthesizing site binds each name to an
+    action, recorded with the code and hung on the machine's probe
+    table for whichever layers are attached, now or later.  [Trace]
+    emits into the trace (its black box too, with collection off). *)
+type probe_action =
+  | Trace of (Machine.t -> Ktrace.kind)
+  | Span of (Kspan.t -> Machine.t -> unit)
+
+type probe = string * probe_action  (** point name, action *)
+
 (** ksynth: the recipe kept for an evicted page, so a later re-miss on
     the same key resynthesizes from the recorded generator. *)
 type synth_recipe = {
@@ -38,6 +49,7 @@ type synth_recipe = {
   rc_kind : string;
   rc_template : Template.t;
   rc_env : (string * int) list;
+  rc_probes : (int * probe) list;  (** bound probe points, entry-relative *)
 }
 
 type tte = {
@@ -86,7 +98,8 @@ type fault_entry = { f_cycle : int; f_tid : int; f_cpu : int; f_reason : string 
     corruption and rebuild the region in place.  [cr_patches] holds
     every legitimate post-synthesis patch (newest first per address)
     so repair restores live values; [cr_mutable] names
-    scheduling-state slots that cross-kernel comparison must skip. *)
+    scheduling-state slots that cross-kernel comparison must skip;
+    [cr_probes] are the bound probe points, entry-relative. *)
 type code_region = {
   cr_name : string;
   cr_entry : int;
@@ -96,6 +109,7 @@ type code_region = {
   mutable cr_patches : (int * Insn.insn) list;
   mutable cr_mutable : int list;
   mutable cr_checksum : int;
+  mutable cr_probes : (int * probe) list;
 }
 
 type t = {
@@ -144,6 +158,8 @@ type t = {
       (** [Thread.restart], installed at boot *)
   mutable kspan : Kspan.t option;
       (** request-scoped spans; None = never attached *)
+  mutable program_probes : (int * probe) list;
+      (** bound probe points (absolute) of {!load_program}ed code *)
   mutable last_postmortem : string option;
       (** most recent {!postmortem} dump *)
 }
@@ -186,42 +202,44 @@ val faults_total : t -> int
 
 (** {1 Tracing}
 
-    With no trace attached every call below is free and synthesized
-    code is byte-identical to an untraced kernel. *)
+    Attached or not, synthesized code is byte-identical and runs in
+    the same cycles: trace probes are host-side. *)
 
-(** Attach: machine hooks, cycle attribution from now on, and owner
-    registration for everything synthesized so far and hereafter. *)
+(** Attach: machine hooks, cycle attribution from now on, owner
+    registration for everything synthesized so far and hereafter, and
+    every trace probe bound so far and hereafter. *)
 val attach_tracing : t -> Ktrace.t -> unit
 
 (** Emit an event if tracing is attached. *)
 val trace : t -> Ktrace.kind -> unit
 
-(** Probe fragment for synthesized code; [[]] unless tracing is
-    attached and enabled at synthesis time. *)
-val trace_probe : t -> Ktrace.kind -> Insn.insn list
-
-val trace_probe_status : t -> (bool -> Ktrace.kind) -> Insn.insn list
-
 (** {1 Spans}
 
-    Request-scoped causal tracing ({!Kspan}).  With no span layer
-    attached every call below is free and synthesized code is
-    byte-identical to a span-less kernel. *)
+    Request-scoped causal tracing ({!Kspan}).  Like tracing, attaching
+    changes no simulated cycle: span probes are host-side. *)
 
 (** Attach a span layer sharing the kernel metrics registry and the
-    attached trace (attach tracing first if events are wanted).
-    [~enabled:false] attaches a disabled layer: probes stay empty, so
-    the instruction stream is unchanged. *)
-val attach_spans : ?enabled:bool -> t -> Kspan.t
+    attached trace (attach tracing first if events are wanted), and
+    arm every span probe bound so far and hereafter. *)
+val attach_spans : t -> Kspan.t
 
 (** Run a host-side span action if a layer is attached; free
     otherwise. *)
 val span : t -> (Kspan.t -> unit) -> unit
 
-(** Span probe fragment for synthesized code; [[]] unless a span layer
-    is attached and enabled at synthesis time.  Compute outside
-    [Template.make] (kheal repair must reproduce identical code). *)
-val span_probe : t -> (Kspan.t -> Machine.t -> unit) -> Insn.insn list
+(** {1 Probes} *)
+
+(** Bind a fragment's [Insn.Probe] points: (offset, binding) for every
+    binding of each point's name, in fragment order. *)
+val probe_points : Insn.insn list -> probe list -> (int * probe) list
+
+(** Replace a region's probe points (entry-relative) and rearm its
+    range for the layers attached now. *)
+val set_region_probes : t -> code_region -> (int * probe) list -> unit
+
+(** [Asm.assemble] a program kept outside the region table (a stage
+    thread's code), with its probe points bound. *)
+val load_program : ?probes:probe list -> t -> Insn.insn list -> int * Asm.symbols
 
 (** {1 Flight recorder}
 
@@ -238,10 +256,11 @@ val postmortem : ?reason:string -> t -> string
     here are the backends underneath it. *)
 
 (** ksynth backend: install an already-optimized body at [at] (an
-    arena range of patchable slots), with registry + kheal-region +
-    trace bookkeeping.  Charges nothing — the cache prices hits and
-    misses.  Returns the absolute symbol table. *)
+    arena range of patchable slots), with {!register_region}'s
+    bookkeeping.  Charges nothing — the cache prices hits and misses.
+    Returns the absolute symbol table. *)
 val install_at :
+  ?probes:(int * probe) list ->
   t ->
   name:string ->
   at:int ->
@@ -251,12 +270,14 @@ val install_at :
   Asm.symbols
 
 (** ksynth backend: drop the registry and kheal records of the page at
-    [entry] (freed or evicted). *)
+    [entry] (freed or evicted), and clear its probes. *)
 val unregister_region : t -> entry:int -> unit
 
-(** Record a kheal region for code installed outside [install_at]
-    (checksums current content). *)
+(** Record code installed outside [install_at]: registry entry, kheal
+    region (checksumming current content), trace owner, and [probes]
+    (entry-relative) bound. *)
 val register_region :
+  ?probes:(int * probe) list ->
   t ->
   name:string ->
   entry:int ->

@@ -61,26 +61,9 @@ let burst_copy ~prefix =
    blocking while the pipe is full; returns n in r0. *)
 let write_template k pipe ~gauge =
   let mask = pipe.p_cap - 1 in
-  (* Ktrace probe, synthesized in only when tracing is enabled: fires
-     after the writer publishes head, i.e. once per successful burst.
-     All probe fragments live outside Template.make so kheal repair
-     regenerates byte-identical code. *)
-  let probe = Kernel.trace_probe k (Ktrace.Queue_put (pipe.p_name, true)) in
-  (* kspan: a request is one published burst.  Entry stamps where
-     writer service starts; the publish probe opens the span back at
-     that stamp, books the service hop, and parks it in the side-table
-     weighted by the burst's word count (r6 at the publish point). *)
-  let span_enter =
-    Kernel.span_probe k (fun sp _ -> Kspan.stage_enter sp ~queue:pipe.p_desc)
-  in
-  let span_publish =
-    Kernel.span_probe k (fun sp m ->
-        Kspan.enqueue sp ~queue:pipe.p_desc ~pipeline:"pipe" ~detail:pipe.p_name
-          ~stage:"write" ~weight:(Machine.get_reg m I.r6))
-  in
   Template.make ~name:"pipe_write" ~params:[] (fun _ ->
-      span_enter
-      @ [
+      [
+        I.Probe "enter";
         I.Move (I.Reg I.r3, I.Reg I.r8); (* remaining *)
         I.Move (I.Reg I.r3, I.Reg I.r0); (* return value *)
         I.Tst (I.Reg I.r8);
@@ -144,9 +127,7 @@ let write_template k pipe ~gauge =
           I.Move (I.Reg I.r5, I.Reg I.r2); (* restore user ptr *)
           I.Move (I.Reg I.r7, I.Abs (head_cell pipe)); (* publish *)
           I.Alu_mem (I.Add, I.Imm 1, I.Abs gauge);
-        ]
-      @ probe @ span_publish
-      @ [
+          I.Probe "publish";
           (* wake a waiting reader *)
           I.Tst (I.Abs (rwait_cell pipe));
           I.B (I.Eq, I.To_label "nowake");
@@ -164,14 +145,6 @@ let write_template k pipe ~gauge =
    closed and the pipe drained). *)
 let read_template k pipe ~gauge =
   let mask = pipe.p_cap - 1 in
-  let probe = Kernel.trace_probe k (Ktrace.Queue_get (pipe.p_name, true)) in
-  (* kspan: the drain side.  r6 holds the word count just copied; every
-     parked burst it covers gets its queue-wait hop and closes. *)
-  let span_drain =
-    Kernel.span_probe k (fun sp m ->
-        Kspan.dequeue sp ~queue:pipe.p_desc ~stage:"read"
-          ~phase:Kspan.Queue_wait ~weight:(Machine.get_reg m I.r6))
-  in
   Template.make ~name:"pipe_read" ~params:[] (fun _ ->
       [
         I.Label "retry";
@@ -238,9 +211,7 @@ let read_template k pipe ~gauge =
       @ [
           I.Move (I.Reg I.r7, I.Abs (tail_cell pipe)); (* publish *)
           I.Alu_mem (I.Add, I.Imm 1, I.Abs gauge);
-        ]
-      @ probe @ span_drain
-      @ [
+          I.Probe "drain";
           I.Tst (I.Abs (wwait_cell pipe));
           I.B (I.Eq, I.To_label "nowake");
           I.Move (I.Imm 0, I.Abs (wwait_cell pipe));
@@ -317,6 +288,35 @@ let create k ?(cap = 8192) () =
       p_ends = 0;
     }
 
+(* The pipe ends' probes.  ktrace sees each successful burst, once the
+   writer has published head (reader: tail).  kspan: a request is one
+   published burst.  Write entry stamps where writer service starts;
+   the publish probe opens the span back at that stamp, books the
+   service hop, and parks it in the side-table weighted by the burst's
+   word count (r6 at the publish point).  On the drain side r6 holds
+   the word count just copied; every parked burst it covers gets its
+   queue-wait hop and closes. *)
+let write_probes pipe =
+  [
+    ("enter", Kernel.Span (fun sp _ -> Kspan.stage_enter sp ~queue:pipe.p_desc));
+    ("publish", Kernel.Trace (fun _ -> Ktrace.Queue_put (pipe.p_name, true)));
+    ( "publish",
+      Kernel.Span
+        (fun sp m ->
+          Kspan.enqueue sp ~queue:pipe.p_desc ~pipeline:"pipe" ~detail:pipe.p_name
+            ~stage:"write" ~weight:(Machine.get_reg m I.r6)) );
+  ]
+
+let read_probes pipe =
+  [
+    ("drain", Kernel.Trace (fun _ -> Ktrace.Queue_get (pipe.p_name, true)));
+    ( "drain",
+      Kernel.Span
+        (fun sp m ->
+          Kspan.dequeue sp ~queue:pipe.p_desc ~stage:"read"
+            ~phase:Kspan.Queue_wait ~weight:(Machine.get_reg m I.r6)) );
+  ]
+
 (* Synthesize pipe ends for [tte] and install them as descriptors.
    Returns (read_fd, write_fd). *)
 let attach vfs pipe (tte : Kernel.tte) =
@@ -325,12 +325,12 @@ let attach vfs pipe (tte : Kernel.tte) =
   let tag = Printf.sprintf "pipe/%s/t%d" pipe.p_name tte.Kernel.tid in
   let read_entry =
     Ksynth.entry
-      (Ksynth.instantiate k ~name:(tag ^ "/read")
+      (Ksynth.instantiate k ~name:(tag ^ "/read") ~probes:(read_probes pipe)
          ~template:(read_template k pipe ~gauge) ~invariants:[])
   in
   let write_entry =
     Ksynth.entry
-      (Ksynth.instantiate k ~name:(tag ^ "/write")
+      (Ksynth.instantiate k ~name:(tag ^ "/write") ~probes:(write_probes pipe)
          ~template:(write_template k pipe ~gauge) ~invariants:[])
   in
   pipe.p_ends <- pipe.p_ends + 2;

@@ -61,9 +61,11 @@ let spsc_put_template =
         I.Move (I.Reg I.r1, I.Ind I.r4); (* fill slot *)
         I.Move (I.Reg I.r5, I.Abs (p "head")); (* publish last *)
         I.Move (I.Imm 1, I.Reg I.r0);
+        I.Probe "ret";
         I.Rts;
         I.Label "full";
         I.Move (I.Imm 0, I.Reg I.r0);
+        I.Probe "ret";
         I.Rts;
       ])
 
@@ -84,9 +86,11 @@ let spsc_get_template =
         I.Label "nowrap";
         I.Move (I.Reg I.r4, I.Abs (p "tail")); (* free slot last *)
         I.Move (I.Imm 1, I.Reg I.r0);
+        I.Probe "ret";
         I.Rts;
         I.Label "empty";
         I.Move (I.Imm 0, I.Reg I.r0);
+        I.Probe "ret";
         I.Rts;
       ])
 
@@ -139,6 +143,7 @@ let mp_put_body p =
     I.Move (I.Reg I.r1, I.Ind I.r6); (* fill *)
     I.Move (I.Imm fl_full, I.Ind I.r5); (* publish *)
     I.Move (I.Imm 1, I.Reg I.r0);
+    I.Probe "ret";
     I.Rts;
     I.Label "stale";
     I.Move (I.Imm fl_free, I.Ind I.r5); (* back out, take a fresh head *)
@@ -147,6 +152,7 @@ let mp_put_body p =
     I.Move (I.Imm fl_free, I.Ind I.r5);
     I.Label "busy";
     I.Move (I.Imm 0, I.Reg I.r0);
+    I.Probe "ret";
     I.Rts;
   ]
 
@@ -176,9 +182,11 @@ let mpsc_get_template =
         I.Label "nowrap";
         I.Move (I.Reg I.r4, I.Abs (p "tail"));
         I.Move (I.Imm 1, I.Reg I.r0);
+        I.Probe "ret";
         I.Rts;
         I.Label "empty";
         I.Move (I.Imm 0, I.Reg I.r0);
+        I.Probe "ret";
         I.Rts;
       ])
 
@@ -281,12 +289,14 @@ let spmc_get_template =
         I.Move (I.Ind I.r6, I.Reg I.r1); (* read *)
         I.Move (I.Imm fl_free, I.Ind I.r5); (* release to the producer *)
         I.Move (I.Imm 1, I.Reg I.r0);
+        I.Probe "ret";
         I.Rts;
         I.Label "stale";
         I.Move (I.Imm fl_full, I.Ind I.r5); (* give the claim back *)
         I.B (I.Always, I.To_label "retry");
         I.Label "empty";
         I.Move (I.Imm 0, I.Reg I.r0);
+        I.Probe "ret";
         I.Rts;
       ])
 
@@ -317,9 +327,11 @@ let spmc_put_template =
         I.Move (I.Imm 1, I.Ind I.r6); (* publish *)
         I.Move (I.Reg I.r5, I.Abs (p "head"));
         I.Move (I.Imm 1, I.Reg I.r0);
+        I.Probe "ret";
         I.Rts;
         I.Label "full";
         I.Move (I.Imm 0, I.Reg I.r0);
+        I.Probe "ret";
         I.Rts;
       ])
 
@@ -329,87 +341,9 @@ let spmc_put_template =
 (* Queue routines go through the synthesis cache: distinct queues fold
    distinct descriptor/buffer addresses in and miss, but a queue
    rebuilt over recycled cells hits and shares the page. *)
-let synth_cached k ~name ~env template =
-  let h = Ksynth.instantiate k ~name ~template ~invariants:env in
+let synth_cached ?probes k ~name ~env template =
+  let h = Ksynth.instantiate ?probes k ~name ~template ~invariants:env in
   (Ksynth.entry h, Ksynth.syms h)
-
-let alloc_common k ~name ~size ~with_flags =
-  let alloc = k.Kernel.alloc in
-  let desc = Kalloc.alloc_zeroed alloc 16 in
-  let buf = Kalloc.alloc_zeroed alloc size in
-  let flag = if with_flags then Kalloc.alloc_zeroed alloc size else 0 in
-  ignore name;
-  (desc, buf, flag)
-
-let create_spsc_impl k ~name ~size =
-  let desc, buf, _ = alloc_common k ~name ~size ~with_flags:false in
-  let env =
-    [ ("head", desc); ("tail", desc + 1); ("buf", buf); ("size", size) ]
-  in
-  let put, _ = synth_cached k ~name:(name ^ "/put") ~env spsc_put_template in
-  let get, _ = synth_cached k ~name:(name ^ "/get") ~env spsc_get_template in
-  {
-    q_kind = Spsc;
-    q_name = name;
-    q_desc = desc;
-    q_buf = buf;
-    q_flag = 0;
-    q_size = size;
-    q_put = put;
-    q_get = get;
-    q_put_many = 0;
-    q_overflow = Fail;
-    q_dropped_cell = 0;
-  }
-
-let create_mpsc_impl k ~name ~size =
-  let desc, buf, flag = alloc_common k ~name ~size ~with_flags:true in
-  let env =
-    [
-      ("head", desc); ("tail", desc + 1); ("buf", buf); ("flag", flag); ("size", size);
-    ]
-  in
-  let put, _ = synth_cached k ~name:(name ^ "/put") ~env mpsc_put_template in
-  let get, _ = synth_cached k ~name:(name ^ "/get") ~env mpsc_get_template in
-  let put_many, _ =
-    synth_cached k ~name:(name ^ "/put_many") ~env mpsc_put_many_template
-  in
-  {
-    q_kind = Mpsc;
-    q_name = name;
-    q_desc = desc;
-    q_buf = buf;
-    q_flag = flag;
-    q_size = size;
-    q_put = put;
-    q_get = get;
-    q_put_many = put_many;
-    q_overflow = Fail;
-    q_dropped_cell = 0;
-  }
-
-let create_spmc_impl k ~name ~size =
-  let desc, buf, flag = alloc_common k ~name ~size ~with_flags:true in
-  let env =
-    [
-      ("head", desc); ("tail", desc + 1); ("buf", buf); ("flag", flag); ("size", size);
-    ]
-  in
-  let put, _ = synth_cached k ~name:(name ^ "/put") ~env spmc_put_template in
-  let get, _ = synth_cached k ~name:(name ^ "/get") ~env spmc_get_template in
-  {
-    q_kind = Spmc;
-    q_name = name;
-    q_desc = desc;
-    q_buf = buf;
-    q_flag = flag;
-    q_size = size;
-    q_put = put;
-    q_get = get;
-    q_put_many = 0;
-    q_overflow = Fail;
-    q_dropped_cell = 0;
-  }
 
 (* MP-MC put: the flag-claim protocol already proves the slot free
    before any index moves (a consumer still reading holds flag=2, a
@@ -419,18 +353,40 @@ let mpmc_put_template =
   Template.make ~name:"mpmc_put" ~params:[ "head"; "tail"; "buf"; "flag"; "size" ]
     mp_put_body
 
-(* MP-MC: flag-guarded CAS claims at both ends. *)
-let create_mpmc_impl k ~name ~size =
-  let desc, buf, flag = alloc_common k ~name ~size ~with_flags:true in
+(* Each kind's put and get templates, and its burst put (MP-SC only).
+   MP-MC claims with flag-guarded CAS at both ends. *)
+let templates = function
+  | Spsc -> (spsc_put_template, spsc_get_template, None)
+  | Mpsc -> (mpsc_put_template, mpsc_get_template, Some mpsc_put_many_template)
+  | Spmc -> (spmc_put_template, spmc_get_template, None)
+  | Mpmc -> (mpmc_put_template, spmc_get_template, None)
+
+(* Allocate the descriptor, buffer and (all but SP-SC) slot flags, and
+   synthesize the bare routines with [probes op qdesc] bound. *)
+let create_bare k ~kind ~name ~size ~probes =
+  let alloc = k.Kernel.alloc in
+  let desc = Kalloc.alloc_zeroed alloc 16 in
+  let buf = Kalloc.alloc_zeroed alloc size in
+  let flag = if kind = Spsc then 0 else Kalloc.alloc_zeroed alloc size in
   let env =
-    [
-      ("head", desc); ("tail", desc + 1); ("buf", buf); ("flag", flag); ("size", size);
-    ]
+    [ ("head", desc); ("tail", desc + 1); ("buf", buf) ]
+    @ (if kind = Spsc then [] else [ ("flag", flag) ])
+    @ [ ("size", size) ]
   in
-  let put, _ = synth_cached k ~name:(name ^ "/put") ~env mpmc_put_template in
-  let get, _ = synth_cached k ~name:(name ^ "/get") ~env spmc_get_template in
+  let put_t, get_t, put_many_t = templates kind in
+  let put, _ =
+    synth_cached ~probes:(probes `Put desc) k ~name:(name ^ "/put") ~env put_t
+  in
+  let get, _ =
+    synth_cached ~probes:(probes `Get desc) k ~name:(name ^ "/get") ~env get_t
+  in
+  let put_many =
+    match put_many_t with
+    | Some t -> fst (synth_cached k ~name:(name ^ "/put_many") ~env t)
+    | None -> 0
+  in
   {
-    q_kind = Mpmc;
+    q_kind = kind;
     q_name = name;
     q_desc = desc;
     q_buf = buf;
@@ -438,7 +394,7 @@ let create_mpmc_impl k ~name ~size =
     q_size = size;
     q_put = put;
     q_get = get;
-    q_put_many = 0;
+    q_put_many = put_many;
     q_overflow = Fail;
     q_dropped_cell = 0;
   }
@@ -470,44 +426,25 @@ let kind_for ~producers ~consumers =
   | Some kd -> kd
   | None -> assert false (* active/active always yields a queue *)
 
-(* When tracing is enabled at synthesis time, wrap an entry so each
-   call emits a Queue_put/Queue_get event carrying the r0 status.
-   Without tracing the entry is returned untouched and no code is
-   generated. *)
-let traced_entry k ~qname ~op entry =
-  let event ok =
-    match op with
-    | `Put -> Ktrace.Queue_put (qname, ok)
-    | `Get -> Ktrace.Queue_get (qname, ok)
-  in
-  match Kernel.trace_probe_status k event with
-  | [] -> entry
-  | probe ->
-    let suffix = match op with `Put -> "/traced_put" | `Get -> "/traced_get" in
-    fst
-      (Ksynth.install k ~name:(qname ^ suffix)
-         ((I.Jsr (I.To_addr entry) :: probe) @ [ I.Rts ]))
+(* The r0-status probes on a queue end's return points ("ret").  kspan
+   carries an item's span across the queue on each successful call
+   (put parks it in the (queue, index) side-table, get closes it) from
+   the *bare* entries, inside any overflow policy, so an item a Drop
+   queue discards never opens a span it could leak.  ktrace sees every
+   call of the entry callers use, with its status. *)
+let ok m = Machine.get_reg m I.r0 <> 0
 
-(* When spans are enabled at synthesis time, wrap an entry so each
-   successful call carries the item's span across the queue: put opens
-   a span and parks it in the (queue, index) side-table, get pops and
-   closes it.  Wraps the *bare* entries, inside any overflow policy,
-   so the probe sees the honest slot status — an item discarded by a
-   Drop queue never opens a span it could leak. *)
-let span_entry k ~qname ~qdesc ~op entry =
-  let action sp m =
-    if Machine.get_reg m I.r0 <> 0 then
-      match op with
-      | `Put -> Kspan.queue_put sp ~queue:qdesc ~pipeline:qname ~detail:qname
-      | `Get -> Kspan.queue_take sp ~queue:qdesc
-  in
-  match Kernel.span_probe k action with
-  | [] -> entry
-  | probe ->
-    let suffix = match op with `Put -> "/span_put" | `Get -> "/span_get" in
-    fst
-      (Ksynth.install k ~name:(qname ^ suffix)
-         ((I.Jsr (I.To_addr entry) :: probe) @ [ I.Rts ]))
+let span_probe ~qname ~qdesc = function
+  | `Put ->
+    ( "ret",
+      Kernel.Span
+        (fun sp m ->
+          if ok m then Kspan.queue_put sp ~queue:qdesc ~pipeline:qname ~detail:qname) )
+  | `Get -> ("ret", Kernel.Span (fun sp m -> if ok m then Kspan.queue_take sp ~queue:qdesc))
+
+let trace_probe ~qname = function
+  | `Put -> ("ret", Kernel.Trace (fun m -> Ktrace.Queue_put (qname, ok m)))
+  | `Get -> ("ret", Kernel.Trace (fun m -> Ktrace.Queue_get (qname, ok m)))
 
 (* Overflow wrappers: synthesized prologues around the bare put entry
    that implement the queue's creation-time policy.  The bare put
@@ -525,6 +462,7 @@ let drop_put_wrapper ~entry ~cell =
     I.Alu_mem (I.Add, I.Imm 1, I.Abs cell);
     I.Move (I.Imm 1, I.Reg I.r0);
     I.Label "done";
+    I.Probe "ret";
     I.Rts;
   ]
 
@@ -537,6 +475,7 @@ let block_put_wrapper ~entry =
     I.Jsr (I.To_addr entry);
     I.Tst (I.Reg I.r0);
     I.B (I.Eq, I.To_label "retry");
+    I.Probe "ret";
     I.Rts;
   ]
 
@@ -545,44 +484,28 @@ let create ?kind ?(producers = 1) ?(consumers = 1) ?(overflow = Fail) k ~name
   let kind =
     match kind with Some kd -> kd | None -> kind_for ~producers ~consumers
   in
+  (* ktrace sees the entries callers use: the bare get, and the bare
+     put unless an overflow wrapper stands in front of it *)
   let q =
-    match kind with
-    | Spsc -> create_spsc_impl k ~name ~size
-    | Mpsc -> create_mpsc_impl k ~name ~size
-    | Spmc -> create_spmc_impl k ~name ~size
-    | Mpmc -> create_mpmc_impl k ~name ~size
+    create_bare k ~kind ~name ~size ~probes:(fun op qdesc ->
+        span_probe ~qname:name ~qdesc op
+        :: (if op = `Get || overflow = Fail then [ trace_probe ~qname:name op ]
+            else []))
   in
-  let q =
-    {
-      q with
-      q_put = span_entry k ~qname:name ~qdesc:q.q_desc ~op:`Put q.q_put;
-      q_get = span_entry k ~qname:name ~qdesc:q.q_desc ~op:`Get q.q_get;
-    }
+  let wrap suffix insns =
+    fst
+      (Ksynth.install ~probes:[ trace_probe ~qname:name `Put ] k
+         ~name:(name ^ suffix) insns)
   in
   let put, dropped_cell =
     match overflow with
     | Fail -> (q.q_put, 0)
     | Drop ->
       let cell = Kalloc.alloc_zeroed k.Kernel.alloc 1 in
-      let entry, _ =
-        Ksynth.install k ~name:(name ^ "/drop_put")
-          (drop_put_wrapper ~entry:q.q_put ~cell)
-      in
-      (entry, cell)
-    | Block ->
-      let entry, _ =
-        Ksynth.install k ~name:(name ^ "/block_put")
-          (block_put_wrapper ~entry:q.q_put)
-      in
-      (entry, 0)
+      (wrap "/drop_put" (drop_put_wrapper ~entry:q.q_put ~cell), cell)
+    | Block -> (wrap "/block_put" (block_put_wrapper ~entry:q.q_put), 0)
   in
-  {
-    q with
-    q_overflow = overflow;
-    q_dropped_cell = dropped_cell;
-    q_put = traced_entry k ~qname:name ~op:`Put put;
-    q_get = traced_entry k ~qname:name ~op:`Get q.q_get;
-  }
+  { q with q_overflow = overflow; q_dropped_cell = dropped_cell; q_put = put }
 
 (* ---------------------------------------------------------------- *)
 (* Host-side access for tests and servers (uncharged) *)

@@ -1,10 +1,9 @@
 (* Request-scoped causal tracing.  All state here is host-side — span
-   bookkeeping never charges simulated cycles; the only machine-visible
-   cost is the probe Hcalls, and those exist only when [enabled] was
-   true at synthesis time. *)
+   bookkeeping never charges simulated cycles, and the probes that
+   drive it from synthesized code ([Kernel.Span] bindings) are host
+   closures too, so attaching spans changes no simulated cycle. *)
 
 open Quamachine
-module I = Insn
 
 type phase = Queue_wait | Service | Interrupt
 
@@ -37,24 +36,21 @@ type t = {
   machine : Machine.t;
   metrics : Metrics.t;
   trace : Ktrace.t option;
-  enabled : bool;
   mutable next_id : int;
   open_tbl : (int, span) Hashtbl.t;
   queues : (int, qstate) Hashtbl.t;
 }
 
-let create ?(enabled = true) ?trace ~metrics machine =
+let create ?trace ~metrics machine =
   {
     machine;
     metrics;
     trace;
-    enabled;
     next_id = 1;
     open_tbl = Hashtbl.create 32;
     queues = Hashtbl.create 8;
   }
 
-let enabled t = t.enabled
 let now t = Machine.cycles t.machine
 
 let emit t kind =
@@ -183,10 +179,3 @@ let slot_reset t ~queue =
     q.q_cum_take <- 0;
     q.q_enter <- 0;
     q.q_last_put <- 0
-
-(* ------------------------------------------------------------------ *)
-(* Probes *)
-
-let probe t f =
-  if not t.enabled then []
-  else [ I.Hcall (Machine.register_hcall t.machine (fun m -> f m)) ]

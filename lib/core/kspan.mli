@@ -11,15 +11,15 @@
     plus "kspan.<pipeline>.total_cycles" at close), so p50/p99/p999
     tail latency per pipeline stage falls out of any run.
 
-    Overhead discipline matches ktrace: machine-visible span probes
-    are instruction fragments spliced into synthesized code only when
-    spans are enabled at synthesis time — disabled, the fragments are
-    empty and the instruction stream is byte-identical, so spans-off
-    runs are cycle-identical ([bench span-overhead] proves it).  All
-    span bookkeeping is host-side and charges no simulated cycles.
+    Overhead discipline matches ktrace: span probes on synthesized
+    code are host closures the machine runs just before the probed
+    instruction ([Kernel.Span] bindings), and all span bookkeeping is
+    host-side, so a kernel with spans attached runs the instruction
+    stream of one without, in the same cycles ([bench overhead]
+    proves it).
 
     Sits below {!Kernel} (like {!Ktrace}); [Kernel.attach_spans] wires
-    one in and call sites go through [Kernel.span_probe]. *)
+    one in and arms the span probes. *)
 
 open Quamachine
 
@@ -31,12 +31,8 @@ type phase = Queue_wait | Service | Interrupt
 val phase_name : phase -> string
 
 (** Span events are emitted into [trace] (and its always-on black
-    box) when given; histograms land in [metrics].  [enabled] is the
-    synthesis-time switch for probes. *)
-val create :
-  ?enabled:bool -> ?trace:Ktrace.t -> metrics:Metrics.t -> Machine.t -> t
-
-val enabled : t -> bool
+    box) when given; histograms land in [metrics]. *)
+val create : ?trace:Ktrace.t -> metrics:Metrics.t -> Machine.t -> t
 
 (** Spans opened and not yet closed. *)
 val open_count : t -> int
@@ -97,13 +93,3 @@ val queue_take : t -> queue:int -> unit
 (** Drop a queue's parked spans (pipe teardown/recycle); dropped spans
     close with reason ["reset"]. *)
 val slot_reset : t -> queue:int -> unit
-
-(** {1 Probes for synthesized code}
-
-    [probe t f]: an instruction fragment running host closure [f]
-    (which may read machine registers, e.g. the published word count)
-    — [[]] when spans are disabled, a single [Hcall] (2 cycles) when
-    enabled.  Splice at synthesis time only; compute the fragment
-    outside [Template.make] so kheal resynthesis reproduces identical
-    code. *)
-val probe : t -> (Machine.t -> unit) -> Insn.insn list

@@ -7,12 +7,11 @@
      machine cycle counter at emission;
    - host-side machine hooks (interrupt post/accept, device ticks,
      faults) that cost no simulated cycles at all;
-   - synthesized-code probes: one-instruction [Hcall] fragments that
-     the synthesizer splices into generated routines (context switch
-     prologues, queue put/get) *only when tracing is enabled at
-     synthesis time*.  With tracing off the fragments are empty lists,
-     so traced and untraced kernels execute identical code — the
-     tracing-off overhead is exactly zero cycles.
+   - probes on synthesized code (context switches, queue put/get):
+     host closures the machine runs just before a probed instruction
+     executes ([Kernel.probe_action]'s [Trace]).  They execute nothing
+     in the simulated machine either, so traced and untraced kernels
+     run identical code in identical cycles, collecting or not.
 
    Cycle attribution rides on the machine's pc→owner map: every
    registered routine becomes an owner, every elapsed cycle lands on
@@ -20,7 +19,6 @@
    total over the traced window. *)
 
 open Quamachine
-module I = Insn
 
 type kind =
   | Switch_out of int (* tid leaving the CPU *)
@@ -230,9 +228,14 @@ let thread_cycles t =
   Hashtbl.fold (fun tid cy acc -> (tid, cy) :: acc) tbl [] |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* Machine hooks: free observability, no simulated cycles *)
+(* Installation *)
 
-let install_machine_hooks t =
+(* Install everything that doesn't need the kernel: the machine hooks
+   (free observability, no simulated cycles) plus the cycle-attribution
+   window starting now.  [Kernel.attach_tracing] calls this, then
+   registers the already-synthesized routines as owners and arms the
+   probes. *)
+let install t =
   let fault_name = function
     | Machine.Bus_error _ -> "bus_error"
     | Machine.Div_zero -> "div_zero"
@@ -247,42 +250,9 @@ let install_machine_hooks t =
          h_irq = (fun ~level ~vector -> emit t (Irq_enter (level, vector)));
          h_device = (fun name -> emit t (Device_tick name));
          h_fault = (fun f -> emit t (Fault (fault_name f)));
-       })
-
-(* Install everything that doesn't need the kernel: hooks plus the
-   cycle-attribution window starting now.  [Kernel.attach_tracing]
-   calls this and then registers the already-synthesized routines as
-   owners. *)
-let install t =
-  install_machine_hooks t;
+       });
   Machine.attribution_enable t.machine true;
   t.base_cycles <- Machine.cycles t.machine
-
-(* ------------------------------------------------------------------ *)
-(* Synthesized-code probes *)
-
-(* A probe is an instruction fragment spliced into generated code at
-   synthesis time.  When tracing is disabled at synthesis time the
-   fragment is empty — the traced and untraced kernels run identical
-   instruction streams, so the tracing-off overhead is zero cycles.
-   When enabled, the fragment is a single [Hcall] (2 cycles). *)
-let probe t kind =
-  if not t.enabled then []
-  else
-    let id = Machine.register_hcall t.machine (fun _ -> emit t kind) in
-    [ I.Hcall id ]
-
-(* Probe whose payload depends on the routine's status result: reads
-   r0 at execution time (the generated queue/pipe convention: r0 = 1
-   done, 0 would-block). *)
-let probe_status t f =
-  if not t.enabled then []
-  else
-    let id =
-      Machine.register_hcall t.machine (fun m ->
-          emit t (f (Machine.get_reg m I.r0 <> 0)))
-    in
-    [ I.Hcall id ]
 
 (* ------------------------------------------------------------------ *)
 (* Text summary *)

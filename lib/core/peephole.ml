@@ -158,7 +158,7 @@ let pass insns =
   (!changed, out)
 
 (* Iterate to a (bounded) fixpoint. *)
-let optimize insns =
+let optimize_body insns =
   let rec fix n insns =
     if n = 0 then insns
     else
@@ -166,3 +166,53 @@ let optimize insns =
       if changed then fix (n - 1) insns' else insns'
   in
   fix 8 insns
+
+let is_probe = function Insn.Probe _ -> true | _ -> false
+
+(* Probe points must not change what the rules do: optimize without
+   them, then put each back in front of the instruction it preceded
+   (found again by physical equality: the rules keep an instruction as
+   the very same value and never delete a constant constructor), of
+   the next kept one if that was deleted, or of its rewrite. *)
+let optimize insns =
+  if not (List.exists is_probe insns) then optimize_body insns
+  else begin
+    let body = Array.of_list (List.filter (fun i -> not (is_probe i)) insns) in
+    let n = Array.length body in
+    let out = optimize_body (Array.to_list body) in
+    (* body index of each kept output instruction, -1 for a rewrite *)
+    let cursor = ref 0 in
+    let origin =
+      List.map
+        (fun o ->
+          let j = ref !cursor in
+          while !j < n && body.(!j) != o do incr j done;
+          if !j = n then -1
+          else begin
+            cursor := !j + 1;
+            !j
+          end)
+        out
+    in
+    (* the last body index each output instruction answers for: its
+       own, or for a rewrite the one before the next kept instruction *)
+    let upto, _ =
+      List.fold_right
+        (fun o (acc, next) -> if o >= 0 then (o :: acc, o) else ((next - 1) :: acc, next))
+        origin ([], n)
+    in
+    (* each probe with the body index of the instruction it precedes *)
+    let probes, _ =
+      List.fold_left
+        (fun (ps, j) i -> if is_probe i then ((j, i) :: ps, j) else (ps, j + 1))
+        ([], 0) insns
+    in
+    let rec emit ps out upto =
+      match (out, upto) with
+      | o :: out, u :: upto ->
+        let now, later = List.partition (fun (j, _) -> j <= u) ps in
+        List.map snd now @ (o :: emit later out upto)
+      | _ -> List.map snd ps
+    in
+    emit (List.rev probes) out upto
+  end

@@ -89,11 +89,13 @@ type instance = {
   i_sabotage : (unit -> unit) option;
 }
 
-(* Every subject boots with the flight recorder armed: a *disabled*
-   trace (the always-on black-box ring, but zero probes) plus the span
-   layer, attached before the subject synthesizes its pipelines so the
-   span probes splice in.  A failing check can then dump a postmortem
-   whose open-span set names the requests that were in flight. *)
+(* Every subject boots with the flight recorder armed: a trace with
+   collection off (the always-on black-box ring, fed by the switch and
+   queue probes) plus the span layer.  Both are host-side, so the
+   subject runs exactly as it would unobserved.  A failing check can
+   then dump a postmortem whose open-span set names the requests that
+   were in flight and whose black box shows the last switches and
+   queue operations. *)
 let observed_boot ?(cores = 1) () =
   let b = Boot.boot ~cores () in
   let k = b.Boot.kernel in

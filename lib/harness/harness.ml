@@ -133,10 +133,7 @@ let baseline_run ?(max_insns = 2_000_000_000) be ~program =
    producer thread writes [total] words into a pipe in 8-word bursts,
    a consumer reads them in up-to-32-word chunks and sums them.  The
    ktrace/kperf CLI commands, the overhead benches, and the trace and
-   profiler tests all measure this workload, so it lives here once.
-
-   Build on a freshly booted instance *after* attaching any tracing
-   (probes are spliced at synthesis time). *)
+   profiler tests all measure this workload, so it lives here once. *)
 
 module Pipeline = struct
   type t = {

@@ -60,8 +60,7 @@ val baseline_run :
     [total] words into a pipe in 8-word bursts, a consumer reads and
     sums them.  Used by the ktrace/kperf CLI commands, the overhead
     benches, and the trace/profiler tests.  [build] on a freshly
-    booted instance {e after} attaching tracing (probes are spliced at
-    synthesis time); [run] executes it and verifies the checksum. *)
+    booted instance; [run] executes it and verifies the checksum. *)
 
 module Pipeline : sig
   type t = {

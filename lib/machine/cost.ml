@@ -62,7 +62,7 @@ let base (i : Insn.insn) =
   | Insn.Stop_wait -> 8
   | Insn.Halt -> 0
   | Insn.Hcall _ -> 2
-  | Insn.Label _ -> 0
+  | Insn.Label _ | Insn.Probe _ -> 0
 
 (* Number of data-memory references implied by an operand when it is
    read or written once. *)

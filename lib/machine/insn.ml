@@ -111,6 +111,7 @@ type insn =
   | Halt (* stop the machine (simulation exit) *)
   | Hcall of int (* invoke a registered host service routine *)
   | Label of string (* pseudo-instruction: assembly-time label *)
+  | Probe of string (* pseudo-instruction: zero-width host-side probe point *)
 
 (* Exception vector assignments (offsets into the current vector table). *)
 module Vector = struct
@@ -218,3 +219,4 @@ let pp ppf = function
   | Halt -> Fmt.string ppf "halt"
   | Hcall n -> Fmt.pf ppf "hcall #%d" n
   | Label l -> Fmt.pf ppf "%s:" l
+  | Probe p -> Fmt.pf ppf "; probe %s" p

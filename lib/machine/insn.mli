@@ -119,6 +119,9 @@ type insn =
   | Halt  (** stop the simulation *)
   | Hcall of int  (** invoke a registered host service routine *)
   | Label of string  (** pseudo-instruction: assembly-time label *)
+  | Probe of string
+      (** pseudo-instruction: a named, zero-width probe point, where
+          a host closure may run ({!Machine.add_probe}) *)
 
 (** Exception vector assignments (offsets into a vector table). *)
 module Vector : sig

@@ -173,20 +173,27 @@ let test_pipeline_spans () =
          match e.Ktrace.ev_kind with Ktrace.Span_hop _ -> true | _ -> false)
     > 0)
 
-let pipeline_cycles ~spans () =
+(* (cycles, instructions) of the pipeline, with spans (and a
+   collecting trace) attached or not *)
+let pipeline_counts ~spans () =
   let b = Boot.boot () in
   let k = b.Boot.kernel in
-  (match spans with
-  | `None -> ()
-  | `Off -> ignore (Kernel.attach_spans ~enabled:false k));
+  if spans then begin
+    Kernel.attach_tracing k (Ktrace.create k.Kernel.machine);
+    ignore (Kernel.attach_spans k)
+  end;
   let pl = Repro_harness.Harness.Pipeline.build ~total:1024 b in
   Repro_harness.Harness.Pipeline.run pl;
-  Machine.cycles k.Kernel.machine
+  if spans then
+    check_int "the probes ran" 128
+      (Metrics.read k.Kernel.metrics "kspan.closed");
+  (Machine.cycles k.Kernel.machine, Machine.insns_executed k.Kernel.machine)
 
-let test_spans_off_cycle_identical () =
-  check_int "attached-off == plain, to the cycle"
-    (pipeline_cycles ~spans:`None ())
-    (pipeline_cycles ~spans:`Off ())
+let test_spans_on_cycle_identical () =
+  let plain_cy, plain_in = pipeline_counts ~spans:false () in
+  let cy, insns = pipeline_counts ~spans:true () in
+  check_int "spans on == plain, to the cycle" plain_cy cy;
+  check_int "spans on == plain, to the instruction" plain_in insns
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: postmortem from a failing explorer subject *)
@@ -207,6 +214,11 @@ let test_postmortem_names_inflight () =
     check_bool "open-span set names the in-flight pipe request" true
       (contains ~needle:"pipe" pm && contains ~needle:"open spans" pm);
     check_bool "black box dumped" true (contains ~needle:"black box" pm);
+    (* collection is off, but the probes still feed the black box *)
+    List.iter
+      (fun ev ->
+        check_bool ("black box holds " ^ ev) true (contains ~needle:ev pm))
+      [ "queue_put"; "queue_get"; "switch_in"; "switch_out" ];
     (match r.E.s_blackbox_json with
     | Some json ->
       check_bool "blackbox export is chrome JSON" true
@@ -245,8 +257,8 @@ let () =
       ( "spans",
         [
           Alcotest.test_case "pipeline lifecycle" `Quick test_pipeline_spans;
-          Alcotest.test_case "spans-off cycle-identical" `Quick
-            test_spans_off_cycle_identical;
+          Alcotest.test_case "spans-on cycle-identical" `Quick
+            test_spans_on_cycle_identical;
         ] );
       ( "flight recorder",
         [
