@@ -93,27 +93,27 @@ let test_subjects_catch_sabotage () =
 let golden_trace_hashes =
   [
     ( "queue/spsc",
-      [ 0x2699cb9a5d365e36; 0x26c1dbbec73bcf9c; 0x3502719b4ed1bea0 ] );
+      [ 0x4cde0d90e3a9996; 0x24b28af6fe1134ba; 0x2a0706423e1f4e0 ] );
     ( "queue/mpsc",
-      [ 0x17fd190fdd76a43f; 0x38013b19acbdaf8b; 0xad7d71e005aba23 ] );
+      [ 0x32a361431d1419af; 0x333925720de3e745; 0x2c94bb1e13a64a1e ] );
     ( "queue/spmc",
-      [ 0xb85f57418c37545; 0x489f5019a6d0c61; 0x2a04ce87cc914f1b ] );
+      [ 0x1522642208181bee; 0x5ab286b6b7fcbab; 0xd055e691666e665 ] );
     ( "queue/mpmc",
-      [ 0xea12d93cc0b0479; 0x3d142400039c984e; 0x3809f58c5835a641 ] );
+      [ 0x11160808665270f3; 0x16a02bbac6486014; 0x34e7e0ed78e89206 ] );
     ( "ready-queue",
       [ 0x2e083f3e60887ab8; 0x3c80795d29c212ee; 0x2c6ae0ba17286ee2 ] );
     ( "kpipe",
-      [ 0x14681e42069a9689; 0x16d4e1d92c8bc5fe; 0x1939f3c845f965f2 ] );
+      [ 0xff2cc2986030e84; 0x20ae3a4c69aeef87; 0x3e4b1186b2189ff9 ] );
     ( "disk",
       [ 0x20bc55bb7acc4d41; 0x3e9f0afa2ae772fe; 0x84c561469911890 ] );
     ( "codeflip",
-      [ 0x35af28c0898df1e6; 0x24bbceb6dda7a002; 0xa96d62c15a1b6cf ] );
+      [ 0x164754c002597f88; 0xb4caca87ae7bb57; 0x32b733a5fef90ef0 ] );
     ( "synthcache",
       [ 0xd4e9e8a69bac96f; 0xbaf3d23ff8a31a8; 0x70839d71a159d7 ] );
     ( "smp",
-      [ 0x17dbaeb645f3fb3a; 0x19de65ee7ecc0ee4; 0xea645dcdee0e4bc ] );
+      [ 0x5fef952acd54df9; 0xa06268418e7d35a; 0x1151357a2374205a ] );
     ( "serve",
-      [ 0x83f9674c23ce7e7; 0x2157f93f7c4a86d1; 0x3f8bb693d783d145 ] );
+      [ 0x1e5024d3d1746755; 0x3c993cee3583dcab; 0x1052915f2bc20752 ] );
     ( "crash/create-rename",
       [ 0x3ea9ee125c5e1621; 0x3405add2a1b0b085; 0x1e07079e5fa2ce8c ] );
     ( "crash/prefix-append",
