@@ -171,6 +171,63 @@ let test_overload_sheds_and_converges () =
   check_bool "some sessions were still served" true (Loadgen.completed lg > 0);
   check_bool "graph drained after the storm" true (Kserve.drained srv)
 
+(* A full request flow makes the rx pump's put spin; the spins must
+   not open spans.  Every request opens exactly one serve span, and
+   tx closes them all. *)
+let test_spans_survive_backpressure () =
+  let boot = Boot.boot () in
+  let k = boot.Boot.kernel in
+  let tr = Ktrace.create ~capacity:(1 lsl 18) k.Kernel.machine in
+  Kernel.attach_tracing k tr;
+  let sp = Kernel.attach_spans k in
+  let srv =
+    Kserve.create
+      ~config:{ Kserve.default_config with cfg_workers = 1; cfg_queue_size = 2 }
+      boot
+  in
+  let lg =
+    Loadgen.create
+      ~config:
+        {
+          Loadgen.default_config with
+          lg_clients = 20;
+          lg_reqs_per_session = 3;
+          lg_rate_per_ms = 100.0;
+        }
+      ~on_complete:(fun () -> Kserve.shutdown srv)
+      srv
+  in
+  (match Boot.go ~max_insns:40_000_000 boot with
+  | Machine.Halted -> ()
+  | Machine.Insn_limit -> Alcotest.fail "serve run did not converge");
+  check_bool "graph drained" true (Kserve.drained srv);
+  check_int "trace kept every event" 0 (Ktrace.dropped tr);
+  let full_puts =
+    List.length
+      (List.filter
+         (fun e -> e.Ktrace.ev_kind = Ktrace.Queue_put ("serve.req", false))
+         (Ktrace.events tr))
+  in
+  check_bool
+    (Printf.sprintf "the request flow filled (%d full puts)" full_puts)
+    true (full_puts > 0);
+  check_int "no span left open" 0 (Kspan.open_count sp);
+  let requests = (Kserve.stats srv).Kserve.n_responses in
+  let serve_opens =
+    List.length
+      (List.filter
+         (fun e ->
+           match e.Ktrace.ev_kind with
+           | Ktrace.Span_open (_, "serve") -> true
+           | _ -> false)
+         (Ktrace.events tr))
+  in
+  check_int "one serve span opened per request" requests serve_opens;
+  check_int "one serve span closed per request" requests
+    (Histogram.count (Metrics.histogram k.Kernel.metrics "kspan.serve.total_cycles"));
+  check_int "a latency sample per response" (Loadgen.received lg)
+    (Histogram.count (Loadgen.latency lg))
+
 let test_host_accept_slot_discipline () =
   let boot = Boot.boot () in
   let srv = Kserve.create boot in
@@ -211,6 +268,8 @@ let () =
             test_warm_restart_hits_cache;
           Alcotest.test_case "overload sheds and converges" `Quick
             test_overload_sheds_and_converges;
+          Alcotest.test_case "spans survive backpressure" `Quick
+            test_spans_survive_backpressure;
           Alcotest.test_case "host accept/close slot discipline" `Quick
             test_host_accept_slot_discipline;
         ] );
