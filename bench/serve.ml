@@ -1,6 +1,7 @@
 (* kserve: serving throughput and request-latency tails under a
-   seeded client storm (§4's stream layer end to end: NIC rings → rx
-   pump → switch → synthesized per-connection routines → tx pump).
+   seeded client storm (end to end: NIC rx ring → the serve pump's
+   dispatch through synthesized per-connection routines → NIC tx
+   ring).
 
    Four deterministic rows gate in `bench compare`:
 
@@ -11,7 +12,7 @@
    - warm — a drained server restarted under the same load: the
      synthesis-cache hit ratio of the second run's accepts (the
      accept-path synthesis memo at work);
-   - overload — offered load far over capacity with a 1-worker server:
+   - overload — offered load far over capacity on 1 core:
      admission control must shed at the rx ring (asserted non-zero)
      while the p99 of the *served* requests stays gated.
 
@@ -30,14 +31,12 @@ let base_clients = 12_000
    than the client's timeout is answered twice, and the straggler
    matches nothing in flight — client-visible retry fallout, not a
    server defect. *)
-let run_load ~cores ?(workers = 2) ?(allow_dups = false)
+let run_load ~cores ?(allow_dups = false)
     ?(sv_config = fun c -> c) ?(lg_config = fun c -> c) ~clients () =
   let b = Boot.boot ~cores () in
   ignore (Kernel.attach_spans b.Boot.kernel);
   let srv =
-    Kserve.create
-      ~config:(sv_config { Kserve.default_config with Kserve.cfg_workers = workers })
-      b
+    Kserve.create ~config:(sv_config Kserve.default_config) b
   in
   let lg =
     Loadgen.create
@@ -124,16 +123,15 @@ let run ?(scale = 10) () =
   Fmt.pr "@.warm restart: %d/%d accepts hit the synthesis cache (%.3f)@."
     warm_hits warm_accepts ratio;
   Bench_json.record ~table:"serve" ~row:"warm" ~metric:"hit_ratio" ratio;
-  (* overload: a 1-worker server against ~10x its capacity — admission
+  (* overload: a 1-core server against ~10x its capacity — admission
      control sheds at the NIC ring and the served tail stays bounded *)
   let srv, lg =
-    run_load ~cores:1 ~workers:1 ~allow_dups:true
+    run_load ~cores:1 ~allow_dups:true
       ~clients:(max 200 (clients / 4))
       ~sv_config:(fun c ->
         {
           c with
-          Kserve.cfg_queue_size = 32;
-          cfg_admit_hi = 48;
+          Kserve.cfg_admit_hi = 48;
           cfg_admit_lo = 16;
           cfg_admit_limit = 8;
         })
@@ -152,7 +150,7 @@ let run ?(scale = 10) () =
   if shed = 0 then failwith "serve bench: overload never shed";
   let h = Loadgen.latency lg in
   Fmt.pr
-    "@.overload (1 worker): %d served, %d shed at the ring, p99 %d cycles@."
+    "@.overload (1 core): %d served, %d shed at the ring, p99 %d cycles@."
     (Loadgen.completed lg) shed
     (Histogram.quantile h 0.99);
   Bench_json.record ~table:"serve" ~row:"overload" ~metric:"shed_frames"

@@ -158,8 +158,6 @@ type t = {
       (** [Thread.restart], installed at boot *)
   mutable kspan : Kspan.t option;
       (** request-scoped spans; None = never attached *)
-  mutable program_probes : (int * probe) list;
-      (** bound probe points (absolute) of {!load_program}ed code *)
   mutable last_postmortem : string option;
       (** most recent {!postmortem} dump *)
 }
@@ -236,10 +234,6 @@ val probe_points : Insn.insn list -> probe list -> (int * probe) list
 (** Replace a region's probe points (entry-relative) and rearm its
     range for the layers attached now. *)
 val set_region_probes : t -> code_region -> (int * probe) list -> unit
-
-(** [Asm.assemble] a program kept outside the region table (a stage
-    thread's code), with its probe points bound. *)
-val load_program : ?probes:probe list -> t -> Insn.insn list -> int * Asm.symbols
 
 (** {1 Flight recorder}
 

@@ -1,19 +1,20 @@
 (* kserve: a synthesized network serving stack.
 
-   The server is a stream graph over the NIC: an rx pump lifts frames
-   off the card's ring into a gauged request flow, a switch fans them
-   out to worker threads by connection slot, each worker dispatches
-   through a per-slot table of routines the accept path synthesized
-   with Ksynth at open time (so warm accepts are cache hits), and a tx
-   pump lays responses back on the card's tx ring.  Spans are minted
-   at rx and closed at tx, so every request's pipeline latency lands
-   in the "kspan.serve.total_cycles" histogram.
+   The server is one thread running one synthesized serve pump over
+   the NIC (the paper's Collapsing Layers): it lifts a request frame
+   off the card's rx ring, dispatches it through a per-slot table of
+   routines the accept path synthesized with Ksynth at open time (so
+   warm accepts are cache hits), and lays the response on the card's
+   tx ring before it reads the next frame.  Spans are minted when the
+   request word is read and closed when the response is stored, so
+   every request's latency lands in the "kspan.serve.total_cycles"
+   histogram.
 
    Overload handling is a scheduling policy (§3): a host-side
-   controller samples the flow gauges each epoch, retunes worker
-   quanta against the backlog, and — past a high watermark — arms the
-   NIC's admission limit so excess offered load is shed at the rx ring
-   instead of queueing without bound. *)
+   controller samples the rx/tx gauges each epoch, retunes the pump's
+   quantum against the rx-ring occupancy, and — past a high watermark
+   — arms the NIC's admission limit so excess offered load is shed at
+   the rx ring instead of queueing without bound. *)
 
 open Quamachine
 module I = Insn
@@ -32,8 +33,8 @@ let op_write = 3
 let op_close = 4
 let op_err = 7
 
-(* id 16383 is reserved: with op_err and arg_mask it would collide
-   with the stream layer's EOF sentinel. *)
+(* id 16383 is reserved: with op_err and arg_mask it would make the
+   all-ones word, which the wire format keeps out of use. *)
 let max_conn_id = 16382
 
 let pack ~id ~op ~arg =
@@ -53,34 +54,28 @@ let open_span_key conn = (1 lsl 20) lor conn
 (* ------------------------------------------------------------------ *)
 
 type config = {
-  cfg_workers : int;  (* power of two *)
   cfg_slots : int;  (* power of two; connection table size *)
   cfg_files : int;  (* power of two; files served *)
   cfg_file_words : int;
   cfg_ring_len : int;  (* power of two; NIC rx/tx ring entries *)
-  cfg_queue_size : int;  (* flow capacity, items *)
   cfg_coalesce : int;  (* NIC completions per interrupt *)
   cfg_poll_us : float;  (* NIC service-tick period *)
-  cfg_pump_quantum_us : int;
-  cfg_worker_quantum_us : int;  (* base; the controller retunes *)
+  cfg_worker_quantum_us : int;  (* the pump's base; the controller retunes *)
   cfg_worker_quantum_max_us : int;
   cfg_ctl_epoch_us : float;  (* overload-controller sampling period *)
-  cfg_admit_hi : int;  (* backlog watermark that arms shedding *)
-  cfg_admit_lo : int;  (* backlog watermark that disarms it *)
+  cfg_admit_hi : int;  (* rx-ring occupancy that arms shedding *)
+  cfg_admit_lo : int;  (* rx-ring occupancy that disarms it *)
   cfg_admit_limit : int;  (* rx occupancy admitted while shedding *)
 }
 
 let default_config =
   {
-    cfg_workers = 2;
     cfg_slots = 64;
     cfg_files = 8;
     cfg_file_words = 64;
     cfg_ring_len = 64;
-    cfg_queue_size = 64;
     cfg_coalesce = 4;
     cfg_poll_us = 2.0;
-    cfg_pump_quantum_us = 100;
     cfg_worker_quantum_us = 100;
     cfg_worker_quantum_max_us = 400;
     cfg_ctl_epoch_us = 200.0;
@@ -96,7 +91,7 @@ let default_config =
 (* Synthesized at accept time with the file's buffer base, capacity
    and size cell, the connection's position cell, and the response
    constants folded in.  Called with the request in r1, returns the
-   response in r1; r4..r8 are scratch (the worker preserves nothing
+   response in r1; r4..r8 are scratch (the pump preserves nothing
    across the call).  Reads are a circular stream over the file body;
    writes append and wrap (a ring file). *)
 let service_template =
@@ -212,22 +207,16 @@ type t = {
   sv_stop_cell : int;
   sv_done_cell : int;
   sv_rx_tail_cell : int;
-  sv_req : SG.flow;
-  sv_work : SG.flow array;  (* = [| sv_req |] when cfg_workers = 1 *)
-  sv_resp : SG.flow;
   sv_rx_gauge : SG.gauge;
   sv_tx_gauge : SG.gauge;
-  sv_worker_gauges : SG.gauge array;
   sv_slots : slot_state option array;
   mutable sv_free : int list;  (* never-used slots *)
   sv_retired : int list array;  (* freed slots, per last-served file *)
   sv_conn_of : (int, int) Hashtbl.t;
   sv_spans : (int, int Queue.t) Hashtbl.t;  (* span ids in flight *)
   sv_segments : (int * int) list;
-  mutable sv_entries : (string * int * int option * int) list;
-      (* (name, entry, cpu, quantum) per stage program, spawn order *)
-  mutable sv_threads : Kernel.tte list;
-  mutable sv_worker_ttes : Kernel.tte list;
+  mutable sv_pump_entry : int;
+  mutable sv_pump : Kernel.tte option;
   mutable sv_accept_hc : int;
   mutable sv_close_hc : int;
   mutable sv_shedding : bool;
@@ -372,18 +361,28 @@ let host_accept t ~conn ~file = do_accept t ~conn ~farg:file
 let host_close t ~slot = do_close t ~slot
 
 (* ------------------------------------------------------------------ *)
-(* Stage programs                                                      *)
+(* The serve pump                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* rx pump (user mode — the NIC's mailbox cells stand in for the
-   supervisor-only MMIO window): poll the head-writeback cell against
-   our tail cell; for each filled descriptor, mint a span, push the
-   request word into the request flow, retire the descriptor and
-   publish the new tail.  While the flow is full the put spins
-   *without* retiring, so the rx ring fills and the NIC sheds —
-   backpressure reaches the wire. *)
-let rx_program t ~rx_ring ~ring_len ~rx_mail =
-  let ticks = SG.gauge_tick t.sv_req.SG.fl_gauge @ SG.gauge_tick t.sv_rx_gauge in
+(* One loop from wire to wire (user mode — the NIC's mailbox cells
+   stand in for the supervisor-only MMIO window).  Poll the
+   head-writeback cell against our tail cell; take the request word,
+   retire the descriptor and publish the new tail; dispatch — opens go
+   to the accept hcall, everything else jumps through the dispatch
+   table entry the accept path synthesized for that slot; wait for
+   tx-ring space against the card's tail-writeback cell, store the
+   response and ring the doorbell cell.  A close's ack is on the tx
+   ring before the next frame is read, so a recycled slot's open
+   response can never overtake it.  While the tx ring is full the pump
+   yields without reading more, so the rx ring fills and the card
+   sheds — backpressure reaches the wire.  On stop it raises the done
+   flag and exits.
+
+   Span probes: "open" mints a request's span with the request word at
+   r11 (an open is keyed by conn until accept gives it a slot);
+   "close" closes it with the response word in r1. *)
+let pump_program t ~rx_ring ~tx_ring ~ring_len ~rx_mail ~tx_mail ~tx_head_cell =
+  let nslots = Array.length t.sv_slots in
   [
     I.Label "loop";
     I.Move (I.Abs t.sv_stop_cell, I.Reg I.r8);
@@ -403,66 +402,56 @@ let rx_program t ~rx_ring ~ring_len ~rx_mail =
     I.Move (I.Ind I.r10, I.Reg I.r11); (* descriptor buffer *)
     I.Probe "open";
     I.Move (I.Ind I.r11, I.Reg I.r1); (* the request word *)
+    I.Move (I.Imm 0, I.Idx (I.r10, 2)); (* descriptor consumed *)
+    I.Alu (I.Add, I.Imm 1, I.r9);
+    I.Move (I.Reg I.r9, I.Abs t.sv_rx_tail_cell);
+    I.Move (I.Reg I.r1, I.Reg I.r8);
+    I.Alu (I.Lsr, I.Imm op_shift, I.r8);
+    I.Alu (I.And, I.Imm 7, I.r8);
+    I.Cmp (I.Imm op_open, I.Reg I.r8);
+    I.B (I.Eq, I.To_label "accept");
+    I.Move (I.Reg I.r1, I.Reg I.r8);
+    I.Alu (I.Lsr, I.Imm id_shift, I.r8);
+    I.Cmp (I.Imm nslots, I.Reg I.r8);
+    I.B (I.Cc, I.To_label "badslot"); (* slot >= nslots *)
+    I.Alu (I.Add, I.Imm t.sv_tbl, I.r8);
+    I.Jsr (I.To_mem (I.Ind I.r8)); (* the synthesized service *)
+    I.Label "space";
+    I.Move (I.Abs tx_head_cell, I.Reg I.r8);
+    I.Move (I.Abs tx_mail, I.Reg I.r9);
+    I.Move (I.Reg I.r8, I.Reg I.r10);
+    I.Alu (I.Sub, I.Reg I.r9, I.r10); (* occupancy *)
+    I.Cmp (I.Imm ring_len, I.Reg I.r10);
+    I.B (I.Cs, I.To_label "ok"); (* occupancy < ring_len *)
+    I.Trap 5; (* ring full: yield until the card drains *)
+    I.B (I.Always, I.To_label "space");
+    I.Label "ok";
+    I.Move (I.Reg I.r8, I.Reg I.r10);
+    I.Alu (I.And, I.Imm (ring_len - 1), I.r10);
+    I.Alu (I.Lsl, I.Imm 2, I.r10);
+    I.Alu (I.Add, I.Imm tx_ring, I.r10);
+    I.Move (I.Ind I.r10, I.Reg I.r11);
+    I.Move (I.Reg I.r1, I.Ind I.r11); (* the response word *)
+    I.Probe "close";
+    I.Alu (I.Add, I.Imm 1, I.r8);
+    I.Move (I.Reg I.r8, I.Abs tx_head_cell); (* doorbell *)
   ]
-  @ SG.retry_put ~label:"put" ~put:t.sv_req.SG.fl_q.Kqueue.q_put
-  @ [
-      I.Move (I.Imm 0, I.Idx (I.r10, 2)); (* descriptor consumed *)
-      I.Alu (I.Add, I.Imm 1, I.r9);
-      I.Move (I.Reg I.r9, I.Abs t.sv_rx_tail_cell);
-    ]
-  @ ticks
-  @ [ I.B (I.Always, I.To_label "loop"); I.Label "stop" ]
-  @ [ I.Move (I.Imm SG.eof_word, I.Reg I.r1) ]
-  @ SG.retry_put ~label:"eofput" ~put:t.sv_req.SG.fl_q.Kqueue.q_put
-  @ [ I.Trap 0 ]
-
-(* worker: take a request, dispatch — opens go to the accept hcall,
-   everything else jumps through the dispatch table entry the accept
-   path synthesized for that slot — and push the response. *)
-let worker_program t ~w =
-  let work = t.sv_work.(w) in
-  let nslots = Array.length t.sv_slots in
-  let ticks =
-    SG.gauge_tick t.sv_resp.SG.fl_gauge @ SG.gauge_tick t.sv_worker_gauges.(w)
-  in
-  [ I.Label "loop" ]
-  @ SG.retry_get ~label:"get" ~get:work.SG.fl_q.Kqueue.q_get
-  @ [
-      I.Cmp (I.Imm SG.eof_word, I.Reg I.r1);
-      I.B (I.Eq, I.To_label "eof");
-      I.Move (I.Reg I.r1, I.Reg I.r8);
-      I.Alu (I.Lsr, I.Imm op_shift, I.r8);
-      I.Alu (I.And, I.Imm 7, I.r8);
-      I.Cmp (I.Imm op_open, I.Reg I.r8);
-      I.B (I.Eq, I.To_label "accept");
-      I.Move (I.Reg I.r1, I.Reg I.r8);
-      I.Alu (I.Lsr, I.Imm id_shift, I.r8);
-      I.Cmp (I.Imm nslots, I.Reg I.r8);
-      I.B (I.Cc, I.To_label "badslot"); (* slot >= nslots *)
-      I.Alu (I.Add, I.Imm t.sv_tbl, I.r8);
-      I.Jsr (I.To_mem (I.Ind I.r8)); (* the synthesized service *)
-      I.Label "respond";
-    ]
-  @ SG.retry_put ~label:"put" ~put:t.sv_resp.SG.fl_q.Kqueue.q_put
-  @ ticks
+  @ SG.gauge_tick t.sv_rx_gauge
+  @ SG.gauge_tick t.sv_tx_gauge
   @ [
       I.B (I.Always, I.To_label "loop");
       I.Label "accept";
       I.Hcall t.sv_accept_hc;
-      I.B (I.Always, I.To_label "respond");
+      I.B (I.Always, I.To_label "space");
       I.Label "badslot";
       I.Jsr (I.To_addr t.sv_stub);
-      I.B (I.Always, I.To_label "respond");
-      I.Label "eof";
+      I.B (I.Always, I.To_label "space");
+      I.Label "stop";
+      I.Move (I.Imm 1, I.Abs t.sv_done_cell);
+      I.Trap 0;
     ]
-  @ SG.retry_put ~label:"eofput" ~put:t.sv_resp.SG.fl_q.Kqueue.q_put
-  @ [ I.Trap 0 ]
 
-(* The stage programs' span probes: rx opens a request's span with the
-   request word at r11, before the put's retry loop so a spinning put
-   opens nothing more (an open is keyed by conn until accept gives it
-   a slot); tx closes it with the response word in r1. *)
-let stage_probes t =
+let pump_probes t =
   [
     ( "open",
       Kernel.Span
@@ -482,59 +471,9 @@ let stage_probes t =
           | None -> ()) );
   ]
 
-(* tx pump: take responses, wait for tx-ring space against the NIC's
-   tail-writeback cell, store the frame, ring the doorbell cell, and
-   close the span.  Exits (and raises the done flag) after an EOF from
-   every worker. *)
-let tx_program t ~tx_ring ~ring_len ~tx_mail ~tx_head_cell =
-  let nworkers = Array.length t.sv_work in
-  [ I.Label "loop" ]
-  @ SG.retry_get ~label:"get" ~get:t.sv_resp.SG.fl_q.Kqueue.q_get
-  @ [
-      I.Cmp (I.Imm SG.eof_word, I.Reg I.r1);
-      I.B (I.Eq, I.To_label "eof");
-      I.Label "space";
-      I.Move (I.Abs tx_head_cell, I.Reg I.r8);
-      I.Move (I.Abs tx_mail, I.Reg I.r9);
-      I.Move (I.Reg I.r8, I.Reg I.r10);
-      I.Alu (I.Sub, I.Reg I.r9, I.r10); (* occupancy *)
-      I.Cmp (I.Imm ring_len, I.Reg I.r10);
-      I.B (I.Cs, I.To_label "ok"); (* occupancy < ring_len *)
-      I.Trap 5; (* ring full: yield until the card drains *)
-      I.B (I.Always, I.To_label "space");
-      I.Label "ok";
-      I.Move (I.Reg I.r8, I.Reg I.r10);
-      I.Alu (I.And, I.Imm (ring_len - 1), I.r10);
-      I.Alu (I.Lsl, I.Imm 2, I.r10);
-      I.Alu (I.Add, I.Imm tx_ring, I.r10);
-      I.Move (I.Ind I.r10, I.Reg I.r11);
-      I.Move (I.Reg I.r1, I.Ind I.r11); (* the response word *)
-      I.Probe "close";
-      I.Alu (I.Add, I.Imm 1, I.r8);
-      I.Move (I.Reg I.r8, I.Abs tx_head_cell); (* doorbell *)
-    ]
-  @ SG.gauge_tick t.sv_tx_gauge
-  @ [
-      I.B (I.Always, I.To_label "loop");
-      I.Label "eof";
-      I.Alu (I.Add, I.Imm 1, I.r12); (* r12 starts 0 in a fresh TTE *)
-      I.Cmp (I.Imm nworkers, I.Reg I.r12);
-      I.B (I.Cs, I.To_label "loop"); (* more workers still draining *)
-      I.Move (I.Imm 1, I.Abs t.sv_done_cell);
-      I.Trap 0;
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* The overload controller (§3: scheduling policy, not a mechanism)    *)
 (* ------------------------------------------------------------------ *)
-
-let backlog t =
-  let k = t.sv_k in
-  let flows =
-    if Array.length t.sv_work = 1 then [ t.sv_req; t.sv_resp ]
-    else t.sv_req :: t.sv_resp :: Array.to_list t.sv_work
-  in
-  List.fold_left (fun acc fl -> acc + SG.flow_length k fl) 0 flows
 
 let rx_ring_occupancy t =
   let head = Devices.Nic.rx_head t.sv_nic in
@@ -554,11 +493,8 @@ let install_controller t =
   let dev = ref None in
   let tick m' =
     let arrival = SG.gauge_sample k t.sv_rx_gauge in
-    let service =
-      Array.fold_left (fun acc g -> acc +. SG.gauge_sample k g) 0.0
-        t.sv_worker_gauges
-    in
-    let pressure = backlog t + rx_ring_occupancy t in
+    let service = SG.gauge_sample k t.sv_tx_gauge in
+    let pressure = rx_ring_occupancy t in
     Metrics.set_gauge arrival_g arrival;
     Metrics.set_gauge service_g service;
     Metrics.set_gauge backlog_g (float_of_int pressure);
@@ -573,21 +509,19 @@ let install_controller t =
       Devices.Nic.host_set_admit t.sv_nic 0;
       t.sv_shedding <- false
     end;
-    (* quantum retune: longer worker quanta as the backlog deepens
+    (* quantum retune: a longer pump quantum as the rx ring fills
        (fewer context switches, more service throughput) *)
     let span = cfg.cfg_worker_quantum_max_us - cfg.cfg_worker_quantum_us in
     let frac =
       min 1.0 (float_of_int pressure /. float_of_int cfg.cfg_admit_hi)
     in
     let q = cfg.cfg_worker_quantum_us + int_of_float (frac *. float_of_int span) in
-    List.iter
-      (fun tte ->
-        if tte.Kernel.state <> Kernel.Zombie && tte.Kernel.quantum_us <> q then begin
-          Ctx.set_quantum k tte q;
-          Kernel.trace k (Ktrace.Retune (tte.Kernel.tid, q));
-          t.sv_retunes <- t.sv_retunes + 1
-        end)
-      t.sv_worker_ttes;
+    (match t.sv_pump with
+    | Some tte when tte.Kernel.state <> Kernel.Zombie && tte.Kernel.quantum_us <> q ->
+      Ctx.set_quantum k tte q;
+      Kernel.trace k (Ktrace.Retune (tte.Kernel.tid, q));
+      t.sv_retunes <- t.sv_retunes + 1
+    | _ -> ());
     match !dev with
     | Some d -> Machine.device_schedule m' d (Machine.cycles m' + epoch)
     | None -> ()
@@ -601,24 +535,18 @@ let install_controller t =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let spawn_threads t =
+let spawn_pump t =
   let k = t.sv_k in
-  t.sv_worker_ttes <- [];
-  t.sv_threads <-
-    List.map
-      (fun (name, entry, cpu, quantum_us) ->
-        let tte =
-          Thread.create k ?cpu ~quantum_us ~segments:t.sv_segments ~entry ()
-        in
-        Thread.start k tte;
-        if String.length name >= 6 && String.sub name 0 6 = "worker" then
-          t.sv_worker_ttes <- tte :: t.sv_worker_ttes;
-        tte)
-      t.sv_entries
+  let cpu = if Machine.num_cores k.Kernel.machine = 1 then None else Some 0 in
+  let tte =
+    Thread.create k ?cpu ~quantum_us:t.sv_cfg.cfg_worker_quantum_us
+      ~segments:t.sv_segments ~entry:t.sv_pump_entry ()
+  in
+  Thread.start k tte;
+  t.sv_pump <- Some tte
 
 let create ?(config = default_config) boot =
   let cfg = config in
-  if not (pow2 cfg.cfg_workers) then invalid_arg "Kserve: workers must be 2^k";
   if not (pow2 cfg.cfg_slots && cfg.cfg_slots <= 4096) then
     invalid_arg "Kserve: slots must be 2^k <= 4096";
   if not (pow2 cfg.cfg_files) then invalid_arg "Kserve: files must be 2^k";
@@ -626,7 +554,6 @@ let create ?(config = default_config) boot =
   let k = boot.Boot.kernel in
   let m = k.Kernel.machine in
   let alloc = k.Kernel.alloc in
-  let ncores = Machine.num_cores m in
   let nic = Devices.Nic.install ~poll_us:cfg.cfg_poll_us m in
   (* the served files, registered in the vfs name space *)
   let files =
@@ -665,27 +592,11 @@ let create ?(config = default_config) boot =
   for s = 0 to cfg.cfg_slots - 1 do
     Machine.poke m (tbl + s) stub
   done;
-  (* flows *)
-  let nw = cfg.cfg_workers in
-  let qsize = cfg.cfg_queue_size in
-  let req = SG.flow k ~name:"serve.req" ~size:qsize in
-  let work =
-    if nw = 1 then [| req |]
-    else
-      Array.init nw (fun w ->
-          SG.flow k ~name:(Printf.sprintf "serve.work%d" w) ~size:qsize)
-  in
-  let resp = SG.flow ~producers:nw k ~name:"serve.resp" ~size:qsize in
   let rx_gauge = SG.gauge k ~name:"serve.rx" in
   let tx_gauge = SG.gauge k ~name:"serve.tx" in
-  let worker_gauges =
-    Array.init nw (fun w -> SG.gauge k ~name:(Printf.sprintf "serve.w%d" w))
-  in
-  (* segments: everything any stage touches *)
+  (* segments: everything the pump touches *)
   let segments =
-    List.concat_map SG.flow_segments
-      (if nw = 1 then [ req; resp ] else (req :: resp :: Array.to_list work))
-    @ [
+    [
         (cells, 6);
         (rx_ring, Devices.Nic.desc_words * ring_len);
         (tx_ring, Devices.Nic.desc_words * ring_len);
@@ -696,8 +607,6 @@ let create ?(config = default_config) boot =
         (rx_gauge.SG.g_cell, 1);
         (tx_gauge.SG.g_cell, 1);
       ]
-    @ (Array.to_list worker_gauges
-      |> List.map (fun g -> (g.SG.g_cell, 1)))
     @ (Array.to_list files
       |> List.concat_map (fun f ->
              [ (f.Fs.f_buf, f.Fs.f_cap); (f.Fs.f_size_cell, 1) ]))
@@ -715,21 +624,16 @@ let create ?(config = default_config) boot =
       sv_stop_cell = stop_cell;
       sv_done_cell = done_cell;
       sv_rx_tail_cell = rx_tail_cell;
-      sv_req = req;
-      sv_work = work;
-      sv_resp = resp;
       sv_rx_gauge = rx_gauge;
       sv_tx_gauge = tx_gauge;
-      sv_worker_gauges = worker_gauges;
       sv_slots = Array.make cfg.cfg_slots None;
       sv_free = List.init cfg.cfg_slots (fun s -> s);
       sv_retired = Array.make cfg.cfg_files [];
       sv_conn_of = Hashtbl.create 64;
       sv_spans = Hashtbl.create 64;
       sv_segments = segments;
-      sv_entries = [];
-      sv_threads = [];
-      sv_worker_ttes = [];
+      sv_pump_entry = 0;
+      sv_pump = None;
       sv_accept_hc = 0;
       sv_close_hc = 0;
       sv_shedding = false;
@@ -760,29 +664,14 @@ let create ?(config = default_config) boot =
     ~head_cell:tx_head_cell;
   Devices.Nic.host_set_coalesce nic cfg.cfg_coalesce;
   Devices.Nic.host_enable nic true;
-  (* stage programs, assembled once; threads are respawned from the
-     recorded entries, so a rearmed run reuses all code and state *)
-  let pq = cfg.cfg_pump_quantum_us and wq = cfg.cfg_worker_quantum_us in
-  let cpu_of i = if ncores = 1 then None else Some (i mod ncores) in
-  let entries = ref [] in
-  let add name program cpu quantum =
-    let entry, _ = Kernel.load_program ~probes:(stage_probes t) k program in
-    entries := (name, entry, cpu, quantum) :: !entries
-  in
-  add "rx" (rx_program t ~rx_ring ~ring_len ~rx_mail) (cpu_of 0) pq;
-  if nw > 1 then
-    add "switch"
-      (SG.switch_program ~from_:req ~outs:work ~shift:id_shift ())
-      (cpu_of 0) pq;
-  Array.iteri
-    (fun w _ -> add (Printf.sprintf "worker%d" w) (worker_program t ~w)
-        (cpu_of (1 + w)) wq)
-    work;
-  add "tx" (tx_program t ~tx_ring ~ring_len ~tx_mail ~tx_head_cell)
-    (cpu_of (ncores - 1)) pq;
-  t.sv_entries <- List.rev !entries;
+  (* the pump, synthesized once; a restart respawns its thread on the
+     same entry, so a rearmed run reuses all code and state *)
+  t.sv_pump_entry <-
+    fst
+      (Ksynth.install ~probes:(pump_probes t) k ~name:"serve/pump"
+         (pump_program t ~rx_ring ~tx_ring ~ring_len ~rx_mail ~tx_mail ~tx_head_cell));
   install_controller t;
-  spawn_threads t;
+  spawn_pump t;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -792,15 +681,15 @@ let create ?(config = default_config) boot =
 let shutdown t = Machine.poke t.sv_k.Kernel.machine t.sv_stop_cell 1
 let drained t = Machine.peek t.sv_k.Kernel.machine t.sv_done_cell <> 0
 
-(* Rearm after a drained run: clear the flags and respawn the stage
-   threads on their recorded entry points.  Queues, rings, dispatch
-   table, and the synthesis cache all carry over — a warm restart's
+(* Rearm after a drained run: clear the flags and respawn the pump
+   thread on its entry point.  Rings, dispatch table, and the
+   synthesis cache all carry over — a warm restart's
    accepts are cache hits and the code footprint stays flat. *)
 let restart t =
   let m = t.sv_k.Kernel.machine in
   Machine.poke m t.sv_stop_cell 0;
   Machine.poke m t.sv_done_cell 0;
-  spawn_threads t
+  spawn_pump t
 
 let stats t =
   let ns = Devices.Nic.stats t.sv_nic in
@@ -822,5 +711,3 @@ let config t = t.sv_cfg
 let open_slots t =
   Array.length t.sv_slots - List.length t.sv_free
   - Array.fold_left (fun acc l -> acc + List.length l) 0 t.sv_retired
-let threads t = t.sv_threads
-let worker_ttes t = t.sv_worker_ttes

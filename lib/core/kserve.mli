@@ -1,23 +1,25 @@
 (** kserve: a synthesized network serving stack over the NIC model.
 
-    The server is a stream graph ({!Stream_graph}): an rx pump lifts
-    request frames off the card's rx ring into a gauged flow, a switch
-    fans them out to workers by connection slot, workers dispatch
-    through a per-slot table of service routines, and a tx pump lays
-    responses back on the tx ring.  The accept path
+    The server is one thread running one synthesized serve pump
+    (["serve/pump"], a registered code region): it lifts a request
+    frame off the card's rx ring, dispatches it through a per-slot
+    table of service routines, and lays the response on the tx ring
+    before it reads the next frame.  The accept path
     {!Ksynth.instantiate}s the per-connection service routine at open
     time — the file's buffer base, capacity and size cell plus the
     connection's position cell folded in as constants — so a warm
     accept (same slot, same file) is a synthesis-cache hit.
 
-    Spans are minted at rx and closed at tx; with a span layer
+    Spans are minted when the pump reads a request and closed when it
+    stores the response; with a span layer
     attached ({!Kernel.attach_spans}, before or after [create]) every
     request's latency lands in the "kspan.serve.total_cycles"
     histogram.
 
     Overload handling is a scheduling policy (§3): a controller
-    samples the flow gauges each epoch, retunes worker quanta against
-    the backlog ({!Ctx.set_quantum}), and past a high watermark arms
+    samples the rx/tx gauges each epoch, retunes the pump's quantum
+    against the rx-ring occupancy ({!Ctx.set_quantum}), and past a
+    high watermark arms
     the NIC's admission limit so excess offered load is shed at the rx
     ring rather than queueing without bound.
 
@@ -41,8 +43,8 @@ val op_write : int
 val op_close : int
 val op_err : int
 
-(** Ids above this are reserved (16383 would collide with the stream
-    layer's EOF sentinel). *)
+(** Ids above this are reserved (16383 would make the all-ones word,
+    which the wire format keeps out of use). *)
 val max_conn_id : int
 
 val pack : id:int -> op:int -> arg:int -> int
@@ -53,20 +55,17 @@ val msg_arg : int -> int
 (** {2 Configuration} *)
 
 type config = {
-  cfg_workers : int;  (** power of two *)
   cfg_slots : int;  (** power of two; connection table size *)
   cfg_files : int;  (** power of two; files served *)
   cfg_file_words : int;
   cfg_ring_len : int;  (** power of two; NIC rx/tx ring entries *)
-  cfg_queue_size : int;  (** flow capacity, items *)
   cfg_coalesce : int;  (** NIC completions per interrupt *)
   cfg_poll_us : float;  (** NIC service-tick period *)
-  cfg_pump_quantum_us : int;
-  cfg_worker_quantum_us : int;  (** base; the controller retunes *)
+  cfg_worker_quantum_us : int;  (** the pump's base; the controller retunes *)
   cfg_worker_quantum_max_us : int;
   cfg_ctl_epoch_us : float;  (** overload-controller sampling period *)
-  cfg_admit_hi : int;  (** backlog watermark that arms shedding *)
-  cfg_admit_lo : int;  (** backlog watermark that disarms it *)
+  cfg_admit_hi : int;  (** rx-ring occupancy that arms shedding *)
+  cfg_admit_lo : int;  (** rx-ring occupancy that disarms it *)
   cfg_admit_limit : int;  (** rx occupancy admitted while shedding *)
 }
 
@@ -78,29 +77,28 @@ val service_template : Template.t
 type t
 
 (** Install the NIC, create the served files (["/srv/<i>"] in the vfs
-    name space), build the stream graph, register the accept/close
-    host routines, install the overload controller, and start the
-    stage threads.  Attach spans to the kernel (before or after
+    name space), register the accept/close host routines, synthesize
+    the serve pump, install the overload controller, and start the
+    pump thread (on cpu 0).  Attach spans to the kernel (before or after
     [create]) if request latencies are wanted. *)
 val create : ?config:config -> Boot.t -> t
 
 (** {2 Lifecycle} *)
 
-(** Ask the stages to drain: the rx pump forwards EOF and exits, the
-    rest of the graph follows. *)
+(** Ask the pump to stop: it finishes the request in hand, raises the
+    done flag and exits. *)
 val shutdown : t -> unit
 
-(** Has the tx pump retired an EOF from every worker? *)
+(** Has the pump stopped? *)
 val drained : t -> bool
 
-(** Rearm after a drained run: clear the flags and respawn the stage
-    threads on their recorded entry points.  Queues, rings, the
-    dispatch table and the synthesis cache all carry over, so a warm
+(** Rearm after a drained run: clear the flags and respawn the pump
+    thread on its entry point.  Rings, the dispatch table and the synthesis cache all carry over, so a warm
     restart's accepts are cache hits and the code footprint stays
     flat. *)
 val restart : t -> unit
 
-(** {2 Host-side accept/close} (tests; the exact logic the worker's
+(** {2 Host-side accept/close} (tests; the exact logic the pump's
     hcalls run, minus the machine). *)
 
 (** Returns the open response word ([msg_op] = [op_err] when
@@ -128,12 +126,7 @@ val nic : t -> Devices.Nic.t
 val kernel : t -> Kernel.t
 val config : t -> config
 
-(** Items queued across every flow of the graph. *)
-val backlog : t -> int
-
 (** Is the admission limit currently armed? *)
 val shedding : t -> bool
 
 val open_slots : t -> int
-val threads : t -> Kernel.tte list
-val worker_ttes : t -> Kernel.tte list

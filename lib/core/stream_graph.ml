@@ -105,25 +105,11 @@ let pipeline vfs ?(pipe_cap = 256) stages =
   { sg_threads = threads; sg_pipes = pipes; sg_connectors = connectors }
 
 (* ================================================================== *)
-(* kserve: queues, pumps, switches, and flow-rate gauges.
-
-   The §4 stream layer above the linear pipeline: arcs become gauged
-   kernel queues ([flow]), active stages become pump and switch
-   programs (machine code, synthesized queue ends Jsr'd directly), and
-   every arc carries a flow-rate gauge — a one-instruction counter
-   tick whose windowed rate the fine-grain scheduler and the overload
-   controller read (§3). *)
+(* Flow-rate gauges (§3: "the rate of data flowing through") — a
+   one-instruction counter tick stages splice into their loops, whose
+   windowed rate kserve's overload controller reads. *)
 
 module I = Insn
-
-(* End-of-stream sentinel.  Word.mask can never collide with a packed
-   kserve request (connection ids stop short of the top of the id
-   field) and flows treat it specially: a pump forwards it then
-   exits; a switch forwards it to every output then exits. *)
-let eof_word = Word.mask
-
-(* ------------------------------------------------------------------ *)
-(* Flow-rate gauges (§3: "the rate of data flowing through") *)
 
 type gauge = {
   g_cell : int; (* machine-word event counter, ticked by stage code *)
@@ -166,137 +152,3 @@ let gauge_sample k g =
   end
 
 let gauge_rate g = g.g_rate
-
-(* ------------------------------------------------------------------ *)
-(* Flows: gauged queue arcs *)
-
-type flow = { fl_q : Kqueue.t; fl_gauge : gauge }
-
-let flow ?(producers = 1) ?(consumers = 1) ?overflow k ~name ~size =
-  let connector = connect_many ~producers ~consumers in
-  let kind =
-    match Kqueue.kind_of_connector connector with
-    | Some kind -> kind
-    | None -> Kqueue.Spsc
-  in
-  let q = Kqueue.create ?overflow ~kind k ~name ~size in
-  { fl_q = q; fl_gauge = gauge k ~name:(name ^ ".rate") }
-
-let flow_length k fl = Kqueue.host_length k fl.fl_q
-let flow_put k fl v = Kqueue.host_put k fl.fl_q v
-let flow_get k fl = Kqueue.host_get k fl.fl_q
-
-(* ------------------------------------------------------------------ *)
-(* Stage programs.
-
-   All stage code follows the queue calling convention: Jsr the
-   synthesized put/get with the item in r1, status in r0 (1 = done,
-   0 = would block); r4..r7 are clobbered by the queue code, so stage
-   state lives in r8+.  An empty get or a full put spins through a
-   yield trap — the quantum scheduler turns that into backpressure:
-   a stalled consumer stalls its producer chain one arc at a time. *)
-
-let retry_get ~label ~get =
-  [
-    I.Label label;
-    I.Jsr (I.To_addr get);
-    I.Tst (I.Reg I.r0);
-    I.B (I.Ne, I.To_label (label ^ "_ok"));
-    I.Trap 5; (* empty: yield the quantum, try again *)
-    I.B (I.Always, I.To_label label);
-    I.Label (label ^ "_ok");
-  ]
-
-let retry_put ~label ~put =
-  [
-    I.Label label;
-    I.Jsr (I.To_addr put);
-    I.Tst (I.Reg I.r0);
-    I.B (I.Ne, I.To_label (label ^ "_ok"));
-    I.Trap 5; (* full: backpressure — yield and retry *)
-    I.B (I.Always, I.To_label label);
-    I.Label (label ^ "_ok");
-  ]
-
-(* A pump: get from one flow, put into the next, tick the gauges,
-   forever; on EOF forward the sentinel downstream and exit. *)
-let pump_program ?(gauges = []) ~from_ ~into () =
-  let ticks = List.concat_map gauge_tick (into.fl_gauge :: gauges) in
-  [ I.Label "loop" ]
-  @ retry_get ~label:"get" ~get:from_.fl_q.Kqueue.q_get
-  @ [ I.Cmp (I.Imm eof_word, I.Reg I.r1); I.B (I.Eq, I.To_label "eof") ]
-  @ retry_put ~label:"put" ~put:into.fl_q.Kqueue.q_put
-  @ ticks
-  @ [ I.B (I.Always, I.To_label "loop"); I.Label "eof" ]
-  @ retry_put ~label:"eofput" ~put:into.fl_q.Kqueue.q_put
-  @ [ I.Trap 0 ]
-
-(* A switch: demultiplex by a key field of the item — output index =
-   (item >> shift) & (n-1), n a power of two.  EOF is forwarded to
-   every output exactly once, then the switch exits. *)
-let switch_program ?(gauges = []) ~from_ ~outs ~shift () =
-  let n = Array.length outs in
-  if n = 0 then invalid_arg "Stream_graph.switch_program: no outputs";
-  if n land (n - 1) <> 0 then
-    invalid_arg "Stream_graph.switch_program: output count must be 2^k";
-  let route =
-    if n = 1 then []
-    else
-      [
-        I.Move (I.Reg I.r1, I.Reg I.r8);
-        I.Alu (I.Lsr, I.Imm shift, I.r8);
-        I.Alu (I.And, I.Imm (n - 1), I.r8);
-      ]
-      @ List.concat
-          (List.init (n - 1) (fun i ->
-               [
-                 I.Cmp (I.Imm i, I.Reg I.r8);
-                 I.B (I.Eq, I.To_label (Printf.sprintf "out%d" i));
-               ]))
-  in
-  let arm i fl =
-    [ I.Label (Printf.sprintf "out%d" i) ]
-    @ retry_put ~label:(Printf.sprintf "put%d" i) ~put:fl.fl_q.Kqueue.q_put
-    @ List.concat_map gauge_tick (fl.fl_gauge :: gauges)
-    @ [ I.B (I.Always, I.To_label "loop") ]
-  in
-  let eof_arms =
-    List.concat
-      (List.init n (fun i ->
-           retry_put ~label:(Printf.sprintf "eofput%d" i)
-             ~put:outs.(i).fl_q.Kqueue.q_put))
-  in
-  [ I.Label "loop" ]
-  @ retry_get ~label:"get" ~get:from_.fl_q.Kqueue.q_get
-  @ [ I.Cmp (I.Imm eof_word, I.Reg I.r1); I.B (I.Eq, I.To_label "eof") ]
-  @ route
-  (* fall through to the last arm: indices 0..n-2 branched above *)
-  @ List.concat (List.init (n - 1) (fun i -> arm (n - 1 - i) outs.(n - 1 - i)))
-  @ arm 0 outs.(0)
-  @ [ I.Label "eof" ]
-  @ eof_arms
-  @ [ I.Trap 0 ]
-
-(* Spawn a stage thread running [program].  The caller owns segment
-   and placement choices; the data segments must cover every queue
-   descriptor, buffer, flag array, and gauge cell the program
-   touches. *)
-let spawn k ?cpu ?(quantum_us = 150) ?(segments = []) program =
-  let m = k.Kernel.machine in
-  let entry, _ = Asm.assemble m program in
-  let t = Thread.create k ?cpu ~quantum_us ~segments ~entry () in
-  Thread.start k t;
-  t
-
-(* The data segments a flow's stage code touches: queue descriptor
-   (head/tail), buffer, valid flags, drop cell, and the gauge. *)
-let flow_segments fl =
-  let q = fl.fl_q in
-  [
-    (q.Kqueue.q_desc, 2);
-    (q.Kqueue.q_buf, q.Kqueue.q_size);
-    (fl.fl_gauge.g_cell, 1);
-  ]
-  @ (if q.Kqueue.q_flag <> 0 then [ (q.Kqueue.q_flag, q.Kqueue.q_size) ] else [])
-  @
-  if q.Kqueue.q_dropped_cell <> 0 then [ (q.Kqueue.q_dropped_cell, 1) ] else []

@@ -27,18 +27,10 @@ val connect_many : producers:int -> consumers:int -> Quaject.connector
     owning thread.  Raises [Invalid_argument] on malformed shapes. *)
 val pipeline : Vfs.t -> ?pipe_cap:int -> stage list -> built
 
-(** {1 Queues, pumps, switches, and flow-rate gauges (kserve)}
+(** {1 Flow-rate gauges}
 
-    The §4 stream layer: arcs become gauged kernel queues, active
-    stages become pump/switch machine-code programs, and every arc
-    carries a flow-rate gauge the scheduler and overload controller
-    read (§3). *)
-
-(** End-of-stream sentinel.  A pump forwards it downstream and exits;
-    a switch forwards it to every output exactly once and exits. *)
-val eof_word : int
-
-(** {2 Gauges} *)
+    A one-instruction counter tick a stage splices into its loop;
+    kserve's overload controller reads its windowed rate (§3). *)
 
 type gauge = {
   g_cell : int;  (** machine-word event counter, ticked by stage code *)
@@ -62,63 +54,3 @@ val gauge_sample : Kernel.t -> gauge -> float
 
 (** Last sampled rate, without advancing the window. *)
 val gauge_rate : gauge -> float
-
-(** {2 Flows: gauged queue arcs} *)
-
-type flow = { fl_q : Kqueue.t; fl_gauge : gauge }
-
-(** The queue kind is picked from the endpoint multiplicities through
-    the §5.2 connector table (fan-in: [producers > 1]; fan-out:
-    [consumers > 1]). *)
-val flow :
-  ?producers:int ->
-  ?consumers:int ->
-  ?overflow:Kqueue.overflow ->
-  Kernel.t ->
-  name:string ->
-  size:int ->
-  flow
-
-val flow_length : Kernel.t -> flow -> int
-val flow_put : Kernel.t -> flow -> int -> bool
-val flow_get : Kernel.t -> flow -> int option
-
-(** {2 Stage programs}
-
-    Queue calling convention: item in r1, status in r0; r4..r7
-    clobbered.  Empty gets and full puts spin through a yield trap, so
-    a stalled consumer backpressures its producer chain one arc at a
-    time. *)
-
-(** Spin-with-yield call wrappers around a synthesized queue entry:
-    Jsr [get]/[put], retry through a yield trap while r0 = 0.  [label]
-    must be unique within the enclosing program. *)
-val retry_get : label:string -> get:int -> Quamachine.Insn.insn list
-
-val retry_put : label:string -> put:int -> Quamachine.Insn.insn list
-
-(** Copy [from_] into [into], ticking [into]'s gauge (plus [gauges],
-    e.g. the thread's TTE scheduling gauge) per item. *)
-val pump_program :
-  ?gauges:gauge list -> from_:flow -> into:flow -> unit ->
-  Quamachine.Insn.insn list
-
-(** Demultiplex by a key field: output index = (item >> [shift]) &
-    (n-1).  The output count must be a power of two. *)
-val switch_program :
-  ?gauges:gauge list -> from_:flow -> outs:flow array -> shift:int -> unit ->
-  Quamachine.Insn.insn list
-
-(** Assemble [program] and start a thread on it.  Segments must cover
-    everything the stage touches; see {!flow_segments}. *)
-val spawn :
-  Kernel.t ->
-  ?cpu:int ->
-  ?quantum_us:int ->
-  ?segments:(int * int) list ->
-  Quamachine.Insn.insn list ->
-  Kernel.tte
-
-(** The data segments a flow's stage code touches (descriptor,
-    buffer, flags, drop cell, gauge). *)
-val flow_segments : flow -> (int * int) list

@@ -1477,15 +1477,13 @@ let serve_subject =
         ~config:
           {
             Kserve.default_config with
-            Kserve.cfg_workers = (if mix seed 0x77 mod 2 = 0 then 1 else 2);
-            cfg_slots = 16;
+            Kserve.cfg_slots = 16;
             cfg_files = 4;
             (* every session is closed-loop (≤ 1 request in flight), so
                a ring wider than the client count can never overrun —
                which makes "no rx overruns" a checkable invariant even
-               while fault stalls park the rx pump *)
+               while fault stalls park the pump *)
             cfg_ring_len = 32;
-            cfg_queue_size = 16;
           }
         b
     in

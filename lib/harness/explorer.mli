@@ -115,8 +115,8 @@ val smp_subject : ?cores:int -> unit -> subject
     the current-consistency check must catch it. *)
 
 val serve_subject : subject
-(** kserve: a small serving stack (1–3 cores, 1–2 workers picked by
-    seed) under a 24-session accept/request/close storm while the plan
+(** kserve: a small serving stack (1–3 cores picked by seed, a
+    16-slot table) under a 24-session accept/request/close storm while the plan
     posts spurious NIC interrupts, stalls and drops the card's service
     tick, and skews core clocks; the agitation hook re-kicks a parked
     card, playing the driver's timeout watchdog.  Invariants: the load

@@ -159,6 +159,7 @@ type t = {
   lg_heap : heap;
   lg_by_conn : (int, session) Hashtbl.t;  (* awaiting the open response *)
   lg_by_slot : (int, session) Hashtbl.t;
+  lg_files : int Queue.t;  (* each planned session's file, arrival order *)
   mutable lg_free_conns : int list;
   lg_latency : Histogram.t;  (* request round trips, cycles *)
   mutable lg_dev : Machine.device option;
@@ -266,11 +267,10 @@ let start_session t =
   | conn :: rest ->
     t.lg_free_conns <- rest;
     t.lg_arrivals_left <- t.lg_arrivals_left - 1;
-    let nfiles = (Kserve.config t.lg_srv).Kserve.cfg_files in
     let ss =
       {
         ss_conn = conn;
-        ss_file = rng_int t.lg_rng nfiles;
+        ss_file = Queue.pop t.lg_files;
         ss_slot = -1;
         ss_phase = Opening;
         ss_remaining = t.lg_cfg.lg_reqs_per_session;
@@ -386,6 +386,7 @@ let create ?(config = default_config) ?on_complete srv =
       lg_heap = heap_make ();
       lg_by_conn = Hashtbl.create 256;
       lg_by_slot = Hashtbl.create 256;
+      lg_files = Queue.create ();
       lg_free_conns =
         List.init (min config.lg_conn_ids Kserve.max_conn_id) (fun i -> i + 1);
       lg_latency = Histogram.create ();
@@ -404,7 +405,10 @@ let create ?(config = default_config) ?on_complete srv =
     }
   in
   (* lay out the arrival process up front: exponential gaps, with a
-     burst of simultaneous arrivals every lg_burst_every-th one *)
+     burst of simultaneous arrivals every lg_burst_every-th one.  Each
+     session's file is planned here too, so the files a run offers do
+     not shift with response timing (a restart offers the same ones). *)
+  let nfiles = (Kserve.config srv).Kserve.cfg_files in
   let gap_us = 1000.0 /. (max 0.001 config.lg_rate_per_ms) in
   let at = ref (Machine.cycles m + 1) in
   let planned = ref 0 in
@@ -418,7 +422,8 @@ let create ?(config = default_config) ?on_complete srv =
     in
     let n = min burst (config.lg_clients - !planned) in
     for _ = 1 to n do
-      heap_push t.lg_heap !at Arrive
+      heap_push t.lg_heap !at Arrive;
+      Queue.push (rng_int t.lg_rng nfiles) t.lg_files
     done;
     planned := !planned + n;
     at := !at + us_cycles t (rng_exp t.lg_rng ~mean:gap_us)

@@ -625,28 +625,6 @@ let set_irq_route t ~level ~cpu =
 
 let irq_route t ~level = t.irq_routes.(level)
 
-let post_interrupt ?(source = "") ?cpu t ~level ~vector =
-  if level < 1 || level > 7 then invalid_arg "post_interrupt: level";
-  let target =
-    match cpu with
-    | Some c ->
-      if c < 0 || c >= num_cores t then invalid_arg "post_interrupt: cpu";
-      t.cpus.(c)
-    | None -> t.cpus.(t.irq_routes.(level))
-  in
-  target.pending.(level) <- vector;
-  target.pending_mask <- target.pending_mask lor (1 lsl level);
-  if target.stopped then begin
-    target.stopped <- false;
-    (* A sleeping core wakes at the moment of the interrupt, not in
-       its frozen past: without the warp, a long-halted core would
-       replay cycles other cores (and devices) have already lived
-       through. *)
-    let now = max t.cycles t.cur.c_time in
-    if target.c_time < now then target.c_time <- now
-  end;
-  match t.hooks with Some h -> h.h_post ~source ~level ~vector | None -> ()
-
 (* Devices fire against the global clock (the minimum over runnable
    cores), so a tick never runs before every core has reached it —
    conservative discrete-event order.  Each deadline fires once: the
@@ -745,6 +723,36 @@ let attr_window t owner =
     t.attr_mark <- t.cur.c_time
   end
 
+(* Bring a stopped core's clock up to [now].  The cycles it skips are
+   idle time: while attribution is on they go to [owner_idle], except
+   on the acting core, whose next window counts them. *)
+let warp_core t c now =
+  if c.c_time < now then begin
+    if t.attr_on && c != t.cur then attr_add t owner_idle (now - c.c_time);
+    c.c_time <- now
+  end
+
+let post_interrupt ?(source = "") ?cpu t ~level ~vector =
+  if level < 1 || level > 7 then invalid_arg "post_interrupt: level";
+  let target =
+    match cpu with
+    | Some c ->
+      if c < 0 || c >= num_cores t then invalid_arg "post_interrupt: cpu";
+      t.cpus.(c)
+    | None -> t.cpus.(t.irq_routes.(level))
+  in
+  target.pending.(level) <- vector;
+  target.pending_mask <- target.pending_mask lor (1 lsl level);
+  if target.stopped then begin
+    target.stopped <- false;
+    (* A sleeping core wakes at the moment of the interrupt, not in
+       its frozen past: without the warp, a long-halted core would
+       replay cycles other cores (and devices) have already lived
+       through. *)
+    warp_core t target (max t.cycles t.cur.c_time)
+  end;
+  match t.hooks with Some h -> h.h_post ~source ~level ~vector | None -> ()
+
 (* Retarget host services (and the attribution mark) at another core.
    Any un-attributed residue belongs to host services — instruction
    windows are always closed inside [step]. *)
@@ -765,8 +773,7 @@ let set_active_core t i =
 let start_core t i =
   if i < 0 || i >= num_cores t then invalid_arg "start_core";
   let c = t.cpus.(i) in
-  let now = max t.cycles t.cur.c_time in
-  if c.c_time < now then c.c_time <- now;
+  warp_core t c (max t.cycles t.cur.c_time);
   c.stopped <- false;
   c.started <- true
 
@@ -1242,9 +1249,7 @@ let step t =
          runs when no core anywhere can make progress. *)
       if t.next_device_due = max_int then raise Deadlock;
       if t.next_device_due > t.cycles then t.cycles <- t.next_device_due;
-      Array.iter
-        (fun c -> if c.c_time < t.cycles then c.c_time <- t.cycles)
-        t.cpus;
+      Array.iter (fun c -> warp_core t c t.cycles) t.cpus;
       run_due_devices t;
       attr_window t owner_idle;
       Array.iter

@@ -188,6 +188,48 @@ let test_profile_balances () =
   check_bool "a synthesized routine is named" true
     (List.exists (fun (_, name, _) -> name <> "(user/unowned)") p.Profile.p_flat)
 
+(* A sleeping core's clock jumps to the present when an interrupt
+   wakes it.  The cycles it skips are idle time: with them on the idle
+   owner, the owner lines still sum to the per-core clocks. *)
+let test_wake_warp_is_idle () =
+  let b = Boot.boot ~cores:2 () in
+  let k = b.Boot.kernel in
+  let m = k.Kernel.machine in
+  let tr = Ktrace.create ~enabled:false m in
+  Kernel.attach_tracing k tr;
+  let core_sum () = Machine.core_cycles m 0 + Machine.core_cycles m 1 in
+  let base = core_sum () in
+  let cells = Kalloc.alloc_zeroed k.Kernel.alloc 1 in
+  let counter cell n =
+    fst
+      (Asm.assemble m
+         [
+           Insn.Move (Insn.Imm (n - 1), Insn.Reg Insn.r9);
+           Insn.Label "loop";
+           Insn.Alu_mem (Insn.Add, Insn.Imm 1, Insn.Abs cell);
+           Insn.Dbra (Insn.r9, Insn.To_label "loop");
+           Insn.Trap 0;
+         ])
+  in
+  ignore
+    (Thread.create k ~cpu:0 ~entry:(counter cells 3_000) ~segments:[ (cells, 1) ] ());
+  (* core 1 has only its idle thread, asleep in Stop_wait, until a
+     device fires its quantum timer midway through core 0's loop *)
+  let asleep_at_wake = ref false in
+  ignore
+    (Machine.add_device m ~name:"waker"
+       ~due:(Machine.cycles m + 20_000)
+       ~tick:(fun _ ->
+         asleep_at_wake := Machine.core_cycles m 1 < Machine.core_cycles m 0;
+         Devices.Timer.arm (Kernel.timer_for k 1) ~us:2.0));
+  (match Boot.go ~max_insns:1_000_000 b with
+  | Machine.Halted -> ()
+  | Machine.Insn_limit -> Alcotest.fail "run did not converge");
+  check_int "core 0's loop ran" 3_000 (Machine.peek m cells);
+  check_bool "core 1 was asleep behind core 0 when woken" true !asleep_at_wake;
+  let owned = List.fold_left (fun a (_, c) -> a + c) 0 (Ktrace.owner_cycles tr) in
+  check_int "owner lines sum to the per-core cycles" (core_sum () - base) owned
+
 (* ------------------------------------------------------------------ *)
 (* Zero simulated cost *)
 
@@ -230,5 +272,8 @@ let () =
             test_pmu_is_free;
         ] );
       ( "profile",
-        [ Alcotest.test_case "attribution balances" `Quick test_profile_balances ] );
+        [
+          Alcotest.test_case "attribution balances" `Quick test_profile_balances;
+          Alcotest.test_case "wake warp is idle time" `Quick test_wake_warp_is_idle;
+        ] );
     ]
