@@ -3,9 +3,10 @@
    dispatch through synthesized per-connection routines → NIC tx
    ring).
 
-   Four deterministic rows gate in `bench compare`:
+   Five deterministic rows gate in `bench compare`:
 
-   - clients_1c / clients_4c — the full client load on 1 and 4 cores:
+   - clients_1c / clients_4c / clients_8c — the full client load on
+     1, 4 and 8 cores (one serve pump and NIC queue per core):
      throughput (response megabytes per simulated second) and the
      p50/p99/p999 round-trip cycles (tail metrics get the wider
      tolerance classes bench_json derives from their names);
@@ -74,7 +75,7 @@ let record_latency ~row lg =
 let run ?(scale = 10) () =
   Harness.header "kserve: serving throughput and latency tails";
   let clients = max 100 (base_clients / max 1 scale) in
-  (* 1 vs 4 cores, same offered load *)
+  (* 1, 4 and 8 cores, same offered load *)
   (* closed loop: the conn-id pool caps concurrency below the
      admission watermark, so the throughput rows measure a saturated
      but unshed server (sessions past the cap queue in the generator);
@@ -93,7 +94,7 @@ let run ?(scale = 10) () =
         (Loadgen.received lg) tput;
       Bench_json.record ~table:"serve" ~row ~metric:"throughput_mbps" tput;
       record_latency ~row lg)
-    [ 1; 4 ];
+    [ 1; 4; 8 ];
   (* warm restart: the second run's accepts hit the synthesis cache *)
   let b = Boot.boot () in
   let srv = Kserve.create b in

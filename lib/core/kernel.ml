@@ -284,7 +284,10 @@ let create ?(cost = Cost.sun3_emulation) ?(mem_words = 1 lsl 20) ?(cores = 1) ()
     default_vectors = Array.make Insn.Vector.table_size 0;
     shared = Hashtbl.create 32;
     synth_cache = Hashtbl.create 64;
-    page_index = Hashtbl.create 256;
+    (* one entry per synthesized code word: sized for a booted
+       multi-core kernel with its servers, so building one does not
+       rehash the table on the way *)
+    page_index = Hashtbl.create 4096;
     synth_arenas = Hashtbl.create 8;
     synth_caps = Hashtbl.create 8;
     synth_evicted = Hashtbl.create 32;

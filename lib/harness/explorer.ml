@@ -1446,7 +1446,9 @@ let smp_subject ?cores () =
 (* ---------------------------------------------------------------- *)
 (* Subject 7: kserve — an accept/request/close storm over the NIC *)
 
-(* A small kserve instance under a seeded client storm while the fault
+(* A small kserve instance — 1 to 4 cores, one serve pump and NIC
+   queue per core, so both the 3-queue and the power-of-two 4-queue
+   steering are explored — under a seeded client storm while the fault
    plan posts spurious NIC interrupts (level-1 autovector; the stray
    handler must absorb them), stalls and drops the card's service
    tick, and skews core clocks on SMP boots.  A dropped tick parks the
@@ -1467,7 +1469,7 @@ let smp_subject ?cores () =
    and the exactly-once ledger must catch the second copy. *)
 let serve_subject =
   let build ~seed =
-    let cores = 1 + (mix seed 0x5e7 mod 3) in
+    let cores = 1 + (mix seed 0x5e7 mod 4) in
     let b = observed_boot ~cores () in
     let k = b.Boot.kernel in
     let m = k.Kernel.machine in

@@ -224,16 +224,20 @@ let finish t ss phase =
 
 let ss_seq_of ss = ss.ss_seq
 
-(* arm (or rearm) the in-flight request and its timeout *)
-let send_req t ss w =
+(* put the in-flight request on the wire and arm its timeout *)
+let transmit t ss w =
   ss.ss_pending <- true;
-  ss.ss_sent_cycle <- now t;
   ss.ss_last <- w;
   if t.lg_cfg.lg_timeout_us > 0.0 then
     heap_push t.lg_heap
       (now t + us_cycles t t.lg_cfg.lg_timeout_us)
       (Timeout (ss, ss_seq_of ss));
   inject t w
+
+(* a new request: its round trip is timed from this first send *)
+let send_req t ss w =
+  ss.ss_sent_cycle <- now t;
+  transmit t ss w
 
 let send_next t ss =
   let cfg = t.lg_cfg in
@@ -286,13 +290,15 @@ let start_session t =
 
 (* A request outlived its timeout: the usual cause is an admission
    shed (the server never saw it), so resend; after lg_retries the
-   session is abandoned. *)
+   session is abandoned.  A resend keeps the first send's cycle, so a
+   straggler's latency counts every timeout it waited out (no
+   coordinated omission). *)
 let handle_timeout t ss seq =
   if ss.ss_pending && ss.ss_seq = seq then begin
     if ss.ss_tries < t.lg_cfg.lg_retries then begin
       ss.ss_tries <- ss.ss_tries + 1;
       t.lg_resent <- t.lg_resent + 1;
-      send_req t ss ss.ss_last
+      transmit t ss ss.ss_last
     end
     else begin
       ss.ss_pending <- false;

@@ -38,7 +38,8 @@ val create : ?config:config -> ?on_complete:(unit -> unit) -> Kserve.t -> t
 (** All sessions done (arrived, served or refused, closed). *)
 val finished : t -> bool
 
-(** Request round trips, in cycles, across open/data/close. *)
+(** Request round trips, in cycles, across open/data/close, each timed
+    from the request's first send (resends included). *)
 val latency : t -> Histogram.t
 
 val sent : t -> int

@@ -115,7 +115,9 @@ type insn =
   | Fop of fpu_op * int * int
   | Fmovem_save of reg  (** push all 8 FP registers (3 words each) *)
   | Fmovem_load of reg
-  | Stop_wait  (** supervisor: wait for an interrupt *)
+  | Stop_wait
+      (** supervisor: wait for an interrupt; falls through while one is
+          already pending, masked or not *)
   | Halt  (** stop the simulation *)
   | Hcall of int  (** invoke a registered host service routine *)
   | Label of string  (** pseudo-instruction: assembly-time label *)

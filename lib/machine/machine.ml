@@ -1133,7 +1133,10 @@ let exec t insn =
     done
   | Insn.Stop_wait ->
     require_supervisor t;
-    t.cur.stopped <- true
+    (* an interrupt already pending — even one the mask holds off —
+       is the wakeup the waiter is waiting for: sleeping through it
+       would lose it *)
+    if t.cur.pending_mask = 0 then t.cur.stopped <- true
   | Insn.Halt -> t.halted <- true
   | Insn.Hcall id ->
     if id < 0 || id >= t.hcall_len then raise (Cpu_fault Illegal);
@@ -1249,16 +1252,20 @@ let step t =
          runs when no core anywhere can make progress. *)
       if t.next_device_due = max_int then raise Deadlock;
       if t.next_device_due > t.cycles then t.cycles <- t.next_device_due;
-      Array.iter (fun c -> warp_core t c t.cycles) t.cpus;
+      (* loops, not closures: a sleeping machine passes here on every
+         device tick *)
+      for j = 0 to Array.length t.cpus - 1 do
+        warp_core t t.cpus.(j) t.cycles
+      done;
       run_due_devices t;
       attr_window t owner_idle;
-      Array.iter
-        (fun c ->
-          if not c.stopped then begin
-            switch_cur t c;
-            if deliver_pending_interrupt t then attr_window t owner_irq
-          end)
-        t.cpus
+      for j = 0 to Array.length t.cpus - 1 do
+        let c = t.cpus.(j) in
+        if not c.stopped then begin
+          switch_cur t c;
+          if deliver_pending_interrupt t then attr_window t owner_irq
+        end
+      done
     end
     else begin
       let c = t.cpus.(i) in

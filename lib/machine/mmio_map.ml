@@ -49,10 +49,12 @@ let ad_control = base + 0x41
 (* D/A converter (sound output). *)
 let da_data = base + 0x50
 
-(* Network card (kserve).  Two descriptor rings in guest memory
-   (4-word descriptors: buf, len, status, tag); the card DMAs frames
-   into posted rx buffers and drains posted tx buffers.  Head/tail
-   indices are free-running; occupancy = head - tail.
+(* Network card (kserve).  Each of the card's queues has two
+   descriptor rings in guest memory (4-word descriptors: buf, len,
+   status, tag); the card DMAs frames into posted rx buffers and
+   drains posted tx buffers.  Head/tail indices are free-running;
+   occupancy = head - tail.  The ring, index, mailbox and counter
+   registers address the queue last written to [nic_qsel].
 
    User-mode pumps cannot reach the MMIO window (supervisor-only), so
    the card also supports *mailbox cells* in ordinary data memory —
@@ -79,6 +81,7 @@ let nic_rx_mail = base + 0x7E (* write: rx-head writeback cell (0 = off) *)
 let nic_tx_mail = base + 0x7F (* write: tx-tail writeback cell (0 = off) *)
 let nic_rx_tail_cell = base + 0x80 (* write: polled consumer-index cell *)
 let nic_tx_head_cell = base + 0x81 (* write: polled doorbell cell *)
+let nic_qsel = base + 0x82 (* r/w: queue the per-queue registers address *)
 
 (* CPU control: write 0/1 to disable/enable the FP coprocessor for the
    currently running thread (used by the lazy-FP context switch). *)

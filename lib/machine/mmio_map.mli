@@ -54,7 +54,9 @@ val da_data : int
 
 (** {1 Network card (kserve)}
 
-    Descriptor rings in guest memory; free-running head/tail indices.
+    Descriptor rings in guest memory, one rx/tx pair per queue;
+    free-running head/tail indices.  The per-queue registers address
+    the queue selected through [nic_qsel].
     Supervisor code and tests drive the MMIO registers directly;
     user-mode pumps use the mailbox cells (head writeback + polled
     tail/doorbell cells) because the MMIO window is
@@ -78,6 +80,7 @@ val nic_rx_mail : int
 val nic_tx_mail : int
 val nic_rx_tail_cell : int
 val nic_tx_head_cell : int
+val nic_qsel : int
 
 (** {1 CPU control} *)
 

@@ -424,6 +424,38 @@ let test_stop_wait_deadlock () =
   Alcotest.check_raises "deadlock detected" Machine.Deadlock (fun () ->
       ignore (Machine.run ~max_insns:100 m))
 
+(* Stop_wait with an interrupt pending but masked falls through: the
+   sleep-side half of a lost-wakeup guard (mask, re-check, stop) must
+   not sleep through a wakeup that landed between the check and the
+   stop.  Once the mask drops, the interrupt is taken. *)
+let test_stop_wait_masked_pending () =
+  let m = machine () in
+  let got = 0x900 in
+  let handler, _ = Asm.assemble m [ I.Move (I.Imm 1, I.Abs got); I.Rte ] in
+  Machine.poke m (I.Vector.autovector 2) handler;
+  let main, _ =
+    Asm.assemble m
+      [
+        I.Set_ipl 7;
+        I.Stop_wait;
+        I.Move (I.Abs got, I.Abs 0x901); (* masked: still 0 *)
+        I.Set_ipl 0;
+        I.Nop;
+        I.Move (I.Abs got, I.Abs 0x902); (* taken: 1 *)
+        I.Halt;
+      ]
+  in
+  Machine.set_pc m main;
+  Machine.set_reg m I.sp 0x8000;
+  Machine.post_interrupt m ~level:2 ~vector:(I.Vector.autovector 2);
+  (* no device is scheduled: a core that stopped would deadlock *)
+  (match Machine.run ~max_insns:100 m with
+  | Machine.Halted -> ()
+  | Machine.Insn_limit -> Alcotest.fail "did not halt");
+  check_bool "the core never stopped" false (Machine.stopped m);
+  check_int "still masked after the stop" 0 (Machine.peek m 0x901);
+  check_int "taken once unmasked" 1 (Machine.peek m 0x902)
+
 (* Device deadlines are one-shot: a tick that does not re-arm its
    device fires exactly once, however long the machine runs on. *)
 let test_device_fires_once () =
@@ -757,6 +789,8 @@ let () =
           Alcotest.test_case "nested interrupt levels" `Quick test_nested_interrupts;
           Alcotest.test_case "stop_wait deadlock detection" `Quick
             test_stop_wait_deadlock;
+          Alcotest.test_case "stop_wait falls through a masked pending irq" `Quick
+            test_stop_wait_masked_pending;
           Alcotest.test_case "spent deadline deadlocks" `Quick
             test_spent_deadline_deadlocks;
           Alcotest.test_case "fmovem round trip" `Quick test_fmovem_round_trip;
