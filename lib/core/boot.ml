@@ -278,8 +278,11 @@ let install_shared_handlers k =
     Ksynth.install k ~name:"irq/sig_ipi" [ I.Hcall sig_ipi_id; I.Rte ]
   in
   k.Kernel.default_vectors.(Thread.sig_ipi_vector) <- sig_ipi_h;
-  (* NIC interrupt: the serving pumps poll their mailbox cells, so the
-     card's interrupt is only a wakeup kick — acknowledge and return. *)
+  (* NIC interrupt: the serving pumps poll their mailbox cells and take
+     the wake of a sleeping pump inside their own wait handler, so this
+     entry runs only when the card's level reaches a core that is
+     busy — a pump that yielded its core still armed, or a shutdown
+     wake.  There is nothing to read: return. *)
   let nic_irq, _ = Ksynth.install k ~name:"irq/nic" [ I.Rte ] in
   k.Kernel.default_vectors.(Mmio_map.nic_vector) <- nic_irq
 
@@ -366,10 +369,12 @@ let double_fault_restart_cap = 3
    restarted through [Kernel.restart_thread] — fresh initial context,
    front of the ready queue — and the scheduler re-entered from a
    clean boot stack, at most [double_fault_restart_cap] times. *)
-let go ?(max_insns = max_int) ?(restart_on_double_fault = false) b =
+let go ?(max_insns = max_int) ?(max_cycles = max_int)
+    ?(restart_on_double_fault = false) b =
   let k = b.kernel in
   let m = k.Kernel.machine in
   let start = Machine.insns_executed m in
+  let start_cycles = Machine.cycles m in
   (* a previous [go] on this boot may have exited through the idle
      thread's halt; new runnable work means the machine must run again *)
   Machine.set_halted m false;
@@ -394,7 +399,10 @@ let go ?(max_insns = max_int) ?(restart_on_double_fault = false) b =
   enter_scheduler k;
   let rec drive restarts =
     let budget = max_insns - (Machine.insns_executed m - start) in
-    let r = Machine.run ~max_insns:(max budget 0) m in
+    let cycle_budget = max_cycles - (Machine.cycles m - start_cycles) in
+    let r =
+      Machine.run ~max_insns:(max budget 0) ~max_cycles:(max cycle_budget 0) m
+    in
     if not (Machine.double_faulted m) then r
     else begin
       let cur = Kernel.current k in
@@ -407,7 +415,7 @@ let go ?(max_insns = max_int) ?(restart_on_double_fault = false) b =
       | Some t
         when restart_on_double_fault
              && restarts < double_fault_restart_cap
-             && budget > 0 ->
+             && budget > 0 && cycle_budget > 0 ->
         Machine.clear_double_fault m;
         Machine.set_halted m false;
         Kernel.restart_thread k t;

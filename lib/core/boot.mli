@@ -31,13 +31,17 @@ val start_secondary : Kernel.t -> int -> unit
     returns [Halted] cleanly. *)
 val at_boot : t -> (unit -> unit) -> unit
 
-(** Run the machine.  A double fault is always logged
-    ("double_fault"); with [restart_on_double_fault] the crashed
+(** Run the machine until it halts, [max_insns] instructions have run,
+    or [max_cycles] simulated cycles have passed — the budget that ends
+    a run whose cores all sleep (a server never shut down); either
+    budget running out returns [Insn_limit].  A double fault is always
+    logged ("double_fault"); with [restart_on_double_fault] the crashed
     thread is restarted through {!Kernel.restart_thread} (bounded by
     {!double_fault_restart_cap}) and the scheduler re-entered instead
     of staying halted. *)
 val go :
   ?max_insns:int ->
+  ?max_cycles:int ->
   ?restart_on_double_fault:bool ->
   t ->
   Quamachine.Machine.run_result

@@ -3,10 +3,11 @@
     The server is one synthesized serve pump per core (["serve/pump"],
     registered code regions instantiated from one template), each
     pinned to its core and owning one queue of an N-queue NIC
-    (N = [Machine.num_cores]).  A pump lifts a request frame off its
-    queue's rx ring, dispatches it through a per-slot table of service
-    routines, and lays the response on its queue's tx ring before it
-    reads the next frame.  The accept path {!Ksynth.instantiate}s the
+    (N = [Machine.num_cores]).  A pump drains its queue's rx ring in
+    batches — the stop cell and a mailbox snapshot read once, then
+    frames up to the snapshot — and for each frame dispatches through
+    a per-slot table of service routines and lays the response on its
+    queue's tx ring before it reads the next frame.  The accept path {!Ksynth.instantiate}s the
     per-connection service routine at open time — the file's buffer
     base, capacity and size cell plus the connection's position cell
     folded in as constants — so a warm accept (same slot, same file)
@@ -24,14 +25,19 @@
 
     {2 Sleeping}
 
-    A pump whose rx ring is empty traps into its own synthesized wait
-    handler, which masks interrupts, re-reads its stop cell and its
-    mailbox against its tail, and only then stops the core (its
-    quantum timer paused) — or yields, when another thread is ready
-    on the same core.  [Stop_wait] falls through while an
-    interrupt is pending, so a frame or a {!shutdown} that lands
-    after the pump's empty check is never slept through; the queue's
-    interrupt resumes the pump with no context switch.
+    The card interrupts a queue only while its pump sleeps.  A pump
+    whose rx ring is empty traps into its own synthesized wait
+    handler, which masks interrupts, arms its queue's interrupt (the
+    NIC's arm cell), re-reads its stop cell and its mailbox against
+    its tail, and only then stops the core (its quantum timer paused)
+    — or yields, still armed, when another thread is ready on the same
+    core.  [Stop_wait] falls through while an interrupt is pending,
+    so a frame or a {!shutdown} that lands after the pump's empty
+    check is never slept through.  Every return disarms the queue and
+    acknowledges the card's level on the core
+    ({!Quamachine.Mmio_map.irq_ack}) before its [Rte], so the wake
+    takes no interrupt entry and no context switch, and a busy pump
+    is never interrupted.
 
     {2 Shared state}
 
@@ -47,7 +53,9 @@
     histogram.
 
     Overload handling is a scheduling policy (§3): a controller
-    samples the rx/tx gauges each epoch, retunes each pump's quantum
+    samples the card's rx deliveries and the pumps' tx gauge each
+    epoch (the ["serve.arrival_rate"] and ["serve.service_rate"]
+    metrics gauges), retunes each pump's quantum
     against its rx-ring occupancy ({!Ctx.set_quantum}), and past a
     high watermark on any ring arms
     the NIC's admission limit so excess offered load is shed at the rx

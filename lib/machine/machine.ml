@@ -753,6 +753,15 @@ let post_interrupt ?(source = "") ?cpu t ~level ~vector =
   end;
   match t.hooks with Some h -> h.h_post ~source ~level ~vector | None -> ()
 
+let clear_pending c level =
+  c.pending.(level) <- -1;
+  c.pending_mask <- c.pending_mask land lnot (1 lsl level)
+[@@inline]
+
+(* Acknowledge: drop [level]'s pending interrupt on the acting core
+   only — another core's pending bit at the same level is its own. *)
+let ack_interrupt t ~level = if level >= 1 && level <= 7 then clear_pending t.cur level
+
 (* Retarget host services (and the attribution mark) at another core.
    Any un-attributed residue belongs to host services — instruction
    windows are always closed inside [step]. *)
@@ -977,8 +986,7 @@ let deliver_pending_interrupt t =
   else begin
     let level = top_level c.pending_mask 7 in
     let vector = c.pending.(level) in
-    c.pending.(level) <- -1;
-    c.pending_mask <- c.pending_mask land lnot (1 lsl level);
+    clear_pending c level;
     t.irqs_taken <- t.irqs_taken + 1;
     c.c_irqs <- c.c_irqs + 1;
     (match t.hooks with Some h -> h.h_irq ~level ~vector | None -> ());
@@ -1319,11 +1327,17 @@ let step t =
 
 type run_result = Halted | Insn_limit
 
-let run ?(max_insns = max_int) t =
+(* Either budget ends the run: instructions executed, or simulated
+   cycles on the global clock — the one a machine whose cores all
+   sleep still advances, device tick by device tick. *)
+let run ?(max_insns = max_int) ?(max_cycles = max_int) t =
   let start = t.insns in
+  let deadline =
+    if max_cycles > max_int - t.cycles then max_int else t.cycles + max_cycles
+  in
   let rec loop () =
     if t.halted then Halted
-    else if t.insns - start >= max_insns then Insn_limit
+    else if t.insns - start >= max_insns || t.cycles >= deadline then Insn_limit
     else begin
       step t;
       loop ()

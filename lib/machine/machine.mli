@@ -257,6 +257,12 @@ val remove_device : t -> device -> unit
 val post_interrupt :
   ?source:string -> ?cpu:int -> t -> level:int -> vector:int -> unit
 
+(** Clear [level]'s pending interrupt on the acting core only (the
+    per-core acknowledge register {!Mmio_map.irq_ack}); other cores'
+    pending interrupts at the same level stay posted.  Levels outside
+    1..7 are ignored. *)
+val ack_interrupt : t -> level:int -> unit
+
 (** {1 Power cuts (kcrash)}
 
     Devices that model persistence register a cut handler; the
@@ -329,10 +335,17 @@ val max_owner : t -> int
 
 (** {1 Execution} *)
 
+(** [Insn_limit] means a budget ran out: the instruction one, or the
+    cycle one. *)
 type run_result = Halted | Insn_limit
 
 val step : t -> unit
-val run : ?max_insns:int -> t -> run_result
+
+(** Step until the machine halts or a budget runs out:
+    [max_insns] instructions executed, or [max_cycles] simulated
+    cycles on the global clock.  Only the cycle budget can end a run
+    whose cores all sleep while its devices keep ticking. *)
+val run : ?max_insns:int -> ?max_cycles:int -> t -> run_result
 val halted : t -> bool
 val set_halted : t -> bool -> unit
 

@@ -456,6 +456,71 @@ let test_stop_wait_masked_pending () =
   check_int "still masked after the stop" 0 (Machine.peek m 0x901);
   check_int "taken once unmasked" 1 (Machine.peek m 0x902)
 
+(* The interrupt-acknowledge register clears only the level written,
+   and only on the core that writes it.  Level 2 is pending on both
+   cores and level 3 on core 0: core 0 acknowledges level 2 while
+   masked, then unmasks and takes only level 3; core 1 still takes its
+   level 2. *)
+let test_irq_ack_per_core () =
+  let m = Machine.create ~mem_words:(1 lsl 16) ~cores:2 Cost.sun3_emulation in
+  Devices.Cpu_control.install m;
+  let took2 = 0x900 and took3 = 0x901 in
+  let handler cell =
+    fst (Asm.assemble m [ I.Alu_mem (I.Add, I.Imm 1, I.Abs cell); I.Rte ])
+  in
+  Machine.poke m (I.Vector.autovector 2) (handler took2);
+  Machine.poke m (I.Vector.autovector 3) (handler took3);
+  let core0, _ =
+    Asm.assemble m
+      ([ I.Move (I.Imm 2, I.Abs Mmio_map.irq_ack); I.Set_ipl 0 ]
+      @ List.init 20 (fun _ -> I.Nop)
+      @ [ I.Halt ])
+  in
+  let core1, _ =
+    Asm.assemble m [ I.Set_ipl 0; I.Label "spin"; I.B (I.Always, I.To_label "spin") ]
+  in
+  List.iter
+    (fun (c, entry, sp) ->
+      Machine.set_active_core m c;
+      Machine.set_supervisor m true;
+      Machine.set_ipl m 7;
+      Machine.set_reg m I.sp sp;
+      Machine.set_pc m entry)
+    [ (0, core0, 0x8000); (1, core1, 0x7000) ];
+  Machine.start_core m 1;
+  Machine.set_active_core m 0;
+  Machine.post_interrupt m ~cpu:0 ~level:2 ~vector:(I.Vector.autovector 2);
+  Machine.post_interrupt m ~cpu:1 ~level:2 ~vector:(I.Vector.autovector 2);
+  Machine.post_interrupt m ~cpu:0 ~level:3 ~vector:(I.Vector.autovector 3);
+  (match Machine.run ~max_insns:1_000 m with
+  | Machine.Halted -> ()
+  | Machine.Insn_limit -> Alcotest.fail "did not halt");
+  check_int "core 0 took only level 3" 1 (Machine.core_irqs m 0);
+  check_int "core 1 took its level 2" 1 (Machine.core_irqs m 1);
+  check_int "level 2 handled once, on core 1" 1 (Machine.peek m took2);
+  check_int "level 3 handled once" 1 (Machine.peek m took3)
+
+(* The cycle budget ends a run that executes no instructions: a
+   stopped core and a device that ticks forever. *)
+let test_cycle_budget () =
+  let m = machine () in
+  let dev = ref None in
+  let tick m' =
+    match !dev with
+    | Some d -> Machine.device_schedule m' d (Machine.cycles m' + 50)
+    | None -> ()
+  in
+  dev := Some (Machine.add_device m ~name:"ticker" ~due:50 ~tick);
+  let entry, _ = Asm.assemble m [ I.Set_ipl 7; I.Stop_wait; I.Halt ] in
+  Machine.set_pc m entry;
+  Machine.set_reg m I.sp 0x8000;
+  (match Machine.run ~max_cycles:10_000 m with
+  | Machine.Insn_limit -> ()
+  | Machine.Halted -> Alcotest.fail "a stopped core halted");
+  check_int "two instructions ran" 2 (Machine.insns_executed m);
+  check_bool "the clock reached the budget" true (Machine.cycles m >= 10_000);
+  check_bool "within one tick of it" true (Machine.cycles m < 10_050)
+
 (* Device deadlines are one-shot: a tick that does not re-arm its
    device fires exactly once, however long the machine runs on. *)
 let test_device_fires_once () =
@@ -793,6 +858,10 @@ let () =
             test_stop_wait_masked_pending;
           Alcotest.test_case "spent deadline deadlocks" `Quick
             test_spent_deadline_deadlocks;
+          Alcotest.test_case "irq ack clears one level on one core" `Quick
+            test_irq_ack_per_core;
+          Alcotest.test_case "cycle budget ends a sleeping run" `Quick
+            test_cycle_budget;
           Alcotest.test_case "fmovem round trip" `Quick test_fmovem_round_trip;
         ] );
       ( "probes",

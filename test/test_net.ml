@@ -436,6 +436,55 @@ let test_rx_steering () =
   check_int "the card-wide stats sum the queues" 10
     (Nic.stats nic).Nic.s_rx_delivered
 
+(* A queue with an arm cell interrupts only while the cell is set, and
+   clears it when it posts.  Frames landing while it is clear are
+   delivered but post nothing, and arming later does not fire a late
+   interrupt for them; the first delivery after arming posts exactly
+   one, however many frames it carries. *)
+let test_arm_cell () =
+  let boot = Boot.boot () in
+  let k = boot.Boot.kernel in
+  let m = k.Kernel.machine in
+  let nic = Nic.install m in
+  let alloc = k.Kernel.alloc in
+  let ring_len = 16 in
+  let ring = Kalloc.alloc_zeroed alloc (Nic.desc_words * ring_len) in
+  let bufs = Kalloc.alloc_zeroed alloc ring_len in
+  for i = 0 to ring_len - 1 do
+    let d = ring + (Nic.desc_words * i) in
+    Machine.poke m d (bufs + i);
+    Machine.poke m (d + 1) 1
+  done;
+  let arm = Kalloc.alloc_zeroed alloc 1 in
+  Nic.host_config_rx ~arm nic ~ring ~len:ring_len ~mail:0 ~tail_cell:0;
+  Nic.host_set_coalesce nic 4;
+  Nic.host_enable nic true;
+  let tick () =
+    match Machine.find_device m "nic" with
+    | Some d -> d.Machine.dev_tick m
+    | None -> Alcotest.fail "no nic device"
+  in
+  let send n =
+    for i = 1 to n do
+      Nic.inject nic [| i |]
+    done;
+    tick ()
+  in
+  let irqs () = (Nic.stats nic).Nic.s_irqs in
+  send 2;
+  check_int "disarmed: both frames delivered" 2 (Nic.stats nic).Nic.s_rx_delivered;
+  check_int "disarmed: no interrupt" 0 (irqs ());
+  Machine.poke m arm 1;
+  tick ();
+  check_int "arming fires nothing for frames already in" 0 (irqs ());
+  check_int "the cell stays armed" 1 (Machine.peek m arm);
+  send 3;
+  check_int "the first delivery after arming posts one interrupt" 1 (irqs ());
+  check_int "posting cleared the cell" 0 (Machine.peek m arm);
+  send 3;
+  check_int "disarmed again: no second interrupt" 1 (irqs ());
+  check_int "every frame delivered" 8 (Nic.stats nic).Nic.s_rx_delivered
+
 let () =
   Alcotest.run "net"
     [
@@ -456,5 +505,7 @@ let () =
             test_forced_frame_fault;
           Alcotest.test_case "rx frames steer to their queue and core" `Quick
             test_rx_steering;
+          Alcotest.test_case "an arm cell gates the interrupt" `Quick
+            test_arm_cell;
         ] );
     ]
