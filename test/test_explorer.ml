@@ -113,7 +113,7 @@ let golden_trace_hashes =
     ( "smp",
       [ 0x5fef952acd54df9; 0xa06268418e7d35a; 0x1151357a2374205a ] );
     ( "serve",
-      [ 0x33ae9b788ea7acd8; 0x2f375f2ed1ebd2f4; 0xcb1dd4647d581e1 ] );
+      [ 0x2919b0624ff3d303; 0x32eea3a251a39a55; 0x1355ff115fed128b ] );
     ( "crash/create-rename",
       [ 0x3ea9ee125c5e1621; 0x3405add2a1b0b085; 0x1e07079e5fa2ce8c ] );
     ( "crash/prefix-append",
