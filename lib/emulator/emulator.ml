@@ -2,9 +2,13 @@
 
    "In the simplest case, the emulator translates the UNIX kernel call
    into an equivalent Synthesis kernel call."  Each stub shuffles
-   nothing (the native ABI was chosen to match) and re-traps into the
-   thread's own synthesized handlers; the extra trap plus the dispatch
-   is the measured 2 us emulation overhead of Table 2. *)
+   nothing (the native ABI was chosen to match) and jumps to the
+   handler the executing thread's own vector table holds for the
+   native trap, inside the frame trap 15 already built: the native
+   handler's Rte returns straight to the UNIX program, so an emulated
+   call costs one exception frame, not two.  The vector is read at
+   call time, through the per-core current-TTE window, so the stubs
+   follow every later vector rewrite on every core. *)
 
 open Quamachine
 open Synthesis
@@ -18,27 +22,34 @@ let install vfs =
   (* pipe(2) needs its syscall installed on the native side *)
   Kpipe.install_syscall vfs;
   let stub name body = fst (Ksynth.install k ~name:("unix/" ^ name) body) in
+  (* forward to native trap [n]; r4 is already clobbered by the entry *)
+  let forward name n =
+    stub name
+      [
+        I.Move (I.Abs Mmio_map.cur_tte, I.Reg I.r4);
+        I.Jmp (I.To_mem (I.Idx (I.r4, Layout.Tte.off_vectors + I.Vector.trap n)));
+      ]
+  in
   let bad = stub "badcall" [ I.Move (I.Imm (-1), I.Reg I.r0); I.Rte ] in
   let table = Kalloc.alloc_zeroed k.Kernel.alloc Unix_abi.table_size in
   for i = 0 to Unix_abi.table_size - 1 do
     Machine.poke m (table + i) bad
   done;
   let set n entry = Machine.poke m (table + n) entry in
-  set Unix_abi.sys_exit (stub "exit" [ I.Trap 0 ]);
-  set Unix_abi.sys_read (stub "read" [ I.Trap 1; I.Rte ]);
-  set Unix_abi.sys_write (stub "write" [ I.Trap 2; I.Rte ]);
-  set Unix_abi.sys_open (stub "open" [ I.Trap 3; I.Rte ]);
-  set Unix_abi.sys_close (stub "close" [ I.Trap 4; I.Rte ]);
-  set Unix_abi.sys_lseek (stub "lseek" [ I.Trap 12; I.Rte ]);
-  set Unix_abi.sys_pipe (stub "pipe" [ I.Trap 11; I.Rte ]);
-  (* getpid: the kernel global holds the running tid *)
+  set Unix_abi.sys_exit (forward "exit" 0);
+  set Unix_abi.sys_read (forward "read" 1);
+  set Unix_abi.sys_write (forward "write" 2);
+  set Unix_abi.sys_open (forward "open" 3);
+  set Unix_abi.sys_close (forward "close" 4);
+  set Unix_abi.sys_lseek (forward "lseek" 12);
+  set Unix_abi.sys_pipe (forward "pipe" 11);
+  (* getpid: the executing core's current-tid cell, through its window *)
   set Unix_abi.sys_getpid
-    (stub "getpid"
-       [ I.Move (I.Abs Synthesis.Layout.cur_tid_cell, I.Reg I.r0); I.Rte ]);
+    (stub "getpid" [ I.Move (I.Abs Mmio_map.cur_tid, I.Reg I.r0); I.Rte ]);
   (* time: the microsecond clock, through the native gettime *)
-  set Unix_abi.sys_time (stub "time" [ I.Trap 10; I.Rte ]);
+  set Unix_abi.sys_time (forward "time" 10);
   (* kill(tid, _): Unix signals map onto Synthesis signals *)
-  set Unix_abi.sys_kill (stub "kill" [ I.Trap 6; I.Rte ]);
+  set Unix_abi.sys_kill (forward "kill" 6);
   let entry =
     stub "entry"
       [
