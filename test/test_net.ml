@@ -485,6 +485,66 @@ let test_arm_cell () =
   check_int "disarmed again: no second interrupt" 1 (irqs ());
   check_int "every frame delivered" 8 (Nic.stats nic).Nic.s_rx_delivered
 
+(* Completions that land while a queue is disarmed do not count toward
+   its next interrupt.  Admission control keeps one frame in the ring
+   and sheds the rest of each tick's burst, so the wire backlog stays
+   non-empty (no flush) across ticks while one frame a tick completes.
+   After re-arming, the interrupt waits for [coalesce] completions
+   counted from the arm. *)
+let test_disarmed_backlog_does_not_count () =
+  let boot = Boot.boot () in
+  let k = boot.Boot.kernel in
+  let m = k.Kernel.machine in
+  let nic = Nic.install m in
+  let alloc = k.Kernel.alloc in
+  let ring_len = 8 in
+  let ring = Kalloc.alloc_zeroed alloc (Nic.desc_words * ring_len) in
+  let bufs = Kalloc.alloc_zeroed alloc ring_len in
+  for i = 0 to ring_len - 1 do
+    let d = ring + (Nic.desc_words * i) in
+    Machine.poke m d (bufs + i);
+    Machine.poke m (d + 1) 1
+  done;
+  let arm = Kalloc.alloc_zeroed alloc 1 in
+  Nic.host_config_rx ~arm nic ~ring ~len:ring_len ~mail:0 ~tail_cell:0;
+  let coalesce = 4 in
+  Nic.host_set_coalesce nic coalesce;
+  Nic.host_set_admit nic 1;
+  Nic.host_enable nic true;
+  for i = 1 to 8 * coalesce do
+    Nic.inject nic [| i |]
+  done;
+  let tick () =
+    match Machine.find_device m "nic" with
+    | Some d -> d.Machine.dev_tick m
+    | None -> Alcotest.fail "no nic device"
+  in
+  let consumed = ref 0 in
+  (* consume the one admitted frame, then tick: one more completes *)
+  let step () =
+    Nic.host_rx_tail nic !consumed;
+    tick ();
+    consumed := (Nic.stats nic).Nic.s_rx_delivered
+  in
+  let irqs () = (Nic.stats nic).Nic.s_irqs in
+  for _ = 1 to coalesce - 1 do
+    step ()
+  done;
+  check_int "disarmed: one completion a tick" (coalesce - 1) !consumed;
+  check_int "disarmed: no interrupt" 0 (irqs ());
+  Machine.poke m arm 1;
+  step ();
+  check_int "the first completion after arming posts nothing" 0 (irqs ());
+  for _ = 2 to coalesce - 1 do
+    step ()
+  done;
+  check_int "still short of the batch" 0 (irqs ());
+  step ();
+  check_int "the batch's last completion posts" 1 (irqs ());
+  let st = Nic.stats nic in
+  check_bool "the backlog never emptied" true
+    (st.Nic.s_rx_delivered + st.Nic.s_rx_shed < 8 * coalesce)
+
 let () =
   Alcotest.run "net"
     [
@@ -507,5 +567,7 @@ let () =
             test_rx_steering;
           Alcotest.test_case "an arm cell gates the interrupt" `Quick
             test_arm_cell;
+          Alcotest.test_case "disarmed completions do not count" `Quick
+            test_disarmed_backlog_does_not_count;
         ] );
     ]
