@@ -399,7 +399,6 @@ let lookup k name =
   | Some a -> a
   | None -> invalid_arg ("Ksynth.lookup: unknown " ^ name)
 
-let lookup_opt k name = Hashtbl.find_opt k.shared name
 let register k ~name entry = Hashtbl.replace k.shared name entry
 let mem k name = Hashtbl.mem k.shared name
 

@@ -44,7 +44,7 @@ type event = { ev_cycles : int; ev_kind : kind }
 type t = {
   machine : Machine.t;
   metrics : Metrics.t;
-  mutable enabled : bool;
+  enabled : bool;
   ring : event option array;
   mutable pos : int;
   mutable count : int; (* total emitted, including dropped *)
@@ -82,7 +82,6 @@ let create ?(capacity = 65536) ?(blackbox = 256) ?(enabled = true) machine =
 let machine t = t.machine
 let metrics t = t.metrics
 let enabled t = t.enabled
-let set_enabled t b = t.enabled <- b
 
 let kind_name = function
   | Switch_out _ -> "switch_out"

@@ -52,10 +52,6 @@ val machine : t -> Machine.t
 val metrics : t -> Metrics.t
 val enabled : t -> bool
 
-(** Runtime switch for event {e collection} into the ring (the black
-    box records regardless).  Costs no simulated cycles either way. *)
-val set_enabled : t -> bool -> unit
-
 val emit : t -> kind -> unit
 val kind_name : kind -> string
 

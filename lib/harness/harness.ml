@@ -228,7 +228,3 @@ end
 
 let header title =
   Fmt.pr "@.=== %s ===@." title
-
-let row4 a b c d = Fmt.pr "%-34s %14s %14s %10s@." a b c d
-let row3 a b c = Fmt.pr "%-34s %14s %14s@." a b c
-let us_str v = Fmt.str "%.1f" v

@@ -78,6 +78,3 @@ end
 (** {1 Output helpers} *)
 
 val header : string -> unit
-val row4 : string -> string -> string -> string -> unit
-val row3 : string -> string -> string -> unit
-val us_str : float -> string

@@ -98,7 +98,6 @@ and cpu = {
   mutable c_insns : int;
   mutable c_refs : int;
   mutable c_irqs : int;
-  mutable c_cas : int;
   mutable c_cas_lost : int; (* CAS that observed a changed word *)
 }
 
@@ -109,10 +108,8 @@ and t = {
   mem_words : int;
   cpus : cpu array;
   mutable cur : cpu; (* the core host services act on *)
-  (* core-interleaving schedule: rotating tie-break start (seeded) and
-     an optional per-step override (the explorer's preemption lever) *)
+  (* core-interleaving schedule: rotating tie-break start (seeded) *)
   mutable sched_rr : int;
-  mutable sched_hook : (int array -> int -> int) option;
   (* interrupt routing: level -> core id (default all to core 0) *)
   irq_routes : int array;
   (* code store *)
@@ -232,7 +229,6 @@ let make_cpu cid =
     c_insns = 0;
     c_refs = 0;
     c_irqs = 0;
-    c_cas = 0;
     c_cas_lost = 0;
   }
 
@@ -247,7 +243,6 @@ let create ?(mem_words = 1 lsl 20) ?(cores = 1) cost =
     cpus;
     cur = cpus.(0);
     sched_rr = 0;
-    sched_hook = None;
     irq_routes = Array.make 8 0;
     code = Array.make 4096 Insn.Halt;
     code_cost = Array.make 4096 (Cost.base Insn.Halt);
@@ -331,7 +326,6 @@ let core_cycles t i = t.cpus.(i).c_time
 let core_insns t i = t.cpus.(i).c_insns
 let core_refs t i = t.cpus.(i).c_refs
 let core_irqs t i = t.cpus.(i).c_irqs
-let core_cas t i = t.cpus.(i).c_cas
 let core_cas_lost t i = t.cpus.(i).c_cas_lost
 let core_stopped t i = t.cpus.(i).stopped
 let core_started t i = t.cpus.(i).started
@@ -346,7 +340,6 @@ let max_core_cycles t =
 let get_reg t r = t.cur.regs.(r)
 let set_reg t r v = t.cur.regs.(r) <- word v
 let get_freg t r = t.cur.fregs.(r)
-let set_freg t r v = t.cur.fregs.(r) <- v
 let get_pc t = t.cur.pc
 let set_pc t pc = t.cur.pc <- pc
 let in_supervisor t = t.cur.supervisor
@@ -795,8 +788,6 @@ let stall_core t ~cpu ~cycles =
 let set_schedule_seed t seed =
   t.sched_rr <- abs seed mod num_cores t
 
-let set_sched_hook t h = t.sched_hook <- h
-
 (* ------------------------------------------------------------------ *)
 (* Operand evaluation *)
 
@@ -1063,7 +1054,6 @@ let exec t insn =
     let addr = effective_addr t ea in
     let v = read_mem t addr in
     t.cas_count <- t.cas_count + 1;
-    c.c_cas <- c.c_cas + 1;
     let forced = t.cas_count = t.cas_fail_next in
     ignore (sub_set_flags t v c.regs.(rc));
     if v = c.regs.(rc) && not forced then write_mem t addr c.regs.(ru)
@@ -1213,9 +1203,7 @@ let frontier t =
 
 (* The id of the next core to step on N cores, or -1 if none is
    runnable: the runnable core with the smallest local clock.  Ties go
-   to a rotating start position (seeded by [set_schedule_seed]); the
-   explorer's [sched_hook] may override the pick with any runnable core
-   — its per-step preemption lever. *)
+   to a rotating start position (seeded by [set_schedule_seed]). *)
 let pick_core t =
   let n = Array.length t.cpus in
   let best = ref (-1) and bt = ref max_int in
@@ -1231,18 +1219,7 @@ let pick_core t =
   if !best < 0 then -1
   else begin
     t.sched_rr <- (if t.sched_rr = n - 1 then 0 else t.sched_rr + 1);
-    match t.sched_hook with
-    | None -> !best
-    | Some f ->
-      let runnable =
-        Array.of_list
-          (List.filter_map
-             (fun c -> if c.stopped then None else Some c.cid)
-             (Array.to_list t.cpus))
-      in
-      let pick = f runnable !best in
-      if pick >= 0 && pick < n && not t.cpus.(pick).stopped then pick
-      else !best
+    !best
   end
 
 let step t =

@@ -102,7 +102,6 @@ val core_cycles : t -> int -> int
 val core_insns : t -> int -> int
 val core_refs : t -> int -> int
 val core_irqs : t -> int -> int
-val core_cas : t -> int -> int
 val core_cas_lost : t -> int -> int
 
 (** Completion time: the largest local clock over all cores. *)
@@ -110,11 +109,6 @@ val max_core_cycles : t -> int
 
 (** Seed the rotating tie-break of the core-interleaving schedule. *)
 val set_schedule_seed : t -> int -> unit
-
-(** Per-step schedule override: receives the runnable core ids and the
-    default pick, returns the core to run (invalid choices fall back
-    to the default).  The explorer's preemption lever. *)
-val set_sched_hook : t -> (int array -> int -> int) option -> unit
 
 (** Route interrupt [level] to a core (default: all levels to core 0).
     An explicit [?cpu] on [post_interrupt] overrides the route. *)
@@ -154,7 +148,6 @@ val stats_us : t -> stats -> float
 val get_reg : t -> Insn.reg -> int
 val set_reg : t -> Insn.reg -> int -> unit
 val get_freg : t -> int -> float
-val set_freg : t -> int -> float -> unit
 val get_pc : t -> int
 val set_pc : t -> int -> unit
 val in_supervisor : t -> bool

@@ -56,7 +56,6 @@ let shift_right_arith a n =
 
 (* Unsigned division; division by zero must be caught by the caller. *)
 let divu a b = (a land mask) / (b land mask)
-let modu a b = (a land mask) mod (b land mask)
 
 let divs a b = (signed a / signed b) land mask
 

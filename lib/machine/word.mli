@@ -31,10 +31,9 @@ val shift_left : int -> int -> int
 val shift_right_logical : int -> int -> int
 val shift_right_arith : int -> int -> int
 
-(** Unsigned division/modulus; caller must rule out a zero divisor. *)
+(** Unsigned division; caller must rule out a zero divisor. *)
 val divu : int -> int -> int
 
-val modu : int -> int -> int
 val divs : int -> int -> int
 val equal : int -> int -> bool
 val compare_signed : int -> int -> int
