@@ -256,6 +256,32 @@ val post_interrupt :
     1..7 are ignored. *)
 val ack_interrupt : t -> level:int -> unit
 
+(** {2 Sleeping machines}
+
+    While every core is stopped, only device ticks change the
+    machine's state, so a device whose ticks would find nothing to do
+    may skip to the next event: the earliest other deadline
+    ([next_event]).  It must go back to its own schedule when a core
+    wakes ([on_wake]) or host code hands it work. *)
+
+(** Is every core stopped (asleep or never started)? *)
+val all_stopped : t -> bool
+
+(** The global clock that device deadlines fire against: the smallest
+    local clock among runnable cores ([cycles] reads the acting
+    core's). *)
+val global_cycles : t -> int
+
+(** The earliest deadline among the devices other than [except],
+    bounded by the cycle budget of the {!run} in progress; [max_int]
+    if there is neither. *)
+val next_event : t -> except:device -> int
+
+(** Call [f] whenever a stopped core becomes runnable: an interrupt
+    posted to it (by a device tick or by host code) or {!start_core}.
+    It runs after the core is woken. *)
+val on_wake : t -> (unit -> unit) -> unit
+
 (** {1 Power cuts (kcrash)}
 
     Devices that model persistence register a cut handler; the
@@ -337,7 +363,9 @@ val step : t -> unit
 (** Step until the machine halts or a budget runs out:
     [max_insns] instructions executed, or [max_cycles] simulated
     cycles on the global clock.  Only the cycle budget can end a run
-    whose cores all sleep while its devices keep ticking. *)
+    whose cores all sleep while its devices keep ticking.  The run
+    ends at the same cycle whether or not a device skips idle ticks
+    ({!next_event} includes the budget). *)
 val run : ?max_insns:int -> ?max_cycles:int -> t -> run_result
 val halted : t -> bool
 val set_halted : t -> bool -> unit

@@ -711,6 +711,235 @@ let test_saturated_balance () =
       (share >= 0.20 && share <= 0.30)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Naps: while every core sleeps the card skips its idle poll ticks    *)
+(* ------------------------------------------------------------------ *)
+
+let poll_cycles m =
+  Cost.cycles_of_us (Machine.cost_model m) Kserve.default_config.Kserve.cfg_poll_us
+
+(* A device that re-arms itself every poll period, so the card's next
+   event is never more than one poll away and it can never nap: the
+   run a card that always ticks would make. *)
+let pin_card m =
+  let period = poll_cycles m in
+  let dev = ref None in
+  let tick m' =
+    match !dev with
+    | Some d -> Machine.device_schedule m' d (Machine.cycles m' + period)
+    | None -> ()
+  in
+  dev := Some (Machine.add_device m ~name:"pin" ~due:(Machine.cycles m + period) ~tick)
+
+(* The card's ticks, seen through [h_device]: how many ran, and for
+   each tick that sent frames its cycle and the running tx count after
+   it.  (A tick's frames show at the next tick, or at [close].) *)
+type card_log = {
+  mutable cl_ticks : int;
+  mutable cl_tick_at : int;
+  mutable cl_sent : int;
+  mutable cl_tx : (int * int) list;
+}
+
+let log_card m nic =
+  let l = { cl_ticks = 0; cl_tick_at = 0; cl_sent = 0; cl_tx = [] } in
+  let seen () =
+    let sent = (Devices.Nic.stats nic).Devices.Nic.s_tx_sent in
+    if sent > l.cl_sent then l.cl_tx <- (l.cl_tick_at, sent) :: l.cl_tx;
+    l.cl_sent <- sent
+  in
+  Machine.set_hooks m
+    (Some
+       {
+         Machine.h_post = (fun ~source:_ ~level:_ ~vector:_ -> ());
+         h_irq = (fun ~level:_ ~vector:_ -> ());
+         h_device =
+           (fun name ->
+             if name = "nic" then begin
+               seen ();
+               l.cl_ticks <- l.cl_ticks + 1;
+               l.cl_tick_at <- Machine.global_cycles m
+             end);
+         h_fault = (fun _ -> ());
+       });
+  (l, fun () -> seen (); List.rev l.cl_tx)
+
+type served = {
+  sv_cycles : int list;  (** per core *)
+  sv_insns : int;
+  sv_latency : (int * int) list;
+  sv_nic : Devices.Nic.stats;
+  sv_tx : (int * int) list;
+}
+
+(* A paced kserve (perfbench's 0.8 sessions/ms, fewer sessions) run to
+   its halt; returns what it did and how many card ticks it took. *)
+let paced_run ~cores ~pinned =
+  let boot = Boot.boot ~cores () in
+  let m = boot.Boot.kernel.Kernel.machine in
+  if cores > 1 then Machine.set_schedule_seed m 5;
+  let srv = Kserve.create boot in
+  let sessions = 24 in
+  let lg =
+    Loadgen.create
+      ~config:
+        {
+          Loadgen.default_config with
+          lg_clients = sessions;
+          lg_rate_per_ms = 0.8;
+          lg_timeout_us = 20_000.0;
+          lg_seed = 7;
+        }
+      ~on_complete:(fun () -> Kserve.shutdown srv)
+      srv
+  in
+  if pinned then pin_card m;
+  let log, close = log_card m (Kserve.nic srv) in
+  serve_to_halt ~max_insns:100_000_000
+    ~max_cycles:(Cost.cycles_of_us (Machine.cost_model m) 200_000.0)
+    ~what:"paced run" boot;
+  check_int "every session completed" sessions (Loadgen.completed lg);
+  ( {
+      sv_cycles = List.init cores (Machine.core_cycles m);
+      sv_insns = Machine.insns_executed m;
+      sv_latency = Histogram.buckets (Loadgen.latency lg);
+      sv_nic = Devices.Nic.stats (Kserve.nic srv);
+      sv_tx = close ();
+    },
+    log.cl_ticks )
+
+(* Napping changes no simulated figure: a paced server whose card can
+   never nap and one whose card naps run the same cycles and
+   instructions, see the same latencies and card counters, and send
+   every frame on the same tick.  The napping card takes fewer ticks. *)
+let test_nap_is_invisible () =
+  List.iter
+    (fun cores ->
+      let pinned, pinned_ticks = paced_run ~cores ~pinned:true in
+      let napped, napped_ticks = paced_run ~cores ~pinned:false in
+      let what s = Printf.sprintf "%d core(s): %s" cores s in
+      check_bool (what "per-core cycles") true (pinned.sv_cycles = napped.sv_cycles);
+      check_int (what "instructions") pinned.sv_insns napped.sv_insns;
+      check_bool (what "latency buckets") true (pinned.sv_latency = napped.sv_latency);
+      check_bool (what "card stats") true (pinned.sv_nic = napped.sv_nic);
+      check_bool (what "every frame left on the same tick") true
+        (pinned.sv_tx = napped.sv_tx);
+      check_bool
+        (what (Printf.sprintf "%d card ticks napping, %d pinned" napped_ticks pinned_ticks))
+        true
+        (napped_ticks * 2 < pinned_ticks))
+    [ 1; 4 ]
+
+(* An idle server's card naps between the machine's other events
+   instead of ticking every poll period. *)
+let test_idle_card_naps () =
+  let boot = Boot.boot () in
+  let m = boot.Boot.kernel.Kernel.machine in
+  let srv = Kserve.create boot in
+  let log, _ = log_card m (Kserve.nic srv) in
+  let budget = Cost.cycles_of_us (Machine.cost_model m) 10_000.0 in
+  (match Boot.go ~max_insns:max_int ~max_cycles:budget boot with
+  | Machine.Insn_limit -> ()
+  | Machine.Halted -> Alcotest.fail "an idle server halted");
+  let periods = budget / poll_cycles m in
+  check_bool
+    (Printf.sprintf "%d card ticks over %d poll periods" log.cl_ticks periods)
+    true
+    (log.cl_ticks * 10 < periods)
+
+(* A cycle budget ends a sleeping server's run on the cycle it would
+   end on with a card that never naps, and the next run picks up from
+   there: a frame injected between the runs is answered on the same
+   tick. *)
+let budget_runs ~pinned =
+  let boot = Boot.boot () in
+  let m = boot.Boot.kernel.Kernel.machine in
+  let srv = Kserve.create boot in
+  if pinned then pin_card m;
+  let _, close = log_card m (Kserve.nic srv) in
+  (match Boot.go ~max_insns:max_int ~max_cycles:123_457 boot with
+  | Machine.Insn_limit -> ()
+  | Machine.Halted -> Alcotest.fail "an idle server halted");
+  let first = (Machine.cycles m, Machine.global_cycles m) in
+  Devices.Nic.inject (Kserve.nic srv) [| Kserve.pack ~id:7 ~op:Kserve.op_open ~arg:0 |];
+  ignore (Machine.run ~max_cycles:50_001 m);
+  check_int "the frame is answered" 1 (Kserve.stats srv).Kserve.n_responses;
+  (first, (Machine.cycles m, Machine.global_cycles m), close ())
+
+let test_budget_ends_on_the_same_cycle () =
+  let (p1, p2, ptx) = budget_runs ~pinned:true in
+  let (n1, n2, ntx) = budget_runs ~pinned:false in
+  check_bool "the first run ends on the same cycle" true (p1 = n1);
+  check_bool "the second run ends on the same cycle" true (p2 = n2);
+  check_bool "the answer leaves on the same tick" true (ptx = ntx)
+
+(* Host code wakes a sleeping core while the card naps, between bare
+   steps (no run budget bounds the nap; a distant device does), and
+   the core rings the tx doorbell, a plain memory cell the card polls.
+   The frame must leave on the tick a card that never naps sends it
+   on.  One core is woken by an interrupt; on two cores, the second
+   is started with [start_core]. *)
+let wake_and_ring ~pinned ~via_start =
+  let cores = if via_start then 2 else 1 in
+  let m = Machine.create ~mem_words:(1 lsl 16) ~cores Cost.sun3_emulation in
+  let nic = Devices.Nic.install ~poll_us:Kserve.default_config.Kserve.cfg_poll_us m in
+  let ring = 0x100 and buf = 0x200 and head_cell = 0x300 in
+  Machine.poke m ring buf;
+  Machine.poke m (ring + 1) 1;
+  Machine.poke m buf 42;
+  Devices.Nic.host_config_tx nic ~ring ~len:4 ~mail:0 ~head_cell;
+  Devices.Nic.host_enable nic true;
+  let sent_at = ref (-1) in
+  Devices.Nic.set_tx_sink nic (Some (fun _ -> sent_at := Machine.global_cycles m));
+  ignore (Machine.add_device m ~name:"far" ~due:10_000_000 ~tick:(fun _ -> ()));
+  if pinned then pin_card m;
+  let handler, _ = Asm.assemble m [ Insn.Rte ] in
+  Machine.poke m (Insn.Vector.autovector 2) handler;
+  let ring_it = [ Insn.Move (Insn.Imm 1, Insn.Abs head_cell); Insn.Set_ipl 7; Insn.Stop_wait ] in
+  let stage cpu sp code =
+    let entry, _ = Asm.assemble m code in
+    Machine.set_active_core m cpu;
+    Machine.set_supervisor m true;
+    Machine.set_reg m Insn.sp sp;
+    Machine.set_pc m entry
+  in
+  if via_start then begin
+    stage 1 0x7000 ring_it;
+    stage 0 0x8000 [ Insn.Set_ipl 7; Insn.Stop_wait ]
+  end
+  else stage 0 0x8000 ([ Insn.Set_ipl 0; Insn.Stop_wait ] @ ring_it);
+  let log, _ = log_card m nic in
+  (* asleep, and the card has ticked once since: it napped there *)
+  while not (Machine.all_stopped m && log.cl_ticks > 0) do
+    Machine.step m
+  done;
+  let woke = Machine.global_cycles m in
+  let napped =
+    match Machine.find_device m "nic" with
+    | Some d -> d.Machine.next_due > woke + poll_cycles m
+    | None -> Alcotest.fail "no nic device"
+  in
+  if via_start then Machine.start_core m 1
+  else Machine.post_interrupt m ~level:2 ~vector:(Insn.Vector.autovector 2);
+  while !sent_at < 0 && Machine.global_cycles m < 20_000_000 do
+    Machine.step m
+  done;
+  (woke, napped, !sent_at)
+
+let test_host_wake_ends_the_nap () =
+  List.iter
+    (fun via_start ->
+      let what s = (if via_start then "start_core: " else "interrupt: ") ^ s in
+      let pw, pnapped, psent = wake_and_ring ~pinned:true ~via_start in
+      let nw, nnapped, nsent = wake_and_ring ~pinned:false ~via_start in
+      check_bool (what "the pinned card never napped") false pnapped;
+      check_bool (what "the card napped") true nnapped;
+      check_int (what "woken on the same cycle") pw nw;
+      check_bool (what "the frame left") true (psent > pw);
+      check_int (what "the frame left on the same tick") psent nsent)
+    [ false; true ]
+
+
 let () =
   Alcotest.run "serve"
     [
@@ -755,5 +984,15 @@ let () =
             test_busy_pump_not_interrupted;
           Alcotest.test_case "the cycle budget ends an idle server" `Quick
             test_cycle_budget_ends_idle_server;
+        ] );
+      ( "nap",
+        [
+          Alcotest.test_case "napping changes no simulated figure" `Quick
+            test_nap_is_invisible;
+          Alcotest.test_case "an idle card naps" `Quick test_idle_card_naps;
+          Alcotest.test_case "a budget ends on the same cycle" `Quick
+            test_budget_ends_on_the_same_cycle;
+          Alcotest.test_case "a host wake ends the nap" `Quick
+            test_host_wake_ends_the_nap;
         ] );
     ]
