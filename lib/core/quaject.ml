@@ -2,7 +2,8 @@
    (§2.3, §5.2).
 
    Quajects are built from a small set of blocks: queues (Kqueue),
-   monitors, switches, pumps and gauges.  The quaject interfacer picks
+   monitors, switches, pumps and gauges (Stream_graph's gauge and the
+   scheduler's per-thread counters).  The quaject interfacer picks
    the cheapest connector for each producer/consumer pairing by the
    case analysis of §5.2 — applying the principle of frugality:
 
@@ -120,15 +121,3 @@ let create_switch k ~name targets =
 let retarget k sw ~index ~target =
   if index < 0 || index >= sw.sw_size then invalid_arg "Quaject.retarget";
   Machine.poke k.Kernel.machine (sw.sw_table + index) target
-
-(* ---------------------------------------------------------------- *)
-(* Gauge: an event counter in kernel memory plus the one-instruction
-   fragment synthesized routines embed to tick it. *)
-
-type gauge = { g_cell : int }
-
-let create_gauge k =
-  { g_cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 }
-
-let tick_fragment g = [ I.Alu_mem (I.Add, I.Imm 1, I.Abs g.g_cell) ]
-let gauge_count k g = Machine.peek k.Kernel.machine g.g_cell

@@ -1,7 +1,7 @@
 (** Quaject building blocks and the interfacer's connection analysis
     (§2.3, §5.2): the case table that picks the cheapest connector for
-    each producer/consumer pairing, plus monitors, switches, and
-    gauges as installable kernel code. *)
+    each producer/consumer pairing, plus monitors and switches as
+    installable kernel code. *)
 
 type endpoint = Active | Passive
 type multiplicity = Single | Multiple
@@ -43,12 +43,3 @@ type switch = { sw_table : int; sw_entry : int; sw_size : int }
 
 val create_switch : Kernel.t -> name:string -> int array -> switch
 val retarget : Kernel.t -> switch -> index:int -> target:int -> unit
-
-(** {1 Gauge}: an event counter in kernel memory plus the
-    one-instruction fragment synthesized routines embed to tick it. *)
-
-type gauge = { g_cell : int }
-
-val create_gauge : Kernel.t -> gauge
-val tick_fragment : gauge -> Quamachine.Insn.insn list
-val gauge_count : Kernel.t -> gauge -> int
