@@ -77,13 +77,5 @@ val host_length : Kernel.t -> t -> int
 val host_put : Kernel.t -> t -> int -> bool
 val host_get : Kernel.t -> t -> int option
 
-(** The queue code templates (exposed for inspection and ablation). *)
-val spsc_put_template : Template.t
-
-val spsc_get_template : Template.t
+(** The MP-SC put template (exposed for the ablation bench). *)
 val mpsc_put_template : Template.t
-val mpsc_get_template : Template.t
-val mpsc_put_many_template : Template.t
-val spmc_get_template : Template.t
-val spmc_put_template : Template.t
-val mpmc_put_template : Template.t

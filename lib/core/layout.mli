@@ -2,26 +2,21 @@
     synthesized code, the heap region, and the TTE block layout
     (Figure 3). *)
 
-val globals_base : int
-
-(** Code address of the running thread's switch-out routine; updated
-    by every thread's synthesized switch-in so shared kernel paths can
-    block without knowing who runs them. *)
-val cur_sw_out_cell : int
-
-(** Data address of the running thread's TTE. *)
+(** Data address of the running thread's TTE (core 0's copy). *)
 val cur_tte_cell : int
 
-val cur_tid_cell : int
 val chain_scratch_cell : int
 
-(** {1 SMP per-core cells} — core 0 keeps the historical four cells
-    above (a one-core kernel lays memory out byte-identically to the
-    uniprocessor); secondary core [c] owns a private 4-word block at
-    [percpu_cells_base + 4*(c-1)].  Shared code reaches the executing
-    core's copy through the MMIO window ({!Mmio_map.cur_sw_out} &c). *)
+(** {1 SMP per-core cells} — each core owns four cells: the code
+    address of its running thread's switch-out routine (updated by
+    every thread's synthesized switch-in, so shared kernel paths can
+    block without knowing who runs them), its running thread's TTE,
+    its tid, and a chain scratch word.  Core 0's are the historical
+    global cells (a one-core kernel lays memory out byte-identically
+    to the uniprocessor); secondary cores' sit in private 4-word
+    blocks after them.  Shared code reaches the executing core's copy
+    through the MMIO window ({!Mmio_map.cur_sw_out} &c). *)
 
-val percpu_cells_base : int
 val cur_sw_out_cell_for : int -> int
 val cur_tte_cell_for : int -> int
 val cur_tid_cell_for : int -> int

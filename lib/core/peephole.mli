@@ -12,12 +12,5 @@
     original code on randomized programs, including final condition
     codes and cycle counts. *)
 
-(** One instruction's flag/fault classification (exposed for tests). *)
-val writes_flags : Quamachine.Insn.insn -> bool
-
-val reads_flags : Quamachine.Insn.insn -> bool
-val may_fault : Quamachine.Insn.insn -> bool
-val flags_dead_after : Quamachine.Insn.insn list -> bool
-
 (** Rewrite to a (bounded) fixpoint. *)
 val optimize : Quamachine.Insn.insn list -> Quamachine.Insn.insn list
