@@ -9,7 +9,12 @@
    device that re-arms itself every 16 cycles the way the NIC polls
    its doorbell cells.  On 4 cores every core runs its own copy of the
    loop.  Wall-clock numbers are noisy, so this table is recorded, not
-   gated; the simulated rows elsewhere are the gate. *)
+   gated; the simulated rows elsewhere are the gate.
+
+   One more line times a sleeping machine: an idle one-core kserve
+   (its pump asleep, its card enabled), in host ns per simulated µs.
+   There no instruction runs and the host time is all device ticks
+   and the stopped-core fast-forward, which the card's nap cuts. *)
 
 open Bechamel
 open Toolkit
@@ -59,6 +64,19 @@ let machine ~cores ~hooks =
 
 let configs = [ (1, false); (1, true); (4, false); (4, true) ]
 
+(* Simulated time one timed run of the idle server covers. *)
+let idle_run_us = 1_000.0
+
+(* A one-core kserve with nothing to serve, run until its pump sleeps. *)
+let idle_server () =
+  let open Synthesis in
+  let b = Boot.boot () in
+  ignore (Kserve.create b);
+  let m = b.Boot.kernel.Kernel.machine in
+  ignore (Boot.go ~max_cycles:(Quamachine.Cost.cycles_of_us (M.cost_model m) 2_000.0) b);
+  if not (M.all_stopped m) then failwith "host-step: the idle server did not sleep";
+  m
+
 let name (cores, hooks) =
   Printf.sprintf "%d core%s, hooks %s" cores
     (if cores = 1 then "" else "s")
@@ -74,7 +92,13 @@ let tests () =
                 for _ = 1 to steps_per_run do
                   M.step m
                 done)))
-       configs)
+       configs
+    @ [
+        (let m = idle_server () in
+         let cycles = Quamachine.Cost.cycles_of_us (M.cost_model m) idle_run_us in
+         Test.make ~name:"idle kserve"
+           (Staged.stage (fun () -> ignore (M.run ~max_cycles:cycles m))));
+      ])
 
 let run () =
   Repro_harness.Harness.header
@@ -84,15 +108,23 @@ let run () =
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~stabilize:true () in
   let raw = Benchmark.all cfg [ instance ] (tests ()) in
   let results = Analyze.all ols instance raw in
+  let estimate test =
+    match Hashtbl.find_opt results ("Machine.step " ^ test) with
+    | Some o -> (
+      match Analyze.OLS.estimates o with Some (est :: _) -> Some est | _ -> None)
+    | None -> None
+  in
   Fmt.pr "%-36s %12s %14s@." "config" "ns/step" "Msteps/host s";
   List.iter
     (fun c ->
-      match Hashtbl.find_opt results ("Machine.step " ^ name c) with
-      | Some o -> (
-        match Analyze.OLS.estimates o with
-        | Some (est :: _) ->
-          let ns = est /. float_of_int steps_per_run in
-          Fmt.pr "%-36s %12.1f %14.2f@." (name c) ns (1e3 /. ns)
-        | _ -> Fmt.pr "%-36s %12s@." (name c) "n/a")
+      match estimate (name c) with
+      | Some est ->
+        let ns = est /. float_of_int steps_per_run in
+        Fmt.pr "%-36s %12.1f %14.2f@." (name c) ns (1e3 /. ns)
       | None -> Fmt.pr "%-36s %12s@." (name c) "n/a")
-    configs
+    configs;
+  let idle = "idle 1-core kserve (pump asleep)" in
+  Fmt.pr "@.%-36s %12s@." "sleeping machine" "ns/sim us";
+  match estimate "idle kserve" with
+  | Some est -> Fmt.pr "%-36s %12.1f@." idle (est /. idle_run_us)
+  | None -> Fmt.pr "%-36s %12s@." idle "n/a"
