@@ -131,7 +131,17 @@ end
     interrupt for frames that landed while the consumer was awake.  A
     consumer that polls while it has work and arms only on its way to
     sleep takes no interrupt while busy.  A queue with no arm cell
-    (0) is always armed. *)
+    (0) is always armed.
+
+    The card polls its cells every [poll_us] while enabled, except
+    that while every core sleeps it naps: an idle tick schedules the
+    next one at the first point of its poll grid at or after the
+    machine's next event ({!Machine.next_event}), and a kick or a core
+    waking ({!Machine.on_wake}) puts it back on the grid.  The skipped
+    ticks would all have been no-ops, so every delivery, drain and
+    interrupt lands on the same cycle.  Host code that pokes a
+    doorbell cell between bare {!Machine.step}s while every core
+    sleeps must kick the card ([host_tx_head], [host_rx_tail]). *)
 module Nic : sig
   val desc_words : int
 
@@ -141,7 +151,8 @@ module Nic : sig
   type frame = int array
   type t
 
-  (** [poll_us] is the service-tick period while enabled; [queues]
+  (** [poll_us] is the service-tick period while enabled (and some
+      core is awake); [queues]
       (default 1) the number of ring pairs; [steer] (default
       [fun _ -> 0]) the flow key rx frames are steered by. *)
   val install :
@@ -152,8 +163,9 @@ module Nic : sig
 
   (** {2 The wire (host side)} *)
 
-  (** Offer a frame for delivery; re-kicks the service tick, so a
-      dropped completion only delays until the next injection. *)
+  (** Offer a frame for delivery; re-kicks the service tick (ending a
+      nap), so a dropped completion only delays until the next
+      injection. *)
   val inject : t -> frame -> unit
 
   (** Frames sent by the card, oldest first, when no sink is set. *)
