@@ -16,6 +16,9 @@ type t = {
       (* run (in registration order) by [go] once the scheduler is
          entered, before user threads get the machine — file-system
          recovery hooks live here *)
+  mutable entered : bool;
+      (* core 0 holds a live context from an earlier [go]: the next
+         one resumes it instead of staging the core again *)
 }
 
 let at_boot b f = b.at_boot <- b.at_boot @ [ f ]
@@ -320,7 +323,7 @@ let boot ?(cost = Cost.sun3_emulation) ?(mem_words = 1 lsl 20) ?(cores = 1) () =
   (* crash recovery: make Thread.restart reachable from layers below
      Thread (Kernel.restart_thread) *)
   k.Kernel.restart_hook <- Some (fun t -> Thread.restart k t);
-  { kernel = k; vfs; idle; at_boot = [] }
+  { kernel = k; vfs; idle; at_boot = []; entered = false }
 
 (* Bring one secondary core up: stage its supervisor context on a
    private boot stack, aim it at its ring's switch-in, and wake it. *)
@@ -337,23 +340,25 @@ let start_secondary k cpu =
     Machine.set_pc m t.Kernel.sw_in_mmu;
     Machine.start_core m cpu
 
-(* Enter the scheduler: each secondary core is staged and woken on its
-   own ready ring, then core 0 jumps into its ring's switch-in from a
-   fresh boot stack. *)
-let enter_scheduler k =
+(* Enter the scheduler: each secondary core not yet started is staged
+   and woken on its own ready ring, then (with [stage_core0]) core 0
+   jumps into its ring's switch-in from a fresh boot stack. *)
+let enter_scheduler ?(stage_core0 = true) k =
   let m = k.Kernel.machine in
   for c = 1 to Kernel.cores k - 1 do
     if (not (Machine.core_started m c)) && Kernel.anchor k c <> None then
       start_secondary k c
   done;
-  Machine.set_active_core m 0;
-  match Kernel.anchor k 0 with
-  | None -> invalid_arg "Boot.go: no runnable threads"
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 7;
-    Machine.set_pc m t.Kernel.sw_in_mmu
+  if stage_core0 then begin
+    Machine.set_active_core m 0;
+    match Kernel.anchor k 0 with
+    | None -> invalid_arg "Boot.go: no runnable threads"
+    | Some t ->
+      Machine.set_supervisor m true;
+      Machine.set_reg m I.sp Layout.boot_stack_top;
+      Machine.set_ipl m 7;
+      Machine.set_pc m t.Kernel.sw_in_mmu
+  end
 
 (* How many double-fault recoveries one [go] will attempt before
    giving up: a thread that double-faults right back from its entry
@@ -375,6 +380,11 @@ let go ?(max_insns = max_int) ?(max_cycles = max_int)
   let m = k.Kernel.machine in
   let start = Machine.insns_executed m in
   let start_cycles = Machine.cycles m in
+  (* core 0 is staged on the first entry and after a halt; a run that
+     spent its budget stopped mid-thread (or asleep) and resumes as it
+     was — staging it again would restart the core's anchor from its
+     saved context, which is stale if that thread is the one running *)
+  let stage = (not b.entered) || Machine.halted m || b.at_boot <> [] in
   (* a previous [go] on this boot may have exited through the idle
      thread's halt; new runnable work means the machine must run again *)
   Machine.set_halted m false;
@@ -396,7 +406,8 @@ let go ?(max_insns = max_int) ?(max_cycles = max_int)
     List.iter (fun f -> f ()) hooks;
     (* a boot that exists only to recover has no user work to run *)
     if not (work_remaining k) then Machine.set_halted m true);
-  enter_scheduler k;
+  enter_scheduler ~stage_core0:stage k;
+  b.entered <- true;
   let rec drive restarts =
     let budget = max_insns - (Machine.insns_executed m - start) in
     let cycle_budget = max_cycles - (Machine.cycles m - start_cycles) in

@@ -10,6 +10,8 @@ type t = {
   vfs : Vfs.t;
   idle : Kernel.tte;  (** core 0's idle thread *)
   mutable at_boot : (unit -> unit) list;
+  mutable entered : bool;
+      (** an earlier [go] staged core 0; a later one resumes it *)
 }
 
 (** [cores] boots an SMP kernel: every core gets a pinned idle thread
@@ -34,7 +36,10 @@ val at_boot : t -> (unit -> unit) -> unit
 (** Run the machine until it halts, [max_insns] instructions have run,
     or [max_cycles] simulated cycles have passed — the budget that ends
     a run whose cores all sleep (a server never shut down); either
-    budget running out returns [Insn_limit].  A double fault is always
+    budget running out returns [Insn_limit].  The first [go] stages
+    core 0 on its ring's switch-in, as does a [go] after a halt; a
+    [go] after an [Insn_limit] resumes every core where it stopped,
+    a sleeping one included.  A double fault is always
     logged ("double_fault"); with [restart_on_double_fault] the crashed
     thread is restarted through {!Kernel.restart_thread} (bounded by
     {!double_fault_restart_cap}) and the scheduler re-entered instead
