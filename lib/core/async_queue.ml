@@ -21,7 +21,6 @@ type t = {
 }
 
 let set_consumer t tte = t.aq_consumer <- Some tte
-let set_producer t tte = t.aq_producer <- Some tte
 
 (* put wrapper: record whether the queue was empty, insert, and on an
    empty->nonempty transition signal the consumer. *)

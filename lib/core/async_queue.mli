@@ -13,4 +13,3 @@ type t = {
 
 val create : Kernel.t -> name:string -> size:int -> t
 val set_consumer : t -> Kernel.tte -> unit
-val set_producer : t -> Kernel.tte -> unit

@@ -614,7 +614,6 @@ let stats t = (t.ds_hits, t.ds_misses)
 let service_order t = List.rev t.ds_issued
 let barriers t = t.ds_barriers
 let sync_timeouts t = t.ds_sync_timeouts
-let dirty_blocks t = Hashtbl.fold (fun b () acc -> b :: acc) t.ds_dirty []
 let timeouts t = t.ds_timeouts
 let retries t = t.ds_retries
 let failed t = t.ds_failed
@@ -668,9 +667,3 @@ let install k ?(cache_capacity = 16) ?(timeout_us = 8_000.0) ?(max_tries = 4)
          ~tick:(fun m -> watchdog_tick t m));
   install_irq t;
   t
-
-(* Attach a file system's read entry point through the shared switch
-   (the paper's "monitor and switch" composition for multiple file
-   systems on one physical disk). *)
-let attach_filesystem t ~slot ~entry =
-  Quaject.retarget t.ds_kernel t.ds_switch ~index:slot ~target:entry

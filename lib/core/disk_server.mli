@@ -80,9 +80,6 @@ val barriers : t -> int
 (** Synchronous reads that exhausted their instruction budget. *)
 val sync_timeouts : t -> int
 
-(** Blocks currently marked dirty (diagnostics/tests). *)
-val dirty_blocks : t -> int list
-
 (** {1 Recovery counters} *)
 
 (** Watchdog expiries (each is a retry or a permanent failure). *)
@@ -104,5 +101,3 @@ val last_recovery_cycles : t -> int
 
 (** Issues of the active request so far (1 = no retry yet). *)
 val active_tries : t -> int
-
-val attach_filesystem : t -> slot:int -> entry:int -> unit

@@ -186,10 +186,4 @@ let create_file vfs ~name ?(capacity = 8192) ?(content = [||]) () =
       });
   file
 
-(* Host-side peek at file contents (for tests). *)
-let file_contents vfs file =
-  let m = vfs.Vfs.kernel.Kernel.machine in
-  let size = Machine.peek m file.f_size_cell in
-  Array.init size (fun i -> Machine.peek m (file.f_buf + i))
-
 let file_size vfs file = Machine.peek vfs.Vfs.kernel.Kernel.machine file.f_size_cell

@@ -20,9 +20,6 @@ val register_null : Vfs.t -> unit
 val create_file :
   Vfs.t -> name:string -> ?capacity:int -> ?content:int array -> unit -> file
 
-(** Host-side view of the file body (for tests). *)
-val file_contents : Vfs.t -> file -> int array
-
 val file_size : Vfs.t -> file -> int
 
 (** The open-time code templates (exposed for inspection and the

@@ -220,7 +220,6 @@ let arena t ~name ?(chunk = 256) ~grow () =
     ar_blocks = Hashtbl.create 32;
   }
 
-let arena_name a = a.ar_name
 let arena_live_words a = a.ar_live
 let arena_total_words a = a.ar_total
 
@@ -288,4 +287,3 @@ let arena_free a addr =
     Machine.charge a.ar_parent.machine 15;
     arena_insert a addr len
 
-let arena_block_len a addr = Hashtbl.find_opt a.ar_blocks addr

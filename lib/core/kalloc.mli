@@ -62,7 +62,6 @@ val shared_refs : t -> base:int -> int
 type arena
 
 val arena : t -> name:string -> ?chunk:int -> grow:(int -> int) -> unit -> arena
-val arena_name : arena -> string
 
 (** Allocate [len] words, growing the arena if no free range fits. *)
 val arena_alloc : arena -> int -> int
@@ -73,4 +72,3 @@ val arena_free : arena -> int -> unit
 
 val arena_live_words : arena -> int
 val arena_total_words : arena -> int
-val arena_block_len : arena -> int -> int option

@@ -71,7 +71,6 @@ let gauge t name =
 
 let set_gauge g v = g.g_value <- v
 let gauge_value g = g.g_value
-let gauge_name g = g.g_name
 
 let read_gauge t name =
   match Hashtbl.find_opt t.gauges name with

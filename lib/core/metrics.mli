@@ -52,7 +52,6 @@ val read : t -> string -> int
 val gauge : t -> string -> gauge
 val set_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 val read_gauge : t -> string -> float option
 
 (** {1 Histograms}

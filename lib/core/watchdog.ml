@@ -133,6 +133,3 @@ let stop t =
   Machine.device_idle t.wd_kernel.Kernel.machine t.wd_dev
 
 let restarts flow = flow.w_restarts
-let flow_name flow = flow.w_name
-let total_restarts t =
-  List.fold_left (fun acc f -> acc + f.w_restarts) 0 t.wd_flows

@@ -38,8 +38,6 @@ val stop : t -> unit
 (** Idle the device; the machine may deadlock/halt normally again. *)
 
 val restarts : flow -> int
-val flow_name : flow -> string
-val total_restarts : t -> int
 
 val audit_code : t -> unit
 (** kheal: also checksum-walk the synthesized-code region table every

@@ -80,8 +80,6 @@ let assemble ?(env = []) machine insns =
   assert (entry = at);
   (entry, syms)
 
-let entry_of (entry, _syms) = entry
-
 let symbol syms name =
   match List.assoc_opt name syms with
   | Some a -> a

@@ -20,8 +20,6 @@ val resolve :
     entry address and the fragment's symbol table. *)
 val assemble : ?env:symbols -> Machine.t -> Insn.insn list -> int * symbols
 
-val entry_of : int * symbols -> int
-
 (** Look up a required symbol; raises {!Undefined_label}. *)
 val symbol : symbols -> string -> int
 

@@ -271,15 +271,11 @@ type t = {
   mutable fi_pending : event list;
   fi_base_cycle : int; (* plan times are relative to arm time *)
   mutable fi_dev : Machine.device option;
-  mutable fi_log : (int * string) list; (* (cycle, what), newest first *)
   mutable fi_injected : int;
 }
 
-let log t m what = t.fi_log <- (Machine.cycles m, what) :: t.fi_log
-
 let fire t m action =
   t.fi_injected <- t.fi_injected + 1;
-  log t m (describe_action action);
   match action with
   | Spurious_irq { cpu; level; vector } ->
     Machine.post_interrupt ?cpu ~source:"kfault" m ~level ~vector
@@ -329,8 +325,6 @@ let arm_cas t m =
         ~at:(Machine.cas_executed m + g)
         ~hook:(fun m' ->
           t.fi_injected <- t.fi_injected + 1;
-          log t m'
-            (Printf.sprintf "cas_fail at=%d" (Machine.cas_executed m'));
           arm_gap m' rest)
   in
   arm_gap m t.fi_plan.cas_gaps
@@ -342,7 +336,6 @@ let arm m plan =
       fi_pending = plan.events;
       fi_base_cycle = Machine.cycles m;
       fi_dev = None;
-      fi_log = [];
       fi_injected = 0;
     }
   in
@@ -367,5 +360,4 @@ let disarm m t =
   Machine.clear_cas_fail m
 
 let injected t = t.fi_injected
-let injection_log t = List.rev t.fi_log
 let seed t = t.fi_plan.seed

@@ -126,9 +126,6 @@ val injected : t -> int
     pending; stalls/drops with no in-flight completion still count as
     delivered but have no effect). *)
 
-val injection_log : t -> (int * string) list
-(** (cycle, description) per injected fault, oldest first. *)
-
 val seed : t -> int
 
 val describe_action : action -> string

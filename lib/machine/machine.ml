@@ -452,7 +452,6 @@ let define_map t ~id segments =
   Hashtbl.replace t.maps id segments;
   Array.iter (fun c -> if c.cpu_map = id then c.cpu_segs <- segments) t.cpus
 
-let current_map t = t.cur.cpu_map
 let set_map t id = install_map t t.cur id
 
 (* ------------------------------------------------------------------ *)
@@ -639,7 +638,6 @@ let set_irq_route t ~level ~cpu =
   if cpu < 0 || cpu >= num_cores t then invalid_arg "set_irq_route: cpu";
   t.irq_routes.(level) <- cpu
 
-let irq_route t ~level = t.irq_routes.(level)
 
 (* Devices fire against the global clock (the minimum over runnable
    cores), so a tick never runs before every core has reached it —
@@ -690,7 +688,6 @@ let attribution_enable t b =
     end
   end
 
-let attribution_on t = t.attr_on
 
 let set_owner_range t ~entry ~len ~owner =
   if owner < 0 then invalid_arg "set_owner_range: owner";
@@ -1201,7 +1198,6 @@ let clear_sampling t =
   t.sample_next <- max_int;
   t.sample_hook <- (fun ~pc:_ ~weight:_ -> ())
 
-let sampling_on t = t.sample_period > 0
 
 (* Most recent executed PCs, oldest first. *)
 let trace_window t n =

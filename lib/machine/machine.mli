@@ -114,8 +114,6 @@ val set_schedule_seed : t -> int -> unit
     An explicit [?cpu] on [post_interrupt] overrides the route. *)
 val set_irq_route : t -> level:int -> cpu:int -> unit
 
-val irq_route : t -> level:int -> int
-
 (** kfault: delay core [cpu]'s next turn by skewing its local clock —
     the lever for forcing a different cross-core interleaving. *)
 val stall_core : t -> cpu:int -> cycles:int -> unit
@@ -184,7 +182,6 @@ val map_mmio_write : t -> addr:int -> (int -> unit) -> unit
 val define_map : t -> id:int -> (int * int) list -> unit
 
 val map_segments : t -> id:int -> (int * int) list
-val current_map : t -> int
 val set_map : t -> int -> unit
 val mem_words : t -> int
 
@@ -338,7 +335,6 @@ val owner_irq : int
 val owner_first : int
 
 val attribution_enable : t -> bool -> unit
-val attribution_on : t -> bool
 
 (** Assign code addresses [entry .. entry+len-1] to [owner]. *)
 val set_owner_range : t -> entry:int -> len:int -> owner:int -> unit
@@ -421,4 +417,3 @@ val trace_window : t -> int -> int list
 
 val set_sampling : t -> period:int -> (pc:int -> weight:int -> unit) -> unit
 val clear_sampling : t -> unit
-val sampling_on : t -> bool

@@ -148,9 +148,6 @@ let read_core t cpu c =
   | Mem_refs -> a.w_refs + w.w_refs
   | Interrupts -> a.w_irqs + w.w_irqs
 
-let read_cores t c =
-  Array.init (Machine.num_cores t.machine) (fun i -> read_core t i c)
-
 (* ------------------------------------------------------------------ *)
 (* PC sampling *)
 

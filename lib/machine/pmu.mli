@@ -33,9 +33,6 @@ val read_all : t -> (counter * int) list
     the machine frontier. *)
 val read_core : t -> int -> counter -> int
 
-(** One row per core. *)
-val read_cores : t -> counter -> int array
-
 (** Stop, zero the totals, and drop all samples. *)
 val reset : t -> unit
 

@@ -60,5 +60,4 @@ let divu a b = (a land mask) / (b land mask)
 let divs a b = (signed a / signed b) land mask
 
 let equal a b = a land mask = b land mask
-let compare_signed a b = compare (signed a) (signed b)
 let compare_unsigned a b = compare (a land mask) (b land mask)

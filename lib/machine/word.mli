@@ -36,5 +36,4 @@ val divu : int -> int -> int
 
 val divs : int -> int -> int
 val equal : int -> int -> bool
-val compare_signed : int -> int -> int
 val compare_unsigned : int -> int -> int
