@@ -113,7 +113,7 @@ let golden_trace_hashes =
     ( "smp",
       [ 0x5fef952acd54df9; 0xa06268418e7d35a; 0x1151357a2374205a ] );
     ( "serve",
-      [ 0x2919b0624ff3d303; 0x32eea3a251a39a55; 0x1355ff115fed128b ] );
+      [ 0x7193aec0a102678; 0x48ba9423021a2fc; 0x6f79c74ec7f6297 ] );
     ( "crash/create-rename",
       [ 0x3ea9ee125c5e1621; 0x3405add2a1b0b085; 0x1e07079e5fa2ce8c ] );
     ( "crash/prefix-append",
