@@ -39,6 +39,16 @@
     takes no interrupt entry and no context switch, and a busy pump
     is never interrupted.
 
+    {2 Quantum}
+
+    A pump's quantum timer lands in a stub in its own page, not in its
+    switch-out.  Alone on its core's ring, the pump re-arms the timer
+    with [cfg_worker_quantum_max_us] and returns, so it never switches
+    to itself and ktrace shows no switch events for it; the stub's
+    cycles go to the ["serve/pump"] owner.  Next to another ready
+    thread it takes the normal switch, so a thread made ready beside
+    it with no timer arm waits at most [cfg_worker_quantum_max_us].
+
     {2 Shared state}
 
     The only state two pumps can both write is a file's size cell and
@@ -55,9 +65,9 @@
     Overload handling is a scheduling policy (§3): a controller
     samples the card's rx deliveries and the pumps' tx gauge each
     epoch (the ["serve.arrival_rate"] and ["serve.service_rate"]
-    metrics gauges), retunes each pump's quantum
-    against its rx-ring occupancy ({!Ctx.set_quantum}), and past a
-    high watermark on any ring arms
+    metrics gauges), retunes the quantum of each pump that shares its
+    core against its rx-ring occupancy ({!Ctx.set_quantum}), and past
+    a high watermark on any ring arms
     the NIC's admission limit so excess offered load is shed at the rx
     rings rather than queueing without bound.
 
@@ -99,8 +109,13 @@ type config = {
   cfg_ring_len : int;  (** power of two; rx/tx ring entries per NIC queue *)
   cfg_coalesce : int;  (** a NIC queue's completions per interrupt *)
   cfg_poll_us : float;  (** NIC service-tick period *)
-  cfg_worker_quantum_us : int;  (** a pump's base; the controller retunes *)
+  cfg_worker_quantum_us : int;
+      (** a pump's first quantum, and the base the controller retunes
+          from while the pump shares its core *)
   cfg_worker_quantum_max_us : int;
+      (** the longest retuned quantum, and the quantum a pump alone on
+          its core re-arms at every tick; at least 2 (a 1 µs quantum
+          is due again before the tick stub returns) *)
   cfg_ctl_epoch_us : float;  (** overload-controller sampling period *)
   cfg_admit_hi : int;  (** occupancy of any rx ring that arms shedding *)
   cfg_admit_lo : int;  (** occupancy of every rx ring that disarms it *)
