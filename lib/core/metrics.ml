@@ -77,6 +77,26 @@ let read_gauge t name =
   | Some g -> Some g.g_value
   | None -> None
 
+(* Windowed rates (§3's gauge as policy reads it): a counter that
+   synthesized code or a device ticks, sampled once per window into a
+   named gauge in events per kilocycle.  The counter is a 32-bit
+   machine word, so the delta is taken modulo 2^32 (counter wrap is one
+   subtraction away from correct); a zero-width window keeps the
+   previous rate rather than dividing by zero. *)
+
+type rate = { r_gauge : gauge; mutable r_count : int; mutable r_cycles : int }
+
+let rate t name ~count ~cycles = { r_gauge = gauge t name; r_count = count; r_cycles = cycles }
+
+let sample r ~count ~cycles =
+  let dt = cycles - r.r_cycles in
+  if dt > 0 then begin
+    let dc = (count - r.r_count) land Quamachine.Word.mask in
+    r.r_gauge.g_value <- 1000.0 *. float_of_int dc /. float_of_int dt;
+    r.r_count <- count;
+    r.r_cycles <- cycles
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Histograms *)
 

@@ -54,6 +54,23 @@ val set_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
 val read_gauge : t -> string -> float option
 
+(** {1 Windowed rates}
+
+    §3's gauge as policy reads it: a counter that synthesized code or a
+    device ticks, sampled once per window into a named gauge. *)
+
+type rate
+
+(** Open a window at [cycles] with the counter at [count]; samples
+    land in the gauge [name]. *)
+val rate : t -> string -> count:int -> cycles:int -> rate
+
+(** Close the window at [cycles] with the counter at [count], set the
+    gauge to the window's events per kilocycle and open the next.  The
+    count delta is taken modulo 2^32 (wrap-correct); a zero-width
+    window keeps the previous rate instead of dividing by zero. *)
+val sample : rate -> count:int -> cycles:int -> unit
+
 (** {1 Histograms}
 
     Latency histograms live in the same registry as counters and

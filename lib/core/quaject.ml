@@ -2,8 +2,9 @@
    (§2.3, §5.2).
 
    Quajects are built from a small set of blocks: queues (Kqueue),
-   monitors, switches, pumps and gauges (Stream_graph's gauge and the
-   scheduler's per-thread counters).  The quaject interfacer picks
+   monitors, switches, pumps and gauges (the scheduler's per-thread
+   counters, and the counters whose windowed rate [Metrics.rate]
+   gives policy).  The quaject interfacer picks
    the cheapest connector for each producer/consumer pairing by the
    case analysis of §5.2 — applying the principle of frugality:
 

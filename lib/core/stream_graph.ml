@@ -103,52 +103,3 @@ let pipeline vfs ?(pipe_cap = 256) stages =
       Machine.poke m (arr_threads.(i).Kernel.base + Layout.Tte.off_pc) entry)
     stages;
   { sg_threads = threads; sg_pipes = pipes; sg_connectors = connectors }
-
-(* ================================================================== *)
-(* Flow-rate gauges (§3: "the rate of data flowing through") — a
-   one-instruction counter tick stages splice into their loops, whose
-   windowed rate kserve's overload controller reads. *)
-
-module I = Insn
-
-type gauge = {
-  g_cell : int; (* machine-word event counter, ticked by stage code *)
-  g_name : string;
-  mutable g_last_count : int;
-  mutable g_last_cycles : int;
-  mutable g_rate : float; (* events per kilocycle, last window *)
-}
-
-let gauge k ~name =
-  let cell = Kalloc.alloc_zeroed k.Kernel.alloc 1 in
-  {
-    g_cell = cell;
-    g_name = name;
-    g_last_count = 0;
-    g_last_cycles = Machine.cycles k.Kernel.machine;
-    g_rate = 0.0;
-  }
-
-(* the one-instruction tick stages splice into their loops *)
-let gauge_tick g = [ I.Alu_mem (I.Add, I.Imm 1, I.Abs g.g_cell) ]
-let gauge_count k g = Machine.peek k.Kernel.machine g.g_cell
-
-(* Windowed rate in events per kilocycle.  The counter is a 32-bit
-   machine word, so the delta is taken modulo 2^32 (counter wrap is
-   one subtraction away from correct); a zero-width window returns
-   the previous window's rate rather than dividing by zero. *)
-let gauge_sample k g =
-  let now = Machine.cycles k.Kernel.machine in
-  let count = gauge_count k g in
-  let dt = now - g.g_last_cycles in
-  if dt <= 0 then g.g_rate
-  else begin
-    let dc = (count - g.g_last_count) land Word.mask in
-    let rate = 1000.0 *. float_of_int dc /. float_of_int dt in
-    g.g_last_count <- count;
-    g.g_last_cycles <- now;
-    g.g_rate <- rate;
-    rate
-  end
-
-let gauge_rate g = g.g_rate
