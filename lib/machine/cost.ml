@@ -70,5 +70,29 @@ let operand_refs = function
   | Insn.Imm _ | Insn.Lbl _ | Insn.Reg _ -> 0
   | Insn.Ind _ | Insn.Idx _ | Insn.Abs _ | Insn.Post_inc _ | Insn.Pre_dec _ -> 1
 
+(* Data references one execution of [i] makes: its operands, the
+   stack words it pushes or pops, an exception frame and vector fetch
+   for a trap.  A branch, Dbra or Cas counts its longest path (taken,
+   storing). *)
+let refs (i : Insn.insn) =
+  let target = function Insn.To_mem op -> operand_refs op | _ -> 0 in
+  match i with
+  | Insn.Move (s, d) | Insn.Cmp (s, d) -> operand_refs s + operand_refs d
+  | Insn.Alu (_, s, _) | Insn.Tst s | Insn.Move_vbr s | Insn.Move_mmu s -> operand_refs s
+  | Insn.Alu_mem (_, s, d) -> operand_refs s + (2 * operand_refs d)
+  | Insn.B (_, tgt) | Insn.Dbra (_, tgt) | Insn.Jmp tgt -> target tgt
+  | Insn.Jsr tgt -> 1 + target tgt
+  | Insn.Rts | Insn.Pop _ -> 1
+  | Insn.Push s -> 1 + operand_refs s
+  | Insn.Rte -> 2
+  | Insn.Trap _ -> 3
+  | Insn.Cas (_, _, ea) -> 2 * operand_refs ea
+  | Insn.Movem_save (rs, _) | Insn.Movem_load (_, rs) -> List.length rs
+  | Insn.Fmovem_save _ | Insn.Fmovem_load _ -> 3 * Insn.num_fregs
+  | Insn.Nop | Insn.Lea _ | Insn.Neg _ | Insn.Not _ | Insn.Set_ipl _ | Insn.Fmove_imm _
+  | Insn.Fmove _ | Insn.Fop _ | Insn.Stop_wait | Insn.Halt | Insn.Hcall _ | Insn.Label _
+  | Insn.Probe _ ->
+    0
+
 let cycles_of_us t us = int_of_float (ceil (us *. t.clock_mhz))
 let us_of_cycles t cycles = float_of_int cycles /. t.clock_mhz

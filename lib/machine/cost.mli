@@ -21,5 +21,10 @@ val base : Insn.insn -> int
 (** Data references implied by one read or write of an operand. *)
 val operand_refs : Insn.operand -> int
 
+(** Data references one execution of an instruction makes: operands,
+    stack words, a trap's frame and vector fetch.  A branch, Dbra or
+    Cas counts its longest path (taken, storing). *)
+val refs : Insn.insn -> int
+
 val cycles_of_us : t -> float -> int
 val us_of_cycles : t -> int -> float

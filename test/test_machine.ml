@@ -342,6 +342,48 @@ let test_operand_refs () =
   check_int "abs" 1 (Cost.operand_refs (I.Abs 9));
   check_int "postinc" 1 (Cost.operand_refs (I.Post_inc 3))
 
+(* [Cost.refs] agrees with what the machine charges: one step of each
+   instruction, set up to take its longest path, makes exactly the
+   references the static count says, and (a trap's fixed entry charge
+   aside) costs its base cycles plus those references. *)
+let test_static_refs_match () =
+  let case name ?(setup = fun _ ~halt:_ -> ()) insn =
+    let m = machine () in
+    let entry, _ = Asm.assemble m [ insn; I.Halt ] in
+    let halt = entry + 1 in
+    Machine.set_pc m entry;
+    Machine.set_reg m I.sp 0x8000;
+    Machine.poke m 0x102 halt;
+    setup m ~halt;
+    let s0 = Machine.snapshot m in
+    Machine.step m;
+    let d = Machine.delta m s0 in
+    let refs = Cost.refs insn in
+    check_int (name ^ ": references") refs d.Machine.s_refs;
+    if (match insn with I.Trap _ -> false | _ -> true) then
+      check_int (name ^ ": cycles")
+        (Cost.base insn + (refs * Cost.mem_ref_cycles Cost.sun3_emulation))
+        d.Machine.s_cycles
+  in
+  case "move mem to mem" (I.Move (I.Abs 0x100, I.Abs 0x101));
+  case "alu on memory" (I.Alu_mem (I.Add, I.Imm 1, I.Abs 0x100));
+  case "cmp two memory operands"
+    ~setup:(fun m ~halt:_ -> Machine.set_reg m I.r1 0x101)
+    (I.Cmp (I.Abs 0x100, I.Ind I.r1));
+  case "push from memory" (I.Push (I.Abs 0x100));
+  case "pop" (I.Pop I.r2);
+  case "jsr through memory" (I.Jsr (I.To_mem (I.Abs 0x102)));
+  case "rts" ~setup:(fun m ~halt -> Machine.poke m 0x8000 halt) I.Rts;
+  case "taken branch through memory" (I.B (I.Always, I.To_mem (I.Abs 0x102)));
+  case "rte"
+    ~setup:(fun m ~halt ->
+      Machine.poke m 0x8000 (1 lsl 13);
+      Machine.poke m 0x8001 halt)
+    I.Rte;
+  case "storing cas" (I.Cas (I.r0, I.r1, I.Abs 0x100));
+  case "movem save" (I.Movem_save ([ I.r1; I.r2; I.r3 ], I.sp));
+  case "trap" (I.Trap 3)
+
 let test_cost_accounting () =
   let m = machine () in
   let entry, _ = Asm.assemble m [ I.Move (I.Imm 1, I.Abs 0x100); I.Halt ] in
@@ -841,6 +883,7 @@ let () =
           Alcotest.test_case "tty output buffer" `Quick test_tty_output_collects;
           Alcotest.test_case "trace ring wraps" `Quick test_trace_ring_wraps;
           Alcotest.test_case "operand ref counts" `Quick test_operand_refs;
+          Alcotest.test_case "static refs match the machine" `Quick test_static_refs_match;
         ] );
       ( "cost",
         [ Alcotest.test_case "cycle accounting" `Quick test_cost_accounting ] );
