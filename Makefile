@@ -1,10 +1,11 @@
 # Convenience wrapper around dune.  `make check` is what CI runs:
-# build everything, run the test suites, and (when ocamlformat is
-# installed) verify formatting.
+# build everything, run the test suites, refuse interface values no
+# other file names, and (when ocamlformat is installed) verify
+# formatting.
 
 DUNE ?= dune
 
-.PHONY: all build test fmt check bench bench-check bench-all \
+.PHONY: all build test fmt dead-exports check bench bench-check bench-all \
         faultsim faultsim-queues faultsim-ready-queue faultsim-kpipe \
         faultsim-disk faultsim-codeflip faultsim-synthcache \
         faultsim-smp faultsim-serve faultsim-crash clean
@@ -26,7 +27,12 @@ fmt:
 	  echo "ocamlformat not installed; skipping format check"; \
 	fi
 
-check: build test fmt
+# Every `val` in lib/*/*.mli must be named by some other source file:
+# one that is not is dead, or belongs out of its interface.
+dead-exports:
+	sh scripts/dead_exports.sh
+
+check: build test dead-exports fmt
 
 # Run the paper-table benches and emit machine-readable BENCH_tables.json.
 bench:

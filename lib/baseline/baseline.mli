@@ -29,9 +29,6 @@ val sym : t -> string -> int
 (** Host-side memory write (populating user data before a run). *)
 val poke : t -> int -> int -> unit
 
-(** Register a name in the flat directory. *)
-val add_dir_entry : t -> name:string -> vnode:int -> unit
-
 (** Create a memory file with [content] and a directory entry;
     returns the vnode address. *)
 val create_file :

@@ -51,11 +51,3 @@ val go :
   t ->
   Quamachine.Machine.run_result
 
-(** Double-fault recoveries one [go] attempts before giving up. *)
-val double_fault_restart_cap : int
-
-(** Non-zombie threads. *)
-val live_threads : Kernel.t -> Kernel.tte list
-
-(** Are any non-system threads still alive? *)
-val work_remaining : Kernel.t -> bool

@@ -35,12 +35,7 @@ val all_mechanisms : mechanisms
 type t
 
 val magic : int
-val log_magic : int
-val dir_block : int
 val log_header_block : int
-val log_shadow_block : int
-val data_start : int
-val max_name : int
 
 (** Host-side mkfs: directory + cleared intent log + file bodies
     written straight to the device.  [capacities] reserves a larger

@@ -22,10 +22,5 @@ val create_file :
 
 val file_size : Vfs.t -> file -> int
 
-(** The open-time code templates (exposed for inspection and the
-    peephole ablation benchmark). *)
-val null_read_template : Template.t
-
-val null_write_template : Template.t
 val file_read_template : Template.t
 val file_write_template : Template.t

@@ -40,7 +40,6 @@ type adq = {
 }
 
 val blocking_factor : int
-val elem_addr : adq -> int -> int
 
 (** [factor] defaults to {!blocking_factor} (8); factor 1 degenerates
     to a plain per-interrupt queue insert — the ablation baseline. *)

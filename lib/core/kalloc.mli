@@ -44,9 +44,6 @@ val release : t -> base:int -> int
 (** Remove a page from the registry (after eviction). *)
 val unshare : t -> base:int -> unit
 
-(** Covering lookup: the (base, refs) of the page containing [addr]. *)
-val shared_page : t -> int -> (int * int) option
-
 (** Current refcount of the page at [base]; 0 when unknown. *)
 val shared_refs : t -> base:int -> int
 

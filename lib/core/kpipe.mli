@@ -17,7 +17,6 @@ type t = {
 
 val head_cell : t -> int
 val tail_cell : t -> int
-val weof_cell : t -> int
 
 val create : Kernel.t -> ?cap:int -> unit -> t
 

@@ -28,18 +28,12 @@ type t
 (** Where a hop's cycles went. *)
 type phase = Queue_wait | Service | Interrupt
 
-val phase_name : phase -> string
-
 (** Span events are emitted into [trace] (and its always-on black
     box) when given; histograms land in [metrics]. *)
 val create : ?trace:Ktrace.t -> metrics:Metrics.t -> Machine.t -> t
 
 (** Spans opened and not yet closed. *)
 val open_count : t -> int
-
-(** Open spans as (id, pipeline, detail, opened-at-cycles), oldest
-    first — the postmortem's "what was in flight". *)
-val open_spans : t -> (int * string * string * int) list
 
 val pp_open : Format.formatter -> t -> unit
 

@@ -80,8 +80,6 @@ val blackbox_events : t -> event list
 (** Register a synthesized routine as a cycle owner; returns its id. *)
 val register_owner : t -> name:string -> entry:int -> len:int -> int
 
-val owner_name : t -> int -> string
-
 (** Per-owner cycle totals (registered routines plus the reserved
     host/idle/irq/unowned owners), biggest first.  Flushes pending
     host charges first so the totals are balanced. *)

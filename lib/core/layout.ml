@@ -66,10 +66,8 @@ let synth_chunk_words = 256
 module Tte = struct
   let size_words = 256
   let off_tid = 0
-  let off_regs = 1 (* r0..r15 at +1..+16 *)
-  let off_sr = 17
-  let off_pc = 18
-  let off_usp = 19
+  let off_regs = 1 (* r0..r15 at +1..+16, the SR at +17 *)
+  let off_pc = 18 (* the user SP at +19 *)
   let off_map = 20
   let off_quantum = 21
   let off_flags = 22 (* bit 0: uses FP *)

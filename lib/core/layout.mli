@@ -44,9 +44,7 @@ module Tte : sig
   (** r0..r15 at +0..+15, then SR, PC, USP. *)
   val off_regs : int
 
-  val off_sr : int
   val off_pc : int
-  val off_usp : int
   val off_map : int
   val off_quantum : int
   val off_flags : int
@@ -54,10 +52,8 @@ module Tte : sig
   (** I/O events for fine-grain scheduling. *)
   val off_gauge : int
 
-
   (** the private vector table (48 entries). *)
   val off_vectors : int
-
 
   (** 32 synthesized-routine addresses. *)
   val off_fd_read : int

@@ -217,10 +217,6 @@ let insert_front k t =
   insert_front k t;
   balance_idle k
 
-let insert_single k t =
-  insert_single k t;
-  balance_idle k
-
 (* Structural invariant used by the test suite and the explorer: on
    every core the host mirror is a consistent cycle (walk bounded — a
    ring that never closes is a corruption verdict, not a hang), every

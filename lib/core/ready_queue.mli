@@ -13,10 +13,6 @@
     invariant and, when they evict an idle thread holding its CPU,
     preempt it immediately via that core's quantum timer. *)
 
-(** Entry point of [b] when entered from [a]: switch-in-with-MMU only
-    when the quaspace changes. *)
-val entry_from : Kernel.tte -> Kernel.tte -> int
-
 (** Point [a]'s switch-out jump at [b] (patches code, fixes the
     mirror). *)
 val relink : Kernel.t -> Kernel.tte -> Kernel.tte -> unit
@@ -32,7 +28,6 @@ val insert_after : Kernel.t -> Kernel.tte -> Kernel.tte -> unit
     core: next access to that CPU (§4.4). *)
 val insert_front : Kernel.t -> Kernel.tte -> unit
 
-val insert_single : Kernel.t -> Kernel.tte -> unit
 val remove : Kernel.t -> Kernel.tte -> unit
 
 (** Core [cpu]'s ring (default 0), anchor first. *)

@@ -11,10 +11,6 @@
     harness invariants can demonstrate the corruption it prevents. *)
 val unsafe_skip_guard : bool ref
 
-(** Is [t]'s home core executing inside one of [t]'s synthesized
-    pages? *)
-val mid_dispatch : Kernel.t -> Kernel.tte -> bool
-
 (** May [t] be pulled off its home ring right now? *)
 val stealable : Kernel.t -> Kernel.tte -> bool
 

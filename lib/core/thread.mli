@@ -47,7 +47,6 @@ val restart : Kernel.t -> Kernel.tte -> unit
 
 (** {1 Saved context access (host-side debugger)} *)
 
-val saved_sr : Kernel.t -> Kernel.tte -> int
 val saved_pc : Kernel.t -> Kernel.tte -> int
 val saved_reg : Kernel.t -> Kernel.tte -> Quamachine.Insn.reg -> int
 val set_saved_reg : Kernel.t -> Kernel.tte -> Quamachine.Insn.reg -> int -> unit
@@ -62,9 +61,6 @@ val set_saved_reg : Kernel.t -> Kernel.tte -> Quamachine.Insn.reg -> int -> unit
     {!sig_ipi_level}; the IPI handler re-delivers there.  [false] if
     no handler is registered. *)
 val deliver_signal : Kernel.t -> Kernel.tte -> bool
-
-(** Interrupt level / autovector of the cross-core signal IPI. *)
-val sig_ipi_level : int
 
 val sig_ipi_vector : int
 
@@ -103,8 +99,3 @@ val unblock_all : Kernel.t -> Kernel.waitq -> unit
     Callers are responsible for the lost-wakeup guard (see
     [Tty.guarded_block]). *)
 val block_code : Kernel.t -> Kernel.waitq -> retry:string -> Quamachine.Insn.insn list
-
-(** The per-thread fd dispatcher template (exposed for inspection). *)
-val dispatcher_template : Template.t
-
-val deepest_frame_pc_slot : Kernel.tte -> int

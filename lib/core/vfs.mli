@@ -45,8 +45,6 @@ val sync : t -> unit
 val open_named : t -> Kernel.tte -> string -> int option
 
 val close_fd : t -> Kernel.tte -> int -> bool
-val fsync_fd : t -> Kernel.tte -> int -> bool
 val seek : t -> Kernel.tte -> int -> int -> bool
 val free_fd : t -> Kernel.tte -> int option
 val install_fd : t -> Kernel.tte -> fd:int -> handlers -> unit
-val read_string : Kernel.t -> int -> string option

@@ -80,27 +80,6 @@ val disk_subject : subject
     completion, no starvation or spurious failure, SCAN service
     order. *)
 
-val codeflip_subject : subject
-(** kheal: an Mpsc queue workload plus a dormant quaject op while the
-    fault plan and the agitation hook flip bits in synthesized code
-    regions (queue ops, switch code, quaject ops — never the fault
-    handlers).  Executed corruption traps and is repaired by
-    resynthesis in place; dormant corruption is caught by the
-    watchdog's periodic checksum audit.  Invariants: the queue
-    workload stays exact, and after a final audit every region is
-    clean, still registered, and the code state hash equals the
-    fault-free fingerprint taken at build time. *)
-
-val synthcache_subject : subject
-(** ksynth: several threads call the same memoized op — one cached
-    page, refcount = users — while code flips land on that page and a
-    decoy churn under a tight per-kind cap keeps eviction running next
-    to it.  Invariants: corruption repairs in place exactly once for
-    all users (the page never forks, moves, or re-instantiates),
-    eviction never touches the referenced page, a post-storm
-    instantiation is a pure hit on the repaired page, and the code
-    state hash converges back to the fault-free fingerprint. *)
-
 val smp_subject : ?cores:int -> unit -> subject
 (** kSMP: a seed-picked queue kind with producers/consumers pinned
     round-robin across [cores] (default: 2–4 picked by seed, clamped
@@ -113,18 +92,6 @@ val smp_subject : ?cores:int -> unit -> subject
     across cores.  Sabotage migrates another core's running thread
     with the dispatch guard skipped ({!Synthesis.Smp.unsafe_skip_guard});
     the current-consistency check must catch it. *)
-
-val serve_subject : subject
-(** kserve: a small serving stack (1–3 cores picked by seed, a
-    16-slot table) under a 24-session accept/request/close storm while the plan
-    posts spurious NIC interrupts, stalls and drops the card's service
-    tick, and skews core clocks; the agitation hook re-kicks a parked
-    card, playing the driver's timeout watchdog.  Invariants: the load
-    generator's exactly-once ledger (no unmatched responses, no
-    protocol errors, received ≤ sent), slot accounting closes, and
-    every session ends served or refused.  Sabotage duplicates one tx
-    frame ({!Quamachine.Machine.frame_fault}); the ledger must catch
-    the second copy. *)
 
 (** {2 kcrash: the crash-point explorer} *)
 
@@ -163,7 +130,9 @@ val crash_subject : crash_family -> subject
 
 val subjects : subject list
 (** Every subject: [queue/spsc], [queue/mpsc], [queue/spmc],
-    [queue/mpmc], the seven kernel subjects above, then
+    [queue/mpmc], the kernel subjects ([ready-queue], [kpipe], [disk],
+    the kheal code-flip storm [codeflip], the ksynth shared-page storm
+    [synthcache], [smp], and the kserve stack [serve]), then
     [crash/create-rename], [crash/prefix-append], [crash/replace]. *)
 
 val run_subject :

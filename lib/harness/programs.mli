@@ -17,7 +17,6 @@ type env = {
   e_arr_words : int;
 }
 
-val arr_words : int
 val layout : data:int -> env
 
 (** Fill the region through [poke] (names plus a patterned buffer). *)
@@ -27,7 +26,6 @@ val populate : env -> poke:(int -> int -> unit) -> unit
 val data_words : int
 
 val syscall : int -> Quamachine.Insn.insn list
-val prog_exit : Quamachine.Insn.insn list
 
 (** Program 1: the compute-bound calibration (Hofstadter Q-sequence,
     touching a large array at non-contiguous points). *)

@@ -44,7 +44,7 @@ module Timer = struct
   }
 
   (* [cpu] pins the posted interrupt to a core (each core's private
-     quantum timer); without it the machine's level route applies. *)
+     quantum timer); without it the interrupt goes to core 0. *)
   let install ?(name = "timer") ?(addr = Mmio_map.timer_alarm)
       ?(level = Mmio_map.timer_level) ?(vector = Mmio_map.timer_vector) ?cpu m =
     let dev = Machine.add_device m ~name ~due:max_int ~tick:(fun _ -> ()) in
@@ -295,7 +295,6 @@ module Disk = struct
     if on then t.journal <- []
 
   let journal t = List.rev t.journal
-  let clear_journal t = t.journal <- []
 
   (* Whole-platter snapshots for reboot-and-recover exploration. *)
   let image t = Array.map Array.copy t.store
@@ -506,9 +505,7 @@ module Nic = struct
     queues : queue array;
     steer : frame -> int; (* flow key; queue = key mod N *)
     mutable qsel : int; (* queue the per-queue MMIO registers address *)
-    (* frames sent, oldest first, unless a sink consumes them *)
-    tx_out : frame Queue.t;
-    mutable tx_sink : (frame -> unit) option;
+    mutable tx_sink : (frame -> unit) option; (* who sees sent frames *)
     mutable coalesce : int; (* completions per interrupt; >= 1 *)
     mutable cause : int; (* bit0 rx, bit1 tx; read-to-clear *)
     (* admission control: max admitted rx occupancy per queue; 0 = unlimited *)
@@ -683,10 +680,8 @@ module Nic = struct
       end
     end
 
-  let emit_tx t f =
-    match t.tx_sink with
-    | Some sink -> sink f
-    | None -> Queue.push f t.tx_out
+  (* with no sink set, a sent frame leaves on the wire unobserved *)
+  let emit_tx t f = match t.tx_sink with Some sink -> sink f | None -> ()
 
   (* drain one posted tx descriptor; false = nothing posted *)
   let drain_tx t q =
@@ -829,7 +824,6 @@ module Nic = struct
         queues = Array.init queues (fun i -> make_queue (i mod cores));
         steer;
         qsel = 0;
-        tx_out = Queue.create ();
         tx_sink = None;
         coalesce = 1;
         cause = 0;
@@ -899,11 +893,6 @@ module Nic = struct
     kick t
 
   let set_tx_sink t sink = t.tx_sink <- sink
-
-  let drain_tx_frames t =
-    let out = List.of_seq (Queue.to_seq t.tx_out) in
-    Queue.clear t.tx_out;
-    out
 
   (* Host-side mirrors of the MMIO interface, for tests and for
      kernel-build code that runs before any thread exists (the same

@@ -75,7 +75,6 @@ module Disk : sig
   val set_journaling : t -> bool -> unit
 
   val journal : t -> (int * int array) list
-  val clear_journal : t -> unit
 
   (** Whole-platter snapshot / restore (reboot-and-recover runs). *)
   val image : t -> int array array
@@ -145,9 +144,6 @@ end
 module Nic : sig
   val desc_words : int
 
-  (** Largest frame the card moves, in words. *)
-  val frame_words_max : int
-
   type frame = int array
   type t
 
@@ -167,9 +163,6 @@ module Nic : sig
       nap), so a dropped completion only delays until the next
       injection. *)
   val inject : t -> frame -> unit
-
-  (** Frames sent by the card, oldest first, when no sink is set. *)
-  val drain_tx_frames : t -> frame list
 
   (** Divert sent frames to a callback (the load generator). *)
   val set_tx_sink : t -> (frame -> unit) option -> unit

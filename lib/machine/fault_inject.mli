@@ -46,11 +46,6 @@ type action =
           1 = duplicate, 2 = reorder.  Devices with no registered
           frame hook ignore it. *)
 
-val corrupt_insn : bit:int -> Insn.insn
-(** The undecodable instruction a [Code] flip plants — exposed so
-    tests and subjects corrupt regions with the exact same model the
-    injector uses. *)
-
 val corrupt_code : Machine.t -> addr:int -> bit:int -> unit
 (** Apply a [Code] flip directly (outside any plan). *)
 

@@ -141,8 +141,4 @@ module Vector : sig
   val table_size : int
 end
 
-val pp_operand : Format.formatter -> operand -> unit
-val pp_cond : Format.formatter -> cond -> unit
-val pp_target : Format.formatter -> target -> unit
-val pp_alu_op : Format.formatter -> alu_op -> unit
 val pp : Format.formatter -> insn -> unit

@@ -110,8 +110,6 @@ and t = {
   mutable cur : cpu; (* the core host services act on *)
   (* core-interleaving schedule: rotating tie-break start (seeded) *)
   mutable sched_rr : int;
-  (* interrupt routing: level -> core id (default all to core 0) *)
-  irq_routes : int array;
   (* code store *)
   mutable code : Insn.insn array;
   mutable code_cost : int array; (* [Cost.base] of each slot, [probe_bit] if probed *)
@@ -248,7 +246,6 @@ let create ?(mem_words = 1 lsl 20) ?(cores = 1) cost =
     cpus;
     cur = cpus.(0);
     sched_rr = 0;
-    irq_routes = Array.make 8 0;
     code = Array.make 4096 Insn.Halt;
     code_cost = Array.make 4096 (Cost.base Insn.Halt);
     code_probe = Array.make 4096 no_probe;
@@ -633,12 +630,6 @@ let frame_fault t ~device ~dir ~kind =
   | Some f -> f ~dir ~kind
   | None -> ()
 
-let set_irq_route t ~level ~cpu =
-  if level < 1 || level > 7 then invalid_arg "set_irq_route: level";
-  if cpu < 0 || cpu >= num_cores t then invalid_arg "set_irq_route: cpu";
-  t.irq_routes.(level) <- cpu
-
-
 (* Devices fire against the global clock (the minimum over runnable
    cores), so a tick never runs before every core has reached it —
    conservative discrete-event order.  Each deadline fires once: the
@@ -752,7 +743,7 @@ let post_interrupt ?(source = "") ?cpu t ~level ~vector =
     | Some c ->
       if c < 0 || c >= num_cores t then invalid_arg "post_interrupt: cpu";
       t.cpus.(c)
-    | None -> t.cpus.(t.irq_routes.(level))
+    | None -> t.cpus.(0)
   in
   target.pending.(level) <- vector;
   target.pending_mask <- target.pending_mask lor (1 lsl level);

@@ -8,8 +8,8 @@
     [step] always runs the runnable core with the smallest clock (ties
     broken by a seeded rotation, overridable by an explorer hook), so
     the interleaving is deterministic and cores progress in
-    simulated-parallel time.  Interrupts are routed per level to a
-    core; cores interleave at instruction granularity, so every
+    simulated-parallel time.  An interrupt goes to the core it names,
+    or to core 0; cores interleave at instruction granularity, so every
     shared-memory access is a potential switch point and another
     core's committed [Cas] is a real contention source.  With one core
     the machine is cycle-identical to the uniprocessor it replaces. *)
@@ -109,10 +109,6 @@ val max_core_cycles : t -> int
 
 (** Seed the rotating tie-break of the core-interleaving schedule. *)
 val set_schedule_seed : t -> int -> unit
-
-(** Route interrupt [level] to a core (default: all levels to core 0).
-    An explicit [?cpu] on [post_interrupt] overrides the route. *)
-val set_irq_route : t -> level:int -> cpu:int -> unit
 
 (** kfault: delay core [cpu]'s next turn by skewing its local clock —
     the lever for forcing a different cross-core interleaving. *)
@@ -241,8 +237,7 @@ val find_device : t -> string -> device option
 val remove_device : t -> device -> unit
 
 (** [source] labels the posting device for the observability hooks;
-    [cpu] targets a core directly, otherwise the level's route
-    applies.  Posting to a stopped core wakes it at the caller's
+    [cpu] targets a core directly, otherwise core 0.  Posting to a stopped core wakes it at the caller's
     present. *)
 val post_interrupt :
   ?source:string -> ?cpu:int -> t -> level:int -> vector:int -> unit

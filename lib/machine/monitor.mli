@@ -4,8 +4,6 @@
 (** Maps a code address to a label (e.g. from the synthesis registry). *)
 type annotation = int -> string option
 
-val no_annotation : annotation
-
 (** Disassemble [len] instructions starting at [from]. *)
 val disassemble :
   ?annotate:annotation -> Machine.t -> from:int -> len:int -> Format.formatter -> unit

@@ -28,11 +28,6 @@ val running : t -> bool
 val read : t -> counter -> int
 val read_all : t -> (counter * int) list
 
-(** Per-core counters under the same window discipline (SMP);
-    [Cycles] is the core's local clock, so rows can sum to more than
-    the machine frontier. *)
-val read_core : t -> int -> counter -> int
-
 (** Stop, zero the totals, and drop all samples. *)
 val reset : t -> unit
 

@@ -7,7 +7,6 @@
 val bits : int
 val mask : int
 val sign_bit : int
-val modulus : int
 
 val of_int : int -> int
 val signed : int -> int
