@@ -9,9 +9,7 @@
    transfer and the completion interrupt wakes it.  The disk scheduler
    holds the request queue and issues requests in elevator order.  The
    cache manager keeps an LRU cache of block buffers in kernel memory;
-   cache hits never touch the device.  Other file systems sharing the
-   physical disk would attach through a monitor and switch (§5.1) —
-   the switch is exposed for that purpose.
+   cache hits never touch the device.
 
    Requests are descriptors in kernel memory:
      [0] = block number   [1] = buffer address (cache slot)
@@ -69,9 +67,6 @@ type t = {
      double-issuing or hitting a not-yet-filled cache slot *)
   ds_inflight : (int, request) Hashtbl.t;
   mutable ds_sync_timeouts : int;
-  (* the switch through which file systems attach (§5.1) *)
-  ds_switch : Quaject.switch;
-  ds_monitor : Quaject.monitor;
   (* recovery: bounded retry with backoff on lost completions *)
   ds_timeout_cycles : int;
   ds_max_tries : int;
@@ -625,7 +620,6 @@ let active_tries t = t.ds_tries
 
 let install k ?(cache_capacity = 16) ?(timeout_us = 8_000.0) ?(max_tries = 4)
     () =
-  let bad = Ksynth.lookup k "bad_fd" in
   let m = k.Kernel.machine in
   let t =
     {
@@ -646,8 +640,6 @@ let install k ?(cache_capacity = 16) ?(timeout_us = 8_000.0) ?(max_tries = 4)
       ds_wb = Hashtbl.create 8;
       ds_inflight = Hashtbl.create 8;
       ds_sync_timeouts = 0;
-      ds_switch = Quaject.create_switch k ~name:"disk/fs_switch" [| bad; bad; bad; bad |];
-      ds_monitor = Quaject.create_monitor k ~name:"disk/monitor";
       ds_timeout_cycles = Cost.cycles_of_us (Machine.cost_model m) timeout_us;
       ds_max_tries = max_tries;
       ds_tries = 1;
