@@ -115,12 +115,12 @@ end
     writeback.  A wire frame is
     steered to queue [steer frame mod N] (receive-side scaling on a
     host-chosen flow key); one queue is just N = 1.  Admission control
-    caps every rx ring's occupancy; seeded per-direction
-    loss/duplication/reorder knobs (plus one-shot faults through
-    {!Machine.frame_fault}) act on the wire.  Because the MMIO window
-    is supervisor-only, the card also writes each queue's rx head back
-    to a data cell after every delivery and polls the
-    consumer/doorbell indices from data cells, so user-mode pumps
+    caps every rx ring's occupancy; one-shot drops, duplicates and
+    reorders queued through {!Machine.frame_fault} act on the wire.
+    The card has no register window: kernel-build code configures it
+    with the [host_*] functions below, and at run time it writes each
+    queue's rx head back to a data cell after every delivery and polls
+    the consumer/doorbell indices from data cells, so user-mode pumps
     drive it with plain loads and stores.
 
     A queue may also have an arm cell, polled the same way: while it
@@ -170,9 +170,8 @@ module Nic : sig
   (** Injected frames not yet DMA'd into an rx ring, over all queues. *)
   val wire_backlog : t -> int
 
-  (** {2 Host-side mirrors of the MMIO interface} (tests and
-      kernel-build code; same precedent as [Disk.write_block]).
-      [?q] names the queue, default 0. *)
+  (** {2 Control plane} (tests and kernel-build code; same precedent
+      as [Disk.write_block]).  [?q] names the queue, default 0. *)
 
   (** [arm] is the queue's arm cell (default 0 = none: always armed). *)
   val host_config_rx :
@@ -194,13 +193,6 @@ module Nic : sig
   val rx_head : ?q:int -> t -> int
   val tx_tail : ?q:int -> t -> int
 
-  (** {2 Chaos knobs} — [dir] 0 = rx, 1 = tx; each knob is 1-in-n
-      (0 = off), drawn from a private seeded LCG. *)
-
-  val set_chaos :
-    t -> dir:int -> seed:int -> drop_1_in:int -> dup_1_in:int ->
-    reorder_1_in:int -> unit
-
   type stats = {
     s_rx_injected : int;
     s_rx_delivered : int;
@@ -216,11 +208,12 @@ module Nic : sig
     s_tx_reordered : int;
   }
 
-  (** Summed over the queues, plus the wire's chaos counters. *)
+  (** Summed over the queues, plus the wire's fault counters (the
+      [s_rx_*]/[s_tx_*] drops, duplicates and reorders applied). *)
   val stats : t -> stats
 
   (** Queue [q]'s ring-level counters (rx frames steered to it, its
       deliveries, sheds, overruns, drained tx descriptors and
-      interrupts); the chaos counters belong to the wire and read 0. *)
+      interrupts); the fault counters belong to the wire and read 0. *)
   val queue_stats : t -> int -> stats
 end

@@ -57,43 +57,9 @@ let ad_control = base + 0x41
 (* D/A converter (sound output). *)
 let da_data = base + 0x50
 
-(* Network card (kserve).  Each of the card's queues has two
-   descriptor rings in guest memory (4-word descriptors: buf, len,
-   status, tag); the card DMAs frames into posted rx buffers and
-   drains posted tx buffers.  Head/tail indices are free-running;
-   occupancy = head - tail.  The ring, index, mailbox and counter
-   registers address the queue last written to [nic_qsel].
-
-   User-mode pumps cannot reach the MMIO window (supervisor-only), so
-   the card also supports *mailbox cells* in ordinary data memory —
-   the rx head is written back to [nic_rx_mail] after every delivery
-   (Intel-style head writeback) and the consumer/producer indices are
-   polled from [nic_rx_tail_cell]/[nic_tx_head_cell] on each service
-   tick.  The MMIO registers remain authoritative for supervisor code
-   and tests.  A queue's *arm cell* (set with [Devices.Nic.host_config_rx
-   ~arm]) is polled too: a queue that has one interrupts only while the
-   cell is nonzero, and the card clears it when it posts, so a consumer
-   that arms on its way to sleep is interrupted once, to wake, and
-   never while busy. *)
-let nic_rx_ring = base + 0x70
-let nic_rx_len = base + 0x71
-let nic_rx_head = base + 0x72 (* read: device fill index *)
-let nic_rx_tail = base + 0x73 (* r/w: consumer index *)
-let nic_tx_ring = base + 0x74
-let nic_tx_len = base + 0x75
-let nic_tx_head = base + 0x76 (* r/w: producer doorbell *)
-let nic_tx_tail = base + 0x77 (* read: device consume index *)
-let nic_ctrl = base + 0x78 (* bit0 = enable *)
-let nic_coalesce = base + 0x79 (* completions per interrupt (0/1 = every) *)
-let nic_cause = base + 0x7A (* read-to-clear: bit0 rx, bit1 tx *)
-let nic_admit = base + 0x7B (* max admitted rx occupancy; 0 = unlimited *)
-let nic_shed = base + 0x7C (* read: frames shed by admission control *)
-let nic_overrun = base + 0x7D (* read: frames dropped on rx ring full *)
-let nic_rx_mail = base + 0x7E (* write: rx-head writeback cell (0 = off) *)
-let nic_tx_mail = base + 0x7F (* write: tx-tail writeback cell (0 = off) *)
-let nic_rx_tail_cell = base + 0x80 (* write: polled consumer-index cell *)
-let nic_tx_head_cell = base + 0x81 (* write: polled doorbell cell *)
-let nic_qsel = base + 0x82 (* r/w: queue the per-queue registers address *)
+(* The network card (kserve) has no registers: it is configured from
+   the host and driven through polled data cells (Devices.Nic), and
+   owns only [nic_level] and [nic_vector] below. *)
 
 (* CPU control: write 0/1 to disable/enable the FP coprocessor for the
    currently running thread (used by the lazy-FP context switch). *)

@@ -57,37 +57,9 @@ val ad_data : int
 val ad_control : int
 val da_data : int
 
-(** {1 Network card (kserve)}
-
-    Descriptor rings in guest memory, one rx/tx pair per queue;
-    free-running head/tail indices.  The per-queue registers address
-    the queue selected through [nic_qsel].
-    Supervisor code and tests drive the MMIO registers directly;
-    user-mode pumps use the mailbox cells (head writeback + polled
-    tail/doorbell cells) because the MMIO window is
-    supervisor-only.  A queue's arm cell (see {!Devices.Nic}) is another
-    polled data cell: with one, the queue interrupts only while the
-    cell is nonzero and clears it when it posts. *)
-
-val nic_rx_ring : int
-val nic_rx_len : int
-val nic_rx_head : int
-val nic_rx_tail : int
-val nic_tx_ring : int
-val nic_tx_len : int
-val nic_tx_head : int
-val nic_tx_tail : int
-val nic_ctrl : int
-val nic_coalesce : int
-val nic_cause : int
-val nic_admit : int
-val nic_shed : int
-val nic_overrun : int
-val nic_rx_mail : int
-val nic_tx_mail : int
-val nic_rx_tail_cell : int
-val nic_tx_head_cell : int
-val nic_qsel : int
+(* The network card (kserve) has no registers here: it is configured
+   from the host and driven through polled data cells ({!Devices.Nic});
+   it owns only [nic_level] and [nic_vector] below. *)
 
 (** {1 CPU control} *)
 
