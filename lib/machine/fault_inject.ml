@@ -95,21 +95,12 @@ type config = {
   flip_len : int;
   n_code_flips : int;
   code_regions : (int * int) list;
-  (* kcrash: power cuts to persistent devices.  torn bound is drawn in
-     [-1, cut_torn_words]; -1 loses the in-flight write whole. *)
-  n_cuts : int;
-  cut_devices : string list;
-  cut_torn_words : int;
   (* kSMP: cores eligible for cpu-targeted spurious interrupts (empty =
      follow the machine's routes) and for local-clock stalls. *)
   irq_cpus : int list;
   n_core_stalls : int;
   core_stall_cpus : int list;
   core_stall_cycles : int;
-  (* kserve: one-shot frame faults (drop/duplicate/reorder) against
-     frame-moving devices; [] disables them *)
-  n_frame_faults : int;
-  frame_devices : string list;
 }
 
 let default_config =
@@ -139,15 +130,10 @@ let default_config =
     flip_len = 0;
     n_code_flips = 0;
     code_regions = [];
-    n_cuts = 0;
-    cut_devices = [ "disk" ];
-    cut_torn_words = 64;
     irq_cpus = [];
     n_core_stalls = 0;
     core_stall_cpus = [];
     core_stall_cycles = 20_000;
-    n_frame_faults = 0;
-    frame_devices = [];
   }
 
 let describe_action = function
@@ -231,21 +217,6 @@ let compile ?(config = default_config) seed =
       add (Drop_completion { device })
     done
   end;
-  if config.frame_devices <> [] then
-    for _ = 1 to config.n_frame_faults do
-      let device =
-        List.nth config.frame_devices
-          (rng_int r (List.length config.frame_devices))
-      in
-      add (Frame_fault { device; dir = rng_int r 2; kind = rng_int r 3 })
-    done;
-  if config.cut_devices <> [] then
-    for _ = 1 to config.n_cuts do
-      let device =
-        List.nth config.cut_devices (rng_int r (List.length config.cut_devices))
-      in
-      add (Power_cut { device; torn_words = rng_int r (config.cut_torn_words + 2) - 1 })
-    done;
   let cas_gaps =
     List.init config.n_cas_fails (fun _ -> 1 + rng_int r config.cas_gap)
   in

@@ -35,7 +35,8 @@ type action =
       (** cut power to a persistent device: the platter freezes, an
           in-flight write lands at most its first [torn_words] words
           (-1 = lost whole), and the controller goes dead until the
-          host powers it back on (kcrash) *)
+          host powers it back on (kcrash); only hand-built plans
+          ({!make_plan}) carry it *)
   | Core_stall of { cpu : int; stall_cycles : int }
       (** kSMP: skew one core's local clock forward, forcing a
           different cross-core interleaving without touching any
@@ -44,7 +45,8 @@ type action =
       (** kserve: arm a one-shot fault against the named device's
           next frame — [dir] 0 = rx, 1 = tx; [kind] 0 = drop,
           1 = duplicate, 2 = reorder.  Devices with no registered
-          frame hook ignore it. *)
+          frame hook ignore it.  Only hand-built plans ({!make_plan})
+          carry it. *)
 
 val corrupt_code : Machine.t -> addr:int -> bit:int -> unit
 (** Apply a [Code] flip directly (outside any plan). *)
@@ -76,19 +78,12 @@ type config = {
       (** (base, len) code-store spans code flips are aimed at —
           typically registered synthesized regions; [[]] disables
           code flips *)
-  n_cuts : int;  (** power cuts (0 in the default mix) *)
-  cut_devices : string list;
-  cut_torn_words : int;
-      (** torn bound drawn uniformly from \[-1, cut_torn_words\] *)
   irq_cpus : int list;
       (** cores spurious irqs are pinned to; [[]] (the default) follows
           the machine's per-level routes *)
   n_core_stalls : int;
   core_stall_cpus : int list;  (** cores eligible; [[]] disables *)
   core_stall_cycles : int;  (** max stall magnitude *)
-  n_frame_faults : int;  (** one-shot frame faults (0 in the default mix) *)
-  frame_devices : string list;
-      (** frame-moving devices eligible; [[]] disables *)
 }
 
 val default_config : config
@@ -100,7 +95,9 @@ val default_config : config
     [code_regions] at registered synthesized regions). *)
 
 val compile : ?config:config -> int -> plan
-(** [compile seed] deterministically expands a seed into a plan. *)
+(** [compile seed] deterministically expands a seed into a plan of
+    spurious irqs, core stalls, bit flips, stalls and drops; it never
+    draws a [Power_cut] or [Frame_fault]. *)
 
 val make_plan : ?cas_gaps:int list -> seed:int -> event list -> plan
 (** Hand-built plan for targeted scenarios: explicit events (sorted
