@@ -20,9 +20,12 @@ type t = {
 val boot :
   ?cost:Quamachine.Cost.t -> ?mem_words:int -> ?cores:int -> unit -> t
 
-(** Stage and wake one secondary core on its ready ring (normally done
-    by [go]; exposed for tests and the explorer). *)
-val start_secondary : Kernel.t -> int -> unit
+(** Enter the scheduler: stage and wake each secondary core not yet
+    started, then (with [stage_core0], the default) point core 0 at
+    its ready ring's switch-in on a fresh boot stack, supervisor, IPL
+    7.  [go] does this; the explorer calls it to drive the machine
+    step by step. *)
+val enter_scheduler : ?stage_core0:bool -> Kernel.t -> unit
 
 (** Register a hook run by the next [go], once the scheduler is
     entered but before user threads get the machine.  Hooks may step
