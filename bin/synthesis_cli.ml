@@ -191,7 +191,10 @@ let cmd_faultsim subject cores seed seeds verbose postmortem_dir =
     let before = !failures in
     for s = first to last do
       let r = E.run_subject sub ~seed:s () in
-      let ok = r.E.s_violations = [] in
+      (* a driven seed that was never preempted explored one
+         interleaving only: a clean verdict from it means nothing *)
+      let unpreempted = r.E.s_stride > 0 && r.E.s_preemptions = 0 in
+      let ok = r.E.s_violations = [] && not unpreempted in
       if not ok then incr failures;
       if verbose || not ok then
         Fmt.pr
@@ -201,6 +204,9 @@ let cmd_faultsim subject cores seed seeds verbose postmortem_dir =
           r.E.s_preemptions r.E.s_injected r.E.s_trace_hash
           (if ok then "ok" else "FAIL");
       List.iter (fun v -> Fmt.pr "    violation: %s@." v) r.E.s_violations;
+      if unpreempted then
+        Fmt.pr "    FAIL: no forced preemption landed (stride %d)@."
+          r.E.s_stride;
       if not ok then save_forensics r
     done;
     let a = E.run_subject sub ~seed:first () in
