@@ -11,6 +11,10 @@
    loop.  Wall-clock numbers are noisy, so this table is recorded, not
    gated; the simulated rows elsewhere are the gate.
 
+   A second one-core line runs kpipe's block copy in supervisor mode:
+   eight [Move (Post_inc, Post_inc)] and a [Dbra] per block, the loop
+   the unix_syscalls workload spends most of its steps in.
+
    One more line times a sleeping machine: an idle one-core kserve
    (its pump asleep, its card enabled), in host ns per simulated µs.
    There no instruction runs and the host time is all device ticks
@@ -64,6 +68,29 @@ let machine ~cores ~hooks =
 
 let configs = [ (1, false); (1, true); (4, false); (4, true) ]
 
+(* kpipe's block loop, copying [copy_blocks] blocks of 8 words and
+   starting over. *)
+let copy_blocks = 64
+
+let copy_loop =
+  [
+    I.Label "lap";
+    I.Move (I.Imm data, I.Reg I.r5);
+    I.Move (I.Imm (data + (8 * copy_blocks)), I.Reg I.r2);
+    I.Move (I.Imm (copy_blocks - 1), I.Reg I.r4);
+    I.Label "blk";
+  ]
+  @ List.init 8 (fun _ -> I.Move (I.Post_inc I.r5, I.Post_inc I.r2))
+  @ [ I.Dbra (I.r4, I.To_label "blk"); I.B (I.Always, I.To_label "lap") ]
+
+let copy_machine () =
+  let m = M.create ~mem_words:(1 lsl 16) Quamachine.Cost.sun3_emulation in
+  let entry, _ = Quamachine.Asm.assemble m copy_loop in
+  M.set_pc m entry;
+  m
+
+let copy_name = "1 core, kpipe copy loop"
+
 (* Simulated time one timed run of the idle server covers. *)
 let idle_run_us = 1_000.0
 
@@ -83,17 +110,19 @@ let name (cores, hooks) =
     (if hooks then "on" else "off")
 
 let tests () =
+  let steps name m =
+    Test.make ~name
+      (Staged.stage (fun () ->
+           for _ = 1 to steps_per_run do
+             M.step m
+           done))
+  in
   Test.make_grouped ~name:"Machine.step" ~fmt:"%s %s"
     (List.map
-       (fun (cores, hooks) ->
-         let m = machine ~cores ~hooks in
-         Test.make ~name:(name (cores, hooks))
-           (Staged.stage (fun () ->
-                for _ = 1 to steps_per_run do
-                  M.step m
-                done)))
+       (fun (cores, hooks) -> steps (name (cores, hooks)) (machine ~cores ~hooks))
        configs
     @ [
+        steps copy_name (copy_machine ());
         (let m = idle_server () in
          let cycles = Quamachine.Cost.cycles_of_us (M.cost_model m) idle_run_us in
          Test.make ~name:"idle kserve"
@@ -116,13 +145,13 @@ let run () =
   in
   Fmt.pr "%-36s %12s %14s@." "config" "ns/step" "Msteps/host s";
   List.iter
-    (fun c ->
-      match estimate (name c) with
+    (fun n ->
+      match estimate n with
       | Some est ->
         let ns = est /. float_of_int steps_per_run in
-        Fmt.pr "%-36s %12.1f %14.2f@." (name c) ns (1e3 /. ns)
-      | None -> Fmt.pr "%-36s %12s@." (name c) "n/a")
-    configs;
+        Fmt.pr "%-36s %12.1f %14.2f@." n ns (1e3 /. ns)
+      | None -> Fmt.pr "%-36s %12s@." n "n/a")
+    (List.map name configs @ [ copy_name ]);
   let idle = "idle 1-core kserve (pump asleep)" in
   Fmt.pr "@.%-36s %12s@." "sleeping machine" "ns/sim us";
   match estimate "idle kserve" with

@@ -6,6 +6,11 @@
    append-only, patch-in-place array of instructions — run-time kernel
    code synthesis appends specialized routines and rewrites individual
    instructions (the `jmp` threading of the executable ready queue).
+   The simulator factors its own invariants the same way: every write
+   to a slot goes through [set_code], which compiles the instruction
+   into a closure with its opcode, addressing modes and constants
+   resolved (see [compile]), and [step] runs that closure.  The
+   instruction itself stays in the store for [read_code] and audits.
 
    SMP model: [create ?cores] builds N cores stepping over the one
    shared memory and code store.  Each core keeps a local absolute
@@ -101,6 +106,12 @@ and cpu = {
   mutable c_cas_lost : int; (* CAS that observed a changed word *)
 }
 
+(* A code slot: its instruction (for [read_code] and the audits) and
+   the closure [set_code] compiled it to.  One array holds both: a
+   separate closure array measurably slowed machine set-up
+   (EXPERIMENTS, "Predecoded code slots"). *)
+and slot = { insn : Insn.insn; run : t -> unit }
+
 and t = {
   cost : Cost.t;
   ref_cycles : int; (* [Cost.mem_ref_cycles cost], off the step path *)
@@ -111,7 +122,7 @@ and t = {
   (* core-interleaving schedule: rotating tie-break start (seeded) *)
   mutable sched_rr : int;
   (* code store *)
-  mutable code : Insn.insn array;
+  mutable code : slot array;
   mutable code_cost : int array; (* [Cost.base] of each slot, [probe_bit] if probed *)
   mutable code_probe : (t -> unit) array; (* host-side probe of each slot *)
   mutable code_len : int;
@@ -195,6 +206,8 @@ let max_cores = 8
 let probe_bit = min_int
 
 let no_probe (_ : t) = ()
+let halt t = t.halted <- true
+let halt_slot = { insn = Insn.Halt; run = halt }
 
 (* [Word.mask], [Word.of_int] and [Word.is_negative], restated for the
    step loop: modules compiled separately (-opaque, dune's default
@@ -246,7 +259,7 @@ let create ?(mem_words = 1 lsl 20) ?(cores = 1) cost =
     cpus;
     cur = cpus.(0);
     sched_rr = 0;
-    code = Array.make 4096 Insn.Halt;
+    code = Array.make 4096 halt_slot;
     code_cost = Array.make 4096 (Cost.base Insn.Halt);
     code_probe = Array.make 4096 no_probe;
     code_len = 0;
@@ -387,48 +400,77 @@ let rec segment_allows segs addr =
   | (base, len) :: rest ->
     (addr >= base && addr < base + len) || segment_allows rest addr
 
+(* [read_mem]/[write_mem] inline into the compiled slots (see
+   [compile]).  Their common case — a data word the acting core may
+   touch — is a few compares, the charges and one array access; the
+   MMIO window and every fault take an out-of-line path that runs the
+   full [check_access]. *)
+let bus_error c addr =
+  c.last_fault_addr <- addr;
+  raise (Cpu_fault (Bus_error addr))
+[@@inline never]
+
 let check_access t addr =
   let c = t.cur in
   if c.supervisor then (
-    if addr < 0 || (addr >= t.mem_words && addr < mmio_base) then (
-      c.last_fault_addr <- addr;
-      raise (Cpu_fault (Bus_error addr))))
+    if addr < 0 || (addr >= t.mem_words && addr < mmio_base) then bus_error c addr)
   else begin
-    if addr < 0 || addr >= t.mem_words then (
-      c.last_fault_addr <- addr;
-      raise (Cpu_fault (Bus_error addr)));
-    if c.cpu_map >= 0 && not (segment_allows c.cpu_segs addr) then (
-      c.last_fault_addr <- addr;
-      raise (Cpu_fault (Bus_error addr)))
+    if addr < 0 || addr >= t.mem_words then bus_error c addr;
+    if c.cpu_map >= 0 && not (segment_allows c.cpu_segs addr) then bus_error c addr
   end
+[@@inline]
 
-let read_mem t addr =
-  check_access t addr;
-  let c = t.cur in
+(* The common access: inside data memory, and allowed there (in
+   supervisor state, with no map installed, or inside the map). *)
+let plain_access t c addr =
+  addr >= 0 && addr < t.mem_words
+  && (c.supervisor || c.cpu_map < 0 || segment_allows c.cpu_segs addr)
+[@@inline]
+
+let charge_ref t c =
   t.refs <- t.refs + 1;
   c.c_refs <- c.c_refs + 1;
-  c.c_time <- c.c_time + t.ref_cycles;
-  if addr >= mmio_base then (
+  c.c_time <- c.c_time + t.ref_cycles
+[@@inline]
+
+let read_slow t c addr =
+  check_access t addr;
+  charge_ref t c;
+  if addr < mmio_base then t.mem.(addr)
+  else
     match Hashtbl.find_opt t.mmio_read addr with
     | Some f -> word (f ())
-    | None ->
-      c.last_fault_addr <- addr;
-      raise (Cpu_fault (Bus_error addr)))
-  else t.mem.(addr)
+    | None -> bus_error c addr
+[@@inline never]
 
-let write_mem t addr v =
+let write_slow t c addr v =
   check_access t addr;
-  let c = t.cur in
-  t.refs <- t.refs + 1;
-  c.c_refs <- c.c_refs + 1;
-  c.c_time <- c.c_time + t.ref_cycles;
-  if addr >= mmio_base then (
+  charge_ref t c;
+  if addr < mmio_base then t.mem.(addr) <- word v
+  else
     match Hashtbl.find_opt t.mmio_write addr with
     | Some f -> f (word v)
-    | None ->
-      c.last_fault_addr <- addr;
-      raise (Cpu_fault (Bus_error addr)))
-  else t.mem.(addr) <- word v
+    | None -> bus_error c addr
+[@@inline never]
+
+let read_mem t addr =
+  let c = t.cur in
+  if plain_access t c addr then begin
+    charge_ref t c;
+    (* [plain_access] bounds [addr] by [mem_words] *)
+    Array.unsafe_get t.mem addr
+  end
+  else read_slow t c addr
+[@@inline]
+
+let write_mem t addr v =
+  let c = t.cur in
+  if plain_access t c addr then begin
+    charge_ref t c;
+    Array.unsafe_set t.mem addr (word v)
+  end
+  else write_slow t c addr v
+[@@inline]
 
 (* Host-side (uncharged, unchecked) memory access, for kernel services
    and tests; explicit [charge]/[charge_refs] accounts for their cost. *)
@@ -450,67 +492,6 @@ let define_map t ~id segments =
   Array.iter (fun c -> if c.cpu_map = id then c.cpu_segs <- segments) t.cpus
 
 let set_map t id = install_map t t.cur id
-
-(* ------------------------------------------------------------------ *)
-(* Code store *)
-
-let ensure_code_capacity t n =
-  if t.code_len + n > Array.length t.code then begin
-    let cap = ref (Array.length t.code) in
-    while t.code_len + n > !cap do
-      cap := !cap * 2
-    done;
-    let code = Array.make !cap Insn.Halt in
-    Array.blit t.code 0 code 0 t.code_len;
-    t.code <- code;
-    let cost = Array.make !cap (Cost.base Insn.Halt) in
-    Array.blit t.code_cost 0 cost 0 t.code_len;
-    t.code_cost <- cost;
-    let probes = Array.make !cap no_probe in
-    Array.blit t.code_probe 0 probes 0 t.code_len;
-    t.code_probe <- probes
-  end
-
-(* patching keeps the slot's probe *)
-let set_code t addr insn =
-  t.code.(addr) <- insn;
-  t.code_cost.(addr) <- Cost.base insn lor (t.code_cost.(addr) land probe_bit)
-
-(* Append resolved instructions; returns the entry address.  Labels
-   must have been resolved by [Asm.assemble]. *)
-let append_code t insns =
-  let n = List.length insns in
-  ensure_code_capacity t n;
-  let entry = t.code_len in
-  List.iteri
-    (fun i insn ->
-      match insn with
-      | Insn.Label l -> invalid_arg ("append_code: unresolved label " ^ l)
-      | Insn.Probe p -> invalid_arg ("append_code: unassembled probe " ^ p)
-      | _ -> set_code t (entry + i) insn)
-    insns;
-  t.code_len <- t.code_len + n;
-  entry
-
-(* Reserve a patchable region, initially halting. *)
-let reserve_code t n =
-  ensure_code_capacity t n;
-  let entry = t.code_len in
-  t.code_len <- t.code_len + n;
-  for i = entry to entry + n - 1 do
-    set_code t i Insn.Halt
-  done;
-  entry
-
-let patch_code t addr insn =
-  if addr < 0 || addr >= t.code_len then invalid_arg "patch_code: out of range";
-  set_code t addr insn
-
-let read_code t addr =
-  if addr < 0 || addr >= t.code_len then invalid_arg "read_code: out of range";
-  t.code.(addr)
-
-let code_size t = t.code_len
 
 (* ------------------------------------------------------------------ *)
 (* Host-side probes *)
@@ -804,44 +785,23 @@ let set_schedule_seed t seed =
   t.sched_rr <- abs seed mod num_cores t
 
 (* ------------------------------------------------------------------ *)
-(* Operand evaluation *)
+(* Flags and the stack *)
 
-let effective_addr t = function
-  | Insn.Imm _ | Insn.Lbl _ | Insn.Reg _ ->
-    invalid_arg "effective_addr: not a memory operand"
-  | Insn.Ind r -> t.cur.regs.(r)
-  | Insn.Idx (r, d) -> word (t.cur.regs.(r) + d)
-  | Insn.Abs a -> a
-  | Insn.Post_inc r ->
-    let a = t.cur.regs.(r) in
-    t.cur.regs.(r) <- word (a + 1);
-    a
-  | Insn.Pre_dec r ->
-    let a = word (t.cur.regs.(r) - 1) in
-    t.cur.regs.(r) <- a;
-    a
+let set_nz c v =
+  c.cc_n <- negative v;
+  c.cc_z <- v = 0
+[@@inline]
 
-let read_operand t = function
-  | Insn.Imm v -> word v
-  | Insn.Lbl l -> invalid_arg ("read_operand: unresolved label " ^ l)
-  | Insn.Reg r -> t.cur.regs.(r)
-  | op -> read_mem t (effective_addr t op)
+let set_nz_clear_cv c v =
+  set_nz c v;
+  c.cc_c <- false;
+  c.cc_v <- false
+[@@inline]
 
-let write_operand t op v =
-  match op with
-  | Insn.Imm _ -> invalid_arg "write_operand: immediate destination"
-  | Insn.Reg r -> t.cur.regs.(r) <- word v
-  | op -> write_mem t (effective_addr t op) v
-
-let set_nz t v =
-  t.cur.cc_n <- negative v;
-  t.cur.cc_z <- v = 0
-
-(* [b + a] and [b - a] setting NZVC on the acting core: the flags of
+(* [b + a] and [b - a] setting NZVC on core [c]: the flags of
    [Word.add_full]/[Word.sub_full], written in place rather than
    returned as a tuple the step loop would allocate. *)
-let add_set_flags t b a =
-  let c = t.cur in
+let add_set_flags c b a =
   let a = a land word_mask and b = b land word_mask in
   let sum = a + b in
   let r = sum land word_mask in
@@ -851,9 +811,9 @@ let add_set_flags t b a =
   c.cc_v <-
     negative a = negative b && negative r <> negative a;
   r
+[@@inline]
 
-let sub_set_flags t b a =
-  let c = t.cur in
+let sub_set_flags c b a =
   let a = a land word_mask and b = b land word_mask in
   let r = (b - a) land word_mask in
   c.cc_n <- negative r;
@@ -862,81 +822,7 @@ let sub_set_flags t b a =
   c.cc_v <-
     negative b <> negative a && negative r <> negative b;
   r
-
-let set_nz_clear_cv t v =
-  set_nz t v;
-  t.cur.cc_c <- false;
-  t.cur.cc_v <- false
-
-(* ------------------------------------------------------------------ *)
-(* ALU *)
-
-let alu_apply t op a b =
-  (* [b] is the destination operand value, [a] the source: dst op src. *)
-  match op with
-  | Insn.Add -> add_set_flags t b a
-  | Insn.Sub -> sub_set_flags t b a
-  | Insn.Mul ->
-    let r = Word.mul b a in
-    set_nz_clear_cv t r;
-    r
-  | Insn.Divu ->
-    if a = 0 then raise (Cpu_fault Div_zero);
-    let r = Word.divu b a in
-    set_nz_clear_cv t r;
-    r
-  | Insn.Divs ->
-    if a = 0 then raise (Cpu_fault Div_zero);
-    let r = Word.divs b a in
-    set_nz_clear_cv t r;
-    r
-  | Insn.And ->
-    let r = Word.logand b a in
-    set_nz_clear_cv t r;
-    r
-  | Insn.Or ->
-    let r = Word.logor b a in
-    set_nz_clear_cv t r;
-    r
-  | Insn.Xor ->
-    let r = Word.logxor b a in
-    set_nz_clear_cv t r;
-    r
-  | Insn.Lsl ->
-    let r = Word.shift_left b a in
-    set_nz_clear_cv t r;
-    r
-  | Insn.Lsr ->
-    let r = Word.shift_right_logical b a in
-    set_nz_clear_cv t r;
-    r
-  | Insn.Asr ->
-    let r = Word.shift_right_arith b a in
-    set_nz_clear_cv t r;
-    r
-
-let cond_holds t cond =
-  let c = t.cur in
-  match cond with
-  | Insn.Always -> true
-  | Insn.Eq -> c.cc_z
-  | Insn.Ne -> not c.cc_z
-  | Insn.Lt -> c.cc_n <> c.cc_v
-  | Insn.Ge -> c.cc_n = c.cc_v
-  | Insn.Le -> c.cc_z || c.cc_n <> c.cc_v
-  | Insn.Gt -> (not c.cc_z) && c.cc_n = c.cc_v
-  | Insn.Hi -> (not c.cc_c) && not c.cc_z
-  | Insn.Ls -> c.cc_c || c.cc_z
-  | Insn.Cs -> c.cc_c
-  | Insn.Cc -> not c.cc_c
-  | Insn.Mi -> c.cc_n
-  | Insn.Pl -> not c.cc_n
-
-let resolve_target t = function
-  | Insn.To_addr a -> a
-  | Insn.To_reg r -> t.cur.regs.(r)
-  | Insn.To_mem op -> read_mem t (effective_addr t op)
-  | Insn.To_label l -> invalid_arg ("resolve_target: unresolved label " ^ l)
+[@@inline]
 
 let push t v =
   let c = t.cur in
@@ -1002,60 +888,329 @@ let deliver_pending_interrupt t =
 [@@inline]
 
 (* ------------------------------------------------------------------ *)
-(* Instruction execution *)
+(* Instruction compilation
 
-let exec t insn =
-  match insn with
-  | Insn.Nop -> ()
-  | Insn.Label _ | Insn.Probe _ -> invalid_arg "exec: pseudo-instruction in code store"
+   Factoring Invariants, applied to the simulator.  Only [set_code]
+   writes a code slot, so it resolves everything that cannot change
+   until the slot is rewritten — the opcode, the addressing modes, the
+   branch condition, the constant operands — into one closure, and
+   [step] calls that closure instead of interpreting the instruction.
+   The common forms get a closure of their own, with the memory access
+   inlined; the rest are composed from per-operand closures.  Either
+   way a closure does what the instruction does, in the same order: a
+   [Post_inc]/[Pre_dec] register moves before the access that may
+   fault, and each reference is charged where it is made ([step]
+   charges the base cost and backs the PC up on a fault).  [compile]
+   is total and never raises: a pseudo-instruction, an unresolved
+   label or a misplaced operand compiles to a closure that raises when
+   the slot executes. *)
+
+let post_inc c r =
+  let a = c.regs.(r) in
+  c.regs.(r) <- word (a + 1);
+  a
+[@@inline]
+
+let pre_dec c r =
+  let a = word (c.regs.(r) - 1) in
+  c.regs.(r) <- a;
+  a
+[@@inline]
+
+let not_memory _ = invalid_arg "effective_addr: not a memory operand"
+
+(* The data address of a memory operand. *)
+let compile_ea : Insn.operand -> t -> int = function
+  | Insn.Imm _ | Insn.Lbl _ | Insn.Reg _ -> not_memory
+  | Insn.Ind r -> fun t -> t.cur.regs.(r)
+  | Insn.Idx (r, d) -> fun t -> word (t.cur.regs.(r) + d)
+  | Insn.Abs a -> fun _ -> a
+  | Insn.Post_inc r -> fun t -> post_inc t.cur r
+  | Insn.Pre_dec r -> fun t -> pre_dec t.cur r
+
+let compile_read : Insn.operand -> t -> int = function
+  | Insn.Imm v ->
+    let v = word v in
+    fun _ -> v
+  | Insn.Lbl l -> fun _ -> invalid_arg ("read_operand: unresolved label " ^ l)
+  | Insn.Reg r -> fun t -> t.cur.regs.(r)
+  | Insn.Ind r -> fun t -> read_mem t t.cur.regs.(r)
+  | Insn.Idx (r, d) -> fun t -> read_mem t (word (t.cur.regs.(r) + d))
+  | Insn.Abs a -> fun t -> read_mem t a
+  | Insn.Post_inc r -> fun t -> read_mem t (post_inc t.cur r)
+  | Insn.Pre_dec r -> fun t -> read_mem t (pre_dec t.cur r)
+
+let compile_write : Insn.operand -> t -> int -> unit = function
+  | Insn.Imm _ -> fun _ _ -> invalid_arg "write_operand: immediate destination"
+  | Insn.Lbl _ -> fun _ _ -> not_memory ()
+  | Insn.Reg r -> fun t v -> t.cur.regs.(r) <- word v
+  | Insn.Ind r -> fun t v -> write_mem t t.cur.regs.(r) v
+  | Insn.Idx (r, d) -> fun t v -> write_mem t (word (t.cur.regs.(r) + d)) v
+  | Insn.Abs a -> fun t v -> write_mem t a v
+  | Insn.Post_inc r -> fun t v -> write_mem t (post_inc t.cur r) v
+  | Insn.Pre_dec r -> fun t v -> write_mem t (pre_dec t.cur r) v
+
+(* The code address a control transfer goes to. *)
+let compile_target : Insn.target -> t -> int = function
+  | Insn.To_addr a -> fun _ -> a
+  | Insn.To_reg r -> fun t -> t.cur.regs.(r)
+  | Insn.To_mem (Insn.Imm _ | Insn.Lbl _ | Insn.Reg _) -> not_memory
+  | Insn.To_mem op -> compile_read op
+  | Insn.To_label l -> fun _ -> invalid_arg ("resolve_target: unresolved label " ^ l)
+
+let compile_cond : Insn.cond -> cpu -> bool = function
+  | Insn.Always -> fun _ -> true
+  | Insn.Eq -> fun c -> c.cc_z
+  | Insn.Ne -> fun c -> not c.cc_z
+  | Insn.Lt -> fun c -> c.cc_n <> c.cc_v
+  | Insn.Ge -> fun c -> c.cc_n = c.cc_v
+  | Insn.Le -> fun c -> c.cc_z || c.cc_n <> c.cc_v
+  | Insn.Gt -> fun c -> (not c.cc_z) && c.cc_n = c.cc_v
+  | Insn.Hi -> fun c -> (not c.cc_c) && not c.cc_z
+  | Insn.Ls -> fun c -> c.cc_c || c.cc_z
+  | Insn.Cs -> fun c -> c.cc_c
+  | Insn.Cc -> fun c -> not c.cc_c
+  | Insn.Mi -> fun c -> c.cc_n
+  | Insn.Pl -> fun c -> not c.cc_n
+
+(* [f c b a] is [b op a] (destination op source), setting [c]'s flags. *)
+let compile_alu : Insn.alu_op -> cpu -> int -> int -> int = function
+  | Insn.Add -> add_set_flags
+  | Insn.Sub -> sub_set_flags
+  | Insn.Mul ->
+    fun c b a ->
+      let r = Word.mul b a in
+      set_nz_clear_cv c r;
+      r
+  | Insn.Divu ->
+    fun c b a ->
+      if a = 0 then raise (Cpu_fault Div_zero);
+      let r = Word.divu b a in
+      set_nz_clear_cv c r;
+      r
+  | Insn.Divs ->
+    fun c b a ->
+      if a = 0 then raise (Cpu_fault Div_zero);
+      let r = Word.divs b a in
+      set_nz_clear_cv c r;
+      r
+  | Insn.And ->
+    fun c b a ->
+      let r = Word.logand b a in
+      set_nz_clear_cv c r;
+      r
+  | Insn.Or ->
+    fun c b a ->
+      let r = Word.logor b a in
+      set_nz_clear_cv c r;
+      r
+  | Insn.Xor ->
+    fun c b a ->
+      let r = Word.logxor b a in
+      set_nz_clear_cv c r;
+      r
+  | Insn.Lsl ->
+    fun c b a ->
+      let r = Word.shift_left b a in
+      set_nz_clear_cv c r;
+      r
+  | Insn.Lsr ->
+    fun c b a ->
+      let r = Word.shift_right_logical b a in
+      set_nz_clear_cv c r;
+      r
+  | Insn.Asr ->
+    fun c b a ->
+      let r = Word.shift_right_arith b a in
+      set_nz_clear_cv c r;
+      r
+
+let pseudo _ = invalid_arg "exec: pseudo-instruction in code store"
+
+let require_fp t = if not t.cur.fp_enabled then raise (Cpu_fault Fp_unavailable)
+[@@inline]
+
+let compile : Insn.insn -> t -> unit = function
+  | Insn.Nop -> fun _ -> ()
+  | Insn.Label _ | Insn.Probe _ -> pseudo
+  | Insn.Halt -> halt
+  (* moves: the forms the serve and UNIX workloads run most, then any
+     source to any destination *)
+  | Insn.Move (Insn.Reg s, Insn.Reg d) ->
+    fun t ->
+      let c = t.cur in
+      let v = c.regs.(s) in
+      c.regs.(d) <- word v;
+      set_nz_clear_cv c v
+  | Insn.Move (Insn.Imm v, Insn.Reg d) ->
+    let v = word v in
+    fun t ->
+      let c = t.cur in
+      c.regs.(d) <- v;
+      set_nz_clear_cv c v
+  | Insn.Move (Insn.Abs a, Insn.Reg d) ->
+    fun t ->
+      let v = read_mem t a in
+      let c = t.cur in
+      c.regs.(d) <- word v;
+      set_nz_clear_cv c v
+  | Insn.Move (Insn.Ind s, Insn.Reg d) ->
+    fun t ->
+      let c = t.cur in
+      let v = read_mem t c.regs.(s) in
+      c.regs.(d) <- word v;
+      set_nz_clear_cv c v
+  | Insn.Move (Insn.Reg s, Insn.Abs a) ->
+    fun t ->
+      let c = t.cur in
+      let v = c.regs.(s) in
+      write_mem t a v;
+      set_nz_clear_cv c v
+  | Insn.Move (Insn.Reg s, Insn.Ind d) ->
+    fun t ->
+      let c = t.cur in
+      let v = c.regs.(s) in
+      write_mem t c.regs.(d) v;
+      set_nz_clear_cv c v
+  | Insn.Move (Insn.Imm v, Insn.Abs a) ->
+    let v = word v in
+    fun t ->
+      write_mem t a v;
+      set_nz_clear_cv t.cur v
+  | Insn.Move (Insn.Imm v, Insn.Idx (d, k)) ->
+    let v = word v in
+    fun t ->
+      let c = t.cur in
+      write_mem t (word (c.regs.(d) + k)) v;
+      set_nz_clear_cv c v
+  | Insn.Move (Insn.Post_inc s, Insn.Post_inc d) ->
+    (* kpipe's block copy *)
+    fun t ->
+      let c = t.cur in
+      let v = read_mem t (post_inc c s) in
+      write_mem t (post_inc c d) v;
+      set_nz_clear_cv c v
   | Insn.Move (src, dst) ->
-    let v = read_operand t src in
-    write_operand t dst v;
-    set_nz_clear_cv t v
-  | Insn.Lea (op, r) -> t.cur.regs.(r) <- word (effective_addr t op)
+    let src = compile_read src and dst = compile_write dst in
+    fun t ->
+      let v = src t in
+      dst t v;
+      set_nz_clear_cv t.cur v
+  | Insn.Lea (op, r) ->
+    let ea = compile_ea op in
+    fun t ->
+      let a = ea t in
+      t.cur.regs.(r) <- word a
+  | Insn.Alu (Insn.Add, Insn.Imm v, rd) ->
+    let v = word v in
+    fun t ->
+      let c = t.cur in
+      c.regs.(rd) <- add_set_flags c c.regs.(rd) v
+  | Insn.Alu (op, Insn.Imm v, rd) ->
+    let f = compile_alu op and v = word v in
+    fun t ->
+      let c = t.cur in
+      c.regs.(rd) <- f c c.regs.(rd) v
+  | Insn.Alu (op, Insn.Reg s, rd) ->
+    let f = compile_alu op in
+    fun t ->
+      let c = t.cur in
+      c.regs.(rd) <- f c c.regs.(rd) c.regs.(s)
   | Insn.Alu (op, src, rd) ->
-    let a = read_operand t src in
-    t.cur.regs.(rd) <- alu_apply t op a t.cur.regs.(rd)
+    let f = compile_alu op and src = compile_read src in
+    fun t ->
+      let a = src t in
+      let c = t.cur in
+      c.regs.(rd) <- f c c.regs.(rd) a
   | Insn.Alu_mem (op, src, dst) ->
-    let a = read_operand t src in
-    let addr = effective_addr t dst in
-    let b = read_mem t addr in
-    write_mem t addr (alu_apply t op a b)
+    let f = compile_alu op and src = compile_read src and ea = compile_ea dst in
+    fun t ->
+      let a = src t in
+      let addr = ea t in
+      let b = read_mem t addr in
+      write_mem t addr (f t.cur b a)
+  | Insn.Cmp (Insn.Imm v, Insn.Reg d) ->
+    let v = word v in
+    fun t ->
+      let c = t.cur in
+      ignore (sub_set_flags c c.regs.(d) v)
+  | Insn.Cmp (Insn.Reg s, Insn.Reg d) ->
+    fun t ->
+      let c = t.cur in
+      ignore (sub_set_flags c c.regs.(d) c.regs.(s))
   | Insn.Cmp (src, dst) ->
-    let a = read_operand t src in
-    let b = read_operand t dst in
-    ignore (sub_set_flags t b a)
+    let src = compile_read src and dst = compile_read dst in
+    fun t ->
+      let a = src t in
+      let b = dst t in
+      ignore (sub_set_flags t.cur b a)
+  | Insn.Tst (Insn.Reg r) ->
+    fun t ->
+      let c = t.cur in
+      set_nz_clear_cv c c.regs.(r)
   | Insn.Tst op ->
-    let v = read_operand t op in
-    set_nz_clear_cv t v
+    let op = compile_read op in
+    fun t ->
+      let v = op t in
+      set_nz_clear_cv t.cur v
   | Insn.Neg r ->
-    let v = Word.neg t.cur.regs.(r) in
-    t.cur.regs.(r) <- v;
-    set_nz t v;
-    t.cur.cc_c <- v <> 0;
-    t.cur.cc_v <- v = Word.sign_bit
+    fun t ->
+      let c = t.cur in
+      let v = Word.neg c.regs.(r) in
+      c.regs.(r) <- v;
+      set_nz c v;
+      c.cc_c <- v <> 0;
+      c.cc_v <- v = Word.sign_bit
   | Insn.Not r ->
-    let v = Word.lognot t.cur.regs.(r) in
-    t.cur.regs.(r) <- v;
-    set_nz_clear_cv t v
-  | Insn.B (c, tgt) -> if cond_holds t c then t.cur.pc <- resolve_target t tgt
+    fun t ->
+      let c = t.cur in
+      let v = Word.lognot c.regs.(r) in
+      c.regs.(r) <- v;
+      set_nz_clear_cv c v
+  (* control transfer *)
+  | Insn.B (Insn.Always, Insn.To_addr a) | Insn.Jmp (Insn.To_addr a) ->
+    fun t -> t.cur.pc <- a
+  | Insn.B (cond, Insn.To_addr a) ->
+    let holds = compile_cond cond in
+    fun t ->
+      let c = t.cur in
+      if holds c then c.pc <- a
+  | Insn.B (cond, tgt) ->
+    let holds = compile_cond cond and tgt = compile_target tgt in
+    fun t -> if holds t.cur then t.cur.pc <- tgt t
+  | Insn.Dbra (r, Insn.To_addr a) ->
+    fun t ->
+      let c = t.cur in
+      let v = word (c.regs.(r) - 1) in
+      c.regs.(r) <- v;
+      if v <> word_mask then c.pc <- a
   | Insn.Dbra (r, tgt) ->
-    let v = word (t.cur.regs.(r) - 1) in
-    t.cur.regs.(r) <- v;
-    if v <> word_mask then t.cur.pc <- resolve_target t tgt
-  | Insn.Jmp tgt -> t.cur.pc <- resolve_target t tgt
+    let tgt = compile_target tgt in
+    fun t ->
+      let c = t.cur in
+      let v = word (c.regs.(r) - 1) in
+      c.regs.(r) <- v;
+      if v <> word_mask then c.pc <- tgt t
+  | Insn.Jmp tgt ->
+    let tgt = compile_target tgt in
+    fun t -> t.cur.pc <- tgt t
   | Insn.Jsr tgt ->
-    let dest = resolve_target t tgt in
-    push t t.cur.pc;
-    t.cur.pc <- dest
-  | Insn.Rts -> t.cur.pc <- pop t
-  | Insn.Trap n -> take_exception t ~vector:(Insn.Vector.trap n) ~new_ipl:None
+    let tgt = compile_target tgt in
+    fun t ->
+      let dest = tgt t in
+      push t t.cur.pc;
+      t.cur.pc <- dest
+  | Insn.Rts -> fun t -> t.cur.pc <- pop t
+  | Insn.Trap n ->
+    let vector = Insn.Vector.trap n in
+    fun t -> take_exception t ~vector ~new_ipl:None
   | Insn.Rte ->
-    require_supervisor t;
-    let sr = pop t in
-    let pc = pop t in
-    unpack_sr t sr;
-    t.cur.pc <- pc
+    fun t ->
+      require_supervisor t;
+      let sr = pop t in
+      let pc = pop t in
+      unpack_sr t sr;
+      t.cur.pc <- pc
   | Insn.Cas (rc, ru, ea) ->
     (* Atomic by construction: a core's load-compare-store sequence
        can never be split — interrupts arrive between instructions and
@@ -1065,107 +1220,191 @@ let exec t insn =
        A kfault-forced failure suppresses the store and reports Z
        clear — the same observable outcome, costing the same
        references. *)
-    let c = t.cur in
-    let addr = effective_addr t ea in
-    let v = read_mem t addr in
-    t.cas_count <- t.cas_count + 1;
-    let forced = t.cas_count = t.cas_fail_next in
-    ignore (sub_set_flags t v c.regs.(rc));
-    if v = c.regs.(rc) && not forced then write_mem t addr c.regs.(ru)
-    else begin
-      c.regs.(rc) <- v;
-      if not forced then c.c_cas_lost <- c.c_cas_lost + 1
-    end;
-    if forced then begin
-      c.cc_z <- false;
-      c.c_cas_lost <- c.c_cas_lost + 1;
-      t.cas_fail_next <- max_int;
-      t.cas_fail_hook t
-    end
+    let ea = compile_ea ea in
+    fun t ->
+      let c = t.cur in
+      let addr = ea t in
+      let v = read_mem t addr in
+      t.cas_count <- t.cas_count + 1;
+      let forced = t.cas_count = t.cas_fail_next in
+      ignore (sub_set_flags c v c.regs.(rc));
+      if v = c.regs.(rc) && not forced then write_mem t addr c.regs.(ru)
+      else begin
+        c.regs.(rc) <- v;
+        if not forced then c.c_cas_lost <- c.c_cas_lost + 1
+      end;
+      if forced then begin
+        c.cc_z <- false;
+        c.c_cas_lost <- c.c_cas_lost + 1;
+        t.cas_fail_next <- max_int;
+        t.cas_fail_hook t
+      end
   | Insn.Movem_save (rs, sreg) ->
-    List.iter
-      (fun r ->
-        let a = word (t.cur.regs.(sreg) - 1) in
-        t.cur.regs.(sreg) <- a;
-        write_mem t a t.cur.regs.(r))
-      (List.rev rs)
+    let rs = Array.of_list (List.rev rs) in
+    fun t ->
+      let c = t.cur in
+      for i = 0 to Array.length rs - 1 do
+        let a = word (c.regs.(sreg) - 1) in
+        c.regs.(sreg) <- a;
+        write_mem t a c.regs.(rs.(i))
+      done
   | Insn.Movem_load (sreg, rs) ->
-    List.iter
-      (fun r ->
-        let a = t.cur.regs.(sreg) in
-        t.cur.regs.(r) <- read_mem t a;
-        t.cur.regs.(sreg) <- word (a + 1))
-      rs
-  | Insn.Push op -> push t (read_operand t op)
-  | Insn.Pop r -> t.cur.regs.(r) <- pop t
+    let rs = Array.of_list rs in
+    fun t ->
+      let c = t.cur in
+      for i = 0 to Array.length rs - 1 do
+        let a = c.regs.(sreg) in
+        c.regs.(rs.(i)) <- read_mem t a;
+        c.regs.(sreg) <- word (a + 1)
+      done
+  | Insn.Push op ->
+    let op = compile_read op in
+    fun t -> push t (op t)
+  | Insn.Pop r -> fun t -> t.cur.regs.(r) <- pop t
+  (* supervisor state *)
   | Insn.Set_ipl n ->
-    require_supervisor t;
-    t.cur.ipl <- n land 7
+    let n = n land 7 in
+    fun t ->
+      require_supervisor t;
+      t.cur.ipl <- n
   | Insn.Move_vbr op ->
-    require_supervisor t;
-    t.cur.vbr <- read_operand t op
+    let op = compile_read op in
+    fun t ->
+      require_supervisor t;
+      t.cur.vbr <- op t
   | Insn.Move_mmu op ->
-    require_supervisor t;
-    install_map t t.cur (Word.signed (read_operand t op))
+    let op = compile_read op in
+    fun t ->
+      require_supervisor t;
+      install_map t t.cur (Word.signed (op t))
+  | Insn.Stop_wait ->
+    fun t ->
+      require_supervisor t;
+      (* an interrupt already pending — even one the mask holds off —
+         is the wakeup the waiter is waiting for: sleeping through it
+         would lose it *)
+      if t.cur.pending_mask = 0 then t.cur.stopped <- true
+  | Insn.Hcall id ->
+    (* looked up when the slot runs: the service may be registered
+       after the slot is written *)
+    fun t ->
+      if id < 0 || id >= t.hcall_len then raise (Cpu_fault Illegal);
+      t.hcalls.(id) t
+  (* floating point *)
   | Insn.Fmove_imm (f, d) ->
-    if not t.cur.fp_enabled then raise (Cpu_fault Fp_unavailable);
-    t.cur.fregs.(d) <- f
+    fun t ->
+      require_fp t;
+      t.cur.fregs.(d) <- f
   | Insn.Fmove (s, d) ->
-    if not t.cur.fp_enabled then raise (Cpu_fault Fp_unavailable);
-    t.cur.fregs.(d) <- t.cur.fregs.(s)
-  | Insn.Fop (op, s, d) ->
-    if not t.cur.fp_enabled then raise (Cpu_fault Fp_unavailable);
-    let a = t.cur.fregs.(s) and b = t.cur.fregs.(d) in
-    t.cur.fregs.(d) <-
-      (match op with
-      | Insn.Fadd -> b +. a
-      | Insn.Fsub -> b -. a
-      | Insn.Fmul -> b *. a
-      | Insn.Fdiv -> b /. a)
+    fun t ->
+      require_fp t;
+      t.cur.fregs.(d) <- t.cur.fregs.(s)
+  | Insn.Fop (op, s, d) -> (
+    let fop f = fun t ->
+      require_fp t;
+      let r = t.cur.fregs in
+      r.(d) <- f r.(d) r.(s)
+    in
+    match op with
+    | Insn.Fadd -> fop ( +. )
+    | Insn.Fsub -> fop ( -. )
+    | Insn.Fmul -> fop ( *. )
+    | Insn.Fdiv -> fop ( /. ))
   | Insn.Fmovem_save sreg ->
     (* FP context is wide: three memory words per register. *)
-    for i = Insn.num_fregs - 1 downto 0 do
-      let bits = Int64.to_int (Int64.logand (Int64.bits_of_float t.cur.fregs.(i)) 0xFFFF_FFFFL) in
-      let a = word (t.cur.regs.(sreg) - 3) in
-      t.cur.regs.(sreg) <- a;
-      write_mem t a bits;
-      write_mem t (a + 1)
-        (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float t.cur.fregs.(i)) 32));
-      write_mem t (a + 2) i
-    done
+    fun t ->
+      for i = Insn.num_fregs - 1 downto 0 do
+        let bits = Int64.to_int (Int64.logand (Int64.bits_of_float t.cur.fregs.(i)) 0xFFFF_FFFFL) in
+        let a = word (t.cur.regs.(sreg) - 3) in
+        t.cur.regs.(sreg) <- a;
+        write_mem t a bits;
+        write_mem t (a + 1)
+          (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float t.cur.fregs.(i)) 32));
+        write_mem t (a + 2) i
+      done
   | Insn.Fmovem_load sreg ->
-    for i = 0 to Insn.num_fregs - 1 do
-      let a = t.cur.regs.(sreg) in
-      let lo = read_mem t a in
-      let hi = read_mem t (a + 1) in
-      let _tag = read_mem t (a + 2) in
-      t.cur.regs.(sreg) <- word (a + 3);
-      t.cur.fregs.(i) <-
-        Int64.float_of_bits
-          (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
-    done
-  | Insn.Stop_wait ->
-    require_supervisor t;
-    (* an interrupt already pending — even one the mask holds off —
-       is the wakeup the waiter is waiting for: sleeping through it
-       would lose it *)
-    if t.cur.pending_mask = 0 then t.cur.stopped <- true
-  | Insn.Halt -> t.halted <- true
-  | Insn.Hcall id ->
-    if id < 0 || id >= t.hcall_len then raise (Cpu_fault Illegal);
-    t.hcalls.(id) t
+    fun t ->
+      for i = 0 to Insn.num_fregs - 1 do
+        let a = t.cur.regs.(sreg) in
+        let lo = read_mem t a in
+        let hi = read_mem t (a + 1) in
+        let _tag = read_mem t (a + 2) in
+        t.cur.regs.(sreg) <- word (a + 3);
+        t.cur.fregs.(i) <-
+          Int64.float_of_bits
+            (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+      done
+
+(* ------------------------------------------------------------------ *)
+(* Code store *)
+
+let ensure_code_capacity t n =
+  if t.code_len + n > Array.length t.code then begin
+    let cap = ref (Array.length t.code) in
+    while t.code_len + n > !cap do
+      cap := !cap * 2
+    done;
+    let code = Array.make !cap halt_slot in
+    Array.blit t.code 0 code 0 t.code_len;
+    t.code <- code;
+    let cost = Array.make !cap (Cost.base Insn.Halt) in
+    Array.blit t.code_cost 0 cost 0 t.code_len;
+    t.code_cost <- cost;
+    let probes = Array.make !cap no_probe in
+    Array.blit t.code_probe 0 probes 0 t.code_len;
+    t.code_probe <- probes
+  end
+
+(* The one writer of a code slot: it stores the instruction with its
+   compiled closure and folds its base cost, so patching, repair and
+   fault injection need no other invalidation.  Patching keeps the
+   slot's probe. *)
+let set_code t addr insn =
+  t.code.(addr) <- { insn; run = compile insn };
+  t.code_cost.(addr) <- Cost.base insn lor (t.code_cost.(addr) land probe_bit)
+
+(* Append resolved instructions; returns the entry address.  Labels
+   must have been resolved by [Asm.assemble]. *)
+let append_code t insns =
+  let n = List.length insns in
+  ensure_code_capacity t n;
+  let entry = t.code_len in
+  List.iteri
+    (fun i insn ->
+      match insn with
+      | Insn.Label l -> invalid_arg ("append_code: unresolved label " ^ l)
+      | Insn.Probe p -> invalid_arg ("append_code: unassembled probe " ^ p)
+      | _ -> set_code t (entry + i) insn)
+    insns;
+  t.code_len <- t.code_len + n;
+  entry
+
+(* Reserve a patchable region, initially halting. *)
+let reserve_code t n =
+  ensure_code_capacity t n;
+  let entry = t.code_len in
+  t.code_len <- t.code_len + n;
+  for i = entry to entry + n - 1 do
+    set_code t i Insn.Halt
+  done;
+  entry
+
+let patch_code t addr insn =
+  if addr < 0 || addr >= t.code_len then invalid_arg "patch_code: out of range";
+  set_code t addr insn
+
+let read_code t addr =
+  if addr < 0 || addr >= t.code_len then invalid_arg "read_code: out of range";
+  t.code.(addr).insn
+
+let code_size t = t.code_len
+
 
 (* ------------------------------------------------------------------ *)
 (* Stepping and running *)
 
 let set_fp_enabled t b = t.cur.fp_enabled <- b
 let fp_enabled t = t.cur.fp_enabled
-
-let fetch t =
-  let pc = t.cur.pc in
-  if pc < 0 || pc >= t.code_len then raise (Wild_jump pc);
-  t.code.(pc)
-[@@inline]
 
 let record_trace t pc =
   t.trace_ring.(t.trace_pos) <- pc;
@@ -1236,6 +1475,12 @@ let pick_core t =
     !best
   end
 
+(* One step of the machine: a pending interrupt is taken, or the
+   picked core runs one instruction.  The instruction is its slot's
+   closure, compiled when [set_code] wrote the slot; the step charges
+   its base cost before running it, fires the slot's probe, and on a
+   CPU fault backs the PC up to the instruction and enters the
+   handler. *)
 let step t =
   (* cycles charged host-side between steps belong to host services *)
   if t.attr_on then attr_window t owner_host;
@@ -1272,8 +1517,11 @@ let step t =
       if deliver_pending_interrupt t then attr_window t owner_irq
       else begin
         let trace_this = c.trace_bit in
-        let insn = fetch t in
         let at = c.pc in
+        if at < 0 || at >= t.code_len then raise (Wild_jump at);
+        (* loaded before the probe runs: a probe that patches its own
+           slot takes effect on the next pass *)
+        let exec = t.code.(at).run in
         let cost = t.code_cost.(at) in
         let cost =
           if cost >= 0 then cost
@@ -1287,7 +1535,7 @@ let step t =
         t.insns <- t.insns + 1;
         c.c_insns <- c.c_insns + 1;
         c.c_time <- c.c_time + cost;
-        (try exec t insn
+        (try exec t
          with Cpu_fault f -> (
            c.pc <- c.pc - 1;
            (match t.hooks with Some h -> h.h_fault f | None -> ());
@@ -1367,7 +1615,6 @@ let stopped t = t.cur.stopped
 let last_fault_addr t = t.cur.last_fault_addr
 let vbr t = t.cur.vbr
 let set_vbr t v = t.cur.vbr <- v
-let ipl t = t.cur.ipl
 let set_ipl t l = t.cur.ipl <- l land 7
 
 let set_supervisor t b =

@@ -151,7 +151,6 @@ val other_sp : t -> int
 val set_other_sp : t -> int -> unit
 val vbr : t -> int
 val set_vbr : t -> int -> unit
-val ipl : t -> int
 val set_ipl : t -> int -> unit
 val set_fp_enabled : t -> bool -> unit
 val fp_enabled : t -> bool
@@ -181,7 +180,14 @@ val map_segments : t -> id:int -> (int * int) list
 val set_map : t -> int -> unit
 val mem_words : t -> int
 
-(** {1 Code store} *)
+(** {1 Code store}
+
+    Every write to a slot compiles its instruction for the step loop
+    there and then.  Compiling never fails: an instruction that cannot
+    run (an unresolved label, an immediate destination, a
+    pseudo-instruction patched in) raises [Invalid_argument] only when
+    the slot executes.  [append_code] still refuses labels and probes
+    up front. *)
 
 (** Append resolved instructions; returns the entry address. *)
 val append_code : t -> Insn.insn list -> int
@@ -189,7 +195,8 @@ val append_code : t -> Insn.insn list -> int
 (** Reserve a patchable region of [n] slots (initially halting). *)
 val reserve_code : t -> int -> int
 
-(** Rewrite one instruction in place — executable data structures. *)
+(** Rewrite one instruction in place — executable data structures.
+    The next execution of the slot runs the new instruction. *)
 val patch_code : t -> int -> Insn.insn -> unit
 
 val read_code : t -> int -> Insn.insn

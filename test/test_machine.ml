@@ -853,6 +853,85 @@ let test_probes_follow_the_code () =
     Alcotest.(check (list int)) "revived page re-armed" [ e3 + 1 ]
       (run_routine m e3)
 
+(* ------------------------------------------------------------------ *)
+(* The slot lifecycle: [set_code] compiles each slot as it is written,
+   so every way of writing a slot must take effect, and nothing about
+   a slot may be decided before it runs. *)
+
+(* A two-slot loop: [entry] adds to r0, [entry + 1] branches back. *)
+let adder_loop () =
+  let m = machine () in
+  let entry, _ =
+    Asm.assemble m
+      [ I.Label "l"; I.Alu (I.Add, I.Imm 1, I.r0); I.B (I.Always, I.To_label "l") ]
+  in
+  Machine.set_pc m entry;
+  (m, entry)
+
+let test_patch_mid_run () =
+  let m, entry = adder_loop () in
+  ignore (Machine.run ~max_insns:10 m);
+  check_int "five passes" 5 (Machine.get_reg m I.r0);
+  Machine.patch_code m entry (I.Alu (I.Add, I.Imm 100, I.r0));
+  ignore (Machine.run ~max_insns:2 m);
+  check_int "the patched slot runs the new instruction" 105 (Machine.get_reg m I.r0);
+  Machine.patch_code m entry (I.Move (I.Imm 7, I.Reg I.r0));
+  ignore (Machine.run ~max_insns:2 m);
+  check_int "and again" 7 (Machine.get_reg m I.r0)
+
+let test_probe_survives_patch () =
+  List.iter
+    (fun probe_first ->
+      let m, entry = adder_loop () in
+      let fired = ref 0 in
+      let probe () = Machine.add_probe m entry (fun _ -> incr fired) in
+      if probe_first then probe ();
+      Machine.patch_code m entry (I.Alu (I.Add, I.Imm 10, I.r0));
+      if not probe_first then probe ();
+      ignore (Machine.run ~max_insns:2 m);
+      let name = if probe_first then "probe, then patch" else "patch, then probe" in
+      check_int (name ^ ": fires once") 1 !fired;
+      check_int (name ^ ": new instruction") 10 (Machine.get_reg m I.r0))
+    [ true; false ]
+
+let test_label_raises_when_run () =
+  let m, entry = adder_loop () in
+  Machine.patch_code m (entry + 1) (I.Label "l");
+  Machine.step m;
+  check_int "the slot before it runs" 1 (Machine.get_reg m I.r0);
+  Alcotest.check_raises "the label raises when it executes"
+    (Invalid_argument "exec: pseudo-instruction in code store") (fun () ->
+      Machine.step m)
+
+let test_hcall_registered_later () =
+  let m = machine () in
+  let entry = Machine.append_code m [ I.Hcall 0; I.Halt ] in
+  let ran = ref 0 in
+  check_int "registered after the slot was written" 0
+    (Machine.register_hcall m (fun _ -> incr ran));
+  Machine.set_pc m entry;
+  ignore (Machine.run ~max_insns:10 m);
+  check_int "the service ran" 1 !ran
+
+let test_post_inc_bus_error () =
+  let m = machine () in
+  let handler, _ = Asm.assemble m [ I.Halt ] in
+  Machine.poke m I.Vector.bus_error handler;
+  let entry, _ = Asm.assemble m [ I.Move (I.Post_inc I.r1, I.Reg I.r0); I.Halt ] in
+  let bad = Machine.mem_words m in
+  Machine.set_reg m I.r1 bad;
+  Machine.set_reg m I.sp 0x8000;
+  Machine.set_pc m entry;
+  Machine.step m;
+  check_int "the register moved before the access faulted" (bad + 1)
+    (Machine.get_reg m I.r1);
+  check_int "fault address" bad (Machine.last_fault_addr m);
+  check_int "the frame's PC is the faulting instruction" entry (Machine.peek m 0x7FFF);
+  check_int "in the handler" handler (Machine.get_pc m);
+  (* the refused access charges nothing; the frame's two pushes and
+     the vector fetch do *)
+  check_int "references" 3 (Machine.mem_refs m)
+
 let () =
   Alcotest.run "machine"
     [
@@ -916,6 +995,16 @@ let () =
             test_probe_skips_interrupt_entry;
           Alcotest.test_case "follow recycled and repaired code" `Quick
             test_probes_follow_the_code;
+        ] );
+      ( "slots",
+        [
+          Alcotest.test_case "patched mid-run" `Quick test_patch_mid_run;
+          Alcotest.test_case "a probe survives a patch" `Quick test_probe_survives_patch;
+          Alcotest.test_case "a label raises only when run" `Quick
+            test_label_raises_when_run;
+          Alcotest.test_case "hcall registered after its slot" `Quick
+            test_hcall_registered_later;
+          Alcotest.test_case "post-inc source bus error" `Quick test_post_inc_bus_error;
         ] );
       ("word", [ Alcotest.test_case "word ops" `Quick test_word_ops ]);
       ("properties", qcheck [ prop_alu_reference; prop_word_roundtrip ]);
