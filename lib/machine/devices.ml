@@ -6,16 +6,12 @@
    assigned in [Mmio_map]. *)
 
 (* ------------------------------------------------------------------ *)
-(* Real-time clock and monitor counters *)
+(* Real-time clock *)
 
 module Rtc = struct
   let install m =
     Machine.map_mmio_read m ~addr:Mmio_map.rtc_us (fun () ->
-        int_of_float (Machine.time_us m));
-    Machine.map_mmio_read m ~addr:Mmio_map.rtc_cycles (fun () ->
-        Machine.cycles m land Word.mask);
-    Machine.map_mmio_read m ~addr:Mmio_map.rtc_insns (fun () ->
-        Machine.insns_executed m land Word.mask)
+        int_of_float (Machine.time_us m))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -143,8 +139,6 @@ module Tty = struct
     Machine.map_mmio_read m ~addr:Mmio_map.tty_data_in (fun () ->
         t.data_taken <- true;
         t.data_in);
-    Machine.map_mmio_read m ~addr:Mmio_map.tty_status (fun () ->
-        if Queue.is_empty t.input then 0 else 1);
     Machine.map_mmio_write m ~addr:Mmio_map.tty_data_out (fun v ->
         Buffer.add_char t.output (Char.chr (v land 0x7F)));
     t
@@ -340,18 +334,11 @@ module Ad = struct
             (Machine.cycles m + Cost.cycles_of_us (Machine.cost_model m) period_us)
         end);
     Machine.map_mmio_read m ~addr:Mmio_map.ad_data (fun () -> t.sample);
-    Machine.map_mmio_write m ~addr:Mmio_map.ad_control (fun rate ->
-        t.rate_hz <- rate;
-        if rate = 0 then Machine.device_idle m t.dev
-        else
-          let period_us = 1_000_000.0 /. float_of_int rate in
-          Machine.device_schedule m t.dev
-            (Machine.cycles m + Cost.cycles_of_us (Machine.cost_model m) period_us));
     t
 
   let delivered t = t.delivered
 
-  (* Host-side rate control (same effect as the MMIO control write). *)
+  (* Rate control, host-side: the converter has no control register. *)
   let set_rate t rate =
     t.rate_hz <- rate;
     if rate = 0 then Machine.device_idle t.machine t.dev

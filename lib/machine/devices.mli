@@ -1,4 +1,4 @@
-(** Device models (§6.1): real-time clock and counters, interval
+(** Device models (§6.1): real-time clock, interval
     timers, serial TTY, DMA disk with seek latency, the 44.1 kHz A/D
     sampler and the D/A sink.  Each installs MMIO handlers (see
     {!Mmio_map}) and, when it generates events, a machine device whose

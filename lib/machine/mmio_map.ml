@@ -2,10 +2,8 @@
 
 let base = Machine.mmio_base
 
-(* Real-time clock / monitor counters (§6.1 measurement facilities). *)
+(* Real-time clock (§6.1 measurement facilities). *)
 let rtc_us = base + 0x00
-let rtc_cycles = base + 0x01
-let rtc_insns = base + 0x02
 
 (* Interval timer: write an interval in microseconds to arm a one-shot
    alarm interrupt; write 0 to cancel; read remaining microseconds. *)
@@ -41,7 +39,6 @@ let irq_ack = base + 0x64
 
 (* Serial TTY. *)
 let tty_data_in = base + 0x20
-let tty_status = base + 0x21
 let tty_data_out = base + 0x22
 
 (* Disk controller. *)
@@ -52,7 +49,6 @@ let disk_status = base + 0x33
 
 (* A/D converter (two-channel 16-bit analog input, §6.1). *)
 let ad_data = base + 0x40
-let ad_control = base + 0x41
 
 (* D/A converter (sound output). *)
 let da_data = base + 0x50

@@ -3,11 +3,9 @@
 
 val base : int
 
-(** {1 Real-time clock / monitor counters} *)
+(** {1 Real-time clock} — read the acting core's time in microseconds. *)
 
 val rtc_us : int
-val rtc_cycles : int
-val rtc_insns : int
 
 (** {1 Interval timers} — write microseconds to arm a one-shot
     interrupt, 0 to cancel, read for the remainder. *)
@@ -41,7 +39,6 @@ val irq_ack : int
 (** {1 Serial TTY} *)
 
 val tty_data_in : int
-val tty_status : int
 val tty_data_out : int
 
 (** {1 Disk controller} *)
@@ -54,7 +51,6 @@ val disk_status : int
 (** {1 A/D and D/A converters} *)
 
 val ad_data : int
-val ad_control : int
 val da_data : int
 
 (* The network card (kserve) has no registers here: it is configured

@@ -24,16 +24,6 @@ module E = Repro_harness.Explorer
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let enter_scheduler ?(ipl = 7) k =
-  let m = k.Kernel.machine in
-  match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m ipl;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> Alcotest.fail "enter_scheduler: empty ready queue"
-
 let step_until m ~budget pred =
   let left = ref budget in
   while (not (pred ())) && !left > 0 do
@@ -216,7 +206,7 @@ let test_stop_running_thread_preempts () =
   in
   let t0 = mk 0 in
   let t1 = mk 1 in
-  enter_scheduler k;
+  Boot.enter_scheduler k;
   let started () = Machine.peek m cells > 0 || Machine.peek m (cells + 1) > 0 in
   check_bool "a worker started" true (step_until m ~budget:20_000 started);
   let ri = if Machine.peek m cells > 0 then 0 else 1 in
@@ -259,7 +249,8 @@ let test_spurious_disk_irq_ignored () =
   let ds = Disk_server.install k () in
   Devices.Disk.write_block k.Kernel.disk 7
     (Array.init Devices.Disk.block_words (fun i -> 7_000 + i));
-  enter_scheduler ~ipl:0 k;
+  Boot.enter_scheduler k;
+  Machine.set_ipl m 0;
   (* let the idle thread take the CPU before any interrupt arrives *)
   for _ = 1 to 100 do
     Machine.step m
@@ -302,7 +293,8 @@ let test_elevator_direction_flip () =
       Devices.Disk.write_block k.Kernel.disk bno
         (Array.init Devices.Disk.block_words (fun i -> (bno * 1_000) + i)))
     [ 5; 4; 3; 6 ];
-  enter_scheduler ~ipl:0 k;
+  Boot.enter_scheduler k;
+  Machine.set_ipl m 0;
   let submit bno =
     Disk_server.submit ds ~block:bno
       ~buffer:(Kalloc.alloc_zeroed k.Kernel.alloc Devices.Disk.block_words)
@@ -359,7 +351,7 @@ let test_restart_rebuilds_context () =
       ]
   in
   let t = Thread.create k ~entry ~segments:[ (cell, 1) ] () in
-  enter_scheduler k;
+  Boot.enter_scheduler k;
   check_bool "worker ran" true
     (step_until m ~budget:20_000 (fun () -> Machine.peek m cell > 0));
   Thread.stop k t;
