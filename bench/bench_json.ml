@@ -22,7 +22,11 @@
    medians (one recovered fault lands entirely in p999), so the base
    tolerance is scaled by a class derived from the metric name — p999
    4x, p99 2.5x, p90 2x, everything else 1x.  `compare` prints the
-   class whenever it is not 1x. *)
+   class whenever it is not 1x.
+
+   Tolerance 0 is the exact gate for a change that claims to move no
+   row: every row must equal its baseline as written (six significant
+   digits), and a row that moved in either direction fails. *)
 
 type row = {
   bj_table : string;
@@ -42,6 +46,9 @@ let rows () = List.rev !rows_rev
 let clear () = rows_rev := []
 
 let key r = Fmt.str "%s.%s.%s" r.bj_table r.bj_row r.bj_metric
+
+(* A value as [write] serializes it. *)
+let written v = Fmt.str "%.6g" v
 
 let higher_is_better metric =
   let ends_with suf s =
@@ -80,8 +87,8 @@ let write path =
     (fun i r ->
       if i > 0 then output_string oc ",\n";
       output_string oc
-        (Fmt.str "    {\"table\":%S,\"row\":%S,\"metric\":%S,\"value\":%.6g}"
-           r.bj_table r.bj_row r.bj_metric r.bj_value))
+        (Fmt.str "    {\"table\":%S,\"row\":%S,\"metric\":%S,\"value\":%s}"
+           r.bj_table r.bj_row r.bj_metric (written r.bj_value)))
     (rows ());
   output_string oc "\n] }\n";
   close_out oc
@@ -164,7 +171,10 @@ type verdict = Ok_same | Regressed of float | Improved of float | Missing
 
 let compare_rows ~baseline ~current ~tolerance =
   let cur = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace cur (key r) r.bj_value) current;
+  (* compared as written, so a row that reproduces is exactly equal *)
+  List.iter
+    (fun r -> Hashtbl.replace cur (key r) (float_of_string (written r.bj_value)))
+    current;
   let verdicts =
     List.map
       (fun b ->
@@ -188,6 +198,7 @@ let compare_rows ~baseline ~current ~tolerance =
           else (b, Ok_same))
       baseline
   in
+  let exact = tolerance = 0.0 in
   let regressions =
     List.filter
       (fun (_, v) -> match v with Regressed _ | Missing -> true | _ -> false)
@@ -209,7 +220,9 @@ let compare_rows ~baseline ~current ~tolerance =
         Fmt.pr "%-44s %12.6g %12.6g %+8.1f%%%s%s@." (key b) b.bj_value cur_v
           (100.0 *. rel)
           (if scale <> 1.0 then Fmt.str " [tol x%.1f]" scale else "")
-          (match v with Regressed _ -> "  REGRESSION" | _ -> ""))
+          (match v with
+          | Regressed _ -> "  REGRESSION"
+          | _ -> if exact then "  MOVED" else ""))
     verdicts;
   let within = List.length verdicts - List.length regressions - List.length improved in
   Fmt.pr
@@ -219,8 +232,10 @@ let compare_rows ~baseline ~current ~tolerance =
     (100.0 *. tolerance)
     (List.length improved) (List.length regressions);
   if improved <> [] then
-    Fmt.pr "improvements beyond tolerance: refresh bench/baseline.json to lock them in@.";
-  List.length regressions
+    if exact then Fmt.pr "exact gate: an improved row fails too@."
+    else
+      Fmt.pr "improvements beyond tolerance: refresh bench/baseline.json to lock them in@.";
+  List.length regressions + if exact then List.length improved else 0
 
 let compare_files ~baseline_path ~current_path ~tolerance =
   compare_rows ~baseline:(load baseline_path) ~current:(load current_path)

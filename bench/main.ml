@@ -52,13 +52,15 @@ let compare_run ~scale ~baseline ~tolerance () =
     Fmt.epr "bench compare: no rows parsed from %s@." baseline;
     exit 1
   end;
-  let regressions =
+  let failed =
     Bench_json.compare_rows ~baseline:base_rows
       ~current:(Bench_json.rows ()) ~tolerance
   in
-  if regressions > 0 then begin
-    Fmt.epr "bench compare: %d regression(s) beyond %.0f%%@." regressions
-      (100.0 *. tolerance);
+  if failed > 0 then begin
+    if tolerance = 0.0 then Fmt.epr "bench compare: %d row(s) moved@." failed
+    else
+      Fmt.epr "bench compare: %d regression(s) beyond %.0f%%@." failed
+        (100.0 *. tolerance);
     exit 1
   end
 
@@ -113,7 +115,9 @@ let compare_cmd =
     Arg.(
       value & opt float 0.05
       & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:"Relative regression tolerance (default 0.05 = 5%)")
+          ~doc:
+            "Relative regression tolerance (default 0.05 = 5%); 0 fails on \
+             any row that moved in either direction")
   in
   Cmd.v
     (Cmd.info "compare"
