@@ -27,8 +27,10 @@ fmt:
 	  echo "ocamlformat not installed; skipping format check"; \
 	fi
 
-# Every `val` in lib/*/*.mli must be named by some other source file:
-# one that is not is dead, or belongs out of its interface.
+# Every `val` in lib/*/*.mli must be named by some other source file,
+# and every top-level `let` in bench/*.ml and bin/*.ml somewhere past
+# its definition: one that is not is dead, or belongs out of its
+# interface.
 dead-exports:
 	sh scripts/dead_exports.sh
 

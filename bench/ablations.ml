@@ -230,20 +230,21 @@ let ablation_peephole () =
   (* measure raw-vs-optimized across the registered templates *)
   let templates =
     [
-      ("file read", Fs.file_read_template,
-       [ ("buf", 0x2000); ("size_cell", 0x3000); ("pos_cell", 0x3001); ("gauge", 0x3002) ]);
-      ("file write", Fs.file_write_template,
-       [ ("buf", 0x2000); ("cap", 4096); ("size_cell", 0x3000); ("pos_cell", 0x3001);
-         ("gauge", 0x3002) ]);
-      ("mpsc put", Kqueue.mpsc_put_template,
-       [ ("head", 0x3100); ("tail", 0x3101); ("buf", 0x3200); ("flag", 0x3300);
-         ("size", 16) ]);
+      ("file read",
+       Fs.file_read_template ~buf:0x2000 ~size_cell:0x3000 ~pos_cell:0x3001
+         ~gauge:0x3002);
+      ("file write",
+       Fs.file_write_template ~buf:0x2000 ~cap:4096 ~size_cell:0x3000
+         ~pos_cell:0x3001 ~gauge:0x3002);
+      ("mpsc put",
+       Kqueue.mpsc_put_template ~head:0x3100 ~tail:0x3101 ~buf:0x3200 ~flag:0x3300
+         ~size:16);
     ]
   in
   Fmt.pr "%-14s %10s %12s@." "template" "raw insns" "after peephole";
   List.iter
-    (fun (name, tmpl, env) ->
-      let raw = Template.instantiate tmpl ~env in
+    (fun (name, tmpl) ->
+      let raw = Template.instantiate tmpl in
       let opt = Peephole.optimize raw in
       Fmt.pr "%-14s %10d %12d@." name (Asm.length raw) (Asm.length opt))
     templates;

@@ -236,7 +236,3 @@ let compare_rows ~baseline ~current ~tolerance =
     else
       Fmt.pr "improvements beyond tolerance: refresh bench/baseline.json to lock them in@.";
   List.length regressions + if exact then List.length improved else 0
-
-let compare_files ~baseline_path ~current_path ~tolerance =
-  compare_rows ~baseline:(load baseline_path) ~current:(load current_path)
-    ~tolerance

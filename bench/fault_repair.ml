@@ -55,13 +55,12 @@ let run () =
   let idle, _ = Asm.assemble m [ I.Rts ] in
   let t = Thread.create k ~entry:idle ~quantum_us:1_000 () in
   let cell = Kalloc.alloc_zeroed alloc 4 in
-  let tick_template =
-    Template.make ~name:"tick" ~params:[ "cell" ] (fun p ->
-        [ I.Alu_mem (I.Add, I.Imm 1, I.Abs (p "cell")); I.Rts ])
+  let tick_template ~self:_ =
+    Template.make ~name:"tick" (fun () ->
+        [ I.Alu_mem (I.Add, I.Imm 1, I.Abs cell); I.Rts ])
   in
   let qj =
-    Synthesizer.create k ~name:"bench" ~data_words:4
-      [ ("tick", tick_template, [ ("cell", cell) ]) ]
+    Synthesizer.create k ~name:"bench" ~data_words:4 [ ("tick", tick_template) ]
   in
   let kinds =
     [

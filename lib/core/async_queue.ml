@@ -24,7 +24,7 @@ let set_consumer t tte = t.aq_consumer <- Some tte
 (* put wrapper: record whether the queue was empty, insert, and on an
    empty->nonempty transition signal the consumer. *)
 let put_template ~q ~signal_consumer =
-  Template.make ~name:"aq_put" ~params:[] (fun _ ->
+  Template.make ~name:"aq_put" (fun () ->
       [
         I.Move (I.Abs (Kqueue.head_cell q), I.Reg I.r7);
         I.Cmp (I.Abs (Kqueue.tail_cell q), I.Reg I.r7);
@@ -57,7 +57,7 @@ let create k ~name ~size =
   let put =
     Ksynth.entry
       (Ksynth.instantiate k ~name:(name ^ "/aput")
-         ~template:(put_template ~q ~signal_consumer) ~invariants:[])
+         ~template:(put_template ~q ~signal_consumer))
   in
   (* the hcall closure captured [t]: mutate it rather than rebuild *)
   t.aq_put <- put;

@@ -33,9 +33,8 @@ let kernel_sr = 1 lsl 13
    [SR][PC] on the thread's kernel stack.  It stores the entire
    context into the TTE and jumps — through the ready queue's
    patchable jmp — into the next thread's sw_in. *)
-let sw_out_template ~uses_fp =
-  Template.make ~name:"sw_out" ~params:[ "save"; "fp_save_end" ] (fun p ->
-      let save = p "save" in
+let sw_out_template ~uses_fp ~save ~fp_save_end =
+  Template.make ~name:"sw_out" (fun () ->
       List.concat
         [
           [ I.Probe "switch_out" ];
@@ -50,7 +49,7 @@ let sw_out_template ~uses_fp =
             I.Move (I.Abs Mmio_map.usp, I.Abs (save + 18)); (* user SP *)
           ];
           (if uses_fp then
-             [ I.Lea (I.Abs (p "fp_save_end"), I.r0); I.Fmovem_save I.r0 ]
+             [ I.Lea (I.Abs fp_save_end, I.r0); I.Fmovem_save I.r0 ]
            else []);
           [ I.Label "jmp_slot"; I.Jmp (I.To_addr 0) (* patched by Ready_queue *) ];
         ])
@@ -62,35 +61,29 @@ let sw_out_template ~uses_fp =
    are invariants bound to the thread's home core — on core 0 they are
    exactly the uniprocessor's constants, so one-core switch code is
    byte-identical to what the uniprocessor synthesized. *)
-let sw_in_template ~uses_fp =
-  Template.make ~name:"sw_in"
-    ~params:
-      [
-        "save"; "map_id"; "quantum"; "vtable"; "tte_base"; "tid"; "sw_out";
-        "fp_save"; "timer_reg"; "tte_cell"; "tid_cell"; "sw_out_cell";
-      ]
-    (fun p ->
-      let save = p "save" in
+let sw_in_template ~uses_fp ~cpu ~save ~map_id ~quantum ~vtable ~tte_base ~tid
+    ~sw_out ~fp_save =
+  Template.make ~name:"sw_in" (fun () ->
       List.concat
         [
           [
             I.Label "sw_in_mmu";
-            I.Move_mmu (I.Imm (p "map_id"));
+            I.Move_mmu (I.Imm map_id);
             I.Label "sw_in";
             I.Label "quantum_slot";
             I.Probe "switch_in";
-            I.Move (I.Imm (p "quantum"), I.Abs (p "timer_reg"));
-            I.Move_vbr (I.Imm (p "vtable"));
-            I.Move (I.Imm (p "tte_base"), I.Abs (p "tte_cell"));
-            I.Move (I.Imm (p "tid"), I.Abs (p "tid_cell"));
-            I.Move (I.Imm (p "sw_out"), I.Abs (p "sw_out_cell"));
+            I.Move (I.Imm quantum, I.Abs (Mmio_map.timer_alarm_for cpu));
+            I.Move_vbr (I.Imm vtable);
+            I.Move (I.Imm tte_base, I.Abs (Layout.cur_tte_cell_for cpu));
+            I.Move (I.Imm tid, I.Abs (Layout.cur_tid_cell_for cpu));
+            I.Move (I.Imm sw_out, I.Abs (Layout.cur_sw_out_cell_for cpu));
             I.Move (I.Imm (if uses_fp then 1 else 0), I.Abs Mmio_map.fp_control);
             I.Move (I.Abs (save + 18), I.Abs Mmio_map.usp); (* user SP *)
             I.Move (I.Abs (save + 15), I.Reg I.sp); (* kernel SP *)
             I.Push (I.Abs (save + 17)); (* PC *)
             I.Push (I.Abs (save + 16)); (* SR *)
           ];
-          (if uses_fp then [ I.Lea (I.Abs (p "fp_save"), I.r0); I.Fmovem_load I.r0 ]
+          (if uses_fp then [ I.Lea (I.Abs fp_save, I.r0); I.Fmovem_load I.r0 ]
            else []);
           List.init 15 (fun i -> I.Move (I.Abs (save + i), I.Reg i));
           [ I.Rte ];
@@ -109,29 +102,15 @@ let synthesize k ?(cpu = 0) ~(tte_base : int) ~tid ~map_id ~quantum_us ~uses_fp
   let h_out =
     Ksynth.instantiate k ~name:(label ^ "/sw_out")
       ~probes:[ ("switch_out", Kernel.Trace (fun _ -> Ktrace.Switch_out tid)) ]
-      ~template:(sw_out_template ~uses_fp)
-      ~invariants:[ ("save", save); ("fp_save_end", fp_save_end) ]
+      ~template:(sw_out_template ~uses_fp ~save ~fp_save_end)
   in
   let sw_out = Ksynth.entry h_out in
   let h_in =
     Ksynth.instantiate k ~name:(label ^ "/sw_in")
       ~probes:[ ("switch_in", Kernel.Trace (fun _ -> Ktrace.Switch_in tid)) ]
-      ~template:(sw_in_template ~uses_fp)
-      ~invariants:
-        [
-          ("save", save);
-          ("map_id", map_id);
-          ("quantum", quantum_us);
-          ("vtable", vtable);
-          ("tte_base", tte_base);
-          ("tid", tid);
-          ("sw_out", sw_out);
-          ("fp_save", fp_save);
-          ("timer_reg", Mmio_map.timer_alarm_for cpu);
-          ("tte_cell", Layout.cur_tte_cell_for cpu);
-          ("tid_cell", Layout.cur_tid_cell_for cpu);
-          ("sw_out_cell", Layout.cur_sw_out_cell_for cpu);
-        ]
+      ~template:
+        (sw_in_template ~uses_fp ~cpu ~save ~map_id ~quantum:quantum_us ~vtable
+           ~tte_base ~tid ~sw_out ~fp_save)
   in
   let c =
     {
@@ -217,20 +196,20 @@ let resynthesize_for_cpu k t ~cpu =
    per coroutine pair with both stack cells folded in; calling it
    returns on the other context's stack. *)
 
-let partial_switch_template =
-  Template.make ~name:"partial_switch" ~params:[ "from_cell"; "to_cell" ] (fun p ->
+let partial_switch_template ~from_cell ~to_cell =
+  Template.make ~name:"partial_switch" (fun () ->
       [
         I.Movem_save ([ 9; 10; 11; 12; 13; 14 ], I.sp);
-        I.Move (I.Reg I.sp, I.Abs (p "from_cell"));
-        I.Move (I.Abs (p "to_cell"), I.Reg I.sp);
+        I.Move (I.Reg I.sp, I.Abs from_cell);
+        I.Move (I.Abs to_cell, I.Reg I.sp);
         I.Movem_load (I.sp, [ 9; 10; 11; 12; 13; 14 ]);
         I.Rts;
       ])
 
 let synthesize_partial_switch k ~name ~from_cell ~to_cell =
   Ksynth.entry
-    (Ksynth.instantiate k ~name ~template:partial_switch_template
-       ~invariants:[ ("from_cell", from_cell); ("to_cell", to_cell) ])
+    (Ksynth.instantiate k ~name
+       ~template:(partial_switch_template ~from_cell ~to_cell))
 
 (* Retune the CPU quantum by patching the immediate in the thread's
    sw_in code (fine-grain scheduling, §4.4).  The patched instruction

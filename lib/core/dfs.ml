@@ -258,10 +258,10 @@ let write_words t f ~at data =
    the per-open fast path copies from cached blocks and blocks the
    thread on the mount wait queue while a fill is in flight. *)
 
-let read_template mount_hcall k dfs =
-  Template.make ~name:"dfs_read" ~params:[ "gauge" ] (fun p ->
+let read_template mount_hcall k dfs ~gauge =
+  Template.make ~name:"dfs_read" (fun () ->
       [
-        I.Alu_mem (I.Add, I.Imm 1, I.Abs (p "gauge"));
+        I.Alu_mem (I.Add, I.Imm 1, I.Abs gauge);
         I.Label "retry";
         I.Hcall mount_hcall;
         (* host sets r4 = 1 when the transfer finished (r0 = words
@@ -334,8 +334,7 @@ let register_file t slot =
       let tag = Printf.sprintf "dfs/t%d/fd%d/%s" tte.Kernel.tid fd name in
       let h =
         Ksynth.instantiate k ~name:(tag ^ "/read")
-          ~template:(read_template hcall k t)
-          ~invariants:[ ("gauge", gauge) ]
+          ~template:(read_template hcall k t ~gauge)
       in
       let r = Ksynth.entry h in
       let bad = Ksynth.lookup k "bad_fd" in

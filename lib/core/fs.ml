@@ -15,11 +15,11 @@ module L = Layout.Tte
 (* /dev/null: the cheapest possible synthesized routines. *)
 
 let null_read_template =
-  Template.make ~name:"null_read" ~params:[] (fun _ ->
+  Template.make ~name:"null_read" (fun () ->
       [ I.Move (I.Imm 0, I.Reg I.r0); I.Rte ])
 
 let null_write_template =
-  Template.make ~name:"null_write" ~params:[] (fun _ ->
+  Template.make ~name:"null_write" (fun () ->
       [ I.Move (I.Reg I.r3, I.Reg I.r0); I.Rte ])
 
 let register_null vfs =
@@ -28,13 +28,11 @@ let register_null vfs =
       let tag = Printf.sprintf "open/t%d/fd%d/null" tte.Kernel.tid fd in
       let r =
         Ksynth.entry
-          (Ksynth.instantiate k ~name:(tag ^ "/read") ~template:null_read_template
-             ~invariants:[])
+          (Ksynth.instantiate k ~name:(tag ^ "/read") ~template:null_read_template)
       in
       let w =
         Ksynth.entry
-          (Ksynth.instantiate k ~name:(tag ^ "/write")
-             ~template:null_write_template ~invariants:[])
+          (Ksynth.instantiate k ~name:(tag ^ "/write") ~template:null_write_template)
       in
       {
         Vfs.h_read = r;
@@ -84,12 +82,11 @@ let copy_loop ~prefix =
 
 (* read(fd, buf, n): r2 = destination, r3 = count; returns words read
    in r0.  Clamps to end of file; 0 at EOF. *)
-let file_read_template =
-  Template.make ~name:"file_read" ~params:[ "buf"; "size_cell"; "pos_cell"; "gauge" ]
-    (fun p ->
+let file_read_template ~buf ~size_cell ~pos_cell ~gauge =
+  Template.make ~name:"file_read" (fun () ->
       [
-        I.Move (I.Abs (p "pos_cell"), I.Reg I.r4);
-        I.Move (I.Abs (p "size_cell"), I.Reg I.r5);
+        I.Move (I.Abs pos_cell, I.Reg I.r4);
+        I.Move (I.Abs size_cell, I.Reg I.r5);
         I.Alu (I.Sub, I.Reg I.r4, I.r5); (* r5 = remaining *)
         I.B (I.Eq, I.To_label "eof");
         I.Cmp (I.Reg I.r5, I.Reg I.r3); (* count - remaining *)
@@ -98,22 +95,21 @@ let file_read_template =
         I.Label "have";
         I.Move (I.Reg I.r3, I.Reg I.r0); (* return value *)
         I.Move (I.Reg I.r4, I.Reg I.r5);
-        I.Alu (I.Add, I.Imm (p "buf"), I.r5); (* src = buf + pos *)
+        I.Alu (I.Add, I.Imm buf, I.r5); (* src = buf + pos *)
         I.Alu (I.Add, I.Reg I.r3, I.r4);
-        I.Move (I.Reg I.r4, I.Abs (p "pos_cell")); (* pos += count *)
-        I.Alu_mem (I.Add, I.Imm 1, I.Abs (p "gauge")); (* scheduling gauge *)
+        I.Move (I.Reg I.r4, I.Abs pos_cell); (* pos += count *)
+        I.Alu_mem (I.Add, I.Imm 1, I.Abs gauge); (* scheduling gauge *)
       ]
       @ copy_loop ~prefix:"r"
       @ [ I.Rte; I.Label "eof"; I.Move (I.Imm 0, I.Reg I.r0); I.Rte ])
 
 (* write(fd, buf, n): copies into the file at the position cell,
    growing the size up to capacity; returns words written in r0. *)
-let file_write_template =
-  Template.make ~name:"file_write"
-    ~params:[ "buf"; "cap"; "size_cell"; "pos_cell"; "gauge" ] (fun p ->
+let file_write_template ~buf ~cap ~size_cell ~pos_cell ~gauge =
+  Template.make ~name:"file_write" (fun () ->
       [
-        I.Move (I.Abs (p "pos_cell"), I.Reg I.r4);
-        I.Move (I.Imm (p "cap"), I.Reg I.r5);
+        I.Move (I.Abs pos_cell, I.Reg I.r4);
+        I.Move (I.Imm cap, I.Reg I.r5);
         I.Alu (I.Sub, I.Reg I.r4, I.r5); (* r5 = room *)
         I.B (I.Eq, I.To_label "full");
         I.Cmp (I.Reg I.r5, I.Reg I.r3);
@@ -124,15 +120,15 @@ let file_write_template =
         (* dst = buf + pos, in r2; source pointer moves to r5 *)
         I.Move (I.Reg I.r2, I.Reg I.r5); (* src = user buffer *)
         I.Move (I.Reg I.r4, I.Reg I.r2);
-        I.Alu (I.Add, I.Imm (p "buf"), I.r2); (* dst = buf + pos *)
+        I.Alu (I.Add, I.Imm buf, I.r2); (* dst = buf + pos *)
         I.Alu (I.Add, I.Reg I.r3, I.r4);
-        I.Move (I.Reg I.r4, I.Abs (p "pos_cell")); (* pos += count *)
+        I.Move (I.Reg I.r4, I.Abs pos_cell); (* pos += count *)
         (* size = max size pos' *)
-        I.Cmp (I.Abs (p "size_cell"), I.Reg I.r4); (* pos' - size *)
+        I.Cmp (I.Abs size_cell, I.Reg I.r4); (* pos' - size *)
         I.B (I.Ls, I.To_label "nosize"); (* pos' <= size *)
-        I.Move (I.Reg I.r4, I.Abs (p "size_cell"));
+        I.Move (I.Reg I.r4, I.Abs size_cell);
         I.Label "nosize";
-        I.Alu_mem (I.Add, I.Imm 1, I.Abs (p "gauge"));
+        I.Alu_mem (I.Add, I.Imm 1, I.Abs gauge);
       ]
       @ copy_loop ~prefix:"w"
       @ [ I.Rte; I.Label "full"; I.Move (I.Imm 0, I.Reg I.r0); I.Rte ])
@@ -154,24 +150,16 @@ let create_file vfs ~name ?(capacity = 8192) ?(content = [||]) () =
       Machine.poke m pos_cell 0;
       let gauge = tte.Kernel.base + L.off_gauge in
       let tag = Printf.sprintf "open/t%d/fd%d/file" tte.Kernel.tid fd in
-      let env =
-        [
-          ("buf", buf);
-          ("cap", capacity);
-          ("size_cell", size_cell);
-          ("pos_cell", pos_cell);
-          ("gauge", gauge);
-        ]
-      in
       let r =
         Ksynth.entry
-          (Ksynth.instantiate k ~name:(tag ^ "/read") ~template:file_read_template
-             ~invariants:env)
+          (Ksynth.instantiate k ~name:(tag ^ "/read")
+             ~template:(file_read_template ~buf ~size_cell ~pos_cell ~gauge))
       in
       let w =
         Ksynth.entry
           (Ksynth.instantiate k ~name:(tag ^ "/write")
-             ~template:file_write_template ~invariants:env)
+             ~template:
+               (file_write_template ~buf ~cap:capacity ~size_cell ~pos_cell ~gauge))
       in
       {
         Vfs.h_read = r;

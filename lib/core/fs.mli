@@ -22,5 +22,10 @@ val create_file :
 
 val file_size : Vfs.t -> file -> int
 
-val file_read_template : Template.t
-val file_write_template : Template.t
+(** The open-time read and write templates over one open file's
+    cells (exposed for the ablation bench). *)
+val file_read_template :
+  buf:int -> size_cell:int -> pos_cell:int -> gauge:int -> Template.t
+
+val file_write_template :
+  buf:int -> cap:int -> size_cell:int -> pos_cell:int -> gauge:int -> Template.t

@@ -98,7 +98,7 @@ type adq = {
 let blocking_factor = 8
 
 let stage_template ~slot_addr ~next_stage ~stage_cell ~is_last ~advance_hcall =
-  Template.make ~name:"ad_stage" ~params:[] (fun _ ->
+  Template.make ~name:"ad_stage" (fun () ->
       [
         I.Push (I.Reg I.r4);
         I.Move (I.Abs Mmio_map.ad_data, I.Reg I.r4);
@@ -179,7 +179,6 @@ let install_adq k ?(factor = blocking_factor) ~n_elems () =
         ~template:
           (stage_template ~slot_addr:(elem_addr adq 0 + i) ~next_stage ~stage_cell
              ~is_last ~advance_hcall)
-        ~invariants:[]
     in
     stage_entries.(i) <- Ksynth.entry h;
     store_slots.(i) <- Ksynth.sym h "store"

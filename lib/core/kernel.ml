@@ -42,13 +42,13 @@ type probe = string * probe_action
 
 (* ksynth: the recipe kept for an evicted page — kheal's generator
    record outliving the code it generated, so a later re-miss on the
-   same key resynthesizes from the recorded template + invariants
-   (eviction is deliberate forgetting, not amnesia). *)
+   same key resynthesizes from the recorded template, whose invariants
+   are already bound (eviction is deliberate forgetting, not
+   amnesia). *)
 type synth_recipe = {
   rc_name : string;
   rc_kind : string;
   rc_template : Template.t;
-  rc_env : (string * int) list;
   rc_probes : (int * probe) list; (* entry-relative *)
 }
 
@@ -98,9 +98,9 @@ let waitq ~name =
 type fault_entry = { f_cycle : int; f_tid : int; f_cpu : int; f_reason : string }
 
 (* kheal: one record per synthesized code region — everything needed
-   to regenerate the region from scratch.  The template plus the
-   recorded invariants ([cr_env], the exact bindings synthesis folded
-   into the code) make kernel code *data the kernel can rebuild*: a
+   to regenerate the region from scratch.  The template is a generator
+   closed over the exact invariants synthesis folded into the code, so
+   it alone makes kernel code *data the kernel can rebuild*: a
    corrupted region is detected by checksum (or by a faulting PC
    inside it) and resynthesized in place.
 
@@ -117,7 +117,6 @@ type code_region = {
   cr_entry : int;
   cr_len : int;
   cr_template : Template.t;
-  cr_env : (string * int) list;
   mutable cr_patches : (int * Insn.insn) list;
   mutable cr_mutable : int list;
   mutable cr_checksum : int;
@@ -403,7 +402,7 @@ let attach_spans k =
 (* ------------------------------------------------------------------ *)
 (* Code installation backends.  [Ksynth.instantiate] is the
    code-generation entry point — it memoizes on (template id,
-   invariants, content), allocates from recyclable arenas, and calls
+   content), allocates from recyclable arenas, and calls
    [install_at] below to place the optimized body. *)
 
 let log_src = Logs.Src.create "synthesis.kernel" ~doc:"Synthesis kernel code generation"
@@ -413,9 +412,9 @@ module Log = (val Logs.src_log log_src)
 (* ------------------------------------------------------------------ *)
 (* kheal: the synthesized-code region table.
 
-   Every synthesized fragment is recorded with its generator (template
-   + bound invariants) and a checksum of the installed instructions.
-   Checksumming is host-side arithmetic over the code store — free in
+   Every synthesized fragment is recorded with its generator (a
+   template, invariants bound) and a checksum of the installed
+   instructions.  Checksumming is host-side arithmetic over the code store — free in
    simulated cycles, the same discipline as the watchdog — while
    *repair* charges the normal code-generation cost, because it runs
    the synthesizer again. *)
@@ -429,7 +428,7 @@ let checksum_region m ~entry ~len =
 
 (* Registry, kheal region, trace owner and probes of code just
    installed at [entry]. *)
-let register_region ?(probes = []) k ~name ~entry ~len ~template ~env =
+let register_region ?(probes = []) k ~name ~entry ~len ~template =
   k.registry <- (name, entry, len) :: k.registry;
   let r =
     {
@@ -437,7 +436,6 @@ let register_region ?(probes = []) k ~name ~entry ~len ~template ~env =
       cr_entry = entry;
       cr_len = len;
       cr_template = template;
-      cr_env = env;
       cr_patches = [];
       cr_mutable = [];
       cr_checksum = checksum_region k.machine ~entry ~len;
@@ -457,12 +455,12 @@ let register_region ?(probes = []) k ~name ~entry ~len ~template ~env =
    region and trace bookkeeping.  Charging is the caller's business:
    the cache charges full generation cost on a miss and a table probe
    on a hit. *)
-let install_at ?probes k ~name ~at ~template ~env optimized =
+let install_at ?probes k ~name ~at ~template optimized =
   let n = Asm.length optimized in
   let resolved, syms = Asm.resolve ~at optimized in
   Log.debug (fun f -> f "installed %s: %d insns at %d" name n at);
   List.iteri (fun i insn -> Machine.patch_code k.machine (at + i) insn) resolved;
-  register_region ?probes k ~name ~entry:at ~len:n ~template ~env;
+  register_region ?probes k ~name ~entry:at ~len:n ~template;
   k.synthesized_insns <- k.synthesized_insns + n;
   syms
 
@@ -508,12 +506,11 @@ let restart_thread k t =
    the faulting-PC test ([find_region], run by Boot's
    illegal-instruction path — a corrupted instruction no longer
    decodes, and the exception frame holds its address).  Repair reruns
-   the synthesizer — instantiate the recorded template against the
-   recorded invariants, optimize, resolve at the original entry — and
-   patches the region in place, so every caller's absolute entry and
-   every quaject op slot stays valid.  Live patches (the ready ring's
-   jmp targets, quantum immediates) are reapplied over the template
-   defaults. *)
+   the synthesizer — instantiate the recorded template, optimize,
+   resolve at the original entry — and patches the region in place,
+   so every caller's absolute entry and every quaject op slot stays
+   valid.  Live patches (the ready ring's jmp targets, quantum
+   immediates) are reapplied over the template defaults. *)
 
 let find_region k pc =
   List.find_opt
@@ -583,8 +580,7 @@ let postmortem ?(reason = "unspecified") k =
   s
 
 let repair_region ?(origin = "audit") k r =
-  let raw = Template.instantiate r.cr_template ~env:r.cr_env in
-  let optimized = Peephole.optimize raw in
+  let optimized = Peephole.optimize (Template.instantiate r.cr_template) in
   let n = Asm.length optimized in
   if n <> r.cr_len then begin
     (* unrepairable: the generator no longer reproduces the region —

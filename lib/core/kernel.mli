@@ -48,7 +48,6 @@ type synth_recipe = {
   rc_name : string;
   rc_kind : string;
   rc_template : Template.t;
-  rc_env : (string * int) list;
   rc_probes : (int * probe) list;  (** bound probe points, entry-relative *)
 }
 
@@ -93,7 +92,7 @@ val waitq : name:string -> waitq
 type fault_entry = { f_cycle : int; f_tid : int; f_cpu : int; f_reason : string }
 
 (** kheal: one record per synthesized code region — the generator
-    (template + the exact invariant bindings synthesis folded in) and
+    (a template closed over the invariants synthesis folded in) and
     a checksum of the installed instructions, enough to detect
     corruption and rebuild the region in place.  [cr_patches] holds
     every legitimate post-synthesis patch (newest first per address)
@@ -105,7 +104,6 @@ type code_region = {
   cr_entry : int;
   cr_len : int;
   cr_template : Template.t;
-  cr_env : (string * int) list;
   mutable cr_patches : (int * Insn.insn) list;
   mutable cr_mutable : int list;
   mutable cr_checksum : int;
@@ -259,7 +257,6 @@ val install_at :
   name:string ->
   at:int ->
   template:Template.t ->
-  env:(string * int) list ->
   Insn.insn list ->
   Asm.symbols
 
@@ -277,7 +274,6 @@ val register_region :
   entry:int ->
   len:int ->
   template:Template.t ->
-  env:(string * int) list ->
   unit
 
 (** {1 Threads} *)
@@ -306,9 +302,9 @@ val set_vector_all : t -> int -> int -> unit
 (** {1 kheal: code-region audit and repair by resynthesis}
 
     Kernel code is data the kernel can regenerate: every synthesized
-    region is recorded with its template and invariants, corruption is
-    detected by checksum mismatch (or a faulting PC inside a region),
-    and repair reruns the synthesizer in place.  Detection is
+    region is recorded with its template (invariants bound),
+    corruption is detected by checksum mismatch (or a faulting PC
+    inside a region), and repair reruns the synthesizer in place.  Detection is
     host-side and free; repair charges the normal code-generation
     cost, bumps "kernel.code_repairs_total", and logs to
     [fault_log]. *)
@@ -325,7 +321,7 @@ val region_dirty : t -> code_region -> bool
 (** All regions, oldest first. *)
 val code_regions : t -> code_region list
 
-(** Rebuild one region from its template + recorded invariants,
+(** Rebuild one region from its recorded template,
     patch it in place (entries and op slots stay valid), reapply live
     patches, and update the checksum.  [origin] tags the fault-log
     entry ("audit", "trap", "patch"...). *)

@@ -61,7 +61,7 @@ let burst_copy ~prefix =
    blocking while the pipe is full; returns n in r0. *)
 let write_template k pipe ~gauge =
   let mask = pipe.p_cap - 1 in
-  Template.make ~name:"pipe_write" ~params:[] (fun _ ->
+  Template.make ~name:"pipe_write" (fun () ->
       [
         I.Probe "enter";
         I.Move (I.Reg I.r3, I.Reg I.r8); (* remaining *)
@@ -145,7 +145,7 @@ let write_template k pipe ~gauge =
    closed and the pipe drained). *)
 let read_template k pipe ~gauge =
   let mask = pipe.p_cap - 1 in
-  Template.make ~name:"pipe_read" ~params:[] (fun _ ->
+  Template.make ~name:"pipe_read" (fun () ->
       [
         I.Label "retry";
         I.Move (I.Abs (head_cell pipe), I.Reg I.r4);
@@ -326,12 +326,12 @@ let attach vfs pipe (tte : Kernel.tte) =
   let read_entry =
     Ksynth.entry
       (Ksynth.instantiate k ~name:(tag ^ "/read") ~probes:(read_probes pipe)
-         ~template:(read_template k pipe ~gauge) ~invariants:[])
+         ~template:(read_template k pipe ~gauge))
   in
   let write_entry =
     Ksynth.entry
       (Ksynth.instantiate k ~name:(tag ^ "/write") ~probes:(write_probes pipe)
-         ~template:(write_template k pipe ~gauge) ~invariants:[])
+         ~template:(write_template k pipe ~gauge))
   in
   pipe.p_ends <- pipe.p_ends + 2;
   (* closing an end drops its claim on the synthesized page; the last

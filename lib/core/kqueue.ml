@@ -17,12 +17,6 @@ module I = Insn
 
 type kind = Spsc | Mpsc | Spmc | Mpmc
 
-(* What a put does when the queue is full.  [Fail] is the bare
-   generated code: r0 = 0 and the caller deals with it.  The other two
-   make the policy explicit at creation instead of leaving every call
-   site to improvise. *)
-type overflow = Drop | Block | Fail
-
 type t = {
   q_kind : kind;
   q_name : string;
@@ -33,8 +27,6 @@ type t = {
   q_put : int; (* code entries *)
   q_get : int;
   q_put_many : int; (* 0 when absent *)
-  q_overflow : overflow;
-  q_dropped_cell : int; (* data cell counting dropped items; 0 unless Drop *)
 }
 
 let head_cell q = q.q_desc
@@ -45,21 +37,21 @@ let tail_cell q = q.q_desc + 1
 
 (* Figure 1, Q_put: publish the item before advancing Q_head, so the
    consumer never sees a half-written slot. *)
-let spsc_put_template =
-  Template.make ~name:"spsc_put" ~params:[ "head"; "tail"; "buf"; "size" ] (fun p ->
+let spsc_put_template ~head ~tail ~buf ~size =
+  Template.make ~name:"spsc_put" (fun () ->
       [
-        I.Move (I.Abs (p "head"), I.Reg I.r4); (* h *)
+        I.Move (I.Abs head, I.Reg I.r4); (* h *)
         I.Move (I.Reg I.r4, I.Reg I.r5);
         I.Alu (I.Add, I.Imm 1, I.r5); (* next(h) *)
-        I.Cmp (I.Imm (p "size"), I.Reg I.r5);
+        I.Cmp (I.Imm size, I.Reg I.r5);
         I.B (I.Ne, I.To_label "nowrap");
         I.Move (I.Imm 0, I.Reg I.r5);
         I.Label "nowrap";
-        I.Cmp (I.Abs (p "tail"), I.Reg I.r5); (* next(h) = tail -> full *)
+        I.Cmp (I.Abs tail, I.Reg I.r5); (* next(h) = tail -> full *)
         I.B (I.Eq, I.To_label "full");
-        I.Alu (I.Add, I.Imm (p "buf"), I.r4);
+        I.Alu (I.Add, I.Imm buf, I.r4);
         I.Move (I.Reg I.r1, I.Ind I.r4); (* fill slot *)
-        I.Move (I.Reg I.r5, I.Abs (p "head")); (* publish last *)
+        I.Move (I.Reg I.r5, I.Abs head); (* publish last *)
         I.Move (I.Imm 1, I.Reg I.r0);
         I.Probe "ret";
         I.Rts;
@@ -70,21 +62,21 @@ let spsc_put_template =
       ])
 
 (* Figure 1, Q_get. *)
-let spsc_get_template =
-  Template.make ~name:"spsc_get" ~params:[ "head"; "tail"; "buf"; "size" ] (fun p ->
+let spsc_get_template ~head ~tail ~buf ~size =
+  Template.make ~name:"spsc_get" (fun () ->
       [
-        I.Move (I.Abs (p "tail"), I.Reg I.r4); (* t *)
-        I.Cmp (I.Abs (p "head"), I.Reg I.r4);
+        I.Move (I.Abs tail, I.Reg I.r4); (* t *)
+        I.Cmp (I.Abs head, I.Reg I.r4);
         I.B (I.Eq, I.To_label "empty");
         I.Move (I.Reg I.r4, I.Reg I.r5);
-        I.Alu (I.Add, I.Imm (p "buf"), I.r5);
+        I.Alu (I.Add, I.Imm buf, I.r5);
         I.Move (I.Ind I.r5, I.Reg I.r1); (* take item *)
         I.Alu (I.Add, I.Imm 1, I.r4);
-        I.Cmp (I.Imm (p "size"), I.Reg I.r4);
+        I.Cmp (I.Imm size, I.Reg I.r4);
         I.B (I.Ne, I.To_label "nowrap");
         I.Move (I.Imm 0, I.Reg I.r4);
         I.Label "nowrap";
-        I.Move (I.Reg I.r4, I.Abs (p "tail")); (* free slot last *)
+        I.Move (I.Reg I.r4, I.Abs tail); (* free slot last *)
         I.Move (I.Imm 1, I.Reg I.r0);
         I.Probe "ret";
         I.Rts;
@@ -117,29 +109,29 @@ let fl_writing = 3 (* claimed by a producer, not yet published *)
    (flag := 1).  Figure 2 with H = 1, hardened as above.  A failed CAS
    leaves r6 holding the observed flag (68020 CAS semantics), which
    only the full/busy exit consumes. *)
-let mp_put_body p =
+let mp_put_body ~head ~tail ~buf ~flag ~size () =
   [
     I.Label "retry";
-    I.Move (I.Abs (p "head"), I.Reg I.r4); (* h *)
+    I.Move (I.Abs head, I.Reg I.r4); (* h *)
     I.Move (I.Reg I.r4, I.Reg I.r5);
-    I.Alu (I.Add, I.Imm (p "flag"), I.r5); (* r5 = &flag[h] *)
+    I.Alu (I.Add, I.Imm flag, I.r5); (* r5 = &flag[h] *)
     I.Move (I.Imm fl_free, I.Reg I.r6);
     I.Move (I.Imm fl_writing, I.Reg I.r7);
     I.Cas (I.r6, I.r7, I.Ind I.r5); (* claim the slot *)
     I.B (I.Ne, I.To_label "busy"); (* lapped (full) or being written *)
-    I.Cmp (I.Abs (p "head"), I.Reg I.r4);
+    I.Cmp (I.Abs head, I.Reg I.r4);
     I.B (I.Ne, I.To_label "stale"); (* head moved first: not our slot *)
     I.Move (I.Reg I.r4, I.Reg I.r6);
     I.Alu (I.Add, I.Imm 1, I.r6);
-    I.Cmp (I.Imm (p "size"), I.Reg I.r6);
+    I.Cmp (I.Imm size, I.Reg I.r6);
     I.B (I.Ne, I.To_label "nowrap");
     I.Move (I.Imm 0, I.Reg I.r6);
     I.Label "nowrap";
-    I.Cmp (I.Abs (p "tail"), I.Reg I.r6);
+    I.Cmp (I.Abs tail, I.Reg I.r6);
     I.B (I.Eq, I.To_label "unclaim_full");
-    I.Move (I.Reg I.r6, I.Abs (p "head")); (* we own this transition *)
+    I.Move (I.Reg I.r6, I.Abs head); (* we own this transition *)
     I.Move (I.Reg I.r4, I.Reg I.r6);
-    I.Alu (I.Add, I.Imm (p "buf"), I.r6);
+    I.Alu (I.Add, I.Imm buf, I.r6);
     I.Move (I.Reg I.r1, I.Ind I.r6); (* fill *)
     I.Move (I.Imm fl_full, I.Ind I.r5); (* publish *)
     I.Move (I.Imm 1, I.Reg I.r0);
@@ -156,31 +148,30 @@ let mp_put_body p =
     I.Rts;
   ]
 
-let mpsc_put_template =
-  Template.make ~name:"mpsc_put" ~params:[ "head"; "tail"; "buf"; "flag"; "size" ]
-    mp_put_body
+let mpsc_put_template ~head ~tail ~buf ~flag ~size =
+  Template.make ~name:"mpsc_put" (mp_put_body ~head ~tail ~buf ~flag ~size)
 
 (* MP-SC get: the single consumer trusts only the flags.  The flag
    must equal [fl_full] exactly — a producer descheduled mid-write
    leaves [fl_writing], whose buffer word is not yet valid. *)
-let mpsc_get_template =
-  Template.make ~name:"mpsc_get" ~params:[ "tail"; "buf"; "flag"; "size" ] (fun p ->
+let mpsc_get_template ~tail ~buf ~flag ~size =
+  Template.make ~name:"mpsc_get" (fun () ->
       [
-        I.Move (I.Abs (p "tail"), I.Reg I.r4);
+        I.Move (I.Abs tail, I.Reg I.r4);
         I.Move (I.Reg I.r4, I.Reg I.r5);
-        I.Alu (I.Add, I.Imm (p "flag"), I.r5);
+        I.Alu (I.Add, I.Imm flag, I.r5);
         I.Cmp (I.Imm fl_full, I.Ind I.r5);
         I.B (I.Ne, I.To_label "empty");
         I.Move (I.Imm 0, I.Ind I.r5); (* consume the flag *)
         I.Move (I.Reg I.r4, I.Reg I.r5);
-        I.Alu (I.Add, I.Imm (p "buf"), I.r5);
+        I.Alu (I.Add, I.Imm buf, I.r5);
         I.Move (I.Ind I.r5, I.Reg I.r1);
         I.Alu (I.Add, I.Imm 1, I.r4);
-        I.Cmp (I.Imm (p "size"), I.Reg I.r4);
+        I.Cmp (I.Imm size, I.Reg I.r4);
         I.B (I.Ne, I.To_label "nowrap");
         I.Move (I.Imm 0, I.Reg I.r4);
         I.Label "nowrap";
-        I.Move (I.Reg I.r4, I.Abs (p "tail"));
+        I.Move (I.Reg I.r4, I.Abs tail);
         I.Move (I.Imm 1, I.Reg I.r0);
         I.Probe "ret";
         I.Rts;
@@ -195,23 +186,21 @@ let mpsc_get_template =
    The head slot's flag claim is the producers' mutex: while we hold
    it no other producer can pass slot h, so the space check, the head
    advance, and the burst fill are all safely ours. *)
-let mpsc_put_many_template =
-  Template.make ~name:"mpsc_put_many"
-    ~params:[ "head"; "tail"; "buf"; "flag"; "size" ] (fun p ->
-      let size = p "size" in
+let mpsc_put_many_template ~head ~tail ~buf ~flag ~size =
+  Template.make ~name:"mpsc_put_many" (fun () ->
       [
         I.Label "retry";
-        I.Move (I.Abs (p "head"), I.Reg I.r4); (* h *)
+        I.Move (I.Abs head, I.Reg I.r4); (* h *)
         I.Move (I.Reg I.r4, I.Reg I.r5);
-        I.Alu (I.Add, I.Imm (p "flag"), I.r5); (* r5 = &flag[h] *)
+        I.Alu (I.Add, I.Imm flag, I.r5); (* r5 = &flag[h] *)
         I.Move (I.Imm fl_free, I.Reg I.r6);
         I.Move (I.Imm fl_writing, I.Reg I.r7);
         I.Cas (I.r6, I.r7, I.Ind I.r5); (* claim the head slot *)
         I.B (I.Ne, I.To_label "full"); (* lapped or being written *)
-        I.Cmp (I.Abs (p "head"), I.Reg I.r4);
+        I.Cmp (I.Abs head, I.Reg I.r4);
         I.B (I.Ne, I.To_label "stale");
         (* SpaceLeft(h): (tail - h - 1 + size) adjusted into range *)
-        I.Move (I.Abs (p "tail"), I.Reg I.r6);
+        I.Move (I.Abs tail, I.Reg I.r6);
         I.Alu (I.Sub, I.Reg I.r4, I.r6);
         I.Alu (I.Add, I.Imm (size - 1), I.r6);
         I.Cmp (I.Imm size, I.Reg I.r6);
@@ -227,17 +216,17 @@ let mpsc_put_many_template =
         I.B (I.Lt, I.To_label "nowrap");
         I.Alu (I.Sub, I.Imm size, I.r6);
         I.Label "nowrap";
-        I.Move (I.Reg I.r6, I.Abs (p "head"));
+        I.Move (I.Reg I.r6, I.Abs head);
         (* fill the claimed slots, publishing each in order (slot h's
            flag goes 3 -> 1 on its turn, releasing waiting peers) *)
         I.Move (I.Reg I.r3, I.Reg I.r7);
         I.Alu (I.Sub, I.Imm 1, I.r7);
         I.Label "fill";
         I.Move (I.Reg I.r4, I.Reg I.r6);
-        I.Alu (I.Add, I.Imm (p "buf"), I.r6);
+        I.Alu (I.Add, I.Imm buf, I.r6);
         I.Move (I.Post_inc I.r2, I.Ind I.r6);
         I.Move (I.Reg I.r4, I.Reg I.r6);
-        I.Alu (I.Add, I.Imm (p "flag"), I.r6);
+        I.Alu (I.Add, I.Imm flag, I.r6);
         I.Move (I.Imm fl_full, I.Ind I.r6);
         I.Alu (I.Add, I.Imm 1, I.r4);
         I.Cmp (I.Imm size, I.Reg I.r4);
@@ -264,28 +253,28 @@ let mpsc_put_many_template =
    mid-read leaves the slot visibly claimed: peers see flag=2 and
    wait, the producer sees flag<>0 and waits — nobody can consume it
    twice or overwrite it (§3.2, hardened; see the state table above). *)
-let spmc_get_template =
-  Template.make ~name:"spmc_get" ~params:[ "tail"; "buf"; "flag"; "size" ] (fun p ->
+let spmc_get_template ~tail ~buf ~flag ~size =
+  Template.make ~name:"spmc_get" (fun () ->
       [
         I.Label "retry";
-        I.Move (I.Abs (p "tail"), I.Reg I.r4); (* t *)
+        I.Move (I.Abs tail, I.Reg I.r4); (* t *)
         I.Move (I.Reg I.r4, I.Reg I.r5);
-        I.Alu (I.Add, I.Imm (p "flag"), I.r5); (* r5 = &flag[t] *)
+        I.Alu (I.Add, I.Imm flag, I.r5); (* r5 = &flag[t] *)
         I.Move (I.Imm fl_full, I.Reg I.r6);
         I.Move (I.Imm fl_reading, I.Reg I.r7);
         I.Cas (I.r6, I.r7, I.Ind I.r5); (* claim the publication *)
         I.B (I.Ne, I.To_label "empty"); (* unpublished, or claimant mid-read *)
-        I.Cmp (I.Abs (p "tail"), I.Reg I.r4);
+        I.Cmp (I.Abs tail, I.Reg I.r4);
         I.B (I.Ne, I.To_label "stale"); (* tail moved first: not our slot *)
         I.Move (I.Reg I.r4, I.Reg I.r6);
         I.Alu (I.Add, I.Imm 1, I.r6);
-        I.Cmp (I.Imm (p "size"), I.Reg I.r6);
+        I.Cmp (I.Imm size, I.Reg I.r6);
         I.B (I.Ne, I.To_label "nowrap");
         I.Move (I.Imm 0, I.Reg I.r6);
         I.Label "nowrap";
-        I.Move (I.Reg I.r6, I.Abs (p "tail")); (* we own this transition *)
+        I.Move (I.Reg I.r6, I.Abs tail); (* we own this transition *)
         I.Move (I.Reg I.r4, I.Reg I.r6);
-        I.Alu (I.Add, I.Imm (p "buf"), I.r6);
+        I.Alu (I.Add, I.Imm buf, I.r6);
         I.Move (I.Ind I.r6, I.Reg I.r1); (* read *)
         I.Move (I.Imm fl_free, I.Ind I.r5); (* release to the producer *)
         I.Move (I.Imm 1, I.Reg I.r0);
@@ -302,30 +291,29 @@ let spmc_get_template =
 
 (* SP-MC put: the single producer writes only slots whose flag has
    been cleared by the consumer that drained them. *)
-let spmc_put_template =
-  Template.make ~name:"spmc_put" ~params:[ "head"; "tail"; "buf"; "flag"; "size" ]
-    (fun p ->
+let spmc_put_template ~head ~tail ~buf ~flag ~size =
+  Template.make ~name:"spmc_put" (fun () ->
       [
-        I.Move (I.Abs (p "head"), I.Reg I.r4);
+        I.Move (I.Abs head, I.Reg I.r4);
         I.Move (I.Reg I.r4, I.Reg I.r5);
-        I.Alu (I.Add, I.Imm (p "flag"), I.r5);
+        I.Alu (I.Add, I.Imm flag, I.r5);
         I.Tst (I.Ind I.r5);
         I.B (I.Ne, I.To_label "full"); (* slot still being read *)
         I.Move (I.Reg I.r4, I.Reg I.r5);
         I.Alu (I.Add, I.Imm 1, I.r5);
-        I.Cmp (I.Imm (p "size"), I.Reg I.r5);
+        I.Cmp (I.Imm size, I.Reg I.r5);
         I.B (I.Ne, I.To_label "nowrap");
         I.Move (I.Imm 0, I.Reg I.r5);
         I.Label "nowrap";
-        I.Cmp (I.Abs (p "tail"), I.Reg I.r5);
+        I.Cmp (I.Abs tail, I.Reg I.r5);
         I.B (I.Eq, I.To_label "full");
         I.Move (I.Reg I.r4, I.Reg I.r6);
-        I.Alu (I.Add, I.Imm (p "buf"), I.r6);
+        I.Alu (I.Add, I.Imm buf, I.r6);
         I.Move (I.Reg I.r1, I.Ind I.r6); (* fill *)
         I.Move (I.Reg I.r4, I.Reg I.r6);
-        I.Alu (I.Add, I.Imm (p "flag"), I.r6);
+        I.Alu (I.Add, I.Imm flag, I.r6);
         I.Move (I.Imm 1, I.Ind I.r6); (* publish *)
-        I.Move (I.Reg I.r5, I.Abs (p "head"));
+        I.Move (I.Reg I.r5, I.Abs head);
         I.Move (I.Imm 1, I.Reg I.r0);
         I.Probe "ret";
         I.Rts;
@@ -338,66 +326,34 @@ let spmc_put_template =
 (* ---------------------------------------------------------------- *)
 (* Creation *)
 
-(* Queue routines go through the synthesis cache: distinct queues fold
-   distinct descriptor/buffer addresses in and miss, but a queue
-   rebuilt over recycled cells hits and shares the page. *)
-let synth_cached ?probes k ~name ~env template =
-  let h = Ksynth.instantiate ?probes k ~name ~template ~invariants:env in
-  (Ksynth.entry h, Ksynth.syms h)
-
 (* MP-MC put: the flag-claim protocol already proves the slot free
    before any index moves (a consumer still reading holds flag=2, a
    lapped slot holds flag=1), so the multi-consumer case is the same
    code as the MP-SC put. *)
-let mpmc_put_template =
-  Template.make ~name:"mpmc_put" ~params:[ "head"; "tail"; "buf"; "flag"; "size" ]
-    mp_put_body
+let mpmc_put_template ~head ~tail ~buf ~flag ~size =
+  Template.make ~name:"mpmc_put" (mp_put_body ~head ~tail ~buf ~flag ~size)
 
-(* Each kind's put and get templates, and its burst put (MP-SC only).
-   MP-MC claims with flag-guarded CAS at both ends. *)
-let templates = function
-  | Spsc -> (spsc_put_template, spsc_get_template, None)
-  | Mpsc -> (mpsc_put_template, mpsc_get_template, Some mpsc_put_many_template)
-  | Spmc -> (spmc_put_template, spmc_get_template, None)
-  | Mpmc -> (mpmc_put_template, spmc_get_template, None)
-
-(* Allocate the descriptor, buffer and (all but SP-SC) slot flags, and
-   synthesize the bare routines with [probes op qdesc] bound. *)
-let create_bare k ~kind ~name ~size ~probes =
-  let alloc = k.Kernel.alloc in
-  let desc = Kalloc.alloc_zeroed alloc 16 in
-  let buf = Kalloc.alloc_zeroed alloc size in
-  let flag = if kind = Spsc then 0 else Kalloc.alloc_zeroed alloc size in
-  let env =
-    [ ("head", desc); ("tail", desc + 1); ("buf", buf) ]
-    @ (if kind = Spsc then [] else [ ("flag", flag) ])
-    @ [ ("size", size) ]
-  in
-  let put_t, get_t, put_many_t = templates kind in
-  let put, _ =
-    synth_cached ~probes:(probes `Put desc) k ~name:(name ^ "/put") ~env put_t
-  in
-  let get, _ =
-    synth_cached ~probes:(probes `Get desc) k ~name:(name ^ "/get") ~env get_t
-  in
-  let put_many =
-    match put_many_t with
-    | Some t -> fst (synth_cached k ~name:(name ^ "/put_many") ~env t)
-    | None -> 0
-  in
-  {
-    q_kind = kind;
-    q_name = name;
-    q_desc = desc;
-    q_buf = buf;
-    q_flag = flag;
-    q_size = size;
-    q_put = put;
-    q_get = get;
-    q_put_many = put_many;
-    q_overflow = Fail;
-    q_dropped_cell = 0;
-  }
+(* Each kind's put and get templates over one queue's cells, and its
+   burst put (MP-SC only).  MP-MC claims with flag-guarded CAS at both
+   ends. *)
+let templates kind ~head ~tail ~buf ~flag ~size =
+  match kind with
+  | Spsc ->
+    ( spsc_put_template ~head ~tail ~buf ~size,
+      spsc_get_template ~head ~tail ~buf ~size,
+      None )
+  | Mpsc ->
+    ( mpsc_put_template ~head ~tail ~buf ~flag ~size,
+      mpsc_get_template ~tail ~buf ~flag ~size,
+      Some (mpsc_put_many_template ~head ~tail ~buf ~flag ~size) )
+  | Spmc ->
+    ( spmc_put_template ~head ~tail ~buf ~flag ~size,
+      spmc_get_template ~tail ~buf ~flag ~size,
+      None )
+  | Mpmc ->
+    ( mpmc_put_template ~head ~tail ~buf ~flag ~size,
+      spmc_get_template ~tail ~buf ~flag ~size,
+      None )
 
 (* ---------------------------------------------------------------- *)
 (* The unified entry point.
@@ -428,10 +384,8 @@ let kind_for ~producers ~consumers =
 
 (* The r0-status probes on a queue end's return points ("ret").  kspan
    carries an item's span across the queue on each successful call
-   (put parks it in the (queue, index) side-table, get closes it) from
-   the *bare* entries, inside any overflow policy, so an item a Drop
-   queue discards never opens a span it could leak.  ktrace sees every
-   call of the entry callers use, with its status. *)
+   (put parks it in the (queue, index) side-table, get closes it);
+   ktrace sees every call with its status. *)
 let ok m = Machine.get_reg m I.r0 <> 0
 
 let span_probe ~qname ~qdesc = function
@@ -446,74 +400,47 @@ let trace_probe ~qname = function
   | `Put -> ("ret", Kernel.Trace (fun m -> Ktrace.Queue_put (qname, ok m)))
   | `Get -> ("ret", Kernel.Trace (fun m -> Ktrace.Queue_get (qname, ok m)))
 
-(* Overflow wrappers: synthesized prologues around the bare put entry
-   that implement the queue's creation-time policy.  The bare put
-   reads r1 without modifying it, so calling it again (Block) or
-   falling through (Drop) is safe. *)
-
-(* Drop: a full queue discards the item, counts it in [cell], and
-   still reports success — the producer never stalls (a tty that drops
-   keystrokes rather than wedging the interrupt path). *)
-let drop_put_wrapper ~entry ~cell =
-  [
-    I.Jsr (I.To_addr entry);
-    I.Tst (I.Reg I.r0);
-    I.B (I.Ne, I.To_label "done");
-    I.Alu_mem (I.Add, I.Imm 1, I.Abs cell);
-    I.Move (I.Imm 1, I.Reg I.r0);
-    I.Label "done";
-    I.Probe "ret";
-    I.Rts;
-  ]
-
-(* Block: spin until the consumer frees a slot.  Correct only when
-   something else (an interrupt-driven consumer, a preempting thread)
-   can drain the queue out from under the spinner. *)
-let block_put_wrapper ~entry =
-  [
-    I.Label "retry";
-    I.Jsr (I.To_addr entry);
-    I.Tst (I.Reg I.r0);
-    I.B (I.Eq, I.To_label "retry");
-    I.Probe "ret";
-    I.Rts;
-  ]
-
-let create ?kind ?(producers = 1) ?(consumers = 1) ?(overflow = Fail) k ~name
-    ~size =
+(* Allocate the descriptor, buffer and (all but SP-SC) slot flags, and
+   synthesize the routines with their probes bound.  Queue routines go
+   through the synthesis cache: distinct queues fold distinct
+   descriptor/buffer addresses in and miss, but a queue rebuilt over
+   recycled cells hits and shares the page. *)
+let create ?kind ?(producers = 1) ?(consumers = 1) k ~name ~size =
   let kind =
     match kind with Some kd -> kd | None -> kind_for ~producers ~consumers
   in
-  (* ktrace sees the entries callers use: the bare get, and the bare
-     put unless an overflow wrapper stands in front of it *)
-  let q =
-    create_bare k ~kind ~name ~size ~probes:(fun op qdesc ->
-        span_probe ~qname:name ~qdesc op
-        :: (if op = `Get || overflow = Fail then [ trace_probe ~qname:name op ]
-            else []))
+  let alloc = k.Kernel.alloc in
+  let desc = Kalloc.alloc_zeroed alloc 16 in
+  let buf = Kalloc.alloc_zeroed alloc size in
+  let flag = if kind = Spsc then 0 else Kalloc.alloc_zeroed alloc size in
+  let put_t, get_t, put_many_t =
+    templates kind ~head:desc ~tail:(desc + 1) ~buf ~flag ~size
   in
-  let wrap suffix insns =
-    fst
-      (Ksynth.install ~probes:[ trace_probe ~qname:name `Put ] k
-         ~name:(name ^ suffix) insns)
+  let synth ?probes suffix template =
+    Ksynth.entry (Ksynth.instantiate ?probes k ~name:(name ^ suffix) ~template)
   in
-  let put, dropped_cell =
-    match overflow with
-    | Fail -> (q.q_put, 0)
-    | Drop ->
-      let cell = Kalloc.alloc_zeroed k.Kernel.alloc 1 in
-      (wrap "/drop_put" (drop_put_wrapper ~entry:q.q_put ~cell), cell)
-    | Block -> (wrap "/block_put" (block_put_wrapper ~entry:q.q_put), 0)
+  let probes op =
+    [ span_probe ~qname:name ~qdesc:desc op; trace_probe ~qname:name op ]
   in
-  { q with q_overflow = overflow; q_dropped_cell = dropped_cell; q_put = put }
+  let put = synth ~probes:(probes `Put) "/put" put_t in
+  let get = synth ~probes:(probes `Get) "/get" get_t in
+  let put_many =
+    match put_many_t with Some t -> synth "/put_many" t | None -> 0
+  in
+  {
+    q_kind = kind;
+    q_name = name;
+    q_desc = desc;
+    q_buf = buf;
+    q_flag = flag;
+    q_size = size;
+    q_put = put;
+    q_get = get;
+    q_put_many = put_many;
+  }
 
 (* ---------------------------------------------------------------- *)
 (* Host-side access for tests and servers (uncharged) *)
-
-(* Items discarded by a [Drop] queue since creation. *)
-let dropped k q =
-  if q.q_dropped_cell = 0 then 0
-  else Machine.peek k.Kernel.machine q.q_dropped_cell
 
 let host_length k q =
   let m = k.Kernel.machine in

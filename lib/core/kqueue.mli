@@ -9,19 +9,6 @@
 
 type kind = Spsc | Mpsc | Spmc | Mpmc
 
-(** Explicit policy for a put on a full queue, fixed at creation:
-    {ul
-    {- [Drop] — discard the item, count it (see {!dropped}), report
-       success: the producer never stalls;}
-    {- [Block] — spin in the put wrapper until a consumer frees a
-       slot; only meaningful when something can drain the queue out
-       from under the spinner;}
-    {- [Fail] — the bare generated code: r0 = 0, caller decides
-       (the previous, implicit behavior).}}
-    Applies to [q_put]; the atomic multi-item insert keeps [Fail]
-    semantics (all-or-nothing must be able to report failure). *)
-type overflow = Drop | Block | Fail
-
 type t = {
   q_kind : kind;
   q_name : string;
@@ -32,8 +19,6 @@ type t = {
   q_put : int; (* code entry points *)
   q_get : int;
   q_put_many : int; (* 0 when absent *)
-  q_overflow : overflow;
-  q_dropped_cell : int; (* drop-count data cell; 0 unless Drop *)
 }
 
 val head_cell : t -> int
@@ -51,14 +36,14 @@ val tail_cell : t -> int
        kind).}}
     When [kind] is omitted it is derived from [producers]/[consumers]
     (default 1/1) through the quaject interfacer's case table (§5.2).
-    With tracing enabled at creation time, the put/get entries are
-    wrapped so every call emits a [Queue_put]/[Queue_get] ktrace
-    event. *)
+    A put on a full queue returns r0 = 0 and the caller decides.  The
+    put/get entries carry probe points, so with ktrace attached (now
+    or later) every call emits a [Queue_put]/[Queue_get] event with
+    its status. *)
 val create :
   ?kind:kind ->
   ?producers:int ->
   ?consumers:int ->
-  ?overflow:overflow ->
   Kernel.t ->
   name:string ->
   size:int ->
@@ -68,14 +53,13 @@ val create :
     names; [None] for non-queue connectors. *)
 val kind_of_connector : Quaject.connector -> kind option
 
-(** Items discarded by a [Drop] queue since creation (uncharged). *)
-val dropped : Kernel.t -> t -> int
-
 (** Host-side access for servers and tests (uncharged). *)
 val host_length : Kernel.t -> t -> int
 
 val host_put : Kernel.t -> t -> int -> bool
 val host_get : Kernel.t -> t -> int option
 
-(** The MP-SC put template (exposed for the ablation bench). *)
-val mpsc_put_template : Template.t
+(** The MP-SC put template over one queue's cells (exposed for the
+    ablation bench). *)
+val mpsc_put_template :
+  head:int -> tail:int -> buf:int -> flag:int -> size:int -> Template.t

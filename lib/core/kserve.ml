@@ -64,13 +64,10 @@ let open_span_key conn = (1 lsl 20) lor conn
 type config = {
   cfg_slots : int;  (* power of two; connection table size *)
   cfg_files : int;  (* power of two; files served *)
-  cfg_file_words : int;
   cfg_ring_len : int;  (* power of two; NIC rx/tx ring entries *)
   cfg_coalesce : int;  (* NIC completions per interrupt *)
   cfg_poll_us : float;  (* NIC service-tick period *)
-  cfg_worker_quantum_us : int;  (* a pump's first quantum and retune base *)
   cfg_worker_quantum_max_us : int;  (* the longest; a lone pump's every tick *)
-  cfg_ctl_epoch_us : float;  (* overload-controller sampling period *)
   cfg_admit_hi : int;  (* rx-ring occupancy that arms shedding *)
   cfg_admit_lo : int;  (* rx-ring occupancy that disarms it *)
   cfg_admit_limit : int;  (* rx occupancy admitted while shedding *)
@@ -80,17 +77,24 @@ let default_config =
   {
     cfg_slots = 64;
     cfg_files = 8;
-    cfg_file_words = 64;
     cfg_ring_len = 64;
     cfg_coalesce = 4;
     cfg_poll_us = 2.0;
-    cfg_worker_quantum_us = 100;
     cfg_worker_quantum_max_us = 400;
-    cfg_ctl_epoch_us = 200.0;
     cfg_admit_hi = 96;
     cfg_admit_lo = 32;
     cfg_admit_limit = 16;
   }
+
+(* Words in each served file. *)
+let file_words = 64
+
+(* A pump's first quantum, and the base the controller retunes from
+   while the pump shares its core. *)
+let worker_quantum_us = 100
+
+(* The overload controller's sampling period. *)
+let ctl_epoch_us = 200.0
 
 (* ------------------------------------------------------------------ *)
 (* The per-connection service template (§2.2)                          *)
@@ -108,23 +112,9 @@ let default_config =
    [lock] cell (a Cas spin lock) around its append.  With one pump
    the invariant is 0 and the lock folds away: the one-core routine
    has no Cas in it. *)
-let service_template =
-  Template.make ~name:"serve/conn"
-    ~params:
-      [
-        "respc_read";
-        "respc_write";
-        "respc_close";
-        "respc_err";
-        "buf";
-        "cap";
-        "size_cell";
-        "pos_cell";
-        "close_hc";
-        "lock";
-      ]
-    (fun p ->
-      let lock = p "lock" in
+let service_template ~slot ~(file : Fs.file) ~pos_cell ~close_hc ~lock =
+  let respc op = pack ~id:slot ~op ~arg:0 in
+  Template.make ~name:"serve/conn" (fun () ->
       let acquire, release =
         if lock = 0 then ([], [])
         else
@@ -148,29 +138,29 @@ let service_template =
         I.B (I.Eq, I.To_label "write");
         I.Cmp (I.Imm op_close, I.Reg I.r4);
         I.B (I.Eq, I.To_label "close");
-        I.Move (I.Imm (p "respc_err"), I.Reg I.r1);
+        I.Move (I.Imm (respc op_err), I.Reg I.r1);
         I.Rts;
         (* read: value = body[pos], pos advances and wraps at size *)
         I.Label "read";
-        I.Move (I.Abs (p "size_cell"), I.Reg I.r6);
+        I.Move (I.Abs file.Fs.f_size_cell, I.Reg I.r6);
         I.Cmp (I.Imm 0, I.Reg I.r6);
         I.B (I.Eq, I.To_label "rd_empty");
-        I.Move (I.Abs (p "pos_cell"), I.Reg I.r5);
+        I.Move (I.Abs pos_cell, I.Reg I.r5);
         I.Cmp (I.Reg I.r6, I.Reg I.r5);
         I.B (I.Cs, I.To_label "rd_ok"); (* pos < size *)
         I.Move (I.Imm 0, I.Reg I.r5);
         I.Label "rd_ok";
         I.Move (I.Reg I.r5, I.Reg I.r7);
-        I.Alu (I.Add, I.Imm (p "buf"), I.r7);
+        I.Alu (I.Add, I.Imm file.Fs.f_buf, I.r7);
         I.Move (I.Ind I.r7, I.Reg I.r7);
         I.Alu (I.Add, I.Imm 1, I.r5);
-        I.Move (I.Reg I.r5, I.Abs (p "pos_cell"));
+        I.Move (I.Reg I.r5, I.Abs pos_cell);
         I.Alu (I.And, I.Imm arg_mask, I.r7);
-        I.Move (I.Imm (p "respc_read"), I.Reg I.r1);
+        I.Move (I.Imm (respc op_read), I.Reg I.r1);
         I.Alu (I.Or, I.Reg I.r7, I.r1);
         I.Rts;
         I.Label "rd_empty";
-        I.Move (I.Imm (p "respc_read"), I.Reg I.r1);
+        I.Move (I.Imm (respc op_read), I.Reg I.r1);
         I.Rts;
         (* write: body[size] = arg, size advances and wraps at cap *)
         I.Label "write";
@@ -179,26 +169,26 @@ let service_template =
       @ [
           I.Move (I.Reg I.r8, I.Reg I.r7);
           I.Alu (I.And, I.Imm arg_mask, I.r7);
-          I.Move (I.Abs (p "size_cell"), I.Reg I.r5);
-          I.Cmp (I.Imm (p "cap"), I.Reg I.r5);
+          I.Move (I.Abs file.Fs.f_size_cell, I.Reg I.r5);
+          I.Cmp (I.Imm file.Fs.f_cap, I.Reg I.r5);
           I.B (I.Cs, I.To_label "wr_ok"); (* size < cap *)
           I.Move (I.Imm 0, I.Reg I.r5);
           I.Label "wr_ok";
           I.Move (I.Reg I.r5, I.Reg I.r6);
-          I.Alu (I.Add, I.Imm (p "buf"), I.r6);
+          I.Alu (I.Add, I.Imm file.Fs.f_buf, I.r6);
           I.Move (I.Reg I.r7, I.Ind I.r6);
           I.Alu (I.Add, I.Imm 1, I.r5);
-          I.Move (I.Reg I.r5, I.Abs (p "size_cell"));
+          I.Move (I.Reg I.r5, I.Abs file.Fs.f_size_cell);
         ]
       @ release
       @ [
-          I.Move (I.Imm (p "respc_write"), I.Reg I.r1);
+          I.Move (I.Imm (respc op_write), I.Reg I.r1);
           I.Alu (I.Or, I.Reg I.r7, I.r1);
           I.Rts;
           (* close: tell the host, acknowledge *)
           I.Label "close";
-          I.Hcall (p "close_hc");
-          I.Move (I.Imm (p "respc_close"), I.Reg I.r1);
+          I.Hcall close_hc;
+          I.Move (I.Imm (respc op_close), I.Reg I.r1);
           I.Rts;
         ])
 
@@ -389,20 +379,9 @@ let do_accept t ~conn ~farg =
       let before = (Ksynth.stats k).Ksynth.st_hits in
       let h =
         Ksynth.instantiate k ~name:"serve/conn" ~kind:"serve"
-          ~template:service_template
-          ~invariants:
-            [
-              ("respc_read", pack ~id:slot ~op:op_read ~arg:0);
-              ("respc_write", pack ~id:slot ~op:op_write ~arg:0);
-              ("respc_close", pack ~id:slot ~op:op_close ~arg:0);
-              ("respc_err", pack ~id:slot ~op:op_err ~arg:0);
-              ("buf", file.Fs.f_buf);
-              ("cap", file.Fs.f_cap);
-              ("size_cell", file.Fs.f_size_cell);
-              ("pos_cell", pos_cell);
-              ("close_hc", t.sv_close_hc);
-              ("lock", if t.sv_locks = 0 then 0 else t.sv_locks + fidx);
-            ]
+          ~template:
+            (service_template ~slot ~file ~pos_cell ~close_hc:t.sv_close_hc
+               ~lock:(if t.sv_locks = 0 then 0 else t.sv_locks + fidx))
       in
       if (Ksynth.stats k).Ksynth.st_hits > before then
         t.sv_hits <- t.sv_hits + 1
@@ -487,23 +466,18 @@ let host_close t ~slot = do_close t ~slot
    Span probes: "open" mints a request's span with the request word at
    r11 (an open is keyed by conn until accept gives it a slot);
    "close" closes it with the response word in r1. *)
-let pump_template t ~ring_len =
+let pump_template t ~ring_len ~pump ~rx_ring ~tx_ring ~cpu =
   let nslots = Array.length t.sv_slots in
   let yield = Ksynth.lookup t.sv_k "syscall/yield" in
-  Template.make ~name:"serve/pump"
-    ~params:
+  let timer = Mmio_map.timer_alarm_for cpu in
+  Template.make ~name:"serve/pump" (fun () ->
       [
-        "rx_ring"; "tx_ring"; "rx_mail"; "rx_tail"; "tx_mail"; "tx_head"; "done"; "arm";
-        "timer"; "quantum_max"; "sw_out_cell";
-      ]
-    (fun p ->
-      [
-        I.Move (I.Abs (p "rx_tail"), I.Reg I.r3);
+        I.Move (I.Abs (rx_tail_of pump), I.Reg I.r3);
         I.Label "loop";
         I.Move (I.Abs t.sv_stop_cell, I.Reg I.r8);
         I.Tst (I.Reg I.r8);
         I.B (I.Ne, I.To_label "stop");
-        I.Move (I.Abs (p "rx_mail"), I.Reg I.r2); (* this batch's end *)
+        I.Move (I.Abs (rx_mail_of pump), I.Reg I.r2); (* this batch's end *)
         I.Cmp (I.Reg I.r2, I.Reg I.r3);
         I.B (I.Ne, I.To_label "have");
         I.Trap wait_trap; (* ring empty: sleep until the queue's interrupt *)
@@ -512,13 +486,13 @@ let pump_template t ~ring_len =
         I.Move (I.Reg I.r3, I.Reg I.r10);
         I.Alu (I.And, I.Imm (ring_len - 1), I.r10);
         I.Alu (I.Lsl, I.Imm 2, I.r10); (* * desc_words *)
-        I.Alu (I.Add, I.Imm (p "rx_ring"), I.r10);
+        I.Alu (I.Add, I.Imm rx_ring, I.r10);
         I.Move (I.Ind I.r10, I.Reg I.r11); (* descriptor buffer *)
         I.Probe "open";
         I.Move (I.Ind I.r11, I.Reg I.r1); (* the request word *)
         I.Move (I.Imm 0, I.Idx (I.r10, 2)); (* descriptor consumed *)
         I.Alu (I.Add, I.Imm 1, I.r3);
-        I.Move (I.Reg I.r3, I.Abs (p "rx_tail"));
+        I.Move (I.Reg I.r3, I.Abs (rx_tail_of pump));
         I.Move (I.Reg I.r1, I.Reg I.r8);
         I.Alu (I.Lsr, I.Imm op_shift, I.r8);
         I.Alu (I.And, I.Imm 7, I.r8);
@@ -531,8 +505,8 @@ let pump_template t ~ring_len =
         I.Alu (I.Add, I.Imm t.sv_tbl, I.r8);
         I.Jsr (I.To_mem (I.Ind I.r8)); (* the synthesized service *)
         I.Label "space";
-        I.Move (I.Abs (p "tx_head"), I.Reg I.r8);
-        I.Move (I.Abs (p "tx_mail"), I.Reg I.r9);
+        I.Move (I.Abs (tx_head_of pump), I.Reg I.r8);
+        I.Move (I.Abs (tx_mail_of pump), I.Reg I.r9);
         I.Move (I.Reg I.r8, I.Reg I.r10);
         I.Alu (I.Sub, I.Reg I.r9, I.r10); (* occupancy *)
         I.Cmp (I.Imm ring_len, I.Reg I.r10);
@@ -543,12 +517,12 @@ let pump_template t ~ring_len =
         I.Move (I.Reg I.r8, I.Reg I.r10);
         I.Alu (I.And, I.Imm (ring_len - 1), I.r10);
         I.Alu (I.Lsl, I.Imm 2, I.r10);
-        I.Alu (I.Add, I.Imm (p "tx_ring"), I.r10);
+        I.Alu (I.Add, I.Imm tx_ring, I.r10);
         I.Move (I.Ind I.r10, I.Reg I.r11);
         I.Move (I.Reg I.r1, I.Ind I.r11); (* the response word *)
         I.Probe "close";
         I.Alu (I.Add, I.Imm 1, I.r8);
-        I.Move (I.Reg I.r8, I.Abs (p "tx_head")); (* doorbell *)
+        I.Move (I.Reg I.r8, I.Abs (tx_head_of pump)); (* doorbell *)
         I.Cmp (I.Reg I.r2, I.Reg I.r3);
         I.B (I.Ne, I.To_label "have"); (* the batch goes on *)
         I.B (I.Always, I.To_label "loop");
@@ -559,31 +533,31 @@ let pump_template t ~ring_len =
         I.Jsr (I.To_addr t.sv_stub);
         I.B (I.Always, I.To_label "space");
         I.Label "stop";
-        I.Move (I.Imm 1, I.Abs (p "done"));
+        I.Move (I.Imm 1, I.Abs (done_of pump));
         I.Trap 0;
         (* the wait handler: trap 15 from "loop", supervisor mode *)
         I.Label "wait";
         I.Set_ipl 7;
-        I.Move (I.Imm 1, I.Abs (p "arm"));
+        I.Move (I.Imm 1, I.Abs (arm_of pump));
         I.Move (I.Abs t.sv_stop_cell, I.Reg I.r8);
         I.Tst (I.Reg I.r8);
         I.B (I.Ne, I.To_label "woke");
-        I.Move (I.Abs (p "rx_mail"), I.Reg I.r8);
+        I.Move (I.Abs (rx_mail_of pump), I.Reg I.r8);
         I.Cmp (I.Reg I.r3, I.Reg I.r8);
         I.B (I.Ne, I.To_label "woke");
         I.Hcall t.sv_alone_hc;
         I.Tst (I.Reg I.r9);
         I.B (I.Eq, I.To_label "share");
-        I.Move (I.Abs (p "timer"), I.Reg I.r9); (* quantum left, us *)
-        I.Move (I.Imm 0, I.Abs (p "timer")); (* paused while asleep *)
+        I.Move (I.Abs timer, I.Reg I.r9); (* quantum left, us *)
+        I.Move (I.Imm 0, I.Abs timer); (* paused while asleep *)
         I.Stop_wait;
         I.Tst (I.Reg I.r9);
         I.B (I.Ne, I.To_label "resume");
         I.Move (I.Imm 1, I.Reg I.r9);
         I.Label "resume";
-        I.Move (I.Reg I.r9, I.Abs (p "timer"));
+        I.Move (I.Reg I.r9, I.Abs timer);
         I.Label "woke";
-        I.Move (I.Imm 0, I.Abs (p "arm"));
+        I.Move (I.Imm 0, I.Abs (arm_of pump));
         I.Move (I.Imm Mmio_map.nic_level, I.Abs Mmio_map.irq_ack);
         I.Rte;
         I.Label "share";
@@ -595,11 +569,11 @@ let pump_template t ~ring_len =
         I.Tst (I.Reg I.r9);
         I.B (I.Eq, I.To_label "switch");
         I.Pop I.r9;
-        I.Move (I.Imm (p "quantum_max"), I.Abs (p "timer"));
+        I.Move (I.Imm t.sv_cfg.cfg_worker_quantum_max_us, I.Abs timer);
         I.Rte;
         I.Label "switch";
         I.Pop I.r9;
-        I.Jmp (I.To_mem (I.Abs (p "sw_out_cell")));
+        I.Jmp (I.To_mem (I.Abs (Layout.cur_sw_out_cell_for cpu)));
       ])
 
 (* The cycles a tick stub spends after its timer store: the store
@@ -666,7 +640,7 @@ let install_controller t =
   let k = t.sv_k in
   let m = k.Kernel.machine in
   let cfg = t.sv_cfg in
-  let epoch = Cost.cycles_of_us (Machine.cost_model m) cfg.cfg_ctl_epoch_us in
+  let epoch = Cost.cycles_of_us (Machine.cost_model m) ctl_epoch_us in
   let backlog_g = Metrics.gauge k.Kernel.metrics "serve.backlog" in
   let dev = ref None in
   (* arrivals are the card's rx deliveries, services the responses the
@@ -698,13 +672,13 @@ let install_controller t =
        on its core never switches in again — its timer stub re-arms the
        longest quantum — so only a pump that shares its core is
        retuned. *)
-    let span = cfg.cfg_worker_quantum_max_us - cfg.cfg_worker_quantum_us in
+    let span = cfg.cfg_worker_quantum_max_us - worker_quantum_us in
     Array.iteri
       (fun i p ->
         let frac =
           min 1.0 (float_of_int pressures.(i) /. float_of_int cfg.cfg_admit_hi)
         in
-        let q = cfg.cfg_worker_quantum_us + int_of_float (frac *. float_of_int span) in
+        let q = worker_quantum_us + int_of_float (frac *. float_of_int span) in
         match p.p_tte with
         | Some tte
           when tte.Kernel.state <> Kernel.Zombie
@@ -732,7 +706,7 @@ let spawn_pump t p =
   let k = t.sv_k in
   let cpu = if Array.length t.sv_pumps = 1 then None else Some p.p_queue in
   let tte =
-    Thread.create k ?cpu ~quantum_us:t.sv_cfg.cfg_worker_quantum_us
+    Thread.create k ?cpu ~quantum_us:worker_quantum_us
       ~segments:t.sv_segments ~entry:p.p_entry ()
   in
   Kernel.set_vector k tte (I.Vector.trap wait_trap) p.p_wait;
@@ -760,12 +734,12 @@ let create ?(config = default_config) boot =
   let files =
     Array.init cfg.cfg_files (fun i ->
         let content =
-          Array.init cfg.cfg_file_words (fun j ->
+          Array.init file_words (fun j ->
               ((i * 31) + (j * 7) + 1) land arg_mask)
         in
         Fs.create_file boot.Boot.vfs
           ~name:(Printf.sprintf "/srv/%d" i)
-          ~capacity:cfg.cfg_file_words ~content ())
+          ~capacity:file_words ~content ())
   in
   (* with more than one pump, a file's appends are serialized by its
      lock cell *)
@@ -885,7 +859,6 @@ let create ?(config = default_config) boot =
   (* the card, and one pump per queue synthesized from one template; a
      restart respawns the pump threads on the same code, so a rearmed
      run reuses all code and state *)
-  let template = pump_template t ~ring_len in
   Array.iter
     (fun p ->
       let q = p.p_queue in
@@ -897,21 +870,8 @@ let create ?(config = default_config) boot =
         ~head_cell:(tx_head_of p);
       let timer = Mmio_map.timer_alarm_for cpu in
       let h =
-        Ksynth.instantiate ~name:"serve/pump" ~probes:(pump_probes t) k ~template
-          ~invariants:
-            [
-              ("rx_ring", rx_ring);
-              ("tx_ring", tx_ring);
-              ("rx_mail", rx_mail_of p);
-              ("rx_tail", rx_tail_of p);
-              ("tx_mail", tx_mail_of p);
-              ("tx_head", tx_head_of p);
-              ("done", done_of p);
-              ("arm", arm_of p);
-              ("timer", timer);
-              ("quantum_max", cfg.cfg_worker_quantum_max_us);
-              ("sw_out_cell", Layout.cur_sw_out_cell_for cpu);
-            ]
+        Ksynth.instantiate ~name:"serve/pump" ~probes:(pump_probes t) k
+          ~template:(pump_template t ~ring_len ~pump:p ~rx_ring ~tx_ring ~cpu)
       in
       p.p_entry <- Ksynth.entry h;
       p.p_wait <- Ksynth.sym h "wait";

@@ -102,21 +102,18 @@ val msg_arg : int -> int
 
 type config = {
   cfg_slots : int;  (** power of two; connection table size *)
-  cfg_files : int;  (** power of two; files served *)
-  cfg_file_words : int;
+  cfg_files : int;  (** power of two; files served (64 words each) *)
   cfg_ring_len : int;  (** power of two; rx/tx ring entries per NIC queue *)
   cfg_coalesce : int;  (** a NIC queue's completions per interrupt *)
   cfg_poll_us : float;  (** NIC service-tick period *)
-  cfg_worker_quantum_us : int;
-      (** a pump's first quantum, and the base the controller retunes
-          from while the pump shares its core *)
   cfg_worker_quantum_max_us : int;
-      (** the longest retuned quantum, and the quantum a pump alone on
+      (** the longest quantum the controller retunes a pump to while
+          it shares its core (from a fixed 100 µs base, the pump's
+          first quantum), and the quantum a pump alone on
           its core re-arms at every tick.  It must outlast what the
           tick stub runs after its timer store (its [Rte], 22 cycles on
           the SUN-3 model, so at least 2 µs): a shorter one is due
           again before the stub returns, and [create] refuses it *)
-  cfg_ctl_epoch_us : float;  (** overload-controller sampling period *)
   cfg_admit_hi : int;  (** occupancy of any rx ring that arms shedding *)
   cfg_admit_lo : int;  (** occupancy of every rx ring that disarms it *)
   cfg_admit_limit : int;  (** rx occupancy per ring admitted while shedding *)

@@ -1,12 +1,12 @@
 (* ksynth: the memoizing synthesis cache.
 
    The cache sits between the templates and the raw synthesis engine
-   in [Kernel]: keys are content-addressed (template id + sorted
-   invariants + a hash of the optimized body), so two instantiations
-   share a page exactly when the code they would generate is
-   byte-identical — templates that close over host state (pipe
-   records, scheduling gauges) disambiguate themselves through the
-   body hash without any per-site annotations.  Probe points are not
+   in [Kernel]: keys are content-addressed (template id + a hash of
+   the optimized body), so two instantiations share a page exactly
+   when the code they would generate is byte-identical.  A template
+   takes its invariants as OCaml arguments, so an invariant the body
+   folds in disambiguates through the body hash, and one it ignores
+   costs no page.  Probe points are not
    code: the key ignores them, and every instantiation (hit or miss)
    binds the page's probes to its own [?probes].
 
@@ -63,13 +63,7 @@ let body_hash insns =
       | i -> ((h * 16777619) lxor Hashtbl.hash i) land max_int)
     0x811C9DC5 insns
 
-let key_of ~id ~env h =
-  Printf.sprintf "%s|%s#%x" id
-    (String.concat ";"
-       (List.map
-          (fun (p, v) -> p ^ "=" ^ string_of_int v)
-          (List.sort compare env)))
-    h
+let key_of ~id h = Printf.sprintf "%s#%x" id h
 
 (* Arena kind: the registry's subsystem prefix ("pipe/...", "ctx/..."),
    so related routines recycle each other's ranges. *)
@@ -153,7 +147,6 @@ let record_recipe k p =
         rc_name = p.sp_name;
         rc_kind = p.sp_kind;
         rc_template = r.cr_template;
-        rc_env = r.cr_env;
         rc_probes = r.cr_probes;
       }
 
@@ -194,7 +187,7 @@ let set_cap k ~kind words =
 (* ------------------------------------------------------------------ *)
 (* Miss path: full synthesis into an arena range *)
 
-let miss k ~name ~kind ~key ~template ~env ~points optimized =
+let miss k ~name ~kind ~key ~template ~points optimized =
   let n = Asm.length optimized in
   Machine.charge k.machine (k.codegen_cycles_fixed + (n * k.codegen_cycles_per_insn));
   Metrics.bump k.metrics Metrics.synth_cache_misses;
@@ -205,7 +198,7 @@ let miss k ~name ~kind ~key ~template ~env ~points optimized =
   | None -> ());
   let entry = Kalloc.arena_alloc (arena_for k kind) n in
   let syms =
-    Kernel.install_at ~probes:points k ~name ~at:entry ~template ~env optimized
+    Kernel.install_at ~probes:points k ~name ~at:entry ~template optimized
   in
   let p =
     {
@@ -248,16 +241,14 @@ let fork k h =
     | Some r -> r
     | None -> invalid_arg ("Ksynth.patch: no region for page " ^ p.sp_name)
   in
-  let optimized =
-    Peephole.optimize (Template.instantiate r.cr_template ~env:r.cr_env)
-  in
+  let optimized = Peephole.optimize (Template.instantiate r.cr_template) in
   let n = Asm.length optimized in
   Machine.charge k.machine (k.codegen_cycles_fixed + (n * k.codegen_cycles_per_insn));
   let entry = Kalloc.arena_alloc (arena_for k p.sp_kind) n in
   let name = p.sp_name ^ "#fork" in
   let syms =
     Kernel.install_at ~probes:r.cr_probes k ~name ~at:entry
-      ~template:r.cr_template ~env:r.cr_env optimized
+      ~template:r.cr_template optimized
   in
   let fp =
     {
@@ -319,18 +310,15 @@ let rebind_probes k p ~code points =
       (fun r -> Kernel.set_region_probes k r points)
       (Kernel.find_region k p.sp_entry)
 
-let instantiate ?name ?kind ?(patches = []) ?(probes = []) k ~template
-    ~invariants =
+let instantiate ?name ?kind ?(patches = []) ?(probes = []) k ~template =
   let name = match name with Some n -> n | None -> Template.id template in
   let kind = match kind with Some s -> s | None -> kind_of name in
   (* Instantiation and optimization are host-side and free in
      simulated cycles; only installing new code is charged.  Running
      them unconditionally is what lets the key see the body. *)
-  let optimized =
-    Peephole.optimize (Template.instantiate template ~env:invariants)
-  in
+  let optimized = Peephole.optimize (Template.instantiate template) in
   let points = Kernel.probe_points optimized probes in
-  let key = key_of ~id:(Template.id template) ~env:invariants (body_hash optimized) in
+  let key = key_of ~id:(Template.id template) (body_hash optimized) in
   let page =
     match Hashtbl.find_opt k.synth_cache key with
     | Some p when p.sp_len = Asm.length optimized ->
@@ -342,7 +330,7 @@ let instantiate ?name ?kind ?(patches = []) ?(probes = []) k ~template
       Metrics.bump k.metrics Metrics.synth_cache_hits;
       rebind_probes k p ~code:optimized points;
       p
-    | _ -> miss k ~name ~kind ~key ~template ~env:invariants ~points optimized
+    | _ -> miss k ~name ~kind ~key ~template ~points optimized
   in
   let h = { h_page = page; h_live = true } in
   List.iter (fun (off, insn) -> patch k h ~off insn) patches;
@@ -366,11 +354,10 @@ let install ?(probes = []) k ~name insns =
     let n = Asm.length optimized in
     let entry, syms = Asm.assemble k.machine optimized in
     Hashtbl.replace k.shared name entry;
-    (* no run-time invariants: the region's generator is a closed
-       template over the optimized body *)
+    (* the region's generator is a closed template over the optimized
+       body *)
     Kernel.register_region ~probes:points k ~name ~entry ~len:n
-      ~template:(Template.make ~name ~params:[] (fun _ -> optimized))
-      ~env:[];
+      ~template:(Template.make ~name (fun () -> optimized));
     let p =
       {
         sp_key = key;
@@ -433,7 +420,6 @@ let revive k key =
   | Some rc ->
     let h =
       instantiate k ~name:rc.rc_name ~kind:rc.rc_kind ~template:rc.rc_template
-        ~invariants:rc.rc_env
     in
     Option.iter (fun r -> Kernel.set_region_probes k r rc.rc_probes)
       (Kernel.find_region k (entry h));

@@ -9,10 +9,11 @@
     subsequent requests with the same key pay a table probe and share
     the installed page, refcounted by live handles.
 
-    Keys are content-addressed — template id + sorted invariant
-    bindings + a hash of the optimized body — so templates that close
-    over host state (pipe records, gauges) share pages exactly when
-    the generated code is byte-identical, never otherwise.  Probe
+    Keys are content-addressed — template id + a hash of the
+    optimized body — so instantiations share pages exactly when the
+    generated code is byte-identical, never otherwise.  A template's
+    invariants are OCaml arguments closed over by its generator: two
+    argument sets that fold into the same body share one page.  Probe
     points ([Insn.Probe]) emit no code and stay out of the key; each
     instantiation binds the page's probes to its own [?probes].
 
@@ -49,8 +50,8 @@ type stats = {
 
 (** {1 The code-generation entry point} *)
 
-(** [instantiate k ~template ~invariants] returns a handle on code
-    generated by folding [invariants] into [template] (§2.2).
+(** [instantiate k ~template] returns a handle on the code [template]
+    generates with its invariants folded in (§2.2).
 
     Cache hit: charges a table probe (~30 cycles), bumps the page's
     refcount.  Miss: charges full generation cost plus the arena
@@ -67,7 +68,6 @@ val instantiate :
   ?probes:Kernel.probe list ->
   Kernel.t ->
   template:Template.t ->
-  invariants:(string * int) list ->
   handle
 
 (** Boot-time shared kernel code: installed append-path (no charge,

@@ -42,22 +42,21 @@ let op_entry q name =
 (* The creator *)
 
 (* [create k ~name ~data_words ops] — allocation, then per operation
-   factorization and optimization.  Each op is (op name, template,
-   extra invariants); every template additionally receives "self" (the
-   data block address) so quaject code can address its own state. *)
+   factorization and optimization.  Each op is (op name, template
+   builder); the builder receives [~self] (the data block address) so
+   quaject code can address its own state. *)
 let create k ~name ~data_words ops =
   (* allocation *)
   let data = Kalloc.alloc_zeroed k.Kernel.alloc (max data_words (List.length ops + 4)) in
   let q = { qj_name = name; qj_data = data; qj_data_words = data_words; qj_ops = [] } in
   (* factorization + optimization, one template per operation *)
   List.iteri
-    (fun i (op_name, template, env) ->
+    (fun i (op_name, template) ->
       let entry =
         Ksynth.entry
           (Ksynth.instantiate k
              ~name:(Printf.sprintf "quaject/%s/%s" name op_name)
-             ~template
-             ~invariants:(("self", data) :: env))
+             ~template:(template ~self:data))
       in
       q.qj_ops <- (op_name, entry) :: q.qj_ops;
       (* dynamic link of the quaject's own table *)

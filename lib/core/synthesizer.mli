@@ -19,13 +19,13 @@ val op_slot : quaject -> int -> int
 val op_entry : quaject -> string -> int
 
 (** [create k ~name ~data_words ops]: allocation, then one
-    factorize+optimize per (op name, template, invariants).  Every
-    template also receives ["self"] — the data block address. *)
+    factorize+optimize per (op name, template builder).  Each builder
+    receives [~self] — the data block address. *)
 val create :
   Kernel.t ->
   name:string ->
   data_words:int ->
-  (string * Template.t * (string * int) list) list ->
+  (string * (self:int -> Template.t)) list ->
   quaject
 
 (** Deallocation: release the quaject's synthesized operation pages

@@ -1,44 +1,23 @@
 (* Code templates and Factoring Invariants (§2.2).
 
-   A template is a named code generator written against an environment
-   of *invariants* — run-time constants such as a queue's buffer
-   address, a file's size, a thread's TTE address.  Instantiation
-   ("factorization") folds those constants into the emitted
+   A template is a named code generator.  Its *invariants* — run-time
+   constants such as a queue's buffer address, a file's size, a
+   thread's TTE address — are the OCaml arguments of the function
+   that builds it, so the type checker, not a run-time lookup, sees
+   that every one is bound.  Instantiation ("factorization") runs the
+   generator, which folds those constants into the emitted
    instructions as immediates and absolute addresses; the peephole
-   stage then cleans up whatever the folding made redundant.
-
-   The generator function receives a total lookup for the declared
-   parameters; asking for an undeclared or missing parameter is a
-   kernel bug and raises. *)
+   stage then cleans up whatever the folding made redundant. *)
 
 open Quamachine
 
-exception Missing_param of string * string (* template, param *)
+type t = { name : string; gen : unit -> Insn.insn list }
 
-type t = {
-  name : string;
-  params : string list; (* declared invariants *)
-  gen : (string -> int) -> Insn.insn list;
-}
+let make ~name gen = { name; gen }
 
-let make ~name ~params gen = { name; params; gen }
+(* Factorization stage: emit code with the invariants folded in. *)
+let instantiate t = t.gen ()
 
-(* Factorization stage: bind the invariants and emit code. *)
-let instantiate t ~env =
-  List.iter
-    (fun p ->
-      if not (List.mem_assoc p env) then raise (Missing_param (t.name, p)))
-    t.params;
-  let lookup p =
-    match List.assoc_opt p env with
-    | Some v -> v
-    | None -> raise (Missing_param (t.name, p))
-  in
-  t.gen lookup
-
-let name t = t.name
-let params t = t.params
-
-(* The template's identity for synthesis-cache keys: templates are
-   top-level values minted once, so the name doubles as a stable id. *)
+(* The template's identity for synthesis-cache keys: one generator per
+   name, so the name doubles as a stable id. *)
 let id t = t.name

@@ -1,25 +1,19 @@
 (** Code templates and Factoring Invariants (§2.2).
 
-    A template is a named generator written against an environment of
-    run-time constants; instantiation folds the constants into the
-    emitted instructions as immediates and absolute addresses. *)
-
-exception Missing_param of string * string
+    A template is a named generator.  Its invariants are the OCaml
+    arguments of the function that builds it; instantiation folds them
+    into the emitted instructions as immediates and absolute
+    addresses. *)
 
 type t
 
-(** [make ~name ~params gen]: [gen lookup] must only apply [lookup]
-    to the declared [params]. *)
-val make :
-  name:string -> params:string list -> ((string -> int) -> Quamachine.Insn.insn list) -> t
+(** [make ~name gen]: [gen] emits the code with the invariants it
+    closed over already folded in. *)
+val make : name:string -> (unit -> Quamachine.Insn.insn list) -> t
 
-(** The factorization stage: bind invariants, emit code.  Raises
-    {!Missing_param} if [env] lacks a declared parameter. *)
-val instantiate : t -> env:(string * int) list -> Quamachine.Insn.insn list
+(** The factorization stage: emit the code. *)
+val instantiate : t -> Quamachine.Insn.insn list
 
-val name : t -> string
-val params : t -> string list
-
-(** Stable identity used in synthesis-cache keys (the name: templates
-    are top-level values minted once per generator). *)
+(** Stable identity used in synthesis-cache keys (the name: one
+    generator per name). *)
 val id : t -> string

@@ -20,13 +20,13 @@ module L = Layout.Tte
    routine (§5.3: "system calls are frequently customized for each
    thread"). *)
 
-let dispatcher_template = Template.make ~name:"fd_dispatch" ~params:[ "fdtab" ]
-    (fun p ->
+let dispatcher_template ~fdtab =
+  Template.make ~name:"fd_dispatch" (fun () ->
       [
         I.Cmp (I.Imm L.max_fds, I.Reg I.r1); (* flags from fd - max *)
         I.B (I.Cc, I.To_label "bad"); (* unsigned fd >= max *)
         I.Move (I.Reg I.r1, I.Reg I.r4);
-        I.Alu (I.Add, I.Imm (p "fdtab"), I.r4);
+        I.Alu (I.Add, I.Imm fdtab, I.r4);
         I.Jmp (I.To_mem (I.Ind I.r4)); (* into the synthesized routine *)
         I.Label "bad";
         I.Move (I.Imm (-1), I.Reg I.r0);
@@ -123,8 +123,7 @@ let create k ?cpu ?(quantum_us = 200) ?(uses_fp = false) ?(segments = [])
     let h =
       Ksynth.instantiate k
         ~name:(Printf.sprintf "thread/t%d/%s_dispatch" tid which)
-        ~template:dispatcher_template
-        ~invariants:[ ("fdtab", base + off) ]
+        ~template:(dispatcher_template ~fdtab:(base + off))
     in
     t.Kernel.owned_pages <- Ksynth.entry h :: t.Kernel.owned_pages;
     Ksynth.entry h
@@ -340,10 +339,10 @@ let drain_cross_signals k =
    trampoline with the handler address folded in. *)
 let set_signal_handler k t handler =
   let tramp_template =
-    Template.make ~name:"sig_tramp" ~params:[ "handler" ] (fun p ->
+    Template.make ~name:"sig_tramp" (fun () ->
         [
           I.Movem_save ([ 0; 1; 2; 3; 4; 5; 6; 7 ], I.sp);
-          I.Jsr (I.To_addr (p "handler"));
+          I.Jsr (I.To_addr handler);
           I.Movem_load (I.sp, [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
           I.Trap 9; (* sigreturn *)
         ])
@@ -352,7 +351,6 @@ let set_signal_handler k t handler =
     Ksynth.instantiate k
       ~name:(Printf.sprintf "signal/t%d/tramp" t.Kernel.tid)
       ~template:tramp_template
-      ~invariants:[ ("handler", handler) ]
   in
   (* re-registering drops the claim on the previous trampoline *)
   let old = Machine.peek k.Kernel.machine (t.Kernel.base + L.off_sig_handler) in
@@ -374,8 +372,8 @@ let set_signal_handler k t handler =
    finds the faulting PC and SR on its stack — enough to emulate an
    unimplemented instruction and resume past it. *)
 
-let error_trap_template =
-  Template.make ~name:"error_trap" ~params:[ "user_proc" ] (fun p ->
+let error_trap_template ~user_proc =
+  Template.make ~name:"error_trap" (fun () ->
       [
         I.Pop I.r4; (* SR of the faulting context *)
         I.Pop I.r5; (* PC of the faulting instruction *)
@@ -386,7 +384,7 @@ let error_trap_template =
         I.Move (I.Reg I.r4, I.Idx (I.r6, 1)); (* faulting SR *)
         I.Move (I.Reg I.r6, I.Abs Mmio_map.usp);
         (* re-enter user mode at the error procedure *)
-        I.Push (I.Imm (p "user_proc"));
+        I.Push (I.Imm user_proc);
         I.Push (I.Reg I.r4); (* the faulting context's own SR *)
         I.Rte;
       ])
@@ -397,8 +395,7 @@ let set_error_handler k t ~user_proc =
   let h =
     Ksynth.instantiate k
       ~name:(Printf.sprintf "error/t%d/trap" t.Kernel.tid)
-      ~template:error_trap_template
-      ~invariants:[ ("user_proc", user_proc) ]
+      ~template:(error_trap_template ~user_proc)
   in
   let entry = Ksynth.entry h in
   t.Kernel.owned_pages <- entry :: t.Kernel.owned_pages;

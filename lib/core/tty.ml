@@ -67,8 +67,8 @@ let guarded_block k q ~flag ~wq ~retry ~prefix =
    interrupt").  Saves the few registers it uses (§5.3), picks up the
    character, puts it into the dedicated queue and wakes the filter. *)
 
-let irq_template srv =
-  Template.make ~name:"tty_irq" ~params:[ "unblock" ] (fun p ->
+let irq_template srv ~unblock =
+  Template.make ~name:"tty_irq" (fun () ->
       [
         (* The dedicated queue's put is lock-free only against its one
            consumer.  The scheduler (timer, level 6) nesting over this
@@ -84,7 +84,7 @@ let irq_template srv =
         I.Move (I.Abs Mmio_map.tty_data_in, I.Reg I.r1);
         I.Jsr (I.To_addr srv.srv_raw.Kqueue.q_put); (* dedicated put *)
       ]
-      @ wake ~prefix:"irq" ~flag:srv.srv_fwait ~hcall:(p "unblock")
+      @ wake ~prefix:"irq" ~flag:srv.srv_fwait ~hcall:unblock
       @ [ I.Pop I.r5; I.Pop I.r4; I.Pop I.r1; I.Pop I.r0; I.Rte ])
 
 (* ---------------------------------------------------------------- *)
@@ -184,7 +184,7 @@ let pump_code k srv =
    write (into the screen queue). *)
 
 let tty_read_template k srv ~gauge =
-  Template.make ~name:"tty_read" ~params:[] (fun _ ->
+  Template.make ~name:"tty_read" (fun () ->
       [
         I.Alu_mem (I.Add, I.Imm 1, I.Abs gauge);
         I.Move (I.Imm 0, I.Reg I.r8); (* words read so far *)
@@ -209,7 +209,7 @@ let tty_read_template k srv ~gauge =
           ~retry:"retry" ~prefix:"tr")
 
 let tty_write_template srv ~gauge ~wake_pump =
-  Template.make ~name:"tty_write" ~params:[] (fun _ ->
+  Template.make ~name:"tty_write" (fun () ->
       [
         I.Alu_mem (I.Add, I.Imm 1, I.Abs gauge);
         I.Move (I.Reg I.r3, I.Reg I.r0); (* return n *)
@@ -282,8 +282,8 @@ let install vfs =
   (* the raw interrupt handler, shared by every thread's vector table *)
   let irq =
     Ksynth.entry
-      (Ksynth.instantiate k ~name:"tty/irq" ~template:(irq_template srv)
-         ~invariants:[ ("unblock", wake_filter) ])
+      (Ksynth.instantiate k ~name:"tty/irq"
+         ~template:(irq_template srv ~unblock:wake_filter))
   in
   Kernel.set_vector_all k Mmio_map.tty_vector irq;
   (* the /dev/tty node: open synthesizes reader/writer code (the extra
@@ -294,12 +294,12 @@ let install vfs =
       let r =
         Ksynth.entry
           (Ksynth.instantiate k ~name:(tag ^ "/read")
-             ~template:(tty_read_template k srv ~gauge) ~invariants:[])
+             ~template:(tty_read_template k srv ~gauge))
       in
       let w =
         Ksynth.entry
           (Ksynth.instantiate k ~name:(tag ^ "/write")
-             ~template:(tty_write_template srv ~gauge ~wake_pump) ~invariants:[])
+             ~template:(tty_write_template srv ~gauge ~wake_pump))
       in
       {
         Vfs.h_read = r;

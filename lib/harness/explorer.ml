@@ -961,13 +961,13 @@ let codeflip_subject =
     (* a quaject op: synthesized code that never runs during the
        storm, so only the audit channel can catch its corruption *)
     let tick_cell = Kalloc.alloc_zeroed alloc 4 in
-    let tick_template =
-      Template.make ~name:"tick" ~params:[ "cell" ] (fun p ->
-          [ I.Alu_mem (I.Add, I.Imm 1, I.Abs (p "cell")); I.Rts ])
+    let tick_template ~self:_ =
+      Template.make ~name:"tick" (fun () ->
+          [ I.Alu_mem (I.Add, I.Imm 1, I.Abs tick_cell); I.Rts ])
     in
     ignore
       (Synthesizer.create k ~name:"healer" ~data_words:4
-         [ ("tick", tick_template, [ ("cell", tick_cell) ]) ]);
+         [ ("tick", tick_template) ]);
     (* second detection channel: periodic checksum walk *)
     let wd = Watchdog.install k ~period_us:1_000.0 () in
     Watchdog.audit_code wd;
@@ -1102,15 +1102,13 @@ let synthcache_subject =
     let count_cell = Kalloc.alloc_zeroed alloc 4 in
     let dones = Kalloc.alloc_zeroed alloc users in
     let bump_template =
-      Template.make ~name:"cachehot/bump" ~params:[ "cell" ] (fun p ->
-          [ I.Alu_mem (I.Add, I.Imm 1, I.Abs (p "cell")); I.Rts ])
+      Template.make ~name:"cachehot/bump" (fun () ->
+          [ I.Alu_mem (I.Add, I.Imm 1, I.Abs count_cell); I.Rts ])
     in
     (* every user instantiates the same template with the same
        invariants: one page, refcount = users *)
     let handles =
-      List.init users (fun _ ->
-          Ksynth.instantiate k ~template:bump_template
-            ~invariants:[ ("cell", count_cell) ])
+      List.init users (fun _ -> Ksynth.instantiate k ~template:bump_template)
     in
     let h0 = List.hd handles in
     let entry0 = Ksynth.entry h0 in
@@ -1154,14 +1152,11 @@ let synthcache_subject =
     (* decoy churn: throwaway ops under a tight cap, so eviction and
        resynthesis run right next to the hot page all storm long *)
     Ksynth.set_cap k ~kind:"cachecold" 32;
-    let decoy =
-      Template.make ~name:"cachecold/decoy" ~params:[ "v" ] (fun p ->
-          [ I.Move (I.Imm (p "v"), I.Reg I.r0); I.Rts ])
+    let decoy ~v =
+      Template.make ~name:"cachecold/decoy" (fun () ->
+          [ I.Move (I.Imm v, I.Reg I.r0); I.Rts ])
     in
-    let churn v =
-      let h = Ksynth.instantiate k ~template:decoy ~invariants:[ ("v", v) ] in
-      Ksynth.release k h
-    in
+    let churn v = Ksynth.release k (Ksynth.instantiate k ~template:(decoy ~v)) in
     (* a fresh invariant binding every checkpoint: every churn is a
        miss, so the cap keeps evicting right through the storm *)
     let agitate step = churn (1 + (mix seed (0xCA5E + step) mod 4096)) in
@@ -1200,8 +1195,7 @@ let synthcache_subject =
         violate "code state diverged from the fault-free fingerprint";
       (* one more instantiation must be a pure hit on the same page:
          the repaired page, not a resynthesized copy, serves new users *)
-      let h = Ksynth.instantiate k ~template:bump_template
-          ~invariants:[ ("cell", count_cell) ] in
+      let h = Ksynth.instantiate k ~template:bump_template in
       if Ksynth.entry h <> entry0 then
         violate "post-storm instantiation missed the repaired page";
       Ksynth.release k h;

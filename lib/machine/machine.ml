@@ -15,8 +15,8 @@
    SMP model: [create ?cores] builds N cores stepping over the one
    shared memory and code store.  Each core keeps a local absolute
    cycle clock; [step] always runs the runnable core with the smallest
-   clock (ties broken by a seeded rotation, overridable per step by an
-   explorer hook), so the interleaving is deterministic, cores make
+   clock (ties broken by a rotation seeded with [set_schedule_seed]),
+   so the interleaving is deterministic, cores make
    progress in simulated-parallel time (N cores doing N units of work
    finish in ~1 unit of wall-clock cycles), and the global clock — the
    minimum over runnable cores — advances monotonically.  Devices fire

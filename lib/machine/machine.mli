@@ -6,8 +6,8 @@
     With [create ~cores:n], [n] cores step over the one shared memory
     and code store.  Each core keeps a local absolute cycle clock;
     [step] always runs the runnable core with the smallest clock (ties
-    broken by a seeded rotation, overridable by an explorer hook), so
-    the interleaving is deterministic and cores progress in
+    broken by a rotation seeded with {!set_schedule_seed}), so the
+    interleaving is deterministic and cores progress in
     simulated-parallel time.  An interrupt goes to the core it names,
     or to core 0; cores interleave at instruction granularity, so every
     shared-memory access is a potential switch point and another

@@ -1,7 +1,7 @@
 (* kfault tests: forced-CAS semantics and the Cas atomicity contract,
    interrupt-boundary behaviour (nested same-level delivery, waking
-   Stop_wait), the double-fault path, bounded fault logging, queue
-   overflow policies, the host-queue fault seam, plan determinism, the
+   Stop_wait), the double-fault path, bounded fault logging, a full
+   queue's failing put, the host-queue fault seam, plan determinism, the
    interleaving explorer, and the recovery quajects (watchdog, disk
    retry). *)
 
@@ -243,7 +243,7 @@ let test_fault_log_bounded () =
   | [] -> Alcotest.fail "empty fault log"
 
 (* ------------------------------------------------------------------ *)
-(* Queue overflow policies *)
+(* A full queue's put *)
 
 let run_call m ~entry ?(r1 = 0) () =
   let frag = [ I.Jsr (I.To_addr entry); I.Halt ] in
@@ -263,67 +263,12 @@ let test_overflow_fail () =
   let k = b.Boot.kernel in
   let m = k.Kernel.machine in
   let q =
-    Kqueue.create ~kind:Kqueue.Spsc ~overflow:Kqueue.Fail k ~name:"t/fail"
-      ~size:4
+    Kqueue.create ~kind:Kqueue.Spsc k ~name:"t/fail" ~size:4
   in
   for i = 1 to 3 do
     check_int "put ok" 1 (fst (run_call m ~entry:q.Kqueue.q_put ~r1:i ()))
   done;
-  check_int "full put fails" 0 (fst (run_call m ~entry:q.Kqueue.q_put ~r1:99 ()));
-  check_int "nothing dropped" 0 (Kqueue.dropped k q)
-
-let test_overflow_drop () =
-  let b = Boot.boot () in
-  let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  let q =
-    Kqueue.create ~kind:Kqueue.Spsc ~overflow:Kqueue.Drop k ~name:"t/drop"
-      ~size:4
-  in
-  (* five puts into three slots: all report success, two are counted
-     away — the producer never observes the overflow *)
-  for i = 1 to 5 do
-    check_int "put reports ok" 1
-      (fst (run_call m ~entry:q.Kqueue.q_put ~r1:(i * 10) ()))
-  done;
-  check_int "two items dropped" 2 (Kqueue.dropped k q);
-  check_int "three retained" 3 (Kqueue.host_length k q);
-  for i = 1 to 3 do
-    let st, v = run_call m ~entry:q.Kqueue.q_get () in
-    check_int "get ok" 1 st;
-    check_int "oldest retained, not newest" (i * 10) v
-  done
-
-let test_overflow_block () =
-  let b = Boot.boot () in
-  let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  let q =
-    Kqueue.create ~kind:Kqueue.Spsc ~overflow:Kqueue.Block k ~name:"t/block"
-      ~size:4
-  in
-  for i = 1 to 3 do
-    ignore (run_call m ~entry:q.Kqueue.q_put ~r1:(i * 10) ())
-  done;
-  (* the fourth put spins: no slot, so the fragment cannot halt *)
-  let frag = [ I.Jsr (I.To_addr q.Kqueue.q_put); I.Halt ] in
-  let start, _ = Asm.assemble m frag in
-  Machine.set_halted m false;
-  Machine.set_supervisor m true;
-  Machine.set_reg m I.sp 0xE00;
-  Machine.set_reg m I.r1 40;
-  Machine.set_pc m start;
-  (match Machine.run ~max_insns:2_000 m with
-  | Machine.Insn_limit -> ()
-  | Machine.Halted -> Alcotest.fail "blocked put returned with no space");
-  (* a consumer frees a slot out from under the spinner *)
-  check_int "drained oldest" 10
-    (match Kqueue.host_get k q with Some v -> v | None -> -1);
-  (match Machine.run ~max_insns:10_000 m with
-  | Machine.Halted -> ()
-  | Machine.Insn_limit -> Alcotest.fail "unblocked put still spinning");
-  check_int "blocked put finally succeeded" 1 (Machine.get_reg m I.r0);
-  check_int "item landed" 3 (Kqueue.host_length k q)
+  check_int "full put fails" 0 (fst (run_call m ~entry:q.Kqueue.q_put ~r1:99 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Stray hardware interrupts (a kfault-found bug): the handler for an
@@ -416,14 +361,11 @@ let test_explorer_smoke () =
    only the audit channel (or a direct call) can reach it. *)
 let tick_quaject k =
   let cell = Kalloc.alloc_zeroed k.Kernel.alloc 4 in
-  let template =
-    Template.make ~name:"tick" ~params:[ "cell" ] (fun p ->
-        [ I.Alu_mem (I.Add, I.Imm 1, I.Abs (p "cell")); I.Rts ])
+  let template ~self:_ =
+    Template.make ~name:"tick" (fun () ->
+        [ I.Alu_mem (I.Add, I.Imm 1, I.Abs cell); I.Rts ])
   in
-  let qj =
-    Synthesizer.create k ~name:"heal" ~data_words:4
-      [ ("tick", template, [ ("cell", cell) ]) ]
-  in
+  let qj = Synthesizer.create k ~name:"heal" ~data_words:4 [ ("tick", template) ] in
   (qj, cell)
 
 let region_exn k name =
@@ -737,8 +679,6 @@ let () =
       ( "overflow",
         [
           Alcotest.test_case "fail policy" `Quick test_overflow_fail;
-          Alcotest.test_case "drop policy" `Quick test_overflow_drop;
-          Alcotest.test_case "block policy" `Quick test_overflow_block;
         ] );
       ( "kfault",
         [

@@ -16,15 +16,15 @@ let check_bool = Alcotest.(check bool)
 (* A tiny synthesizable routine with one folded invariant and a
    CAS-guarded exactly-once increment: CAS cell 0->1 (retrying on
    forced failure), then bump the adjacent count cell. *)
-let once_template =
-  Template.make ~name:"prop_once" ~params:[ "cell" ] (fun p ->
+let once_template ~cell =
+  Template.make ~name:"prop_once" (fun () ->
       [
         I.Label "retry";
         I.Move (I.Imm 0, I.Reg I.r6);
         I.Move (I.Imm 1, I.Reg I.r7);
-        I.Cas (I.r6, I.r7, I.Abs (p "cell"));
+        I.Cas (I.r6, I.r7, I.Abs cell);
         I.B (I.Ne, I.To_label "retry");
-        I.Alu_mem (I.Add, I.Imm 1, I.Abs (p "cell" + 1));
+        I.Alu_mem (I.Add, I.Imm 1, I.Abs (cell + 1));
         I.Move (I.Imm 0, I.Reg I.r0);
         I.Rts;
       ])
@@ -53,12 +53,10 @@ let test_hit_shares_page () =
   let cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
   let before = (Ksynth.stats k).Ksynth.st_misses in
   let h1 =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
   let h2 =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
   check_int "same entry" (Ksynth.entry h1) (Ksynth.entry h2);
   check_int "two handles share one page" 2 (Ksynth.refs h1);
@@ -75,8 +73,7 @@ let test_hit_shares_page () =
   Ksynth.release k h2;
   check_int "unreferenced page stays cached for the next hit" 0 (Ksynth.refs h2);
   let h3 =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
   check_int "warm re-instantiation reuses the page" (Ksynth.entry h2)
     (Ksynth.entry h3)
@@ -87,15 +84,38 @@ let test_distinct_invariants_distinct_pages () =
   let c1 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
   let c2 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
   let h1 =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", c1) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell:c1)
   in
   let h2 =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", c2) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell:c2)
   in
   check_bool "different invariants never share" true
     (Ksynth.entry h1 <> Ksynth.entry h2)
+
+(* The key is the template id plus the optimized body.  Arguments that
+   reach the body split pages; one the body ignores does not. *)
+let test_key_follows_the_body () =
+  let b = Boot.boot () in
+  let k = b.Boot.kernel in
+  let c1 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
+  let c2 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
+  let template ~cell ~spare:_ = once_template ~cell in
+  let inst ~cell ~spare =
+    Ksynth.instantiate k ~name:"prop/once" ~template:(template ~cell ~spare)
+  in
+  let misses () = (Ksynth.stats k).Ksynth.st_misses in
+  let hits () = (Ksynth.stats k).Ksynth.st_hits in
+  let h1 = inst ~cell:c1 ~spare:1 in
+  let h2 = inst ~cell:c2 ~spare:1 in
+  check_bool "a folded argument splits the page" true
+    (Ksynth.entry h1 <> Ksynth.entry h2);
+  let misses0 = misses () and hits0 = hits () in
+  let h3 = inst ~cell:c1 ~spare:2 in
+  check_int "an ignored argument shares the page" (Ksynth.entry h1)
+    (Ksynth.entry h3);
+  check_int "no miss" misses0 (misses ());
+  check_int "one hit" (hits0 + 1) (hits ());
+  check_int "two handles on the page" 2 (Ksynth.refs h1)
 
 (* ------------------------------------------------------------------ *)
 (* Copy-on-patch *)
@@ -105,12 +125,10 @@ let test_patch_refuses_shared_page () =
   let k = b.Boot.kernel in
   let cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
   let h1 =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
   let _h2 =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
   check_bool "raw patch of a shared page refuses" true
     (try
@@ -123,15 +141,13 @@ let test_sole_owner_patch_detaches () =
   let k = b.Boot.kernel in
   let cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
   let h1 =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
   let e1 = Ksynth.entry h1 in
   Kernel.patch_code k e1 (I.Move (I.Imm 0, I.Reg I.r6));
   (* patched content must not be served to a fresh instantiation *)
   let h2 =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
   check_bool "detached page is not served again" true (Ksynth.entry h2 <> e1)
 
@@ -150,12 +166,10 @@ let test_patch_forks_private_copy () =
   let m = k.Kernel.machine in
   let cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
   let h1 =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
   let h2 =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
   let e1 = Ksynth.entry h1 in
   let len = (Ksynth.page h1).Kernel.sp_len in
@@ -180,8 +194,7 @@ let test_free_refuses_shared_code_page () =
   let k = b.Boot.kernel in
   let cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
   let h =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
   let entry = Ksynth.entry h in
   check_bool "Kalloc.free refuses a live shared code address" true
@@ -198,8 +211,7 @@ let test_evict_and_resynthesize () =
   let k = b.Boot.kernel in
   let cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
   let h =
-    Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
   let e = Ksynth.entry h in
   let key = Ksynth.key h in
@@ -251,8 +263,7 @@ let prop_rebuild_exact_under_storm =
         expect (Machine.peek m (cell + 1) = before + 1)
       in
       let inst () =
-        Ksynth.instantiate k ~name:"prop/once" ~template:once_template
-          ~invariants:[ ("cell", cell) ]
+        Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
       in
       let h1 = inst () in
       let e1 = Ksynth.entry h1 in
@@ -322,6 +333,7 @@ let () =
           Alcotest.test_case "hit shares the page" `Quick test_hit_shares_page;
           Alcotest.test_case "distinct invariants, distinct pages" `Quick
             test_distinct_invariants_distinct_pages;
+          Alcotest.test_case "key follows the body" `Quick test_key_follows_the_body;
         ] );
       ( "copy-on-patch",
         [

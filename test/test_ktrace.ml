@@ -190,16 +190,16 @@ let test_attach_after_boot_sees_idle () =
   check_bool "idle switched out" true
     (count (function Ktrace.Switch_out t -> t = tid | _ -> false) > 0)
 
-(* Queue probes report each call with its status, from the entry the
-   caller used: a Drop queue's put says ok (its wrapper swallowed the
-   overflow), its get reports the empty queue. *)
+(* Queue probes report each call with its status: a size-2 queue holds
+   one item, so the second put fails and the second get finds the
+   queue empty. *)
 let test_queue_probes () =
   let b = Boot.boot () in
   let k = b.Boot.kernel in
   let m = k.Kernel.machine in
   let tr = Ktrace.create m in
   Kernel.attach_tracing k tr;
-  let q = Kqueue.create ~overflow:Kqueue.Drop k ~name:"probed" ~size:2 in
+  let q = Kqueue.create k ~name:"probed" ~size:2 in
   let call entry = [ I.Jsr (I.To_addr entry) ] in
   let put v = I.Move (I.Imm v, I.Reg I.r1) :: call q.Kqueue.q_put in
   let entry, _ =
@@ -221,9 +221,8 @@ let test_queue_probes () =
   in
   Alcotest.(check (list (pair string bool)))
     "one event per call, with its status"
-    [ ("put", true); ("put", true); ("get", true); ("get", false) ]
-    queue_events;
-  check_int "the second put overflowed" 1 (Kqueue.dropped k q)
+    [ ("put", true); ("put", false); ("get", true); ("get", false) ]
+    queue_events
 
 (* Probe points emit no instructions; the disassembly lists them. *)
 let test_disassembly_shows_probes () =

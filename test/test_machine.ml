@@ -781,18 +781,18 @@ let run_routine m entry =
   | Machine.Insn_limit -> Alcotest.fail "routine did not return");
   List.sort compare !fired
 
-let probe_template =
-  Synthesis.Template.make ~name:"probe_t" ~params:[ "cell" ] (fun p ->
+let probe_template ~cell =
+  Synthesis.Template.make ~name:"probe_t" (fun () ->
       [
-        I.Move (I.Imm 1, I.Abs (p "cell"));
+        I.Move (I.Imm 1, I.Abs cell);
         I.Probe "mid";
-        I.Move (I.Imm 2, I.Abs (p "cell"));
+        I.Move (I.Imm 2, I.Abs cell);
         I.Rts;
       ])
 
-let plain_template =
-  Synthesis.Template.make ~name:"plain_t" ~params:[ "cell" ] (fun p ->
-      [ I.Move (I.Imm 3, I.Abs (p "cell")); I.Nop; I.Rts ])
+let plain_template ~cell =
+  Synthesis.Template.make ~name:"plain_t" (fun () ->
+      [ I.Move (I.Imm 3, I.Abs cell); I.Nop; I.Rts ])
 
 let test_probes_follow_the_code () =
   let open Synthesis in
@@ -804,8 +804,7 @@ let test_probes_follow_the_code () =
     [ ("mid", Kernel.Trace (fun m -> note m; Ktrace.Fault "probe")) ]
   in
   let h =
-    Ksynth.instantiate k ~name:"probetest/a" ~probes ~template:probe_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"probetest/a" ~probes ~template:(probe_template ~cell)
   in
   let e = Ksynth.entry h in
   Alcotest.(check (list int)) "bound point fires" [ e + 1 ] (run_routine m e);
@@ -819,14 +818,12 @@ let test_probes_follow_the_code () =
     (run_routine m e);
   (* a hit that binds nothing observes nothing *)
   let hit =
-    Ksynth.instantiate k ~name:"probetest/a" ~template:probe_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"probetest/a" ~template:(probe_template ~cell)
   in
   check_int "same page" e (Ksynth.entry hit);
   Alcotest.(check (list int)) "unbound hit fires nothing" [] (run_routine m e);
   let again =
-    Ksynth.instantiate k ~name:"probetest/a" ~probes ~template:probe_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"probetest/a" ~probes ~template:(probe_template ~cell)
   in
   Alcotest.(check (list int)) "bound hit rearms" [ e + 1 ] (run_routine m e);
   Ksynth.release k hit;
@@ -838,8 +835,7 @@ let test_probes_follow_the_code () =
   Ksynth.set_cap k ~kind:"probetest" 0;
   Alcotest.(check (list int)) "eviction clears the range" [] (run_routine m e);
   let h2 =
-    Ksynth.instantiate k ~name:"probetest/b" ~template:plain_template
-      ~invariants:[ ("cell", cell) ]
+    Ksynth.instantiate k ~name:"probetest/b" ~template:(plain_template ~cell)
   in
   check_int "the range is recycled" e (Ksynth.entry h2);
   Alcotest.(check (list int)) "recycled code carries no probe" [] (run_routine m e);

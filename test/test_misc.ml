@@ -54,20 +54,11 @@ let test_asm_local_shadows_env () =
 (* ------------------------------------------------------------------ *)
 (* Templates *)
 
-let test_template_missing_param () =
-  let t =
-    Template.make ~name:"t" ~params:[ "a"; "b" ] (fun p ->
-        [ I.Move (I.Imm (p "a"), I.Reg I.r0); I.Move (I.Imm (p "b"), I.Reg I.r1) ])
-  in
-  Alcotest.check_raises "missing parameter" (Template.Missing_param ("t", "b"))
-    (fun () -> ignore (Template.instantiate t ~env:[ ("a", 1) ]))
-
 let test_template_folds_constants () =
-  let t =
-    Template.make ~name:"t" ~params:[ "base" ] (fun p ->
-        [ I.Move (I.Abs (p "base"), I.Reg I.r0); I.Rts ])
+  let template ~base =
+    Template.make ~name:"t" (fun () -> [ I.Move (I.Abs base, I.Reg I.r0); I.Rts ])
   in
-  match Template.instantiate t ~env:[ ("base", 0x123) ] with
+  match Template.instantiate (template ~base:0x123) with
   | [ I.Move (I.Abs 0x123, I.Reg 0); I.Rts ] -> ()
   | _ -> Alcotest.fail "constant not folded"
 
@@ -199,7 +190,6 @@ let () =
         ] );
       ( "template",
         [
-          Alcotest.test_case "missing parameter raises" `Quick test_template_missing_param;
           Alcotest.test_case "constants folded" `Quick test_template_folds_constants;
         ] );
       ( "monitor",

@@ -885,20 +885,17 @@ let test_quaject_creator () =
   let k = b.Boot.kernel in
   let m = k.Kernel.machine in
   (* a counter quaject: state in its data block, two operations *)
-  let incr_t =
-    Template.make ~name:"ctr_incr" ~params:[ "self"; "step" ] (fun p ->
-        [
-          I.Alu_mem (I.Add, I.Imm (p "step"), I.Abs (p "self" + 2));
-          I.Rts;
-        ])
+  let incr_t ~step ~self =
+    Template.make ~name:"ctr_incr" (fun () ->
+        [ I.Alu_mem (I.Add, I.Imm step, I.Abs (self + 2)); I.Rts ])
   in
-  let read_t =
-    Template.make ~name:"ctr_read" ~params:[ "self" ] (fun p ->
-        [ I.Move (I.Abs (p "self" + 2), I.Reg I.r0); I.Rts ])
+  let read_t ~self =
+    Template.make ~name:"ctr_read" (fun () ->
+        [ I.Move (I.Abs (self + 2), I.Reg I.r0); I.Rts ])
   in
   let q =
     Synthesizer.create k ~name:"counter" ~data_words:8
-      [ ("incr", incr_t, [ ("step", 5) ]); ("read", read_t, []) ]
+      [ ("incr", incr_t ~step:5); ("read", read_t) ]
   in
   (* drive it through the operation table in memory (one indirection) *)
   let frag =
