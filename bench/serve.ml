@@ -9,7 +9,12 @@
      1, 4 and 8 cores (one serve pump and NIC queue per core):
      throughput (response megabytes per simulated second) and the
      p50/p99/p999 round-trip cycles (tail metrics get the wider
-     tolerance classes bench_json derives from their names);
+     tolerance classes bench_json derives from their names); for 1
+     and 4 cores also the cycles per response spent in the pumps
+     ([serve/pump]) and in the synthesized per-connection routines
+     ([serve/conn]), from the exact per-owner attribution
+     ({!Profile.collect}; ktrace is attached disabled, which leaves
+     the run cycle-identical);
    - warm — a drained server restarted under the same load: the
      synthesis-cache hit ratio of the second run's accepts (the
      accept-path synthesis memo at work);
@@ -42,7 +47,9 @@ let cycle_budget clients = 20_000_000 + (100_000 * clients)
 let run_load ~cores ?(allow_dups = false)
     ?(sv_config = fun c -> c) ?(lg_config = fun c -> c) ~clients () =
   let b = Boot.boot ~cores () in
-  ignore (Kernel.attach_spans b.Boot.kernel);
+  let k = b.Boot.kernel in
+  ignore (Kernel.attach_spans k);
+  Kernel.attach_tracing k (Ktrace.create ~enabled:false k.Kernel.machine);
   let srv =
     Kserve.create ~config:(sv_config Kserve.default_config) b
   in
@@ -79,6 +86,20 @@ let record_latency ~row lg =
       Bench_json.record ~table:"serve" ~row ~metric (float_of_int v))
     [ ("p50_cycles", 0.5); ("p99_cycles", 0.99); ("p999_cycles", 0.999) ]
 
+(* The cycles per response one layer's routine took: the exact owner
+   line of [Profile.collect] named [owner]. *)
+let record_layer ~row ~metric ~owner srv lg =
+  let k = Kserve.kernel srv in
+  let p = Profile.collect k (Pmu.create k.Kernel.machine) in
+  let cycles =
+    List.fold_left
+      (fun a l -> if l.Profile.l_name = owner then a + l.Profile.l_cycles else a)
+      0 p.Profile.p_owners
+  in
+  let v = float_of_int cycles /. float_of_int (max 1 (Loadgen.received lg)) in
+  Fmt.pr "  %-20s %9.1f cycles per response@." metric v;
+  Bench_json.record ~table:"serve" ~row ~metric v
+
 let run ?(scale = 10) () =
   Harness.header "kserve: serving throughput and latency tails";
   let clients = max 100 (base_clients / max 1 scale) in
@@ -93,14 +114,18 @@ let run ?(scale = 10) () =
   List.iter
     (fun cores ->
       let row = Fmt.str "clients_%dc" cores in
-      let _srv, lg = run_load ~cores ~lg_config:closed_loop ~clients () in
+      let srv, lg = run_load ~cores ~lg_config:closed_loop ~clients () in
       let tput = mbps ~cycles:(Loadgen.elapsed_cycles lg) ~responses:(Loadgen.received lg) in
       Fmt.pr "@.%d sessions, %d core%s: %d responses, %.3f MB/s@." clients
         cores
         (if cores = 1 then "" else "s")
         (Loadgen.received lg) tput;
       Bench_json.record ~table:"serve" ~row ~metric:"throughput_mbps" tput;
-      record_latency ~row lg)
+      record_latency ~row lg;
+      if cores <= 4 then begin
+        record_layer ~row ~metric:"pump_cycles_per_req" ~owner:"serve/pump" srv lg;
+        record_layer ~row ~metric:"conn_cycles_per_req" ~owner:"serve/conn" srv lg
+      end)
     [ 1; 4; 8 ];
   (* warm restart: the second run's accepts hit the synthesis cache *)
   let b = Boot.boot () in
