@@ -151,11 +151,3 @@ let pump k ~name ~source_entry ~sink_entry =
     Ctx.kernel_sr;
   t
 
-(* Dynamic link: point a quaject operation slot at new code (e.g. at a
-   connection's call entry) — the last stage of the interfacer, and
-   the mechanism behind `open` updating fd tables. *)
-let relink k q ~slot ~entry =
-  Machine.poke k.Kernel.machine (op_slot q slot) entry;
-  Machine.charge_refs k.Kernel.machine 1;
-  (match List.nth_opt q.qj_ops slot with _ -> ());
-  ()

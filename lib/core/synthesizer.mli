@@ -51,9 +51,6 @@ val interface :
   unit ->
   connection
 
-(** Dynamic link: repoint an operation slot. *)
-val relink : Kernel.t -> quaject -> slot:int -> entry:int -> unit
-
 (** Passive-passive connection (§5.2's xclock): a kernel service
     thread that repeatedly calls the producer operation (value in r0),
     feeds it to the consumer operation (argument in r1), and yields
