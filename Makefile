@@ -40,10 +40,11 @@ check: build test dead-exports fmt
 bench:
 	$(DUNE) exec bench/main.exe -- tables
 
-# Regression gate: re-run the tables and fail on any metric more than
-# 5% worse than the committed bench/baseline.json.
+# Regression gate: re-run the tables and fail on any row that differs
+# from the committed bench/baseline.json, in either direction.  Every
+# row is deterministic, so a change that moves one re-records it.
 bench-check:
-	$(DUNE) exec bench/main.exe -- compare
+	$(DUNE) exec bench/main.exe -- compare --tolerance 0
 
 # The full suite (queues, ablations, sizes, bechamel, ...).
 bench-all:
