@@ -5,13 +5,20 @@
     pinned to its core and owning one queue of an N-queue NIC
     (N = [Machine.num_cores]).  A pump drains its queue's rx ring in
     batches — the stop cell and a mailbox snapshot read once, then
-    frames up to the snapshot — and for each frame dispatches through
-    a per-slot table of service routines and lays the response on its
-    queue's tx ring before it reads the next frame.  The accept path {!Ksynth.instantiate}s the
-    per-connection service routine at open time — the file's buffer
-    base, capacity and size cell plus the connection's position cell
-    folded in as constants — so a warm accept (same slot, same file)
-    is a synthesis-cache hit.
+    frames up to the snapshot — and for each frame takes one jump
+    through a (slot, op) table, indexed by the request word shifted
+    right past its arg (slot * 8 + op), and lays the response on its
+    queue's tx ring before it reads the next frame.  A live slot's
+    read, write and close entries are the per-connection service
+    routine the accept path {!Ksynth.instantiate}s at open time — the
+    file's buffer base, capacity and size cell, the connection's
+    position cell and its pump's return address folded in as
+    constants — so a warm accept (same slot, same file) is a
+    synthesis-cache hit.  Every slot's open entry is its pump's accept
+    path, every other entry the pump's op_err answer; each entry jumps
+    straight back to the pump.  The pump keeps its tx head and the
+    count of free tx descriptors in registers, rereading the card's
+    tail writeback only when that count runs out.
 
     {2 Steering}
 
