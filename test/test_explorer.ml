@@ -103,7 +103,7 @@ let golden_trace_hashes =
     ( "smp",
       [ 0x5fef952acd54df9; 0xa06268418e7d35a; 0x1151357a2374205a ] );
     ( "serve",
-      [ 0x2481a2fe6a4a14ae; 0x1d2e3ff5278bb023; 0xf3bc8c9201fe11 ] );
+      [ 0x30e978644dce5c6f; 0x20a25b68848665d6; 0x1abf9b4be3fb4ecd ] );
     ( "crash/create-rename",
       [ 0x3ea9ee125c5e1621; 0x3405add2a1b0b085; 0x1e07079e5fa2ce8c ] );
     ( "crash/prefix-append",
