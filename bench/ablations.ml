@@ -117,13 +117,7 @@ let measure_ad_cost ~factor =
       [ I.Label "s"; I.B (I.Always, I.To_label "s") ]
   in
   let _t = Thread.create k ~quantum_us:100_000 ~entry:busy () in
-  (match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 7;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> failwith "no thread");
+  Boot.enter_scheduler k;
   ignore (Repro_harness.Harness.run_until_user m ~max_insns:1_000_000);
   Devices.Ad.set_rate k.Kernel.ad 44_100;
   (* run for 64 samples and average the interrupt cost: total time in

@@ -61,13 +61,7 @@ let table5_interrupts () =
   let k = b.Synthesis.Boot.kernel in
   let _adq = Synthesis.Interrupt.install_adq k ~n_elems:16 () in
   let m = k.Synthesis.Kernel.machine in
-  (match Synthesis.Kernel.anchor k 0 with
-  | Some t ->
-    Quamachine.Machine.set_supervisor m true;
-    Quamachine.Machine.set_reg m Quamachine.Insn.sp Synthesis.Layout.boot_stack_top;
-    Quamachine.Machine.set_ipl m 0;
-    Quamachine.Machine.set_pc m t.Synthesis.Kernel.sw_in_mmu
-  | None -> ());
+  Synthesis.Boot.park_on_idle k;
   Quamachine.Devices.Ad.set_rate k.Synthesis.Kernel.ad 44_100;
   ignore (Quamachine.Machine.run ~max_insns:100_000 m)
 

@@ -29,10 +29,10 @@ let region k name =
 let audit_repair_cycles k r =
   let m = k.Kernel.machine in
   Fault_inject.corrupt_code m
-    ~addr:(r.Kernel.cr_entry + (r.Kernel.cr_len / 2))
+    ~addr:(r.Kernel.sp_entry + (r.Kernel.sp_len / 2))
     ~bit:5;
   if not (Kernel.region_dirty k r) then
-    failwith ("fault_repair: corruption not visible in " ^ r.Kernel.cr_name);
+    failwith ("fault_repair: corruption not visible in " ^ r.Kernel.sp_name);
   let before = Kernel.code_repairs_total k in
   let c0 = Machine.cycles m in
   let n = Kernel.audit_code ~origin:"bench" k in
@@ -41,7 +41,7 @@ let audit_repair_cycles k r =
     n <> 1
     || Kernel.region_dirty k r
     || Kernel.code_repairs_total k <> before + 1
-  then failwith ("fault_repair: audit did not repair " ^ r.Kernel.cr_name);
+  then failwith ("fault_repair: audit did not repair " ^ r.Kernel.sp_name);
   cy
 
 let run () =
@@ -74,7 +74,7 @@ let run () =
       let r = region k name in
       let cy = audit_repair_cycles k r in
       Fmt.pr "%-44s %6d cycles  (%d insns resynthesized)@."
-        (label ^ " (audit)") cy r.Kernel.cr_len;
+        (label ^ " (audit)") cy r.Kernel.sp_len;
       Bench_json.record ~table:"repair" ~row:(label ^ "_audit")
         ~metric:"cycles" (float_of_int cy))
     kinds;
@@ -97,7 +97,7 @@ let run () =
   in
   let clean = call () in
   let r = region k "quaject/bench/tick" in
-  Fault_inject.corrupt_code m ~addr:r.Kernel.cr_entry ~bit:9;
+  Fault_inject.corrupt_code m ~addr:r.Kernel.sp_entry ~bit:9;
   let before = Machine.peek m cell in
   let faulted = call () in
   if Kernel.region_dirty k r then

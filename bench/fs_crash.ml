@@ -42,14 +42,7 @@ let timed_burst mech =
     ~files:[ ("log", chunk_data 99) ]
     ();
   let ds = Disk_server.install k () in
-  (match Kernel.idle_of k 0 with
-  | Some t ->
-    let m = k.Kernel.machine in
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 0;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> failwith "fs_crash: no idle thread");
+  Boot.park_on_idle k;
   let dfs = Dfs.mount ~mechanisms:mech ~budget:20_000_000 b.Boot.vfs ds in
   Dfs.sync dfs;
   let m = k.Kernel.machine in
@@ -109,14 +102,7 @@ let run () =
       ~files:[ ("log", chunk_data 99) ]
       ();
     let ds = Disk_server.install k () in
-    (match Kernel.idle_of k 0 with
-    | Some t ->
-      let m = k.Kernel.machine in
-      Machine.set_supervisor m true;
-      Machine.set_reg m I.sp Layout.boot_stack_top;
-      Machine.set_ipl m 0;
-      Machine.set_pc m t.Kernel.sw_in_mmu
-    | None -> failwith "fs_crash: no idle thread");
+    Boot.park_on_idle k;
     let m = k.Kernel.machine in
     let dfs = Dfs.mount ~budget:3_000_000 b.Boot.vfs ds in
     Dfs.sync dfs;

@@ -97,13 +97,7 @@ let disk_run ~storm =
         (Array.init Devices.Disk.block_words (fun i -> (bno * 1_000) + i)))
     blocks;
   (* idle thread takes the completion interrupts *)
-  (match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 0;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> failwith "latency: no idle thread");
+  Boot.park_on_idle k;
   let fi =
     if storm then
       Some (Fault_inject.arm m (Fault_inject.compile ~config:disk_config storm_seed))

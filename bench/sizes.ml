@@ -14,7 +14,7 @@ let run () =
   let boot_insns = Kernel.synthesized_insns k in
   let boot_code = Machine.code_size k.Kernel.machine in
   Fmt.pr "after boot (all servers, no opens): %d routines, %d synthesized insns, %d code words@."
-    (List.length (Kernel.registry k))
+    (List.length (Kernel.pages k))
     boot_insns boot_code;
   Fmt.pr "@.by subsystem:@.";
   List.iter

@@ -11,8 +11,8 @@
    A second phase churns thread batches under a tight per-kind code
    budget to drive the eviction/resynthesis path: destroyed threads
    leave their dispatcher pages cached at refcount zero, the cap
-   evicts them to recipes, and the next batch's instantiations at the
-   recycled TTE bases resynthesize from those recipes.
+   evicts them (keeping their keys), and the next batch's
+   instantiations at the recycled TTE bases resynthesize those keys.
 
    Everything here is host-driven and deterministic: with faults off,
    twin runs are cycle-identical, which is what lets `bench compare`

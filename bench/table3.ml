@@ -47,13 +47,7 @@ let measure_step () =
   let target = Thread.create k ~entry:busy () in
   Thread.stop k target;
   (* start the machine on the runner *)
-  (match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 7;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> failwith "no runnable thread");
+  Boot.enter_scheduler k;
   ignore (Repro_harness.Harness.run_until_user m ~max_insns:10_000);
   let s0 = Machine.snapshot m in
   Thread.step k target;

@@ -11,16 +11,6 @@ open Quamachine
 open Synthesis
 module I = Insn
 
-let start_machine k =
-  let m = k.Kernel.machine in
-  match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 7;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> failwith "start_machine: empty ready queue"
-
 (* Measure one switch-out -> switch-in transition between two busy
    threads. *)
 let measure_switch ~uses_fp ~share_map () =
@@ -37,7 +27,7 @@ let measure_switch ~uses_fp ~share_map () =
       Thread.create k ~quantum_us:100 ~uses_fp ~share_map:t1 ~entry:busy ()
     else Thread.create k ~quantum_us:100 ~uses_fp ~entry:busy ()
   in
-  start_machine k;
+  Boot.enter_scheduler k;
   ignore (Repro_harness.Harness.run_until_user m ~max_insns:100_000);
   (* wait for the next quantum expiry: pc lands on some thread's
      switch-out *)
@@ -101,7 +91,7 @@ let measure_block_unblock () =
       [ I.Label "s"; I.B (I.Always, I.To_label "s") ]
   in
   let victim = Thread.create k ~quantum_us:500 ~entry:busy () in
-  start_machine k;
+  Boot.enter_scheduler k;
   ignore (Repro_harness.Harness.run_until_user m ~max_insns:100_000);
   (* block: the wait-queue bookkeeping plus the continuation frame *)
   let wq = Kernel.waitq ~name:"bench/wq" in

@@ -6,16 +6,6 @@ open Synthesis
 module I = Insn
 module U = Unix_emulator.Unix_abi
 
-let start_machine k =
-  let m = k.Kernel.machine in
-  match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 7;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> failwith "start_machine: empty ready queue"
-
 let busy_thread k =
   let busy, _ =
     Ksynth.install k ~name:"bench/busy"
@@ -39,7 +29,7 @@ let measure_tty_irq () =
   let k = b.Boot.kernel in
   let _srv = Tty.install vfs in
   let _t = busy_thread k in
-  start_machine k;
+  Boot.enter_scheduler k;
   ignore (Repro_harness.Harness.run_until_user k.Kernel.machine ~max_insns:1_000_000);
   Devices.Tty.feed k.Kernel.tty "x";
   let handler_entry = k.Kernel.default_vectors.(Mmio_map.tty_vector) in
@@ -50,7 +40,7 @@ let measure_ad_irq () =
   let k = b.Boot.kernel in
   let adq = Interrupt.install_adq k ~n_elems:16 () in
   let _t = busy_thread k in
-  start_machine k;
+  Boot.enter_scheduler k;
   ignore (Repro_harness.Harness.run_until_user k.Kernel.machine ~max_insns:1_000_000);
   Devices.Ad.set_rate k.Kernel.ad 44_100;
   (* measure a mid-element stage (no element-boundary bookkeeping) *)
@@ -84,13 +74,7 @@ let measure_alarm () =
   let entry, _ = Asm.assemble m program in
   let _t = Thread.create k ~entry () in
   (* run until the alarm interrupt is vectored, then measure it *)
-  (match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 7;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> failwith "no thread");
+  Boot.enter_scheduler k;
   let alarm_entry = k.Kernel.default_vectors.(Mmio_map.alarm_vector) in
   let alarm_irq_us = measure_irq_span m ~handler_entry:alarm_entry in
   (match Machine.run ~max_insns:10_000_000 m with _ -> ());

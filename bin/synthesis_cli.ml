@@ -30,7 +30,7 @@ let cmd_registry () =
   Fmt.pr "synthesized/installed kernel routines (entry, length, name):@.";
   Inspect.pp_registry k Fmt.stdout ();
   Fmt.pr "@.%d routines, %d instructions total@."
-    (List.length (Kernel.registry k))
+    (List.length (Kernel.pages k))
     (Kernel.synthesized_insns k)
 
 let cmd_disasm pattern =
@@ -38,7 +38,9 @@ let cmd_disasm pattern =
   match Inspect.grep k pattern with
   | [] -> Fmt.pr "no routine matching %S@." pattern
   | matches ->
-    List.iter (fun (name, _, _) -> Inspect.disassemble_routine k Fmt.stdout name) matches
+    List.iter
+      (fun p -> Inspect.disassemble_routine k Fmt.stdout p.Kernel.sp_name)
+      matches
 
 let cmd_switch_code () =
   let k = booted_with_opens () in
@@ -46,10 +48,10 @@ let cmd_switch_code () =
     "The executable ready queue: each thread's sw_out ends in a jmp@.\
      patched to the next thread's sw_in — this is the dispatcher.@.@.";
   (match Inspect.grep k "/sw_out" with
-  | (name, _, _) :: _ -> Inspect.disassemble_routine k Fmt.stdout name
+  | p :: _ -> Inspect.disassemble_routine k Fmt.stdout p.Kernel.sp_name
   | [] -> ());
   match Inspect.grep k "/sw_in" with
-  | (name, _, _) :: _ -> Inspect.disassemble_routine k Fmt.stdout name
+  | p :: _ -> Inspect.disassemble_routine k Fmt.stdout p.Kernel.sp_name
   | [] -> ()
 
 (* kperf: boot with tracing attached (exact owner attribution), turn

@@ -36,13 +36,7 @@ let () =
   let _runner = Thread.create k ~quantum_us:100_000 ~entry:busy () in
 
   (* Start the machine, let the target run a little, then stop it. *)
-  (match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 7;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> assert false);
+  Boot.enter_scheduler k;
   ignore (Machine.run ~max_insns:5_000 m);
   Thread.stop k target;
   ignore (Machine.run ~max_insns:2_000 m);

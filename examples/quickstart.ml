@@ -71,7 +71,7 @@ let () =
     (Machine.time_us m) (Machine.insns_executed m);
   Fmt.pr "@.code synthesized for this run:@.";
   List.iter
-    (fun (name, entry, n) ->
+    (fun { Kernel.sp_name = name; sp_entry = entry; sp_len = n; _ } ->
       if String.length name >= 4 && String.sub name 0 4 = "open" then
         Fmt.pr "  %-32s at %5d, %2d instructions@." name entry n)
-    (Kernel.registry k)
+    (Kernel.pages k)

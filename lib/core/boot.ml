@@ -340,6 +340,16 @@ let start_secondary k cpu =
     Machine.set_pc m t.Kernel.sw_in_mmu;
     Machine.start_core m cpu
 
+(* Point core 0 at [t]'s switch-in from a fresh boot stack, in
+   supervisor mode at [ipl]. *)
+let stage_core0_on k ~ipl (t : Kernel.tte) =
+  let m = k.Kernel.machine in
+  Machine.set_active_core m 0;
+  Machine.set_supervisor m true;
+  Machine.set_reg m I.sp Layout.boot_stack_top;
+  Machine.set_ipl m ipl;
+  Machine.set_pc m t.Kernel.sw_in_mmu
+
 (* Enter the scheduler: each secondary core not yet started is staged
    and woken on its own ready ring, then (with [stage_core0]) core 0
    jumps into its ring's switch-in from a fresh boot stack. *)
@@ -349,16 +359,18 @@ let enter_scheduler ?(stage_core0 = true) k =
     if (not (Machine.core_started m c)) && Kernel.anchor k c <> None then
       start_secondary k c
   done;
-  if stage_core0 then begin
-    Machine.set_active_core m 0;
+  if stage_core0 then
     match Kernel.anchor k 0 with
     | None -> invalid_arg "Boot.go: no runnable threads"
-    | Some t ->
-      Machine.set_supervisor m true;
-      Machine.set_reg m I.sp Layout.boot_stack_top;
-      Machine.set_ipl m 7;
-      Machine.set_pc m t.Kernel.sw_in_mmu
-  end
+    | Some t -> stage_core0_on k ~ipl:7 t
+
+(* Park core 0 on its idle thread with interrupts open, so host-driven
+   synchronous waits (disk reads, recovery hooks) can take completion
+   interrupts. *)
+let park_on_idle k =
+  match Kernel.idle_of k 0 with
+  | Some idle -> stage_core0_on k ~ipl:0 idle
+  | None -> invalid_arg "Boot.park_on_idle: no idle thread"
 
 (* How many double-fault recoveries one [go] will attempt before
    giving up: a thread that double-faults right back from its entry
@@ -396,13 +408,7 @@ let go ?(max_insns = max_int) ?(max_cycles = max_int)
   | [] -> ()
   | hooks ->
     b.at_boot <- [];
-    (match Kernel.idle_of k 0 with
-    | Some idle ->
-      Machine.set_supervisor m true;
-      Machine.set_reg m I.sp Layout.boot_stack_top;
-      Machine.set_ipl m 0;
-      Machine.set_pc m idle.Kernel.sw_in_mmu
-    | None -> ());
+    park_on_idle k;
     List.iter (fun f -> f ()) hooks;
     (* a boot that exists only to recover has no user work to run *)
     if not (work_remaining k) then Machine.set_halted m true);

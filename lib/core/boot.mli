@@ -27,6 +27,12 @@ val boot :
     step by step. *)
 val enter_scheduler : ?stage_core0:bool -> Kernel.t -> unit
 
+(** Park core 0 on its idle thread: its switch-in on a fresh boot
+    stack, supervisor, IPL 0, so host-driven synchronous waits (disk
+    reads, [at_boot] hooks) can take completion interrupts.  [go] does
+    this before running boot hooks. *)
+val park_on_idle : Kernel.t -> unit
+
 (** Register a hook run by the next [go], once the scheduler is
     entered but before user threads get the machine.  Hooks may step
     the machine (synchronous disk reads); file-system recovery — the

@@ -38,7 +38,7 @@
    block is missing the call schedules the read and the routine blocks
    on the mount's wait queue, retrying when the completion interrupt
    wakes it.  Re-opens after a crash+reboot resynthesize those fast
-   paths from the same Ksynth recipes. *)
+   paths from the same templates, through Ksynth. *)
 
 open Quamachine
 module I = Insn

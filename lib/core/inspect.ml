@@ -1,16 +1,15 @@
-(* Inspection of synthesized code: find routines by registry name and
+(* Inspection of synthesized code: find routines by page name and
    disassemble them with annotations — the window into what the
    synthesizer actually emitted. *)
 
 open Quamachine
 
-let find k name =
-  List.find_opt (fun (n, _, _) -> n = name) (Kernel.registry k)
+let find k name = List.find_opt (fun p -> p.Kernel.sp_name = name) (Kernel.pages k)
 
-(* Routines whose registry name contains [substr]. *)
+(* Routines whose page name contains [substr]. *)
 let grep k substr =
   List.filter
-    (fun (n, _, _) ->
+    (fun { Kernel.sp_name = n; _ } ->
       let ls = String.lowercase_ascii substr and ln = String.lowercase_ascii n in
       let rec contains i =
         if i + String.length ls > String.length ln then false
@@ -18,26 +17,26 @@ let grep k substr =
         else contains (i + 1)
       in
       contains 0)
-    (Kernel.registry k)
+    (Kernel.pages k)
 
 (* The probe points bound at [addr], as "<layer> <name>". *)
 let probe_notes k addr =
   List.concat_map
-    (fun r ->
+    (fun p ->
       List.filter_map
         (fun (off, (name, act)) ->
-          if r.Kernel.cr_entry + off <> addr then None
+          if p.Kernel.sp_entry + off <> addr then None
           else
             Some
               ((match act with Kernel.Trace _ -> "ktrace " | Kernel.Span _ -> "kspan ")
               ^ name))
-        r.Kernel.cr_probes)
-    (Kernel.code_regions k)
+        p.Kernel.sp_probes)
+    (Kernel.pages k)
 
 let disassemble_routine k ppf name =
   match find k name with
   | None -> Fmt.pf ppf "no such routine: %s@." name
-  | Some (n, entry, len) ->
+  | Some { Kernel.sp_name = n; sp_entry = entry; sp_len = len; _ } ->
     Fmt.pf ppf "%s (%d instructions at %d):@.%s:@." n len entry n;
     (* probe points emit no instructions: list them as comments *)
     for a = entry to entry + len - 1 do
@@ -49,8 +48,8 @@ let disassemble_routine k ppf name =
 
 let pp_registry k ppf () =
   List.iter
-    (fun (name, entry, len) -> Fmt.pf ppf "%6d %4d  %s@." entry len name)
-    (Kernel.registry k)
+    (fun p -> Fmt.pf ppf "%6d %4d  %s@." p.Kernel.sp_entry p.Kernel.sp_len p.Kernel.sp_name)
+    (Kernel.pages k)
 
 let pp_threads k ppf () =
   Hashtbl.iter

@@ -1,7 +1,7 @@
 (* The Synthesis kernel instance.
 
    Holds the simulated machine, its devices, the kernel allocator, the
-   thread table, and the registry of synthesized code.  The running
+   thread table, and the table of synthesized pages.  The running
    thread is identified by the [Layout.cur_tte_cell] kernel global,
    which every thread's synthesized context-switch-in code keeps
    current — the host-side structures mirror what the code in the
@@ -10,25 +10,6 @@
 open Quamachine
 
 type thread_state = Ready | Blocked | Stopped | Zombie
-
-(* ksynth: one memoized code page.  A page is the unit the synthesis
-   cache hands out: instantiations with the same key share the page
-   (read-only by convention), refcounted by live handles.  Patching a
-   shared page forks a private copy ([sp_cached = false]); patching a
-   sole-owner cached page detaches it from the cache in place. *)
-type synth_page = {
-  sp_key : string; (* cache key; stable across re-instantiations *)
-  sp_name : string; (* name of the first instantiation *)
-  sp_kind : string; (* arena kind (name prefix by default) *)
-  mutable sp_entry : int;
-  sp_len : int;
-  mutable sp_syms : (string * int) list;
-  mutable sp_refs : int; (* live handles *)
-  mutable sp_hits : int;
-  mutable sp_stamp : int; (* LRU clock at last use *)
-  mutable sp_cached : bool; (* still reachable through the cache? *)
-  sp_pinned : bool; (* boot-time install: never evicted or released *)
-}
 
 (* Host-side probes: a template marks zero-width probe points
    ([Insn.Probe name]) and the site that synthesizes it binds each name
@@ -40,16 +21,43 @@ type probe_action =
 
 type probe = string * probe_action
 
-(* ksynth: the recipe kept for an evicted page — kheal's generator
-   record outliving the code it generated, so a later re-miss on the
-   same key resynthesizes from the recorded template, whose invariants
-   are already bound (eviction is deliberate forgetting, not
-   amnesia). *)
-type synth_recipe = {
-  rc_name : string;
-  rc_kind : string;
-  rc_template : Template.t;
-  rc_probes : (int * probe) list; (* entry-relative *)
+(* One synthesized page: the unit the synthesis cache hands out and
+   the unit kheal audits and rebuilds.  Instantiations with the same
+   key share the page (read-only by convention), refcounted by live
+   handles.  Patching a shared page forks a private copy
+   ([sp_cached = false]); patching a sole-owner cached page detaches
+   it from the cache in place.
+
+   The template is a generator closed over the exact invariants
+   synthesis folded into the code, so it alone makes kernel code
+   *data the kernel can rebuild*: a corrupted page is detected by
+   checksum (or by a faulting PC inside it) and resynthesized in
+   place.  [sp_patches] records every legitimate post-synthesis patch
+   (the ready queue's jmp targets, the scheduler's quantum
+   immediates) so repair restores the *live* values, not the template
+   defaults, and the checksum always describes the currently-accepted
+   content.  [sp_mutable] names the slots whose content encodes
+   scheduling state rather than template content — cross-kernel code
+   comparison (the explorer's steady-state hash) skips them.
+   [sp_probes] are the page's bound probe points, as offsets from its
+   entry. *)
+type synth_page = {
+  sp_key : string; (* cache key; stable across re-instantiations *)
+  sp_name : string; (* name of the first instantiation *)
+  sp_kind : string; (* arena kind (name prefix by default) *)
+  sp_entry : int;
+  sp_len : int;
+  sp_body : Insn.insn list; (* the optimized body: a hit must match it *)
+  sp_template : Template.t;
+  sp_syms : (string * int) list;
+  mutable sp_refs : int; (* live handles *)
+  mutable sp_stamp : int; (* LRU clock at last use *)
+  mutable sp_cached : bool; (* still reachable through the cache? *)
+  sp_pinned : bool; (* boot-time install: never evicted or released *)
+  mutable sp_patches : (int * Insn.insn) list;
+  mutable sp_mutable : int list;
+  mutable sp_checksum : int;
+  mutable sp_probes : (int * probe) list;
 }
 
 type tte = {
@@ -97,32 +105,6 @@ let waitq ~name =
    was recorded on. *)
 type fault_entry = { f_cycle : int; f_tid : int; f_cpu : int; f_reason : string }
 
-(* kheal: one record per synthesized code region — everything needed
-   to regenerate the region from scratch.  The template is a generator
-   closed over the exact invariants synthesis folded into the code, so
-   it alone makes kernel code *data the kernel can rebuild*: a
-   corrupted region is detected by checksum (or by a faulting PC
-   inside it) and resynthesized in place.
-
-   [cr_patches] records every legitimate post-synthesis patch (the
-   ready queue's jmp targets, the scheduler's quantum immediates) so
-   repair restores the *live* values, not the template defaults, and
-   the checksum always describes the currently-accepted content.
-   [cr_mutable] names the slots whose content encodes scheduling
-   state rather than template content — cross-kernel code comparison
-   (the explorer's steady-state hash) skips them.  [cr_probes] are the
-   region's bound probe points, as offsets from its entry. *)
-type code_region = {
-  cr_name : string;
-  cr_entry : int;
-  cr_len : int;
-  cr_template : Template.t;
-  mutable cr_patches : (int * Insn.insn) list;
-  mutable cr_mutable : int list;
-  mutable cr_checksum : int;
-  mutable cr_probes : (int * probe) list;
-}
-
 type t = {
   machine : Machine.t;
   alloc : Kalloc.t;
@@ -141,11 +123,9 @@ type t = {
   (* per-core executable ready rings: [rq_anchors.(c)] is core [c]'s
      anchor thread (None = empty ring) *)
   rq_anchors : tte option array;
-  (* synthesized-code registry: (name, entry, instruction count) *)
-  mutable registry : (string * int * int) list;
-  (* kheal region table, newest first: every registry entry also gets
-     a regenerable region record *)
-  mutable code_regions : code_region list;
+  (* every live synthesized page, newest first: the registry of
+     synthesized code and kheal's audit order *)
+  mutable synth_pages : synth_page list;
   mutable synthesized_insns : int;
   (* cost of running the synthesizer: template setup + per emitted
      instruction (factorization + peephole + store).  Calibrated so
@@ -157,17 +137,18 @@ type t = {
   default_vectors : int array;
   (* shared kernel entry points by name *)
   shared : (string, int) Hashtbl.t;
-  (* ksynth: the synthesis cache.  [synth_cache] maps keys to live
+  (* ksynth: the synthesis cache.  [synth_cache] maps keys to cached
      pages; [page_index] covers every code address of every live page
-     (the O(1) shared-page test in [patch_code]); [synth_arenas] are
-     the per-region-kind code allocators; [synth_caps] the optional
-     per-kind word budgets that trigger LRU eviction; [synth_evicted]
-     the recipes of forgotten pages. *)
+     (the O(1) page lookup behind [find_region] and [patch_code]);
+     [synth_arenas] are the per-kind code allocators; [synth_caps] the
+     optional per-kind word budgets that trigger LRU eviction;
+     [evicted_keys] the keys of forgotten pages, so a later miss on
+     one counts as resynthesis. *)
   synth_cache : (string, synth_page) Hashtbl.t;
   page_index : (int, synth_page) Hashtbl.t;
   synth_arenas : (string, Kalloc.arena) Hashtbl.t;
   synth_caps : (string, int) Hashtbl.t;
-  synth_evicted : (string, synth_recipe) Hashtbl.t;
+  evicted_keys : (string, unit) Hashtbl.t;
   mutable synth_clock : int;
   (* recycled pipe carcasses: (cap, desc, buf, readers, writers).
      Reusing the cells and wait queues keeps a reopened pipe's
@@ -275,8 +256,7 @@ let create ?(cost = Cost.sun3_emulation) ?(mem_words = 1 lsl 20) ?(cores = 1) ()
     by_base = Hashtbl.create 32;
     next_tid = 1;
     rq_anchors = Array.make cores None;
-    registry = [];
-    code_regions = [];
+    synth_pages = [];
     synthesized_insns = 0;
     codegen_cycles_fixed = 120;
     codegen_cycles_per_insn = 5;
@@ -289,7 +269,7 @@ let create ?(cost = Cost.sun3_emulation) ?(mem_words = 1 lsl 20) ?(cores = 1) ()
     page_index = Hashtbl.create 4096;
     synth_arenas = Hashtbl.create 8;
     synth_caps = Hashtbl.create 8;
-    synth_evicted = Hashtbl.create 32;
+    evicted_keys = Hashtbl.create 32;
     synth_clock = 0;
     pipe_carcasses = [];
     idle_threads = Array.make cores None;
@@ -319,25 +299,15 @@ let span k f = match k.kspan with Some sp -> f sp | None -> ()
 (* ------------------------------------------------------------------ *)
 (* Probes *)
 
-(* Bind a fragment's probe points: each [Insn.Probe] whose name has
-   bindings, as (offset, probe) for every binding, in fragment order. *)
-let probe_points insns (bindings : probe list) =
-  List.concat_map
-    (fun (name, off) ->
-      List.filter_map
-        (fun ((n, _) as b) -> if n = name then Some (off, b) else None)
-        bindings)
-    (Asm.probe_points insns)
-
-(* Replace a region's probe points and rearm its range for the layers
+(* Replace a page's probe points and rearm its range for the layers
    attached now.  A disabled trace still feeds its black box. *)
-let set_region_probes k r points =
-  Machine.clear_probes k.machine ~entry:r.cr_entry ~len:r.cr_len;
-  r.cr_probes <- points;
+let set_region_probes k p points =
+  Machine.clear_probes k.machine ~entry:p.sp_entry ~len:p.sp_len;
+  p.sp_probes <- points;
   List.iter
     (fun (off, (_, act)) ->
       Option.iter
-        (Machine.add_probe k.machine (r.cr_entry + off))
+        (Machine.add_probe k.machine (p.sp_entry + off))
         (match act with
         | Trace f -> Option.map (fun tr m -> Ktrace.emit tr (f m)) k.ktrace
         | Span f -> Option.map (fun sp -> f sp) k.kspan))
@@ -345,7 +315,7 @@ let set_region_probes k r points =
 
 (* Rearm every recorded probe point: the attached layers changed. *)
 let rearm_probes k =
-  List.iter (fun r -> set_region_probes k r r.cr_probes) k.code_regions
+  List.iter (fun p -> set_region_probes k p p.sp_probes) k.synth_pages
 
 (* ------------------------------------------------------------------ *)
 (* Fault log *)
@@ -386,8 +356,9 @@ let attach_tracing k tr =
   k.ktrace <- Some tr;
   Ktrace.install tr;
   List.iter
-    (fun (name, entry, n) -> ignore (Ktrace.register_owner tr ~name ~entry ~len:n))
-    k.registry;
+    (fun p ->
+      ignore (Ktrace.register_owner tr ~name:p.sp_name ~entry:p.sp_entry ~len:p.sp_len))
+    k.synth_pages;
   rearm_probes k
 
 (* Attach the span layer.  Histograms land in the kernel-wide metrics
@@ -400,24 +371,15 @@ let attach_spans k =
   sp
 
 (* ------------------------------------------------------------------ *)
-(* Code installation backends.  [Ksynth.instantiate] is the
-   code-generation entry point — it memoizes on (template id,
-   content), allocates from recyclable arenas, and calls
-   [install_at] below to place the optimized body. *)
+(* The page table.
 
-let log_src = Logs.Src.create "synthesis.kernel" ~doc:"Synthesis kernel code generation"
-
-module Log = (val Logs.src_log log_src)
-
-(* ------------------------------------------------------------------ *)
-(* kheal: the synthesized-code region table.
-
-   Every synthesized fragment is recorded with its generator (a
-   template, invariants bound) and a checksum of the installed
-   instructions.  Checksumming is host-side arithmetic over the code store — free in
+   Every synthesized page is recorded with its generator (a template,
+   invariants bound) and a checksum of the installed instructions.
+   Checksumming is host-side arithmetic over the code store — free in
    simulated cycles, the same discipline as the watchdog — while
    *repair* charges the normal code-generation cost, because it runs
-   the synthesizer again. *)
+   the synthesizer again.  [Ksynth] builds the records; these two
+   functions are the only writers of the page list and its index. *)
 
 let checksum_region m ~entry ~len =
   let h = ref 0x811C9DC5 in
@@ -426,51 +388,28 @@ let checksum_region m ~entry ~len =
   done;
   !h
 
-(* Registry, kheal region, trace owner and probes of code just
-   installed at [entry]. *)
-let register_region ?(probes = []) k ~name ~entry ~len ~template =
-  k.registry <- (name, entry, len) :: k.registry;
-  let r =
-    {
-      cr_name = name;
-      cr_entry = entry;
-      cr_len = len;
-      cr_template = template;
-      cr_patches = [];
-      cr_mutable = [];
-      cr_checksum = checksum_region k.machine ~entry ~len;
-      cr_probes = [];
-    }
-  in
-  k.code_regions <- r :: k.code_regions;
-  set_region_probes k r probes;
+(* Record a page whose code was just installed: list, index,
+   checksum, trace owner and probes. *)
+let add_page k p =
+  k.synth_pages <- p :: k.synth_pages;
+  for a = p.sp_entry to p.sp_entry + p.sp_len - 1 do
+    Hashtbl.replace k.page_index a p
+  done;
+  p.sp_checksum <- checksum_region k.machine ~entry:p.sp_entry ~len:p.sp_len;
+  set_region_probes k p p.sp_probes;
   match k.ktrace with
   | Some tr ->
-    ignore (Ktrace.register_owner tr ~name ~entry ~len);
-    Ktrace.emit tr (Ktrace.Synthesized (name, len))
+    ignore (Ktrace.register_owner tr ~name:p.sp_name ~entry:p.sp_entry ~len:p.sp_len);
+    Ktrace.emit tr (Ktrace.Synthesized (p.sp_name, p.sp_len))
   | None -> ()
 
-(* ksynth backend: install an already-optimized body at [at] — an
-   arena range whose every word is a patchable slot — with registry,
-   region and trace bookkeeping.  Charging is the caller's business:
-   the cache charges full generation cost on a miss and a table probe
-   on a hit. *)
-let install_at ?probes k ~name ~at ~template optimized =
-  let n = Asm.length optimized in
-  let resolved, syms = Asm.resolve ~at optimized in
-  Log.debug (fun f -> f "installed %s: %d insns at %d" name n at);
-  List.iteri (fun i insn -> Machine.patch_code k.machine (at + i) insn) resolved;
-  register_region ?probes k ~name ~entry:at ~len:n ~template;
-  k.synthesized_insns <- k.synthesized_insns + n;
-  syms
-
-(* ksynth backend: forget a freed or evicted page's registry and
-   region records.  The generator may live on in [synth_evicted] —
-   eviction is deliberate forgetting, not amnesia. *)
-let unregister_region k ~entry =
-  k.registry <- List.filter (fun (_, e, _) -> e <> entry) k.registry;
-  List.iter (fun r -> if r.cr_entry = entry then set_region_probes k r []) k.code_regions;
-  k.code_regions <- List.filter (fun r -> r.cr_entry <> entry) k.code_regions
+(* Forget a freed or evicted page: list, index and probes. *)
+let drop_page k p =
+  k.synth_pages <- List.filter (fun q -> q != p) k.synth_pages;
+  for a = p.sp_entry to p.sp_entry + p.sp_len - 1 do
+    Hashtbl.remove k.page_index a
+  done;
+  Machine.clear_probes k.machine ~entry:p.sp_entry ~len:p.sp_len
 
 (* ------------------------------------------------------------------ *)
 (* Threads *)
@@ -501,29 +440,26 @@ let restart_thread k t =
 (* ------------------------------------------------------------------ *)
 (* kheal: audit and repair-by-resynthesis.
 
-   Detection has two channels: a checksum walk over the region table
+   Detection has two channels: a checksum walk over the page list
    ([audit_code], run by the watchdog and by anyone host-side), and
    the faulting-PC test ([find_region], run by Boot's
    illegal-instruction path — a corrupted instruction no longer
    decodes, and the exception frame holds its address).  Repair reruns
    the synthesizer — instantiate the recorded template, optimize,
-   resolve at the original entry — and patches the region in place,
+   resolve at the original entry — and patches the page in place,
    so every caller's absolute entry and every quaject op slot stays
    valid.  Live patches (the ready ring's jmp targets, quantum
    immediates) are reapplied over the template defaults. *)
 
-let find_region k pc =
-  List.find_opt
-    (fun r -> pc >= r.cr_entry && pc < r.cr_entry + r.cr_len)
-    k.code_regions
+let find_region k pc = Hashtbl.find_opt k.page_index pc
 
 let find_region_by_name k name =
-  List.find_opt (fun r -> r.cr_name = name) k.code_regions
+  List.find_opt (fun p -> p.sp_name = name) k.synth_pages
 
-let region_dirty k r =
-  checksum_region k.machine ~entry:r.cr_entry ~len:r.cr_len <> r.cr_checksum
+let region_dirty k p =
+  checksum_region k.machine ~entry:p.sp_entry ~len:p.sp_len <> p.sp_checksum
 
-let code_regions k = List.rev k.code_regions
+let pages k = List.rev k.synth_pages
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: assemble the crash black box into one readable
@@ -564,11 +500,11 @@ let postmortem ?(reason = "unspecified") k =
       log);
   let dirty =
     List.filter_map
-      (fun r -> if region_dirty k r then Some r.cr_name else None)
-      k.code_regions
+      (fun p -> if region_dirty k p then Some p.sp_name else None)
+      k.synth_pages
   in
   Fmt.pf ppf "@.kheal: %d regions, %d dirty%s, %d repairs, %d insns synthesized@."
-    (List.length k.code_regions) (List.length dirty)
+    (List.length k.synth_pages) (List.length dirty)
     (match dirty with [] -> "" | l -> " (" ^ String.concat ", " l ^ ")")
     (Metrics.read k.metrics "kernel.code_repairs_total")
     k.synthesized_insns;
@@ -580,31 +516,31 @@ let postmortem ?(reason = "unspecified") k =
   s
 
 let repair_region ?(origin = "audit") k r =
-  let optimized = Peephole.optimize (Template.instantiate r.cr_template) in
+  let optimized = Peephole.optimize (Template.instantiate r.sp_template) in
   let n = Asm.length optimized in
-  if n <> r.cr_len then begin
+  if n <> r.sp_len then begin
     (* unrepairable: the generator no longer reproduces the region —
        dump the black box before giving up *)
     let tid = match current k with Some t -> t.tid | None -> 0 in
-    log_fault k ~tid ~reason:("repair_failed/" ^ r.cr_name);
-    ignore (postmortem ~reason:("failed repair: " ^ r.cr_name) k);
-    failwith ("Kernel.repair_region: resynthesis length drifted for " ^ r.cr_name)
+    log_fault k ~tid ~reason:("repair_failed/" ^ r.sp_name);
+    ignore (postmortem ~reason:("failed repair: " ^ r.sp_name) k);
+    failwith ("Kernel.repair_region: resynthesis length drifted for " ^ r.sp_name)
   end;
   (* repair *is* synthesis: same charge as the original generation *)
   Machine.charge k.machine (k.codegen_cycles_fixed + (n * k.codegen_cycles_per_insn));
-  let resolved, _ = Asm.resolve ~at:r.cr_entry optimized in
+  let resolved, _ = Asm.resolve ~at:r.sp_entry optimized in
   List.iteri
-    (fun i insn -> Machine.patch_code k.machine (r.cr_entry + i) insn)
+    (fun i insn -> Machine.patch_code k.machine (r.sp_entry + i) insn)
     resolved;
   List.iter
     (fun (addr, insn) -> Machine.patch_code k.machine addr insn)
-    r.cr_patches;
-  set_region_probes k r r.cr_probes;
-  r.cr_checksum <- checksum_region k.machine ~entry:r.cr_entry ~len:r.cr_len;
+    r.sp_patches;
+  set_region_probes k r r.sp_probes;
+  r.sp_checksum <- checksum_region k.machine ~entry:r.sp_entry ~len:r.sp_len;
   Metrics.bump k.metrics "kernel.code_repairs_total";
-  trace k (Ktrace.Synthesized (r.cr_name, n));
+  trace k (Ktrace.Synthesized (r.sp_name, n));
   let tid = match current k with Some t -> t.tid | None -> 0 in
-  log_fault k ~tid ~reason:(Printf.sprintf "code_repair/%s/%s" origin r.cr_name)
+  log_fault k ~tid ~reason:(Printf.sprintf "code_repair/%s/%s" origin r.sp_name)
 
 let audit_code ?(origin = "audit") k =
   let repaired = ref 0 in
@@ -614,47 +550,45 @@ let audit_code ?(origin = "audit") k =
         repair_region ~origin k r;
         incr repaired
       end)
-    k.code_regions;
+    k.synth_pages;
   !repaired
 
 let code_repairs_total k = Metrics.read k.metrics "kernel.code_repairs_total"
 
 (* Route every legitimate post-synthesis patch through here: the
-   owning region re-checksums (and remembers the patch for repair), so
-   runtime patching and corruption detection coexist.  If the region
+   owning page re-checksums (and remembers the patch for repair), so
+   runtime patching and corruption detection coexist.  If the page
    is already corrupted, repair it first — a patch must never bless
-   corrupted content into the checksum. *)
+   corrupted content into the checksum.
+
+   ksynth: a page shared by several handles is read-only — callers
+   must fork a private copy first ([Ksynth.patch] does).  A sole-owner
+   cached page detaches in place: once patched its content no longer
+   matches its cache key, so the cache must never hand it to a fresh
+   instantiation. *)
 let patch_code k addr insn =
-  (* ksynth: writing into a cache-owned page.  A page shared by several
-     handles is read-only — callers must fork a private copy first
-     ([Ksynth.patch] does).  A sole-owner cached page detaches in
-     place: once patched its content no longer matches its cache key,
-     so the cache must never hand it to a fresh instantiation. *)
-  (match Hashtbl.find_opt k.page_index addr with
-  | Some p when p.sp_refs > 1 ->
-    invalid_arg
-      (Printf.sprintf
-         "Kernel.patch_code: page %s is shared by %d handles (copy-on-patch: fork first)"
-         p.sp_name p.sp_refs)
-  | Some p when p.sp_cached && not p.sp_pinned ->
-    p.sp_cached <- false;
-    Hashtbl.remove k.synth_cache p.sp_key
-  | _ -> ());
-  (match find_region k addr with
-  | Some r when region_dirty k r -> repair_region ~origin:"patch" k r
-  | _ -> ());
-  Machine.patch_code k.machine addr insn;
   match find_region k addr with
-  | Some r ->
-    r.cr_patches <- (addr, insn) :: List.remove_assoc addr r.cr_patches;
-    r.cr_checksum <- checksum_region k.machine ~entry:r.cr_entry ~len:r.cr_len
-  | None -> ()
+  | None -> Machine.patch_code k.machine addr insn
+  | Some p ->
+    if p.sp_refs > 1 then
+      invalid_arg
+        (Printf.sprintf
+           "Kernel.patch_code: page %s is shared by %d handles (copy-on-patch: fork first)"
+           p.sp_name p.sp_refs);
+    if p.sp_cached && not p.sp_pinned then begin
+      p.sp_cached <- false;
+      Hashtbl.remove k.synth_cache p.sp_key
+    end;
+    if region_dirty k p then repair_region ~origin:"patch" k p;
+    Machine.patch_code k.machine addr insn;
+    p.sp_patches <- (addr, insn) :: List.remove_assoc addr p.sp_patches;
+    p.sp_checksum <- checksum_region k.machine ~entry:p.sp_entry ~len:p.sp_len
 
 (* Slots whose content encodes scheduling state (jmp targets, quantum
    immediates): cross-kernel code comparison must skip them. *)
 let region_mark_mutable k ~addr =
   match find_region k addr with
-  | Some r -> if not (List.mem addr r.cr_mutable) then r.cr_mutable <- addr :: r.cr_mutable
+  | Some p -> if not (List.mem addr p.sp_mutable) then p.sp_mutable <- addr :: p.sp_mutable
   | None -> ()
 
 (* Deterministic fingerprint of all regenerable code content,
@@ -662,15 +596,15 @@ let region_mark_mutable k ~addr =
    on it, and a repaired kernel must converge back to it. *)
 let code_state_hash k =
   List.fold_left
-    (fun acc r ->
-      let h = ref (Hashtbl.hash (r.cr_name, r.cr_entry, r.cr_len)) in
-      for a = r.cr_entry to r.cr_entry + r.cr_len - 1 do
-        if not (List.mem a r.cr_mutable) then
+    (fun acc p ->
+      let h = ref (Hashtbl.hash (p.sp_name, p.sp_entry, p.sp_len)) in
+      for a = p.sp_entry to p.sp_entry + p.sp_len - 1 do
+        if not (List.mem a p.sp_mutable) then
           h := ((!h * 16777619) lxor Hashtbl.hash (Machine.read_code k.machine a))
                land max_int
       done;
       ((acc * 131) lxor !h) land max_int)
-    0x2545F491 (code_regions k)
+    0x2545F491 (pages k)
 
 (* ------------------------------------------------------------------ *)
 (* Vector table helpers *)
@@ -689,13 +623,12 @@ let set_vector_all k idx handler =
 (* ------------------------------------------------------------------ *)
 (* Synthesized-code accounting (kernel size report, §6.4) *)
 
-let registry k = List.rev k.registry
 let synthesized_insns k = k.synthesized_insns
 
 let registry_report k =
   let by_prefix = Hashtbl.create 16 in
   List.iter
-    (fun (name, _, n) ->
+    (fun { sp_name = name; sp_len = n; _ } ->
       let prefix =
         match String.index_opt name '/' with
         | Some i -> String.sub name 0 i
@@ -703,6 +636,6 @@ let registry_report k =
       in
       let cur = try Hashtbl.find by_prefix prefix with Not_found -> (0, 0) in
       Hashtbl.replace by_prefix prefix (fst cur + 1, snd cur + n))
-    k.registry;
+    k.synth_pages;
   Hashtbl.fold (fun p (count, insns) acc -> (p, count, insns) :: acc) by_prefix []
   |> List.sort compare

@@ -1,6 +1,6 @@
 (** The Synthesis kernel instance: the simulated machine and its
-    devices, the kernel allocator, the thread table, and the registry
-    of synthesized code.  The running thread is identified by the
+    devices, the kernel allocator, the thread table, and the table of
+    synthesized pages.  The running thread is identified by the
     [Layout.cur_tte_cell] kernel global, which every thread's
     synthesized switch-in code keeps current — host structures mirror
     the machine, they never drive it.
@@ -11,25 +11,6 @@
 open Quamachine
 
 type thread_state = Ready | Blocked | Stopped | Zombie
-
-(** ksynth: one memoized code page — the unit the synthesis cache
-    hands out.  Instantiations with the same key share the page
-    (read-only by convention), refcounted by live handles; patching a
-    shared page forks a private copy, patching a sole-owner cached
-    page detaches it in place ([sp_cached = false]). *)
-type synth_page = {
-  sp_key : string;  (** cache key; stable across re-instantiations *)
-  sp_name : string;  (** name of the first instantiation *)
-  sp_kind : string;  (** arena kind (name prefix by default) *)
-  mutable sp_entry : int;
-  sp_len : int;
-  mutable sp_syms : (string * int) list;
-  mutable sp_refs : int;  (** live handles *)
-  mutable sp_hits : int;
-  mutable sp_stamp : int;  (** LRU clock at last use *)
-  mutable sp_cached : bool;  (** still reachable through the cache? *)
-  sp_pinned : bool;  (** boot-time install: never evicted or released *)
-}
 
 (** Host-side probes.  A template marks zero-width probe points
     ([Insn.Probe name]); the synthesizing site binds each name to an
@@ -42,13 +23,37 @@ type probe_action =
 
 type probe = string * probe_action  (** point name, action *)
 
-(** ksynth: the recipe kept for an evicted page, so a later re-miss on
-    the same key resynthesizes from the recorded generator. *)
-type synth_recipe = {
-  rc_name : string;
-  rc_kind : string;
-  rc_template : Template.t;
-  rc_probes : (int * probe) list;  (** bound probe points, entry-relative *)
+(** One synthesized page: the unit the synthesis cache ({!Ksynth})
+    hands out and the unit kheal audits and rebuilds.  Instantiations
+    with the same key share the page (read-only by convention),
+    refcounted by live handles; patching a shared page forks a private
+    copy, patching a sole-owner cached page detaches it in place
+    ([sp_cached = false]).
+
+    The template (a generator closed over the invariants synthesis
+    folded in) and the checksum of the installed instructions are
+    enough to detect corruption and rebuild the page in place.
+    [sp_patches] holds every legitimate post-synthesis patch (newest
+    first per address) so repair restores live values; [sp_mutable]
+    names scheduling-state slots that cross-kernel comparison must
+    skip; [sp_probes] are the bound probe points, entry-relative. *)
+type synth_page = {
+  sp_key : string;  (** cache key; stable across re-instantiations *)
+  sp_name : string;  (** name of the first instantiation *)
+  sp_kind : string;  (** arena kind (name prefix by default) *)
+  sp_entry : int;
+  sp_len : int;  (** instructions *)
+  sp_body : Insn.insn list;  (** the optimized body; a cache hit must match it *)
+  sp_template : Template.t;
+  sp_syms : (string * int) list;
+  mutable sp_refs : int;  (** live handles *)
+  mutable sp_stamp : int;  (** LRU clock at last use *)
+  mutable sp_cached : bool;  (** still reachable through the cache? *)
+  sp_pinned : bool;  (** boot-time install: never evicted or released *)
+  mutable sp_patches : (int * Insn.insn) list;
+  mutable sp_mutable : int list;
+  mutable sp_checksum : int;
+  mutable sp_probes : (int * probe) list;
 }
 
 type tte = {
@@ -91,25 +96,6 @@ val waitq : name:string -> waitq
     the core that was executing when the fault was logged. *)
 type fault_entry = { f_cycle : int; f_tid : int; f_cpu : int; f_reason : string }
 
-(** kheal: one record per synthesized code region — the generator
-    (a template closed over the invariants synthesis folded in) and
-    a checksum of the installed instructions, enough to detect
-    corruption and rebuild the region in place.  [cr_patches] holds
-    every legitimate post-synthesis patch (newest first per address)
-    so repair restores live values; [cr_mutable] names
-    scheduling-state slots that cross-kernel comparison must skip;
-    [cr_probes] are the bound probe points, entry-relative. *)
-type code_region = {
-  cr_name : string;
-  cr_entry : int;
-  cr_len : int;
-  cr_template : Template.t;
-  mutable cr_patches : (int * Insn.insn) list;
-  mutable cr_mutable : int list;
-  mutable cr_checksum : int;
-  mutable cr_probes : (int * probe) list;
-}
-
 type t = {
   machine : Machine.t;
   alloc : Kalloc.t;
@@ -124,20 +110,21 @@ type t = {
   by_base : (int, tte) Hashtbl.t;
   mutable next_tid : int;
   rq_anchors : tte option array;  (** per-core executable ready rings *)
-  mutable registry : (string * int * int) list;
-  mutable code_regions : code_region list;  (** kheal region table, newest first *)
+  mutable synth_pages : synth_page list;
+      (** every live synthesized page, newest first *)
   mutable synthesized_insns : int;
   codegen_cycles_fixed : int;
   codegen_cycles_per_insn : int;
   default_vectors : int array;
   shared : (string, int) Hashtbl.t;  (** named entries ([Ksynth.lookup]) *)
-  synth_cache : (string, synth_page) Hashtbl.t;  (** key → live page *)
+  synth_cache : (string, synth_page) Hashtbl.t;  (** key → cached page *)
   page_index : (int, synth_page) Hashtbl.t;
-      (** every code address of every live page (O(1) shared test) *)
+      (** every code address of every live page ({!find_region}) *)
   synth_arenas : (string, Kalloc.arena) Hashtbl.t;
   synth_caps : (string, int) Hashtbl.t;
       (** optional per-kind live-word budgets (LRU eviction) *)
-  synth_evicted : (string, synth_recipe) Hashtbl.t;
+  evicted_keys : (string, unit) Hashtbl.t;
+      (** keys of evicted pages, bounded: a miss on one is resynthesis *)
   mutable synth_clock : int;
   mutable pipe_carcasses : (int * int * int * waitq * waitq) list;
       (** recycled (cap, desc, buf, readers, writers): reusing cells
@@ -225,13 +212,9 @@ val span : t -> (Kspan.t -> unit) -> unit
 
 (** {1 Probes} *)
 
-(** Bind a fragment's [Insn.Probe] points: (offset, binding) for every
-    binding of each point's name, in fragment order. *)
-val probe_points : Insn.insn list -> probe list -> (int * probe) list
-
-(** Replace a region's probe points (entry-relative) and rearm its
+(** Replace a page's probe points (entry-relative) and rearm its
     range for the layers attached now. *)
-val set_region_probes : t -> code_region -> (int * probe) list -> unit
+val set_region_probes : t -> synth_page -> (int * probe) list -> unit
 
 (** {1 Flight recorder}
 
@@ -242,39 +225,18 @@ val set_region_probes : t -> code_region -> (int * probe) list -> unit
     trips; host-side only, charges nothing. *)
 val postmortem : ?reason:string -> t -> string
 
-(** {1 Code synthesis}
+(** {1 The page table}
 
-    [Ksynth.instantiate] is the code-generation API; the functions
-    here are the backends underneath it. *)
+    [Ksynth] builds every page record; these are the only writers of
+    [synth_pages] and [page_index]. *)
 
-(** ksynth backend: install an already-optimized body at [at] (an
-    arena range of patchable slots), with {!register_region}'s
-    bookkeeping.  Charges nothing — the cache prices hits and misses.
-    Returns the absolute symbol table. *)
-val install_at :
-  ?probes:(int * probe) list ->
-  t ->
-  name:string ->
-  at:int ->
-  template:Template.t ->
-  Insn.insn list ->
-  Asm.symbols
+(** Record a page whose code was just installed: prepend it to
+    [synth_pages], index its addresses, checksum its current content,
+    register its trace owner and arm its [sp_probes]. *)
+val add_page : t -> synth_page -> unit
 
-(** ksynth backend: drop the registry and kheal records of the page at
-    [entry] (freed or evicted), and clear its probes. *)
-val unregister_region : t -> entry:int -> unit
-
-(** Record code installed outside [install_at]: registry entry, kheal
-    region (checksumming current content), trace owner, and [probes]
-    (entry-relative) bound. *)
-val register_region :
-  ?probes:(int * probe) list ->
-  t ->
-  name:string ->
-  entry:int ->
-  len:int ->
-  template:Template.t ->
-  unit
+(** Forget a freed or evicted page: unlist, unindex, clear its probes. *)
+val drop_page : t -> synth_page -> unit
 
 (** {1 Threads} *)
 
@@ -302,32 +264,33 @@ val set_vector_all : t -> int -> int -> unit
 (** {1 kheal: code-region audit and repair by resynthesis}
 
     Kernel code is data the kernel can regenerate: every synthesized
-    region is recorded with its template (invariants bound),
-    corruption is detected by checksum mismatch (or a faulting PC
-    inside a region), and repair reruns the synthesizer in place.  Detection is
-    host-side and free; repair charges the normal code-generation
-    cost, bumps "kernel.code_repairs_total", and logs to
-    [fault_log]. *)
+    page carries its template (invariants bound), corruption is
+    detected by checksum mismatch (or a faulting PC inside a page's
+    region of code), and repair reruns the synthesizer in place.
+    Detection is host-side and free; repair charges the normal
+    code-generation cost, bumps "kernel.code_repairs_total", and logs
+    to [fault_log]. *)
 
-(** Region containing a code address (e.g. a faulting PC). *)
-val find_region : t -> int -> code_region option
+(** Page containing a code address (e.g. a faulting PC): one lookup
+    in [page_index]. *)
+val find_region : t -> int -> synth_page option
 
-(** Newest region registered under [name]. *)
-val find_region_by_name : t -> string -> code_region option
+(** Newest page named [name]. *)
+val find_region_by_name : t -> string -> synth_page option
 
-(** Does the region's current content disagree with its checksum? *)
-val region_dirty : t -> code_region -> bool
+(** Does the page's current content disagree with its checksum? *)
+val region_dirty : t -> synth_page -> bool
 
-(** All regions, oldest first. *)
-val code_regions : t -> code_region list
+(** All live pages, oldest first. *)
+val pages : t -> synth_page list
 
-(** Rebuild one region from its recorded template,
+(** Rebuild one page from its recorded template,
     patch it in place (entries and op slots stay valid), reapply live
     patches, and update the checksum.  [origin] tags the fault-log
     entry ("audit", "trap", "patch"...). *)
-val repair_region : ?origin:string -> t -> code_region -> unit
+val repair_region : ?origin:string -> t -> synth_page -> unit
 
-(** Checksum-walk every region and repair the dirty ones; returns the
+(** Checksum-walk every page and repair the dirty ones; returns the
     number repaired.  Callable from the watchdog — detection charges
     no simulated cycles, each repair charges synthesis cost. *)
 val audit_code : ?origin:string -> t -> int
@@ -335,8 +298,8 @@ val audit_code : ?origin:string -> t -> int
 (** The "kernel.code_repairs_total" metric. *)
 val code_repairs_total : t -> int
 
-(** Patch one code word through the region table: repairs the owning
-    region first if it is already corrupted (a patch must never bless
+(** Patch one code word through the page table: repairs the owning
+    page first if it is already corrupted (a patch must never bless
     corruption into the checksum), records the patch for future
     repairs, and re-checksums.  All legitimate post-synthesis patching
     (ready-ring jmp targets, quantum slots) goes through here.
@@ -358,7 +321,6 @@ val code_state_hash : t -> int
 
 (** {1 Synthesized-code accounting (§6.4)} *)
 
-val registry : t -> (string * int * int) list
 val synthesized_insns : t -> int
 
 (** (prefix, routine count, instruction count) per subsystem. *)

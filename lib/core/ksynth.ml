@@ -21,9 +21,9 @@
    forks a private copy first) and silently detaches a sole-owner
    cached page, so the cache never serves patched content to a fresh
    instantiation.  Eviction (LRU over refcount-zero pages, per-kind
-   budgets) records the page's generator as a recipe; a later miss on
-   the same key is resynthesis — kheal's repair discipline applied to
-   deliberate forgetting. *)
+   budgets) remembers only the page's key: the caller's template is
+   the generator, so a later miss on that key is resynthesis, counted
+   apart from a cold build. *)
 
 open Quamachine
 open Kernel
@@ -44,9 +44,9 @@ type stats = {
    like the allocator's fast path, not like running the synthesizer. *)
 let hit_cycles = 30
 
-(* Recipes of evicted pages are bounded: a workload that churns
-   through unbounded distinct keys must not grow an unbounded table. *)
-let recipe_cap = 512
+(* Keys of evicted pages are bounded: a workload that churns through
+   unbounded distinct keys must not grow an unbounded set. *)
+let evicted_cap = 512
 
 (* ------------------------------------------------------------------ *)
 (* Keys *)
@@ -64,6 +64,26 @@ let body_hash insns =
     0x811C9DC5 insns
 
 let key_of ~id h = Printf.sprintf "%s#%x" id h
+
+(* Does [a] hold the same code as [b]?  A hit checks the whole body,
+   so a hash collision cannot share a page.  Probe points are not
+   code.  One walk, no allocation. *)
+let rec same_code a b =
+  match (a, b) with
+  | Insn.Probe _ :: a, b | a, Insn.Probe _ :: b -> same_code a b
+  | x :: a, y :: b -> x = y && same_code a b
+  | [], [] -> true
+  | _ -> false
+
+(* Bind a fragment's probe points: each [Insn.Probe] whose name has
+   bindings, as (offset, probe) for every binding, in fragment order. *)
+let probe_points insns (bindings : probe list) =
+  List.concat_map
+    (fun (name, off) ->
+      List.filter_map
+        (fun ((n, _) as b) -> if n = name then Some (off, b) else None)
+        bindings)
+    (Asm.probe_points insns)
 
 (* Arena kind: the registry's subsystem prefix ("pipe/...", "ctx/..."),
    so related routines recycle each other's ranges. *)
@@ -105,50 +125,29 @@ let tick k =
 (* ------------------------------------------------------------------ *)
 (* Page bookkeeping *)
 
-let index_page k p =
-  for a = p.sp_entry to p.sp_entry + p.sp_len - 1 do
-    Hashtbl.replace k.page_index a p
-  done
-
-let deindex_page k p =
-  for a = p.sp_entry to p.sp_entry + p.sp_len - 1 do
-    Hashtbl.remove k.page_index a
-  done
-
-(* Return a dead page's storage to its arena and forget its records
-   (its recipe, if evicted, survives in [synth_evicted]). *)
+(* Return a dead page's storage to its arena and forget its record. *)
 let free_page k p =
-  deindex_page k p;
-  Kernel.unregister_region k ~entry:p.sp_entry;
+  Kernel.drop_page k p;
   Kalloc.unshare k.alloc ~base:p.sp_entry;
   Kalloc.arena_free (arena_for k p.sp_kind) p.sp_entry
 
-(* Remember an evicted page's generator so a later miss on the same
-   key resynthesizes instead of building cold. *)
-let record_recipe k p =
-  match Kernel.find_region k p.sp_entry with
-  | None -> ()
-  | Some r ->
-    if
-      Hashtbl.length k.synth_evicted >= recipe_cap
-      && not (Hashtbl.mem k.synth_evicted p.sp_key)
-    then begin
-      (* bounded table: drop one (arbitrary) old recipe *)
-      match
-        Hashtbl.fold
-          (fun key _ acc -> match acc with None -> Some key | s -> s)
-          k.synth_evicted None
-      with
-      | Some victim -> Hashtbl.remove k.synth_evicted victim
-      | None -> ()
-    end;
-    Hashtbl.replace k.synth_evicted p.sp_key
-      {
-        rc_name = p.sp_name;
-        rc_kind = p.sp_kind;
-        rc_template = r.cr_template;
-        rc_probes = r.cr_probes;
-      }
+(* Remember an evicted page's key, so a later miss on it counts as
+   resynthesis. *)
+let remember_evicted k p =
+  if
+    Hashtbl.length k.evicted_keys >= evicted_cap
+    && not (Hashtbl.mem k.evicted_keys p.sp_key)
+  then begin
+    (* bounded set: drop one (arbitrary) old key *)
+    match
+      Hashtbl.fold
+        (fun key () acc -> match acc with None -> Some key | s -> s)
+        k.evicted_keys None
+    with
+    | Some victim -> Hashtbl.remove k.evicted_keys victim
+    | None -> ()
+  end;
+  Hashtbl.replace k.evicted_keys p.sp_key ()
 
 (* Evict the least-recently-used unreferenced cached page of [kind];
    false when none qualifies (everything still has handles). *)
@@ -167,7 +166,7 @@ let evict_lru k kind =
   match victim with
   | None -> false
   | Some p ->
-    record_recipe k p;
+    remember_evicted k p;
     Hashtbl.remove k.synth_cache p.sp_key;
     p.sp_cached <- false;
     free_page k p;
@@ -185,42 +184,61 @@ let set_cap k ~kind words =
   enforce_cap k kind
 
 (* ------------------------------------------------------------------ *)
-(* Miss path: full synthesis into an arena range *)
+(* Full synthesis into an arena range *)
 
-let miss k ~name ~kind ~key ~template ~points optimized =
-  let n = Asm.length optimized in
-  Machine.charge k.machine (k.codegen_cycles_fixed + (n * k.codegen_cycles_per_insn));
-  Metrics.bump k.metrics Metrics.synth_cache_misses;
-  (match Hashtbl.find_opt k.synth_evicted key with
-  | Some _ ->
-    Hashtbl.remove k.synth_evicted key;
-    Metrics.bump k.metrics Metrics.synth_cache_resynth
-  | None -> ());
-  let entry = Kalloc.arena_alloc (arena_for k kind) n in
-  let syms =
-    Kernel.install_at ~probes:points k ~name ~at:entry ~template optimized
-  in
+(* Record [len] instructions of [optimized] just installed at [entry]
+   as a page, with one claim. *)
+let record k ~key ~name ~kind ~entry ~len ~syms ~template ~points ~cached ~pinned
+    optimized =
   let p =
     {
       sp_key = key;
       sp_name = name;
       sp_kind = kind;
       sp_entry = entry;
-      sp_len = n;
+      sp_len = len;
+      sp_body = optimized;
+      sp_template = template;
       sp_syms = syms;
       sp_refs = 1;
-      sp_hits = 0;
       sp_stamp = tick k;
-      sp_cached = true;
-      sp_pinned = false;
+      sp_cached = cached;
+      sp_pinned = pinned;
+      sp_patches = [];
+      sp_mutable = [];
+      sp_checksum = 0;
+      sp_probes = points;
     }
   in
-  Kalloc.share k.alloc ~base:entry ~len:n;
-  index_page k p;
-  (* key collision with a live page can only follow a hash collision;
-     detach the old page rather than orphan the new one *)
+  Kernel.add_page k p;
+  Kalloc.share k.alloc ~base:entry ~len;
+  p
+
+(* Charge generation, install [optimized] at a fresh range of [kind]
+   (every word a patchable slot) and record the page. *)
+let place k ~key ~name ~kind ~template ~points ~cached optimized =
+  let n = Asm.length optimized in
+  Machine.charge k.machine (k.codegen_cycles_fixed + (n * k.codegen_cycles_per_insn));
+  let entry = Kalloc.arena_alloc (arena_for k kind) n in
+  let resolved, syms = Asm.resolve ~at:entry optimized in
+  List.iteri (fun i insn -> Machine.patch_code k.machine (entry + i) insn) resolved;
+  k.synthesized_insns <- k.synthesized_insns + n;
+  record k ~key ~name ~kind ~entry ~len:n ~syms ~template ~points ~cached
+    ~pinned:false optimized
+
+let miss k ~name ~kind ~key ~template ~points optimized =
+  Metrics.bump k.metrics Metrics.synth_cache_misses;
+  if Hashtbl.mem k.evicted_keys key then begin
+    Hashtbl.remove k.evicted_keys key;
+    Metrics.bump k.metrics Metrics.synth_cache_resynth
+  end;
+  let p = place k ~key ~name ~kind ~template ~points ~cached:true optimized in
+  (* a cached page under the same key holds other code (a hash
+     collision): detach it, and free it if no handle holds it *)
   (match Hashtbl.find_opt k.synth_cache key with
-  | Some old -> old.sp_cached <- false
+  | Some old ->
+    old.sp_cached <- false;
+    if old.sp_refs = 0 then free_page k old
   | None -> ());
   Hashtbl.replace k.synth_cache key p;
   note_peak k;
@@ -230,50 +248,24 @@ let miss k ~name ~kind ~key ~template ~points optimized =
 (* ------------------------------------------------------------------ *)
 (* Copy-on-patch *)
 
-(* Fork a private copy of [h]'s page: resynthesize the region's
-   generator at a fresh arena range (full generation cost — a fork is
-   a synthesis), carry the live patches and mutable-slot marks across,
-   drop the claim on the source, repoint the handle. *)
+(* Fork a private copy of [h]'s page: resynthesize its generator at a
+   fresh arena range (full generation cost — a fork is a synthesis),
+   carry the live patches and mutable-slot marks across, drop the
+   claim on the source, repoint the handle. *)
 let fork k h =
   let p = h.h_page in
-  let r =
-    match Kernel.find_region k p.sp_entry with
-    | Some r -> r
-    | None -> invalid_arg ("Ksynth.patch: no region for page " ^ p.sp_name)
-  in
-  let optimized = Peephole.optimize (Template.instantiate r.cr_template) in
-  let n = Asm.length optimized in
-  Machine.charge k.machine (k.codegen_cycles_fixed + (n * k.codegen_cycles_per_insn));
-  let entry = Kalloc.arena_alloc (arena_for k p.sp_kind) n in
-  let name = p.sp_name ^ "#fork" in
-  let syms =
-    Kernel.install_at ~probes:r.cr_probes k ~name ~at:entry
-      ~template:r.cr_template optimized
-  in
+  let optimized = Peephole.optimize (Template.instantiate p.sp_template) in
   let fp =
-    {
-      p with
-      sp_key = p.sp_key ^ "#fork";
-      sp_name = name;
-      sp_entry = entry;
-      sp_len = n;
-      sp_syms = syms;
-      sp_refs = 1;
-      sp_hits = 0;
-      sp_stamp = tick k;
-      sp_cached = false;
-      sp_pinned = false;
-    }
+    place k ~key:(p.sp_key ^ "#fork") ~name:(p.sp_name ^ "#fork") ~kind:p.sp_kind
+      ~template:p.sp_template ~points:p.sp_probes ~cached:false optimized
   in
-  Kalloc.share k.alloc ~base:entry ~len:n;
-  index_page k fp;
-  let delta = entry - p.sp_entry in
+  let delta = fp.sp_entry - p.sp_entry in
   List.iter
     (fun (addr, insn) -> Kernel.patch_code k (addr + delta) insn)
-    (List.rev r.cr_patches);
+    (List.rev p.sp_patches);
   List.iter
     (fun addr -> Kernel.region_mark_mutable k ~addr:(addr + delta))
-    r.cr_mutable;
+    p.sp_mutable;
   note_peak k;
   p.sp_refs <- p.sp_refs - 1;
   ignore (Kalloc.release k.alloc ~base:p.sp_entry);
@@ -302,13 +294,10 @@ let release_page k p =
 
 (* A hit hands out code another instantiation built: its probe points
    are the same, but what they observe is this instantiation's (none
-   if it bound none).  Code without probe points has none to rebind,
-   which spares the common hit a region lookup. *)
+   if it bound none).  Code without probe points has none to rebind. *)
 let rebind_probes k p ~code points =
   if List.exists (function Insn.Probe _ -> true | _ -> false) code then
-    Option.iter
-      (fun r -> Kernel.set_region_probes k r points)
-      (Kernel.find_region k p.sp_entry)
+    Kernel.set_region_probes k p points
 
 let instantiate ?name ?kind ?(patches = []) ?(probes = []) k ~template =
   let name = match name with Some n -> n | None -> Template.id template in
@@ -317,14 +306,13 @@ let instantiate ?name ?kind ?(patches = []) ?(probes = []) k ~template =
      simulated cycles; only installing new code is charged.  Running
      them unconditionally is what lets the key see the body. *)
   let optimized = Peephole.optimize (Template.instantiate template) in
-  let points = Kernel.probe_points optimized probes in
+  let points = probe_points optimized probes in
   let key = key_of ~id:(Template.id template) (body_hash optimized) in
   let page =
     match Hashtbl.find_opt k.synth_cache key with
-    | Some p when p.sp_len = Asm.length optimized ->
+    | Some p when same_code p.sp_body optimized ->
       p.sp_refs <- p.sp_refs + 1;
       ignore (Kalloc.retain k.alloc ~base:p.sp_entry);
-      p.sp_hits <- p.sp_hits + 1;
       p.sp_stamp <- tick k;
       Machine.charge k.machine hit_cycles;
       Metrics.bump k.metrics Metrics.synth_cache_hits;
@@ -341,40 +329,24 @@ let instantiate ?name ?kind ?(patches = []) ?(probes = []) k ~template =
    registered in the kernel's name directory. *)
 let install ?(probes = []) k ~name insns =
   let optimized = Peephole.optimize insns in
-  let points = Kernel.probe_points optimized probes in
+  let points = probe_points optimized probes in
   let key = Printf.sprintf "!%s#%x" name (body_hash optimized) in
   match Hashtbl.find_opt k.synth_cache key with
-  | Some p ->
-    p.sp_hits <- p.sp_hits + 1;
+  | Some p when same_code p.sp_body optimized ->
     p.sp_stamp <- tick k;
     Metrics.bump k.metrics Metrics.synth_cache_hits;
     rebind_probes k p ~code:optimized points;
     (p.sp_entry, p.sp_syms)
-  | None ->
-    let n = Asm.length optimized in
+  | _ ->
     let entry, syms = Asm.assemble k.machine optimized in
     Hashtbl.replace k.shared name entry;
-    (* the region's generator is a closed template over the optimized
+    (* the page's generator is a closed template over the optimized
        body *)
-    Kernel.register_region ~probes:points k ~name ~entry ~len:n
-      ~template:(Template.make ~name (fun () -> optimized));
     let p =
-      {
-        sp_key = key;
-        sp_name = name;
-        sp_kind = "shared";
-        sp_entry = entry;
-        sp_len = n;
-        sp_syms = syms;
-        sp_refs = 1;
-        sp_hits = 0;
-        sp_stamp = tick k;
-        sp_cached = true;
-        sp_pinned = true;
-      }
+      record k ~key ~name ~kind:"shared" ~entry ~len:(Asm.length optimized) ~syms
+        ~template:(Template.make ~name (fun () -> optimized))
+        ~points ~cached:true ~pinned:true optimized
     in
-    Kalloc.share k.alloc ~base:entry ~len:n;
-    index_page k p;
     Hashtbl.replace k.synth_cache key p;
     (entry, syms)
 
@@ -410,20 +382,6 @@ let release_entry k addr =
   match Hashtbl.find_opt k.page_index addr with
   | Some p -> release_page k p
   | None -> () (* append-path or pinned-adjacent code: nothing to release *)
-
-(* ------------------------------------------------------------------ *)
-(* Resynthesis from recipes *)
-
-let revive k key =
-  match Hashtbl.find_opt k.synth_evicted key with
-  | None -> None
-  | Some rc ->
-    let h =
-      instantiate k ~name:rc.rc_name ~kind:rc.rc_kind ~template:rc.rc_template
-    in
-    Option.iter (fun r -> Kernel.set_region_probes k r rc.rc_probes)
-      (Kernel.find_region k (entry h));
-    Some h
 
 (* ------------------------------------------------------------------ *)
 (* Introspection *)

@@ -24,11 +24,16 @@
     cache so patched content is never served to a fresh instantiation.
 
     [release]d pages with no remaining handles stay warm in the cache
-    until a per-kind budget ([set_cap]) forces LRU eviction; an
-    evicted page leaves its generator behind as a recipe, so a later
-    miss on the same key is *resynthesis* (counted separately) rather
-    than a cold build.  Arena ranges are recycled first-fit, which is
-    what keeps peak code bytes sublinear in the number of opens. *)
+    until a per-kind budget ([set_cap]) forces LRU eviction.  The
+    caller's template is the generator, so an evicted page leaves only
+    its key behind (in a bounded set): a later miss on that key is
+    *resynthesis*, counted apart from a cold build.  Arena ranges are
+    recycled first-fit, which is what keeps peak code bytes sublinear
+    in the number of opens.
+
+    Every page is also kheal's unit of repair: the record
+    ({!Kernel.synth_page}) carries the template, checksum, live
+    patches and probes the kernel needs to audit and rebuild it. *)
 
 open Quamachine
 
@@ -42,7 +47,7 @@ type stats = {
   st_hits : int;
   st_misses : int;
   st_evictions : int;
-  st_resynth : int;  (** misses that rebuilt from an eviction recipe *)
+  st_resynth : int;  (** misses on the key of an evicted page *)
   st_cached_pages : int;  (** pages reachable through the cache *)
   st_footprint_words : int;  (** arena words ever acquired (peak) *)
   st_live_words : int;  (** arena words currently allocated *)
@@ -53,10 +58,11 @@ type stats = {
 (** [instantiate k ~template] returns a handle on the code [template]
     generates with its invariants folded in (§2.2).
 
-    Cache hit: charges a table probe (~30 cycles), bumps the page's
+    Cache hit (same key and the same optimized body, probe points
+    aside): charges a table probe (~30 cycles), bumps the page's
     refcount.  Miss: charges full generation cost plus the arena
     allocation, installs, and caches the page.  [?name] labels the
-    registry/kheal records (default: the template id); [?kind] picks
+    page (default: the template id); [?kind] picks
     the arena (default: [name] up to the first ['/']); [?patches]
     applies entry-relative patches through the copy-on-patch rule
     immediately after lookup; [?probes] binds the template's probe
@@ -125,10 +131,6 @@ val release_entry : Kernel.t -> int -> unit
 (** Set the live-word budget for one arena kind and evict LRU
     refcount-zero pages until under it. *)
 val set_cap : Kernel.t -> kind:string -> int -> unit
-
-(** Resynthesize an evicted page from its recorded recipe, if one is
-    remembered for [key]. *)
-val revive : Kernel.t -> string -> handle option
 
 (** The cache key a page was stored under (tests/eviction probes). *)
 val key : handle -> string

@@ -38,12 +38,14 @@ let boot_line_name = "(boot, pre-attach)"
 (* Map a code address to the registry routine containing it. *)
 let routine_at k =
   let routines =
-    List.sort (fun (_, e1, _) (_, e2, _) -> compare e1 e2) (Kernel.registry k)
+    List.sort
+      (fun p q -> compare p.Kernel.sp_entry q.Kernel.sp_entry)
+      (Kernel.pages k)
   in
   fun addr ->
     List.fold_left
-      (fun acc (name, entry, len) ->
-        if addr >= entry && addr < entry + len then Some name else acc)
+      (fun acc { Kernel.sp_name; sp_entry; sp_len; _ } ->
+        if addr >= sp_entry && addr < sp_entry + sp_len then Some sp_name else acc)
       None routines
 
 let collect ?(top = 24) k pmu =

@@ -106,18 +106,6 @@ let observed_boot ?(cores = 1) () =
   ignore (Kernel.attach_spans k);
   b
 
-(* Start the idle thread so host-driven synchronous disk waits can
-   take completion interrupts. *)
-let start_idle k =
-  let m = k.Kernel.machine in
-  match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 0;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> invalid_arg "explorer: no idle thread"
-
 (* The shared driver: step the machine, posting the quantum-timer
    interrupt every [stride] instructions; at each such checkpoint run
    the subject's agitation and invariant hooks and fold the trace
@@ -976,21 +964,21 @@ let codeflip_subject =
     let targets =
       List.filter_map
         (fun r ->
-          let n = r.Kernel.cr_name in
+          let n = r.Kernel.sp_name in
           if
             has_prefix "explorer/q/" n || has_prefix "ctx/" n
             || has_prefix "quaject/" n
-          then Some (r.Kernel.cr_entry, r.Kernel.cr_len)
+          then Some (r.Kernel.sp_entry, r.Kernel.sp_len)
           else None)
-        (Kernel.code_regions k)
+        (Kernel.pages k)
     in
     let target_arr = Array.of_list targets in
     (* the region set and content (minus scheduling slots) are fixed
        from here on: this hash IS the fault-free steady state *)
     let snapshot =
       List.map
-        (fun r -> (r.Kernel.cr_name, r.Kernel.cr_entry))
-        (Kernel.code_regions k)
+        (fun r -> (r.Kernel.sp_name, r.Kernel.sp_entry))
+        (Kernel.pages k)
     in
     let reference = Kernel.code_state_hash k in
     (* keep the storm dense: extra deterministic flips at preemption
@@ -1013,15 +1001,15 @@ let codeflip_subject =
       List.iter
         (fun r ->
           if Kernel.region_dirty k r then
-            violate "region %s still dirty after final audit" r.Kernel.cr_name)
-        (Kernel.code_regions k);
+            violate "region %s still dirty after final audit" r.Kernel.sp_name)
+        (Kernel.pages k);
       List.iter
         (fun (name, entry) ->
           match Kernel.find_region_by_name k name with
-          | Some r when r.Kernel.cr_entry = entry -> ()
+          | Some r when r.Kernel.sp_entry = entry -> ()
           | Some r ->
             violate "region %s lost from the registry (was @%d, now @%d)" name
-              entry r.Kernel.cr_entry
+              entry r.Kernel.sp_entry
           | None ->
             violate "region %s lost from the registry (was @%d, now absent)"
               name entry)
@@ -1055,17 +1043,16 @@ let codeflip_subject =
       i_agitate = Some agitate;
       i_check = (fun () -> []);
       i_final = final;
-      (* corrupt a dormant region AND drop its registry record: the
-         audit can no longer see it, so the registry-presence and
+      (* corrupt a dormant region AND drop its page record (list and
+         index): the audit can no longer see it, so the page-presence and
          fingerprint checks must both notice *)
       i_sabotage =
         Some
           (fun () ->
             match Kernel.find_region_by_name k "bad_fd" with
             | Some r ->
-              Fault_inject.corrupt_code m ~addr:r.Kernel.cr_entry ~bit:3;
-              k.Kernel.code_regions <-
-                List.filter (fun r' -> r' != r) k.Kernel.code_regions
+              Fault_inject.corrupt_code m ~addr:r.Kernel.sp_entry ~bit:3;
+              Kernel.drop_page k r
             | None -> failwith "codeflip: no bad_fd region to sabotage");
     }
   in
@@ -1089,8 +1076,8 @@ let codeflip_subject =
    - the kernel converges back to the fault-free code fingerprint.
 
    The sabotage hook mirrors codeflip: corrupt the shared page AND
-   drop its region record, so repair is blind to it and only the
-   registry-presence / fingerprint checks can notice. *)
+   drop its page record (list and index), so repair is blind to it
+   and only the page-presence / fingerprint checks can notice. *)
 let synthcache_subject =
   let build ~seed =
     let b = observed_boot () in
@@ -1143,7 +1130,7 @@ let synthcache_subject =
     Watchdog.audit_code wd;
     let hot_region =
       match Kernel.find_region k entry0 with
-      | Some r -> (r.Kernel.cr_entry, r.Kernel.cr_len)
+      | Some r -> (r.Kernel.sp_entry, r.Kernel.sp_len)
       | None -> failwith "synthcache: shared page has no region record"
     in
     let reference = Kernel.code_state_hash k in
@@ -1186,10 +1173,10 @@ let synthcache_subject =
       List.iter
         (fun r ->
           if Kernel.region_dirty k r then
-            violate "region %s still dirty after final audit" r.Kernel.cr_name)
-        (Kernel.code_regions k);
+            violate "region %s still dirty after final audit" r.Kernel.sp_name)
+        (Kernel.pages k);
       (match Kernel.find_region k entry0 with
-      | Some r when (r.Kernel.cr_entry, r.Kernel.cr_len) = hot_region -> ()
+      | Some r when (r.Kernel.sp_entry, r.Kernel.sp_len) = hot_region -> ()
       | _ -> violate "shared page lost from the registry");
       if Kernel.code_state_hash k <> reference then
         violate "code state diverged from the fault-free fingerprint";
@@ -1242,9 +1229,8 @@ let synthcache_subject =
           (fun () ->
             match Kernel.find_region k entry0 with
             | Some r ->
-              Fault_inject.corrupt_code m ~addr:r.Kernel.cr_entry ~bit:3;
-              k.Kernel.code_regions <-
-                List.filter (fun r' -> r' != r) k.Kernel.code_regions
+              Fault_inject.corrupt_code m ~addr:r.Kernel.sp_entry ~bit:3;
+              Kernel.drop_page k r
             | None -> failwith "synthcache: no region to sabotage");
     }
   in
@@ -1710,7 +1696,7 @@ let crash_record family ~seed ~mech =
   let k = b.Boot.kernel in
   Dfs.format k ~capacities:w.w_caps ~files:w.w_files ();
   let ds = Disk_server.install k () in
-  start_idle k;
+  Boot.park_on_idle k;
   let dfs = Dfs.mount ~mechanisms:mech ~budget:20_000_000 b.Boot.vfs ds in
   Dfs.sync dfs;
   let disk = k.Kernel.disk in
@@ -1726,7 +1712,7 @@ let crash_record family ~seed ~mech =
    file system host-side.  [expect_read] additionally runs a user
    thread that opens the file through the vfs and streams it through
    the re-synthesized read path — proof that Ksynth rebuilds the fast
-   path from its recipes after a crash.  Returns (violations,
+   path from its templates after a crash.  Returns (violations,
    intent-log replays). *)
 let crash_reboot ~img ~check ?expect_read () =
   let b = Boot.boot () in
@@ -1850,7 +1836,7 @@ let crash_live_cut family ~seed ~mech ~op_cycles =
   let m = k.Kernel.machine in
   Dfs.format k ~capacities:w.w_caps ~files:w.w_files ();
   let ds = Disk_server.install k () in
-  start_idle k;
+  Boot.park_on_idle k;
   (* a short budget: once the device is dead, synchronous waits must
      give up quickly instead of spinning out the full default *)
   let dfs = Dfs.mount ~mechanisms:mech ~budget:3_000_000 b.Boot.vfs ds in
@@ -2135,7 +2121,7 @@ let disk_fault ?(seed = 1) ~mode () =
   let ds = Disk_server.install k ~timeout_us:4_000.0 ~max_tries:4 () in
   Devices.Disk.write_block k.Kernel.disk 7
     (Array.init Devices.Disk.block_words (fun i -> 7_000 + i));
-  start_idle k;
+  Boot.park_on_idle k;
   let block = match mode with Disk_bad_block -> 1 lsl 20 | _ -> 7 in
   let fi =
     match mode with

@@ -224,6 +224,107 @@ module Pipeline = struct
 end
 
 (* ---------------------------------------------------------------- *)
+(* Zero cost on and off: every instrumentation layer observes the
+   machine from the host side — ktrace and kspan through host-side
+   probes on synthesized code, the PMU through pc sampling in the step
+   loop, the fault injector through an idle device.  Attached, with or
+   without collection, a kernel runs the *identical* instruction
+   stream as a plain kernel, in the same cycles.  One list of setups
+   is the proof's only statement of what "attached" means: the
+   overhead bench and its test both iterate it. *)
+
+module Zero_cost = struct
+  (* A row's setup instruments a freshly booted kernel and returns
+     what to run once the workload is done (stop the PMU, disarm a
+     plan). *)
+  type setup = Boot.t -> unit -> unit
+
+  let nothing () = ()
+  let plain _ = nothing
+
+  let trace ~enabled b =
+    let k = b.Boot.kernel in
+    Kernel.attach_tracing k (Ktrace.create ~enabled k.Kernel.machine);
+    nothing
+
+  let spans b =
+    ignore (Kernel.attach_spans b.Boot.kernel);
+    nothing
+
+  let pmu ~sampling b =
+    let p = Pmu.create b.Boot.kernel.Kernel.machine in
+    (* prime period so sampling never locks onto a loop's cycle pattern *)
+    if sampling then Pmu.enable_sampling p ~period:251;
+    Pmu.start p;
+    fun () -> Pmu.stop p
+
+  (* a plan exists but is never armed *)
+  let fault_compiled _ =
+    ignore (Fault_inject.compile 42);
+    nothing
+
+  (* armed, but every event is far past the end of the run: the
+     injector device sits idle in the event queue *)
+  let fault_armed_idle b =
+    let m = b.Boot.kernel.Kernel.machine in
+    let fi =
+      Fault_inject.arm m
+        (Fault_inject.make_plan ~seed:42
+           [
+             {
+               Fault_inject.ev_after = 1_000_000_000;
+               ev_action =
+                 Fault_inject.Spurious_irq
+                   {
+                     cpu = None;
+                     level = Mmio_map.timer_level;
+                     vector = Mmio_map.timer_vector;
+                   };
+             };
+           ])
+    in
+    fun () -> Fault_inject.disarm m fi
+
+  let rows =
+    [
+      ("trace_off", "ktrace attached, collection off", trace ~enabled:false);
+      ("trace_on", "ktrace attached, collecting", trace ~enabled:true);
+      ("span_on", "kspan attached", spans);
+      ("pmu_idle", "pmu counting, sampling off", pmu ~sampling:false);
+      ("pmu_sampling", "pmu counting + pc sampling (period 251)", pmu ~sampling:true);
+      ("fault_compiled", "fault plan compiled, never armed", fault_compiled);
+      ("fault_armed_idle", "fault plan armed, horizon beyond the run", fault_armed_idle);
+    ]
+
+  let workload ?(total = 2048) setup =
+    let b = Boot.boot () in
+    let k = b.Boot.kernel in
+    let finish = setup b in
+    let pl = Pipeline.build ~total b in
+    Pipeline.run pl;
+    finish ();
+    (k, Machine.cycles k.Kernel.machine, Machine.insns_executed k.Kernel.machine)
+
+  let row name =
+    match List.find_opt (fun (r, _, _) -> r = name) rows with
+    | Some (_, _, setup) -> setup
+    | None -> invalid_arg ("Zero_cost.row: no row " ^ name)
+
+  let mismatches ?total names =
+    let setups = List.map (fun name -> (name, row name)) names in
+    let _, plain_cy, plain_in = workload ?total plain in
+    List.filter_map
+      (fun (name, setup) ->
+        let _, cy, insns = workload ?total setup in
+        if cy = plain_cy && insns = plain_in then None
+        else
+          Some
+            (Fmt.str "%s: %d cycles, %d insns (plain: %d, %d)" name cy insns
+               plain_cy plain_in))
+      setups
+end
+
+(* ---------------------------------------------------------------- *)
 (* Pretty printing *)
 
 let header title =

@@ -75,6 +75,40 @@ module Pipeline : sig
   val run : ?max_insns:int -> t -> unit
 end
 
+(** {1 Zero cost on and off}
+
+    Every instrumentation layer — ktrace, kspan, the PMU, the fault
+    injector — observes from the host side, so attached (collecting or
+    not) a kernel runs the identical instruction stream, in the same
+    cycles, as a plain one.  [rows] is the one list of instrumented
+    setups the overhead bench and its test iterate. *)
+
+module Zero_cost : sig
+  (** Instrument a freshly booted kernel, before anything runs; the
+      result runs once the workload is done (stop the PMU, disarm a
+      plan). *)
+  type setup = Synthesis.Boot.t -> unit -> unit
+
+  (** No instrumentation. *)
+  val plain : setup
+
+  (** (baseline row, label, setup), one per instrumented configuration. *)
+  val rows : (string * string * setup) list
+
+  (** Boot, apply [setup], run the {!Pipeline} over [total] words
+      (default 2048): the kernel, its cycles and its instructions. *)
+  val workload : ?total:int -> setup -> Synthesis.Kernel.t * int * int
+
+  (** The setup of the row with that baseline name; [Invalid_argument]
+      if there is none. *)
+  val row : string -> setup
+
+  (** Run the {!workload} plain, then under each named row's setup: one
+      line per row whose cycles or instructions differ from the plain
+      run's, so [[]] when every named layer is free. *)
+  val mismatches : ?total:int -> string list -> string list
+end
+
 (** {1 Output helpers} *)
 
 val header : string -> unit

@@ -141,18 +141,18 @@ let test_acceptance_on_baseline () =
    itself).  Returns how many were corrupted. *)
 let corrupt_regions k n =
   let fault_handler r =
-    let name = r.Synthesis.Kernel.cr_name in
+    let name = r.Synthesis.Kernel.sp_name in
     String.length name >= 6 && String.sub name 0 6 = "fault/"
   in
   let victims =
     List.filteri
       (fun i _ -> i < n)
-      (List.filter (fun r -> not (fault_handler r)) (Synthesis.Kernel.code_regions k))
+      (List.filter (fun r -> not (fault_handler r)) (Synthesis.Kernel.pages k))
   in
   List.iter
     (fun r ->
       Fault_inject.corrupt_code k.Synthesis.Kernel.machine
-        ~addr:(r.Synthesis.Kernel.cr_entry + (r.Synthesis.Kernel.cr_len / 2))
+        ~addr:(r.Synthesis.Kernel.sp_entry + (r.Synthesis.Kernel.sp_len / 2))
         ~bit:7)
     victims;
   List.length victims

@@ -17,14 +17,7 @@ let setup ?cache_capacity ?timeout_us () =
   let b = Boot.boot () in
   let k = b.Boot.kernel in
   let ds = Disk_server.install k ?cache_capacity ?timeout_us () in
-  let m = k.Kernel.machine in
-  (match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 0;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> Alcotest.fail "no idle thread");
+  Boot.park_on_idle k;
   (b, k, ds)
 
 (* ---------------------------------------------------------------- *)

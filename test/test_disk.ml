@@ -14,14 +14,7 @@ let setup () =
   let ds = Disk_server.install k () in
   (* idle thread must be runnable so completion interrupts can be
      taken while we spin the machine from the host *)
-  let m = k.Kernel.machine in
-  (match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 0;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> Alcotest.fail "no idle thread");
+  Boot.park_on_idle k;
   (b, k, ds)
 
 let fill_disk k pattern_of_block =
@@ -142,13 +135,7 @@ let test_dfs_thread_read () =
   let ds = Disk_server.install k () in
   (* the superblock read needs a running machine: start the idle
      thread first *)
-  (match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 0;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> Alcotest.fail "no idle thread");
+  Boot.park_on_idle k;
   let _dfs = Dfs.mount b.Boot.vfs ds in
   let region = Kalloc.alloc_zeroed k.Kernel.alloc 1024 in
   let poke_string addr s =

@@ -249,8 +249,7 @@ let test_spurious_disk_irq_ignored () =
   let ds = Disk_server.install k () in
   Devices.Disk.write_block k.Kernel.disk 7
     (Array.init Devices.Disk.block_words (fun i -> 7_000 + i));
-  Boot.enter_scheduler k;
-  Machine.set_ipl m 0;
+  Boot.park_on_idle k;
   (* let the idle thread take the CPU before any interrupt arrives *)
   for _ = 1 to 100 do
     Machine.step m
@@ -293,8 +292,7 @@ let test_elevator_direction_flip () =
       Devices.Disk.write_block k.Kernel.disk bno
         (Array.init Devices.Disk.block_words (fun i -> (bno * 1_000) + i)))
     [ 5; 4; 3; 6 ];
-  Boot.enter_scheduler k;
-  Machine.set_ipl m 0;
+  Boot.park_on_idle k;
   let submit bno =
     Disk_server.submit ds ~block:bno
       ~buffer:(Kalloc.alloc_zeroed k.Kernel.alloc Devices.Disk.block_words)

@@ -374,8 +374,8 @@ let region_exn k name =
   | None -> Alcotest.failf "region %s not registered" name
 
 let read_region m r =
-  Array.init r.Kernel.cr_len (fun i ->
-      Machine.read_code m (r.Kernel.cr_entry + i))
+  Array.init r.Kernel.sp_len (fun i ->
+      Machine.read_code m (r.Kernel.sp_entry + i))
 
 let test_code_registry () =
   let b = Boot.boot () in
@@ -398,8 +398,8 @@ let test_code_registry () =
     ];
   List.iter
     (fun r ->
-      check_bool (r.Kernel.cr_name ^ " clean") false (Kernel.region_dirty k r))
-    (Kernel.code_regions k);
+      check_bool (r.Kernel.sp_name ^ " clean") false (Kernel.region_dirty k r))
+    (Kernel.pages k);
   check_int "audit of a clean kernel repairs nothing" 0 (Kernel.audit_code k);
   check_int "code state hash is stable" (Kernel.code_state_hash k)
     (Kernel.code_state_hash k)
@@ -412,7 +412,7 @@ let test_corrupt_detect_repair () =
   let r = region_exn k "heal/q/put" in
   let pristine = read_region m r in
   let h0 = Kernel.code_state_hash k in
-  Fault_inject.corrupt_code m ~addr:(r.Kernel.cr_entry + 2) ~bit:11;
+  Fault_inject.corrupt_code m ~addr:(r.Kernel.sp_entry + 2) ~bit:11;
   check_bool "corruption detected by checksum" true (Kernel.region_dirty k r);
   check_bool "hash diverges" true (Kernel.code_state_hash k <> h0);
   check_int "audit repairs exactly one region" 1 (Kernel.audit_code k);
@@ -444,8 +444,8 @@ let test_patch_never_blesses_corruption () =
   (* corrupt an instruction that is NOT the quantum slot, then patch
      the quantum slot through the kernel *)
   let victim =
-    if t.Kernel.quantum_slot = r.Kernel.cr_entry then r.Kernel.cr_entry + 1
-    else r.Kernel.cr_entry
+    if t.Kernel.quantum_slot = r.Kernel.sp_entry then r.Kernel.sp_entry + 1
+    else r.Kernel.sp_entry
   in
   Fault_inject.corrupt_code m ~addr:victim ~bit:4;
   check_bool "dirty before patch" true (Kernel.region_dirty k r);
@@ -470,7 +470,7 @@ let test_trap_repairs_and_retries () =
   Machine.set_vbr m (t.Kernel.base + Layout.Tte.off_vectors);
   let qj, cell = tick_quaject k in
   let r = region_exn k "quaject/heal/tick" in
-  Fault_inject.corrupt_code m ~addr:r.Kernel.cr_entry ~bit:19;
+  Fault_inject.corrupt_code m ~addr:r.Kernel.sp_entry ~bit:19;
   ignore (run_call m ~entry:(Synthesizer.op_entry qj "tick") ());
   check_bool "region repaired by the trap path" false (Kernel.region_dirty k r);
   check_int "op ran exactly once after the retry" 1 (Machine.peek m cell);
@@ -517,7 +517,7 @@ let test_watchdog_audit_repairs_dormant () =
   let wd = Watchdog.install k ~period_us:200.0 () in
   Watchdog.audit_code wd;
   let r = region_exn k "bad_fd" in
-  Fault_inject.corrupt_code m ~addr:r.Kernel.cr_entry ~bit:2;
+  Fault_inject.corrupt_code m ~addr:r.Kernel.sp_entry ~bit:2;
   (match Boot.go ~max_insns:2_000_000 b with
   | Machine.Halted -> ()
   | Machine.Insn_limit -> Alcotest.fail "spinner did not finish");

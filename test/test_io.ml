@@ -114,13 +114,7 @@ let test_adq_data_integrity () =
      behaviour.  Test strict lossless integrity at half rate, where
      every masking window is comfortably shorter than the gap. *)
   Devices.Ad.set_rate k.Kernel.ad 22_050;
-  (match Kernel.anchor k 0 with
-  | Some rt ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 7;
-    Machine.set_pc m rt.Kernel.sw_in_mmu
-  | None -> Alcotest.fail "nothing to run");
+  Boot.enter_scheduler k;
   ignore (Machine.run ~max_insns:50_000_000 m);
   check_bool "consumer finished" true !done_flag;
   (* verify the samples match the device's deterministic sequence *)
@@ -174,13 +168,7 @@ let test_adq_full_rate_subsequence () =
   let t = Thread.create k ~quantum_us:300 ~system:true ~entry () in
   Machine.poke m (t.Kernel.base + Layout.Tte.off_regs + 16) Ctx.kernel_sr;
   Devices.Ad.set_rate k.Kernel.ad 44_100;
-  (match Kernel.anchor k 0 with
-  | Some rt ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 7;
-    Machine.set_pc m rt.Kernel.sw_in_mmu
-  | None -> Alcotest.fail "nothing to run");
+  Boot.enter_scheduler k;
   ignore (Machine.run ~max_insns:50_000_000 m);
   check_bool "consumer finished" true !done_flag;
   let source =

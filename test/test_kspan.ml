@@ -9,13 +9,12 @@
    Span coverage: the pipe pipeline run with spans attached populates
    per-stage and total histograms, balances opened/closed, leaves no
    span open, and lands Span_open/Span_close events in the trace;
-   spans attached-but-disabled are cycle-identical to no spans at all.
+   spans attached are cycle-identical to no spans at all.
 
    Flight recorder: a sabotaged explorer subject must produce a
    postmortem whose open-span set names the in-flight request, plus a
    black-box Chrome trace export; clean runs produce neither. *)
 
-open Quamachine
 open Synthesis
 module E = Repro_harness.Explorer
 
@@ -173,27 +172,15 @@ let test_pipeline_spans () =
          match e.Ktrace.ev_kind with Ktrace.Span_hop _ -> true | _ -> false)
     > 0)
 
-(* (cycles, instructions) of the pipeline, with spans (and a
-   collecting trace) attached or not *)
-let pipeline_counts ~spans () =
-  let b = Boot.boot () in
-  let k = b.Boot.kernel in
-  if spans then begin
-    Kernel.attach_tracing k (Ktrace.create k.Kernel.machine);
-    ignore (Kernel.attach_spans k)
-  end;
-  let pl = Repro_harness.Harness.Pipeline.build ~total:1024 b in
-  Repro_harness.Harness.Pipeline.run pl;
-  if spans then
-    check_int "the probes ran" 128
-      (Metrics.read k.Kernel.metrics "kspan.closed");
-  (Machine.cycles k.Kernel.machine, Machine.insns_executed k.Kernel.machine)
-
+(* The overhead bench's span row: attached, the span probes ran (one
+   span per 8-word burst), yet the run matches the plain one to the
+   cycle and to the instruction. *)
 let test_spans_on_cycle_identical () =
-  let plain_cy, plain_in = pipeline_counts ~spans:false () in
-  let cy, insns = pipeline_counts ~spans:true () in
-  check_int "spans on == plain, to the cycle" plain_cy cy;
-  check_int "spans on == plain, to the instruction" plain_in insns
+  let module Z = Repro_harness.Harness.Zero_cost in
+  Alcotest.(check (list string)) "identical to the plain run" []
+    (Z.mismatches ~total:1024 [ "span_on" ]);
+  let k, _, _ = Z.workload ~total:1024 (Z.row "span_on") in
+  check_int "the probes ran" 128 (Metrics.read k.Kernel.metrics "kspan.closed")
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: postmortem from a failing explorer subject *)

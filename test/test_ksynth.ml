@@ -1,8 +1,9 @@
 (* Ksynth tests: the memoizing synthesis cache behind the redesigned
    code-generation API — content-addressed hits, refcounts and release,
    copy-on-patch (refusal on shared pages, sole-owner detach, forking),
-   the Kalloc shared-page free guard, LRU eviction with
-   recipe-recorded resynthesis, and a property pinning that
+   the Kalloc shared-page free guard, LRU eviction with counted
+   resynthesis, the page index against the page list, and a property
+   pinning that
    evict/re-instantiate rebuilds byte-identical code with exactly-once
    side effects under forced-CAS storms. *)
 
@@ -117,6 +118,38 @@ let test_key_follows_the_body () =
   check_int "one hit" (hits0 + 1) (hits ());
   check_int "two handles on the page" 2 (Ksynth.refs h1)
 
+(* A hit compares the whole body, not just the key: forge a key
+   collision by filing one body's unreferenced page under another
+   body's key.  Instantiating that other body must build its own page
+   and free the colliding one. *)
+let test_hit_checks_the_body () =
+  let b = Boot.boot () in
+  let k = b.Boot.kernel in
+  let c1 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
+  let c2 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
+  let inst ~cell =
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
+  in
+  let h1 = inst ~cell:c1 in
+  let h2 = inst ~cell:c2 in
+  let e1 = Ksynth.entry h1 in
+  let key1 = Ksynth.key h1 and key2 = Ksynth.key h2 in
+  (* forget the second body's page, keep the first one cached *)
+  Ksynth.release k h2;
+  Ksynth.set_cap k ~kind:"prop" 0;
+  Ksynth.set_cap k ~kind:"prop" max_int;
+  Ksynth.release k h1;
+  let cache = k.Kernel.synth_cache in
+  Hashtbl.replace cache key2 (Hashtbl.find cache key1);
+  Hashtbl.remove cache key1;
+  let misses0 = (Ksynth.stats k).Ksynth.st_misses in
+  let h3 = inst ~cell:c2 in
+  check_bool "a colliding key with another body does not share" true
+    (Ksynth.entry h3 <> e1);
+  check_int "it is a miss" (misses0 + 1) (Ksynth.stats k).Ksynth.st_misses;
+  check_bool "the colliding page is freed" true
+    (Option.is_none (Kernel.find_region k e1))
+
 (* ------------------------------------------------------------------ *)
 (* Copy-on-patch *)
 
@@ -210,9 +243,10 @@ let test_evict_and_resynthesize () =
   let b = Boot.boot () in
   let k = b.Boot.kernel in
   let cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
-  let h =
+  let inst () =
     Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
   in
+  let h = inst () in
   let e = Ksynth.entry h in
   let key = Ksynth.key h in
   Ksynth.release k h;
@@ -221,16 +255,83 @@ let test_evict_and_resynthesize () =
   Ksynth.set_cap k ~kind:"prop" 0;
   let s1 = Ksynth.stats k in
   check_int "page evicted" (s0.Ksynth.st_evictions + 1) s1.Ksynth.st_evictions;
-  (* the recipe survives: revive resynthesizes from it *)
-  (match Ksynth.revive k key with
-  | None -> Alcotest.fail "no recipe recorded for the evicted key"
-  | Some h2 ->
-    check_int "resynthesis reuses the recycled arena range" e (Ksynth.entry h2);
-    Ksynth.release k h2);
+  (* the template is the generator: instantiating it again rebuilds
+     the evicted page *)
+  let h2 = inst () in
+  check_bool "resynthesis rebuilds the evicted key" true (Ksynth.key h2 = key);
+  check_int "resynthesis reuses the recycled arena range" e (Ksynth.entry h2);
+  Ksynth.release k h2;
   let s2 = Ksynth.stats k in
   check_int "resynthesis counted" (s1.Ksynth.st_resynth + 1) s2.Ksynth.st_resynth;
   check_int "resynthesis is also a miss" (s1.Ksynth.st_misses + 1)
     s2.Ksynth.st_misses
+
+(* The page list and the address index describe the same pages: after
+   churn under a cap and a fork, [find_region] answers every address of
+   every live page with that page, and nothing in a freed range. *)
+let test_find_region_matches_pages () =
+  let b = Boot.boot () in
+  let k = b.Boot.kernel in
+  let m = k.Kernel.machine in
+  let cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
+  let ranges = ref [] in
+  let note h =
+    let p = Ksynth.page h in
+    ranges := (p.Kernel.sp_entry, p.Kernel.sp_len) :: !ranges
+  in
+  Ksynth.set_cap k ~kind:"churn" 16;
+  for v = 1 to 40 do
+    let h =
+      Ksynth.instantiate k
+        ~template:
+          (Template.make ~name:"churn/decoy" (fun () ->
+               [ I.Move (I.Imm v, I.Reg I.r0); I.Rts ]))
+    in
+    note h;
+    Ksynth.release k h
+  done;
+  let inst () =
+    Ksynth.instantiate k ~name:"prop/once" ~template:(once_template ~cell)
+  in
+  let h1 = inst () in
+  let h2 = inst () in
+  let e1 = Ksynth.entry h1 in
+  let off =
+    find_off m ~entry:e1 ~len:(Ksynth.page h1).Kernel.sp_len
+      (I.Move (I.Imm 0, I.Reg I.r0))
+  in
+  Ksynth.patch k h2 ~off (I.Move (I.Imm 7, I.Reg I.r0));
+  check_bool "patch forked" true (Ksynth.entry h2 <> e1);
+  note h1;
+  note h2;
+  (* the fork's only handle goes: its range is freed *)
+  Ksynth.release k h2;
+  let pages = Kernel.pages k in
+  List.iter
+    (fun p ->
+      for a = p.Kernel.sp_entry to p.Kernel.sp_entry + p.Kernel.sp_len - 1 do
+        match Kernel.find_region k a with
+        | Some q when q == p -> ()
+        | _ -> Alcotest.failf "find_region disagrees at %d (page %s)" a p.Kernel.sp_name
+      done)
+    pages;
+  let live a =
+    List.exists
+      (fun p -> a >= p.Kernel.sp_entry && a < p.Kernel.sp_entry + p.Kernel.sp_len)
+      pages
+  in
+  let freed = ref 0 in
+  List.iter
+    (fun (entry, len) ->
+      for a = entry to entry + len - 1 do
+        if not (live a) then begin
+          incr freed;
+          if Option.is_some (Kernel.find_region k a) then
+            Alcotest.failf "find_region finds a page at freed address %d" a
+        end
+      done)
+    !ranges;
+  check_bool "churn and the fork freed some range" true (!freed > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Property: instantiate -> patch(fork) -> evict -> re-instantiate is
@@ -334,6 +435,7 @@ let () =
           Alcotest.test_case "distinct invariants, distinct pages" `Quick
             test_distinct_invariants_distinct_pages;
           Alcotest.test_case "key follows the body" `Quick test_key_follows_the_body;
+          Alcotest.test_case "a hit checks the body" `Quick test_hit_checks_the_body;
         ] );
       ( "copy-on-patch",
         [
@@ -353,6 +455,8 @@ let () =
         [
           Alcotest.test_case "evict then resynthesize" `Quick
             test_evict_and_resynthesize;
+          Alcotest.test_case "find_region matches the page list" `Quick
+            test_find_region_matches_pages;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_rebuild_exact_under_storm ] );

@@ -1,5 +1,6 @@
 (* Ktrace: event ordering across a two-stage pipeline, balanced cycle
-   attribution, and the zero-cost claim for disabled tracing. *)
+   attribution, and the zero-cost claim for every instrumentation
+   layer (ktrace, kspan, the PMU, kfault), on and off. *)
 
 open Quamachine
 open Synthesis
@@ -9,27 +10,17 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* The shared workload: producer thread writes [total] words into a
+(* The shared workload: producer thread writes 1024 words into a
    pipe in 8-word bursts, consumer reads and sums them.  Returns the
-   booted instance after the run; [tracing] as in the overhead bench. *)
+   booted instance after the run, with the collecting trace attached
+   right after boot. *)
 
-let run_pipeline ?(total = 1024) ~tracing () =
+let run_pipeline () =
   let b = Boot.boot () in
   let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  let tr =
-    match tracing with
-    | `None -> None
-    | `Off ->
-      let tr = Ktrace.create ~enabled:false m in
-      Kernel.attach_tracing k tr;
-      Some tr
-    | `On ->
-      let tr = Ktrace.create m in
-      Kernel.attach_tracing k tr;
-      Some tr
-  in
-  let pl = Repro_harness.Harness.Pipeline.build ~total b in
+  let tr = Ktrace.create k.Kernel.machine in
+  Kernel.attach_tracing k tr;
+  let pl = Repro_harness.Harness.Pipeline.build ~total:1024 b in
   Repro_harness.Harness.Pipeline.run pl;
   ( b,
     tr,
@@ -40,8 +31,7 @@ let run_pipeline ?(total = 1024) ~tracing () =
 (* Event ordering *)
 
 let test_event_ordering () =
-  let _, tr, ptid, ctid = run_pipeline ~tracing:`On () in
-  let tr = Option.get tr in
+  let _, tr, ptid, ctid = run_pipeline () in
   let evs = Ktrace.events tr in
   check_bool "events recorded" true (List.length evs > 0);
   (* cycle stamps are monotone *)
@@ -127,8 +117,7 @@ let test_event_ordering () =
 (* Cycle attribution *)
 
 let test_attribution_balances () =
-  let b, tr, _, _ = run_pipeline ~tracing:`On () in
-  let tr = Option.get tr in
+  let b, tr, _, _ = run_pipeline () in
   let m = b.Boot.kernel.Kernel.machine in
   (* per-owner totals sum exactly to the cycles of the traced window *)
   check_int "attributed = traced" (Ktrace.traced_cycles tr)
@@ -152,18 +141,21 @@ let test_attribution_balances () =
     (List.length (Ktrace.thread_cycles tr) >= 2)
 
 (* ------------------------------------------------------------------ *)
-(* Zero-cost disabled tracing *)
+(* Zero cost on and off: the overhead bench's rows, each against the
+   plain run, to the cycle and to the instruction.  The ktrace rows
+   have cases of their own; the last case holds every layer's rows. *)
 
-let check_free tracing =
-  let b_plain, _, _, _ = run_pipeline ~tracing:`None () in
-  let b, _, _, _ = run_pipeline ~tracing () in
-  let cy b = Machine.cycles b.Boot.kernel.Kernel.machine in
-  check_int "tracing changes no cycle counts" (cy b_plain) (cy b);
-  let insns b = Machine.insns_executed b.Boot.kernel.Kernel.machine in
-  check_int "tracing changes no instruction counts" (insns b_plain) (insns b)
+module Z = Repro_harness.Harness.Zero_cost
 
-let test_disabled_tracing_is_free () = check_free `Off
-let test_enabled_tracing_is_free () = check_free `On
+let check_free rows =
+  Alcotest.(check (list string)) "identical to the plain run" []
+    (Z.mismatches ~total:1024 rows)
+
+let test_disabled_tracing_is_free () = check_free [ "trace_off" ]
+let test_enabled_tracing_is_free () = check_free [ "trace_on" ]
+
+let test_every_layer_is_free () =
+  check_free (List.map (fun (row, _, _) -> row) Z.rows)
 
 (* Probes are bound where code is synthesized and armed whenever a
    trace attaches: the idle thread's switch code, synthesized at boot
@@ -176,10 +168,7 @@ let test_attach_after_boot_sees_idle () =
   let tr = Ktrace.create m in
   Kernel.attach_tracing k tr;
   let idle = Option.get (Kernel.idle_of k 0) in
-  Machine.set_supervisor m true;
-  Machine.set_reg m I.sp Layout.boot_stack_top;
-  Machine.set_ipl m 0;
-  Machine.set_pc m idle.Kernel.sw_in_mmu;
+  Boot.park_on_idle k;
   ignore (Machine.run ~max_insns:500 m);
   let count f =
     List.length (List.filter (fun e -> f e.Ktrace.ev_kind) (Ktrace.events tr))
@@ -268,8 +257,7 @@ let json_well_formed s =
   !ok && !depth = 0 && not !in_str
 
 let test_chrome_export () =
-  let _, tr, _, _ = run_pipeline ~tracing:`On () in
-  let tr = Option.get tr in
+  let _, tr, _, _ = run_pipeline () in
   let json = Ktrace.to_chrome_json tr in
   check_bool "balanced json" true (json_well_formed json);
   let contains sub =
@@ -289,8 +277,7 @@ let test_chrome_export () =
 (* Metrics registry *)
 
 let test_metrics_registry () =
-  let _, tr, _, _ = run_pipeline ~tracing:`On () in
-  let tr = Option.get tr in
+  let _, tr, _, _ = run_pipeline () in
   let mx = Ktrace.metrics tr in
   (* every ring event was also counted, even if the ring dropped it *)
   let counted =
@@ -316,6 +303,8 @@ let () =
             test_disabled_tracing_is_free;
           Alcotest.test_case "enabled tracing is free" `Quick
             test_enabled_tracing_is_free;
+          Alcotest.test_case "every layer is free, on and off" `Quick
+            test_every_layer_is_free;
           Alcotest.test_case "attach after boot sees idle" `Quick
             test_attach_after_boot_sees_idle;
           Alcotest.test_case "queue probes" `Quick test_queue_probes;

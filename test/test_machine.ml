@@ -830,7 +830,6 @@ let test_probes_follow_the_code () =
   Ksynth.release k again;
   (* ksynth: evict (the code stays in the store), then recycle the
      range for unprobed code *)
-  let key = Ksynth.key h in
   Ksynth.release k h;
   Ksynth.set_cap k ~kind:"probetest" 0;
   Alcotest.(check (list int)) "eviction clears the range" [] (run_routine m e);
@@ -841,13 +840,16 @@ let test_probes_follow_the_code () =
   Alcotest.(check (list int)) "recycled code carries no probe" [] (run_routine m e);
   Ksynth.release k h2;
   Ksynth.set_cap k ~kind:"probetest" 0;
-  (* resynthesis from the recipe brings the binding back with the code *)
-  match Ksynth.revive k key with
-  | None -> Alcotest.fail "no recipe"
-  | Some h3 ->
-    let e3 = Ksynth.entry h3 in
-    Alcotest.(check (list int)) "revived page re-armed" [ e3 + 1 ]
-      (run_routine m e3)
+  (* re-instantiating the evicted template resynthesizes it, and its
+     binding comes back with the code *)
+  let resynth = (Ksynth.stats k).Ksynth.st_resynth in
+  let h3 =
+    Ksynth.instantiate k ~name:"probetest/a" ~probes ~template:(probe_template ~cell)
+  in
+  check_int "resynthesis counted" (resynth + 1) (Ksynth.stats k).Ksynth.st_resynth;
+  let e3 = Ksynth.entry h3 in
+  Alcotest.(check (list int)) "resynthesized page re-armed" [ e3 + 1 ]
+    (run_routine m e3)
 
 (* ------------------------------------------------------------------ *)
 (* The slot lifecycle: [set_code] compiles each slot as it is written,

@@ -111,13 +111,7 @@ let test_scheduler_history () =
     Ksynth.install k ~name:"m/spin" [ I.Label "s"; I.B (I.Always, I.To_label "s") ]
   in
   let _t = Thread.create k ~quantum_us:100 ~entry:spin () in
-  (match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 7;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> Alcotest.fail "nothing to run");
+  Boot.enter_scheduler k;
   ignore (Machine.run ~max_insns:100_000 m);
   let h = Scheduler.history sched in
   check_bool "history recorded" true (List.length h >= 2);

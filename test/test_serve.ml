@@ -35,12 +35,12 @@ let pump_insn k f =
   | None -> Alcotest.fail "no serve/pump region"
   | Some r ->
     let rec find a =
-      if a >= r.Kernel.cr_entry + r.Kernel.cr_len then
+      if a >= r.Kernel.sp_entry + r.Kernel.sp_len then
         Alcotest.fail "instruction not in the pump"
       else if f (Machine.read_code k.Kernel.machine a) then a
       else find (a + 1)
     in
-    find r.Kernel.cr_entry
+    find r.Kernel.sp_entry
 
 (* The live pump thread of a one-core server: the thread started on
    the pump page's entry. *)
@@ -50,7 +50,7 @@ let pump_thread k =
   | Some r -> (
     match
       Hashtbl.fold
-        (fun _ t acc -> if t.Kernel.entry = r.Kernel.cr_entry then Some t else acc)
+        (fun _ t acc -> if t.Kernel.entry = r.Kernel.sp_entry then Some t else acc)
         k.Kernel.threads None
     with
     | Some t -> t
@@ -874,14 +874,14 @@ let test_shutdown_wakes_sleeping_pumps () =
 let conn_page_has_cas k =
   List.exists
     (fun r ->
-      r.Kernel.cr_name = "serve/conn"
+      r.Kernel.sp_name = "serve/conn"
       && List.exists
            (fun a ->
              match Machine.read_code k.Kernel.machine a with
              | Insn.Cas _ -> true
              | _ -> false)
-           (List.init r.Kernel.cr_len (fun i -> r.Kernel.cr_entry + i)))
-    (Kernel.code_regions k)
+           (List.init r.Kernel.sp_len (fun i -> r.Kernel.sp_entry + i)))
+    (Kernel.pages k)
 
 (* Two pumps appending to one file: every acknowledged write lands.
    Sessions on both queues (odd and even conns) write the only file, so

@@ -9,16 +9,6 @@ module I = Insn
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let start_machine k =
-  let m = k.Kernel.machine in
-  match Kernel.anchor k 0 with
-  | Some t ->
-    Machine.set_supervisor m true;
-    Machine.set_reg m I.sp Layout.boot_stack_top;
-    Machine.set_ipl m 7;
-    Machine.set_pc m t.Kernel.sw_in_mmu
-  | None -> failwith "start_machine: empty ready queue"
-
 let run_call m ~entry ?(r1 = 0) ?(r2 = 0) ?(r3 = 0) () =
   let frag = [ I.Jsr (I.To_addr entry); I.Halt ] in
   let start, _ = Asm.assemble m frag in
@@ -1202,7 +1192,7 @@ let test_scheduler_proportionality () =
   let io = Thread.create k ~quantum_us:200 ~entry:spin () in
   (* simulate I/O activity on [io]'s gauge, then run a few epochs *)
   let m = k.Kernel.machine in
-  start_machine k;
+  Boot.enter_scheduler k;
   (* keep the io thread's gauge hot through several whole epochs *)
   let target = Scheduler.epochs sched + 4 in
   while Scheduler.epochs sched < target do
