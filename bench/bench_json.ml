@@ -4,7 +4,8 @@
    (table, row, metric, value) tuples; the driver serializes them to
    BENCH_tables.json after a run.  `bench compare` re-runs the tables
    and diffs the fresh numbers against a committed bench/baseline.json,
-   failing on any >5% regression — the repo's perf regression gate.
+   failing on any row that differs or is in only one of them — the
+   repo's perf regression gate.
 
    The format is deliberately flat so the loader below stays a
    ~40-line scanner instead of a JSON library dependency:
@@ -14,19 +15,10 @@
          {"table":"table1","row":"pipe_1w","metric":"ratio","value":7.62},
          ... ] }
 
-   Direction is encoded in the metric name: metrics ending in "ratio"
-   or "mbps" are better when higher; everything else (us, s, cycles)
-   is better when lower.
-
-   Tolerance is per-row: tail percentiles are inherently noisier than
-   medians (one recovered fault lands entirely in p999), so the base
-   tolerance is scaled by a class derived from the metric name — p999
-   4x, p99 2.5x, p90 2x, everything else 1x.  `compare` prints the
-   class whenever it is not 1x.
-
-   Tolerance 0 is the exact gate for a change that claims to move no
-   row: every row must equal its baseline as written (six significant
-   digits), and a row that moved in either direction fails. *)
+   Every row is simulated, so it reproduces exactly: the gate compares
+   each row as written (six significant digits), and a row that moved
+   in either direction fails.  A change that moves, adds or drops a
+   row re-records the baseline. *)
 
 type row = {
   bj_table : string;
@@ -49,33 +41,6 @@ let key r = Fmt.str "%s.%s.%s" r.bj_table r.bj_row r.bj_metric
 
 (* A value as [write] serializes it. *)
 let written v = Fmt.str "%.6g" v
-
-let higher_is_better metric =
-  let ends_with suf s =
-    let ls = String.length suf and l = String.length s in
-    l >= ls && String.sub s (l - ls) ls = suf
-  in
-  ends_with "ratio" metric || ends_with "mbps" metric
-
-(* Per-row tolerance class: how much wider than the base tolerance
-   this metric is allowed to swing before it counts as a regression.
-   Keyed on the full (table, row, metric) so structurally noisy rows
-   can be widened without loosening their whole table: the fs-crash
-   recovery row depends on where the seeded cut lands relative to the
-   intent-log commit sequence (replay vs no replay on the next boot),
-   and the overhead row is a small difference of two burst times, so
-   unrelated cost-model drift is amplified through the subtraction. *)
-let tolerance_scale ?(table = "") ?(row = "") metric =
-  let has_prefix p s =
-    String.length s >= String.length p
-    && String.sub s 0 (String.length p) = p
-  in
-  if table = "fs_crash" && has_prefix "recovery" row then 3.0
-  else if table = "fs_crash" && row = "barrier_overhead" then 2.0
-  else if has_prefix "p999" metric then 4.0
-  else if has_prefix "p99" metric then 2.5
-  else if has_prefix "p90" metric then 2.0
-  else 1.0
 
 (* ---------------------------------------------------------------- *)
 (* Serialization *)
@@ -167,72 +132,43 @@ let load path =
 (* ---------------------------------------------------------------- *)
 (* Comparison: the regression gate *)
 
-type verdict = Ok_same | Regressed of float | Improved of float | Missing
-
-let compare_rows ~baseline ~current ~tolerance =
-  let cur = Hashtbl.create 64 in
-  (* compared as written, so a row that reproduces is exactly equal *)
+(* Prints every row that is in only one of [baseline] and [current],
+   or that differs between them as written, with its delta, and
+   returns how many there are. *)
+let compare_rows ~baseline ~current =
+  let cur = Hashtbl.create 64 and in_base = Hashtbl.create 64 in
   List.iter
     (fun r -> Hashtbl.replace cur (key r) (float_of_string (written r.bj_value)))
     current;
-  let verdicts =
-    List.map
+  List.iter (fun b -> Hashtbl.replace in_base (key b) ()) baseline;
+  Fmt.pr "%-44s %12s %12s %9s@." "table.row.metric" "baseline" "current" "delta";
+  let moved =
+    List.filter
       (fun b ->
-        let k = key b in
-        match Hashtbl.find_opt cur k with
-        | None -> (b, Missing)
+        let base = b.bj_value in
+        match Hashtbl.find_opt cur (key b) with
+        | None ->
+          Fmt.pr "%-44s %12.6g %12s %9s@." (key b) base "-" "MISSING";
+          true
+        | Some v when v = base -> false
         | Some v ->
-          let base = b.bj_value in
           let rel =
-            if base = 0.0 then (if v = 0.0 then 0.0 else infinity)
-            else (v -. base) /. Float.abs base
+            if base = 0.0 then infinity else (v -. base) /. Float.abs base
           in
-          let tol =
-            tolerance
-            *. tolerance_scale ~table:b.bj_table ~row:b.bj_row b.bj_metric
-          in
-          (* sign of "worse": lower-better metrics regress upward *)
-          let worse = if higher_is_better b.bj_metric then -.rel else rel in
-          if worse > tol then (b, Regressed rel)
-          else if -.worse > tol then (b, Improved rel)
-          else (b, Ok_same))
+          Fmt.pr "%-44s %12.6g %12.6g %+8.1f%%@." (key b) base v (100.0 *. rel);
+          true)
       baseline
   in
-  let exact = tolerance = 0.0 in
-  let regressions =
+  let added =
     List.filter
-      (fun (_, v) -> match v with Regressed _ | Missing -> true | _ -> false)
-      verdicts
+      (fun r ->
+        let fresh = not (Hashtbl.mem in_base (key r)) in
+        if fresh then
+          Fmt.pr "%-44s %12s %12.6g %9s@." (key r) "-" r.bj_value "NEW";
+        fresh)
+      current
   in
-  let improved =
-    List.filter (fun (_, v) -> match v with Improved _ -> true | _ -> false)
-      verdicts
-  in
-  Fmt.pr "%-44s %12s %12s %9s@." "table.row.metric" "baseline" "current" "delta";
-  List.iter
-    (fun (b, v) ->
-      match v with
-      | Ok_same -> ()
-      | Missing -> Fmt.pr "%-44s %12.6g %12s %9s@." (key b) b.bj_value "-" "MISSING"
-      | Regressed rel | Improved rel ->
-        let cur_v = Option.get (Hashtbl.find_opt cur (key b)) in
-        let scale = tolerance_scale ~table:b.bj_table ~row:b.bj_row b.bj_metric in
-        Fmt.pr "%-44s %12.6g %12.6g %+8.1f%%%s%s@." (key b) b.bj_value cur_v
-          (100.0 *. rel)
-          (if scale <> 1.0 then Fmt.str " [tol x%.1f]" scale else "")
-          (match v with
-          | Regressed _ -> "  REGRESSION"
-          | _ -> if exact then "  MOVED" else ""))
-    verdicts;
-  let within = List.length verdicts - List.length regressions - List.length improved in
-  Fmt.pr
-    "@.%d metrics within %.0f%% (x their class), %d improved, %d \
-     regressed/missing@."
-    within
-    (100.0 *. tolerance)
-    (List.length improved) (List.length regressions);
-  if improved <> [] then
-    if exact then Fmt.pr "exact gate: an improved row fails too@."
-    else
-      Fmt.pr "improvements beyond tolerance: refresh bench/baseline.json to lock them in@.";
-  List.length regressions + if exact then List.length improved else 0
+  let n = List.length moved + List.length added in
+  Fmt.pr "@.%d metrics identical, %d moved, missing or new@."
+    (List.length baseline - List.length moved) n;
+  n

@@ -9,10 +9,10 @@
    image, and remounting after a device-level power cut fired in the
    middle of the burst — boot-time intent-log replay plus whatever
    directory work the mount re-does.  All in simulated microseconds,
-   recorded in the bench JSON trajectory and gated by `bench compare`
-   with a wider tolerance class on the recovery row (where the cut
-   lands relative to the commit sequence decides how much replay
-   work the next boot inherits). *)
+   recorded in the bench JSON trajectory and gated by `bench compare`.
+   The recovery row depends on where the cut lands relative to the
+   commit sequence, which decides how much replay work the next boot
+   inherits. *)
 
 open Quamachine
 open Synthesis

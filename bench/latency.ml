@@ -4,8 +4,7 @@
    interrupts, forced CAS failures, a stalled and a dropped disk
    completion).  The storm rows are the interesting ones: p50 barely
    moves while p999 absorbs the recovery latency, which is exactly the
-   claim the flight recorder and the per-row tolerance classes in
-   `bench compare` are built around.
+   claim the flight recorder is built around.
 
    Everything is seeded and simulated, so every percentile is exactly
    reproducible run to run. *)

@@ -4,7 +4,8 @@
 
    The table benches also feed Bench_json; `tables` writes the
    machine-readable BENCH_tables.json and `compare` diffs a fresh run
-   against the committed bench/baseline.json (>5% regression fails). *)
+   against the committed bench/baseline.json (any row that differs or
+   is in only one of them fails). *)
 
 let emit_json path =
   Bench_json.write path;
@@ -41,11 +42,10 @@ let tables ~scale ~out () =
   json_benches ~scale ();
   emit_json out
 
-let compare_run ~scale ~baseline ~tolerance () =
+let compare_run ~scale ~baseline () =
   json_benches ~scale ();
   emit_json "BENCH_tables.json";
-  Fmt.pr "@.comparing against %s (tolerance %.0f%%):@.@." baseline
-    (100.0 *. tolerance);
+  Fmt.pr "@.comparing against %s:@.@." baseline;
   let base_rows = Bench_json.load baseline in
   (* a gate that compares against nothing passes vacuously — refuse *)
   if base_rows = [] then begin
@@ -53,14 +53,10 @@ let compare_run ~scale ~baseline ~tolerance () =
     exit 1
   end;
   let failed =
-    Bench_json.compare_rows ~baseline:base_rows
-      ~current:(Bench_json.rows ()) ~tolerance
+    Bench_json.compare_rows ~baseline:base_rows ~current:(Bench_json.rows ())
   in
   if failed > 0 then begin
-    if tolerance = 0.0 then Fmt.epr "bench compare: %d row(s) moved@." failed
-    else
-      Fmt.epr "bench compare: %d regression(s) beyond %.0f%%@." failed
-        (100.0 *. tolerance);
+    Fmt.epr "bench compare: %d row(s) moved, missing or new@." failed;
     exit 1
   end
 
@@ -111,23 +107,14 @@ let compare_cmd =
       & opt string "bench/baseline.json"
       & info [ "baseline" ] ~docv:"FILE" ~doc:"Committed baseline to diff against")
   in
-  let tolerance =
-    Arg.(
-      value & opt float 0.05
-      & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:
-            "Relative regression tolerance (default 0.05 = 5%); 0 fails on \
-             any row that moved in either direction")
-  in
   Cmd.v
     (Cmd.info "compare"
        ~doc:
-         "Re-run the table benches and fail on any metric regressing more \
-          than the tolerance vs the committed baseline")
+         "Re-run the table benches and fail on any metric that differs \
+          from the committed baseline or is in only one of them")
     Term.(
-      const (fun scale baseline tolerance ->
-          compare_run ~scale ~baseline ~tolerance ())
-      $ scale $ baseline $ tolerance)
+      const (fun scale baseline -> compare_run ~scale ~baseline ())
+      $ scale $ baseline)
 
 let main_cmd =
   let default = Term.(const (fun scale -> all_benches ~scale ()) $ scale) in

@@ -8,9 +8,7 @@
    - clients_1c / clients_4c / clients_8c — the full client load on
      1, 4 and 8 cores (one serve pump and NIC queue per core):
      throughput (response megabytes per simulated second) and the
-     p50/p99/p999 round-trip cycles (tail metrics get the wider
-     tolerance classes bench_json derives from their names); for 1
-     and 4 cores also the cycles per response spent in the pumps
+     p50/p99/p999 round-trip cycles; for 1 and 4 cores also the cycles per response spent in the pumps
      ([serve/pump]) and in the synthesized per-connection routines
      ([serve/conn]), from the exact per-owner attribution
      ({!Profile.collect}; ktrace is attached disabled, which leaves

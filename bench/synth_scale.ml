@@ -16,7 +16,7 @@
 
    Everything here is host-driven and deterministic: with faults off,
    twin runs are cycle-identical, which is what lets `bench compare`
-   gate these numbers at 5%. *)
+   gate these numbers exactly. *)
 
 open Quamachine
 open Synthesis

@@ -547,8 +547,8 @@ let create_file t ~name ?(capacity = 8192) ?(content = [||]) () =
   add_dir_entry t ~name ~vnode:v;
   v
 
-let boot ?(cost = Cost.sun3_emulation) ?(mem_words = 1 lsl 20) () =
-  let m = Machine.create ~mem_words cost in
+let boot ?(cost = Cost.sun3_emulation) () =
+  let m = Machine.create cost in
   Devices.Rtc.install m;
   Devices.Cpu_control.install m;
   let tty = Devices.Tty.install m in
@@ -650,7 +650,7 @@ let boot ?(cost = Cost.sun3_emulation) ?(mem_words = 1 lsl 20) () =
   poke t (L.vector_table + I.Vector.trap 15) gate;
   Machine.set_vbr m L.vector_table;
   (* a permissive user map: protection exists but covers everything *)
-  Machine.define_map m ~id:1 [ (0, mem_words) ];
+  Machine.define_map m ~id:1 [ (0, Machine.mem_words m) ];
   t
 
 (* Load a user program (same binary as on Synthesis). *)

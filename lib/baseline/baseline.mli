@@ -21,10 +21,7 @@ type t = {
   syms : (string, int) Hashtbl.t;
 }
 
-val boot : ?cost:Cost.t -> ?mem_words:int -> unit -> t
-
-(** Look up an installed kernel symbol ("namei", "sys_entry", ...). *)
-val sym : t -> string -> int
+val boot : ?cost:Cost.t -> unit -> t
 
 (** Host-side memory write (populating user data before a run). *)
 val poke : t -> int -> int -> unit

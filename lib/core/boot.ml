@@ -311,8 +311,8 @@ let create_idle ?(cpu = 0) k =
 
 (* ---------------------------------------------------------------- *)
 
-let boot ?(cost = Cost.sun3_emulation) ?(mem_words = 1 lsl 20) ?(cores = 1) () =
-  let k = Kernel.create ~cost ~mem_words ~cores () in
+let boot ?(cost = Cost.sun3_emulation) ?(cores = 1) () =
+  let k = Kernel.create ~cost ~cores () in
   install_shared_handlers k;
   let vfs = Vfs.install k in
   Fs.register_null vfs;

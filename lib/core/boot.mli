@@ -17,8 +17,7 @@ type t = {
 (** [cores] boots an SMP kernel: every core gets a pinned idle thread
     and, once [go] enters the scheduler, runs its own ready ring
     (secondaries wake via {!Quamachine.Machine.start_core}). *)
-val boot :
-  ?cost:Quamachine.Cost.t -> ?mem_words:int -> ?cores:int -> unit -> t
+val boot : ?cost:Quamachine.Cost.t -> ?cores:int -> unit -> t
 
 (** Enter the scheduler: stage and wake each secondary core not yet
     started, then (with [stage_core0], the default) point core 0 at

@@ -586,14 +586,6 @@ let sync t =
   ignore (Disk_server.flush t.dfs_ds ~barrier:t.dfs_mech.m_barriers ());
   drain t
 
-let fsync t name =
-  match find t name with
-  | None -> false
-  | Some _ ->
-    ignore (Disk_server.flush t.dfs_ds ~barrier:t.dfs_mech.m_barriers ());
-    drain t;
-    true
-
 (* Host-side whole-file read through the cache (litmus predicates). *)
 let read_file t name =
   match find t name with

@@ -34,7 +34,6 @@ val all_mechanisms : mechanisms
 
 type t
 
-val magic : int
 val log_header_block : int
 
 (** Host-side mkfs: directory + cleared intent log + file bodies
@@ -46,10 +45,6 @@ val format :
   files:(string * int array) list ->
   unit ->
   unit
-
-(** Boot-time intent-log replay, run before the directory is believed.
-    Returns [true] when a recorded intent was replayed. *)
-val recover : ?budget:int -> Vfs.t -> Disk_server.t -> bool
 
 (** Recover, read the directory and register every file as
     ["/disk/<name>"].  Needs a live machine context (reads complete
@@ -87,8 +82,6 @@ val rename : t -> from_:string -> to_:string -> unit
 
 (** Write back everything dirty and wait for the pipeline to drain. *)
 val sync : t -> unit
-
-val fsync : t -> string -> bool
 
 (** Whole-file read through the cache (host-side; litmus predicates). *)
 val read_file : t -> string -> int array option

@@ -197,10 +197,13 @@ let block_len t addr = Hashtbl.find_opt t.allocated addr
    the code store is append-only — so "free" means recyclable for the
    next instantiation of the same kind. *)
 
+(* Minimum words an arena acquires from [grow] when it grows.  Chunky
+   growth keeps the patchable-slot reservations coarse enough to
+   recycle. *)
+let chunk_words = 256
+
 type arena = {
   ar_parent : t;
-  ar_name : string;
-  ar_chunk : int; (* minimum words per grow *)
   ar_grow : int -> int; (* words -> base of a fresh chunk *)
   mutable ar_free : block list; (* addr-sorted, coalesced *)
   mutable ar_total : int; (* words ever acquired *)
@@ -208,11 +211,9 @@ type arena = {
   ar_blocks : (int, int) Hashtbl.t; (* addr -> len *)
 }
 
-let arena t ~name ?(chunk = 256) ~grow () =
+let arena t ~grow =
   {
     ar_parent = t;
-    ar_name = name;
-    ar_chunk = chunk;
     ar_grow = grow;
     ar_free = [];
     ar_total = 0;
@@ -262,7 +263,7 @@ let arena_alloc a len =
     match arena_carve a len with
     | Some addr -> (addr, 30)
     | None ->
-      let want = max len a.ar_chunk in
+      let want = max len chunk_words in
       let base = a.ar_grow want in
       a.ar_total <- a.ar_total + want;
       arena_insert a base want;

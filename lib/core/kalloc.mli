@@ -50,7 +50,7 @@ val shared_refs : t -> base:int -> int
 (** {1 Arenas}
 
     Per-region-kind sub-allocators for synthesized code.  An arena
-    grows by whole chunks via its [grow] callback (the kernel passes
+    grows by chunks of at least 256 words via its [grow] callback (the kernel passes
     [Machine.reserve_code], so every word is a patchable slot) and
     recycles freed ranges first-fit; the code store itself is
     append-only, so arena reuse is what keeps peak code bytes
@@ -58,7 +58,7 @@ val shared_refs : t -> base:int -> int
 
 type arena
 
-val arena : t -> name:string -> ?chunk:int -> grow:(int -> int) -> unit -> arena
+val arena : t -> grow:(int -> int) -> arena
 
 (** Allocate [len] words, growing the arena if no free range fits. *)
 val arena_alloc : arena -> int -> int

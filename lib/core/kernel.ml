@@ -83,8 +83,7 @@ type tte = {
      after a crash (Thread.restart): original entry point and user
      stack extent *)
   mutable entry : int;
-  mutable ustack : int;
-  mutable ustack_words : int;
+  mutable ustack : int; (* 512 words *)
 }
 
 (* A waiting queue for one resource (§4.1: each resource has its own
@@ -201,8 +200,8 @@ let is_idle k t =
    quantum timer that host services should act on by default. *)
 let this_cpu k = Machine.current_core k.machine
 
-let create ?(cost = Cost.sun3_emulation) ?(mem_words = 1 lsl 20) ?(cores = 1) () =
-  let machine = Machine.create ~mem_words ~cores cost in
+let create ?(cost = Cost.sun3_emulation) ?(cores = 1) () =
+  let machine = Machine.create ~cores cost in
   Devices.Rtc.install machine;
   Devices.Cpu_control.install machine;
   let timer = Devices.Timer.install machine in

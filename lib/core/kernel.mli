@@ -77,8 +77,7 @@ type tte = {
       (** ksynth page entries released at destroy *)
   mutable is_system : bool;
   mutable entry : int;  (** original entry point (crash restart) *)
-  mutable ustack : int;
-  mutable ustack_words : int;
+  mutable ustack : int;  (** 512 words *)
 }
 
 (** A per-resource wait queue (§4.1: no general blocked queue). *)
@@ -147,7 +146,7 @@ type t = {
       (** most recent {!postmortem} dump *)
 }
 
-val create : ?cost:Cost.t -> ?mem_words:int -> ?cores:int -> unit -> t
+val create : ?cost:Cost.t -> ?cores:int -> unit -> t
 
 (** {1 Cores}
 

@@ -15,9 +15,6 @@ type t = {
   mutable p_ends : int;  (** open descriptors; 0 after the last close *)
 }
 
-val head_cell : t -> int
-val tail_cell : t -> int
-
 val create : Kernel.t -> ?cap:int -> unit -> t
 
 (** Synthesize pipe ends for a thread and install them as

@@ -358,11 +358,9 @@ let templates kind ~head ~tail ~buf ~flag ~size =
 (* ---------------------------------------------------------------- *)
 (* The unified entry point.
 
-   [create ?kind] picks the synchronization discipline explicitly, or
-   — when [kind] is omitted — derives it from the participant counts
-   through the quaject interfacer's case table (§5.2): a queue always
-   joins two active ends, so the connector chosen for the given
-   multiplicities names the queue kind. *)
+   [create ?kind] picks the synchronization discipline (SP-SC when
+   omitted).  [kind_of_connector] maps the quaject interfacer's choice
+   for two active ends (§5.2) to the queue kind that realizes it. *)
 
 let kind_of_connector = function
   | Quaject.Queue_spsc -> Some Spsc
@@ -370,17 +368,6 @@ let kind_of_connector = function
   | Quaject.Queue_spmc -> Some Spmc
   | Quaject.Queue_mpmc -> Some Mpmc
   | Quaject.Procedure_call | Quaject.Monitored_call | Quaject.Pump_thread -> None
-
-let kind_for ~producers ~consumers =
-  let mult n = if n > 1 then Quaject.Multiple else Quaject.Single in
-  let connector =
-    Quaject.connect
-      ~producer:{ Quaject.end_ = Quaject.Active; mult = mult producers }
-      ~consumer:{ Quaject.end_ = Quaject.Active; mult = mult consumers }
-  in
-  match kind_of_connector connector with
-  | Some kd -> kd
-  | None -> assert false (* active/active always yields a queue *)
 
 (* The r0-status probes on a queue end's return points ("ret").  kspan
    carries an item's span across the queue on each successful call
@@ -405,10 +392,7 @@ let trace_probe ~qname = function
    through the synthesis cache: distinct queues fold distinct
    descriptor/buffer addresses in and miss, but a queue rebuilt over
    recycled cells hits and shares the page. *)
-let create ?kind ?(producers = 1) ?(consumers = 1) k ~name ~size =
-  let kind =
-    match kind with Some kd -> kd | None -> kind_for ~producers ~consumers
-  in
+let create ?(kind = Spsc) k ~name ~size =
   let alloc = k.Kernel.alloc in
   let desc = Kalloc.alloc_zeroed alloc 16 in
   let buf = Kalloc.alloc_zeroed alloc size in

@@ -34,20 +34,12 @@ val tail_cell : t -> int
        Q_tail and clear the valid flag after reading;}
     {- [Mpmc] — flag-guarded CAS claims at both ends (§3.2's fourth
        kind).}}
-    When [kind] is omitted it is derived from [producers]/[consumers]
-    (default 1/1) through the quaject interfacer's case table (§5.2).
+    [kind] defaults to [Spsc].
     A put on a full queue returns r0 = 0 and the caller decides.  The
     put/get entries carry probe points, so with ktrace attached (now
     or later) every call emits a [Queue_put]/[Queue_get] event with
     its status. *)
-val create :
-  ?kind:kind ->
-  ?producers:int ->
-  ?consumers:int ->
-  Kernel.t ->
-  name:string ->
-  size:int ->
-  t
+val create : ?kind:kind -> Kernel.t -> name:string -> size:int -> t
 
 (** Map a queue connector from {!Quaject.connect} to the queue kind it
     names; [None] for non-queue connectors. *)

@@ -67,7 +67,6 @@ type config = {
   cfg_slots : int;  (* power of two; connection table size *)
   cfg_files : int;  (* power of two; files served *)
   cfg_ring_len : int;  (* power of two; NIC rx/tx ring entries *)
-  cfg_coalesce : int;  (* NIC completions per interrupt *)
   cfg_poll_us : float;  (* NIC service-tick period *)
   cfg_worker_quantum_max_us : int;  (* the longest; a lone pump's every tick *)
   cfg_admit_hi : int;  (* rx-ring occupancy that arms shedding *)
@@ -80,7 +79,6 @@ let default_config =
     cfg_slots = 64;
     cfg_files = 8;
     cfg_ring_len = 64;
-    cfg_coalesce = 4;
     cfg_poll_us = 2.0;
     cfg_worker_quantum_max_us = 400;
     cfg_admit_hi = 96;
@@ -90,6 +88,9 @@ let default_config =
 
 (* Words in each served file. *)
 let file_words = 64
+
+(* A NIC queue's rx completions per interrupt. *)
+let coalesce = 4
 
 (* A pump's first quantum, and the base the controller retunes from
    while the pump shares its core. *)
@@ -655,8 +656,6 @@ let responses t =
   let m = t.sv_k.Kernel.machine in
   Array.fold_left (fun n p -> n + Machine.peek m (tx_head_of p)) 0 t.sv_pumps
 
-let shedding t = t.sv_shedding
-
 let install_controller t =
   let k = t.sv_k in
   let m = k.Kernel.machine in
@@ -915,7 +914,7 @@ let create ?(config = default_config) boot =
         (if op = op_open then p.p_accept else p.p_err)
     done
   done;
-  Devices.Nic.host_set_coalesce nic cfg.cfg_coalesce;
+  Devices.Nic.host_set_coalesce nic coalesce;
   Devices.Nic.host_enable nic true;
   install_controller t;
   Array.iter (spawn_pump t) t.sv_pumps;

@@ -111,7 +111,6 @@ type config = {
   cfg_slots : int;  (** power of two; connection table size *)
   cfg_files : int;  (** power of two; files served (64 words each) *)
   cfg_ring_len : int;  (** power of two; rx/tx ring entries per NIC queue *)
-  cfg_coalesce : int;  (** a NIC queue's completions per interrupt *)
   cfg_poll_us : float;  (** NIC service-tick period *)
   cfg_worker_quantum_max_us : int;
       (** the longest quantum the controller retunes a pump to while
@@ -130,7 +129,8 @@ val default_config : config
 
 type t
 
-(** Install the N-queue NIC, create the served files (["/srv/<i>"] in
+(** Install the N-queue NIC (one interrupt per 4 rx completions a
+    queue), create the served files (["/srv/<i>"] in
     the vfs name space), register the accept/close host routines,
     synthesize one serve pump per core, install the overload
     controller, and start the pump threads, each pinned to its core.
@@ -187,8 +187,5 @@ val config : t -> config
 
 (** Served file [i] (["/srv/<i>"]). *)
 val file : t -> int -> Fs.file
-
-(** Is the admission limit currently armed? *)
-val shedding : t -> bool
 
 val open_slots : t -> int

@@ -100,9 +100,7 @@ let arena_for k kind =
   | Some a -> a
   | None ->
     let a =
-      Kalloc.arena k.alloc ~name:kind ~chunk:Layout.synth_chunk_words
-        ~grow:(fun n -> Machine.reserve_code k.machine n)
-        ()
+      Kalloc.arena k.alloc ~grow:(fun n -> Machine.reserve_code k.machine n)
     in
     Hashtbl.replace k.synth_arenas kind a;
     a
@@ -299,7 +297,7 @@ let rebind_probes k p ~code points =
   if List.exists (function Insn.Probe _ -> true | _ -> false) code then
     Kernel.set_region_probes k p points
 
-let instantiate ?name ?kind ?(patches = []) ?(probes = []) k ~template =
+let instantiate ?name ?kind ?(probes = []) k ~template =
   let name = match name with Some n -> n | None -> Template.id template in
   let kind = match kind with Some s -> s | None -> kind_of name in
   (* Instantiation and optimization are host-side and free in
@@ -320,9 +318,7 @@ let instantiate ?name ?kind ?(patches = []) ?(probes = []) k ~template =
       p
     | _ -> miss k ~name ~kind ~key ~template ~points optimized
   in
-  let h = { h_page = page; h_live = true } in
-  List.iter (fun (off, insn) -> patch k h ~off insn) patches;
-  h
+  { h_page = page; h_live = true }
 
 (* Boot-time shared code: append-path (pinned pages are never
    recycled, so arena slots would be wasted on them), uncharged, and
@@ -358,17 +354,12 @@ let lookup k name =
   | Some a -> a
   | None -> invalid_arg ("Ksynth.lookup: unknown " ^ name)
 
-let register k ~name entry = Hashtbl.replace k.shared name entry
-let mem k name = Hashtbl.mem k.shared name
-
 (* ------------------------------------------------------------------ *)
 (* Handles *)
 
 let entry h = h.h_page.sp_entry
-let syms h = h.h_page.sp_syms
 let sym h name = Asm.symbol h.h_page.sp_syms name
 let refs h = h.h_page.sp_refs
-let name h = h.h_page.sp_name
 let page h = h.h_page
 let key h = h.h_page.sp_key
 

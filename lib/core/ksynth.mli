@@ -63,14 +63,11 @@ type stats = {
     refcount.  Miss: charges full generation cost plus the arena
     allocation, installs, and caches the page.  [?name] labels the
     page (default: the template id); [?kind] picks
-    the arena (default: [name] up to the first ['/']); [?patches]
-    applies entry-relative patches through the copy-on-patch rule
-    immediately after lookup; [?probes] binds the template's probe
+    the arena (default: [name] up to the first ['/']); [?probes] binds the template's probe
     points (on a hit too, replacing the page's bindings). *)
 val instantiate :
   ?name:string ->
   ?kind:string ->
-  ?patches:(int * Insn.insn) list ->
   ?probes:Kernel.probe list ->
   Kernel.t ->
   template:Template.t ->
@@ -93,19 +90,14 @@ val install :
     when unknown. *)
 val lookup : Kernel.t -> string -> int
 
-val register : Kernel.t -> name:string -> int -> unit
-val mem : Kernel.t -> string -> bool
-
 (** {1 Handles} *)
 
 val entry : handle -> int
-val syms : handle -> Asm.symbols
 
 (** Absolute address of a label in the page. *)
 val sym : handle -> string -> int
 
 val refs : handle -> int
-val name : handle -> string
 
 (** The underlying page record (inspection/tests). *)
 val page : handle -> Kernel.synth_page

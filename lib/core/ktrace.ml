@@ -61,9 +61,11 @@ type t = {
   mutable base_cycles : int; (* machine cycles when tracing was installed *)
 }
 
-let create ?(capacity = 65536) ?(blackbox = 256) ?(enabled = true) machine =
+(* flight-recorder events kept *)
+let blackbox_capacity = 256
+
+let create ?(capacity = 65536) ?(enabled = true) machine =
   if capacity <= 0 then invalid_arg "Ktrace.create: capacity";
-  if blackbox <= 0 then invalid_arg "Ktrace.create: blackbox";
   {
     machine;
     metrics = Metrics.create ();
@@ -71,7 +73,7 @@ let create ?(capacity = 65536) ?(blackbox = 256) ?(enabled = true) machine =
     ring = Array.make capacity None;
     pos = 0;
     count = 0;
-    bb_ring = Array.make blackbox None;
+    bb_ring = Array.make blackbox_capacity None;
     bb_pos = 0;
     bb_count = 0;
     owners = [];
@@ -79,9 +81,7 @@ let create ?(capacity = 65536) ?(blackbox = 256) ?(enabled = true) machine =
     base_cycles = Machine.cycles machine;
   }
 
-let machine t = t.machine
 let metrics t = t.metrics
-let enabled t = t.enabled
 
 let kind_name = function
   | Switch_out _ -> "switch_out"

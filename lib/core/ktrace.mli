@@ -45,15 +45,13 @@ type kind =
 
 type event = { ev_cycles : int; ev_kind : kind }
 
-(** [blackbox] sizes the always-on flight-recorder ring (see
+(** [capacity] (default 65,536) sizes the event ring; the always-on
+    flight-recorder ring keeps the last 256 events (see
     {!blackbox_events}). *)
-val create : ?capacity:int -> ?blackbox:int -> ?enabled:bool -> Machine.t -> t
-val machine : t -> Machine.t
+val create : ?capacity:int -> ?enabled:bool -> Machine.t -> t
 val metrics : t -> Metrics.t
-val enabled : t -> bool
 
 val emit : t -> kind -> unit
-val kind_name : kind -> string
 
 (** Buffered events, oldest first. *)
 val events : t -> event list

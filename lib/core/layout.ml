@@ -57,11 +57,6 @@ let heap_limit = 0xE0000
 (* Supervisor boot stack (before the first thread exists). *)
 let boot_stack_top = 0x1000
 
-(* ksynth: minimum words a per-kind code arena acquires from
-   [Machine.reserve_code] when it grows.  Chunky growth keeps the
-   patchable-slot reservations coarse enough to recycle. *)
-let synth_chunk_words = 256
-
 (* TTE block layout (offsets into a 256-word block ≈ 1 KiB, §6.3). *)
 module Tte = struct
   let size_words = 256

@@ -33,9 +33,6 @@ val heap_base : int
 val heap_limit : int
 val boot_stack_top : int
 
-(** ksynth: minimum words a per-kind code arena acquires per grow. *)
-val synth_chunk_words : int
-
 (** TTE block layout: offsets into the 256-word (~1 KiB) block. *)
 module Tte : sig
   val size_words : int

@@ -45,13 +45,13 @@ let counter t name =
     Hashtbl.replace t.counters name c;
     c
 
-let incr ?(by = 1) c = c.c_value <- c.c_value + by
 let counter_value c = c.c_value
-let counter_name c = c.c_name
 
 (* Bump a counter by name: convenience for call sites that fire
    rarely enough that the hash lookup doesn't matter. *)
-let bump ?by t name = incr ?by (counter t name)
+let bump t name =
+  let c = counter t name in
+  c.c_value <- c.c_value + 1
 
 let read t name =
   match Hashtbl.find_opt t.counters name with

@@ -37,12 +37,10 @@ val code_bytes_peak : string
 (** Find-or-create by name. *)
 val counter : t -> string -> counter
 
-val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
-val counter_name : counter -> string
 
-(** Find-or-create and increment in one call. *)
-val bump : ?by:int -> t -> string -> unit
+(** Find-or-create and add one. *)
+val bump : t -> string -> unit
 
 (** Value of a named counter, 0 when absent. *)
 val read : t -> string -> int
@@ -100,5 +98,4 @@ val epoch_count : t -> int
 (** All counters, sorted by name. *)
 val counters : t -> (string * int) list
 
-val gauges : t -> (string * float) list
 val pp : Format.formatter -> t -> unit

@@ -48,7 +48,11 @@ let routine_at k =
         if addr >= sp_entry && addr < sp_entry + sp_len then Some sp_name else acc)
       None routines
 
-let collect ?(top = 24) k pmu =
+(* sampled addresses [collect] keeps, and lines [pp] prints per list *)
+let flat_kept = 24
+let pp_lines = 16
+
+let collect k pmu =
   let m = k.Kernel.machine in
   let total = Machine.cycles m in
   let owners =
@@ -78,7 +82,7 @@ let collect ?(top = 24) k pmu =
   let name_of = routine_at k in
   let flat =
     Pmu.sample_histogram pmu
-    |> List.filteri (fun i _ -> i < top)
+    |> List.filteri (fun i _ -> i < flat_kept)
     |> List.map (fun (addr, w) ->
            (addr, Option.value ~default:"(user/unowned)" (name_of addr), w))
   in
@@ -97,7 +101,7 @@ let collect ?(top = 24) k pmu =
 let owners_total t = List.fold_left (fun a l -> a + l.l_cycles) 0 t.p_owners
 let balanced t = owners_total t = t.p_total
 
-let pp ?(top = 16) ppf t =
+let pp ppf t =
   Fmt.pf ppf "kperf profile: %d machine cycles, %d pc samples" t.p_total
     t.p_sample_count;
   if t.p_period > 0 then
@@ -106,14 +110,14 @@ let pp ?(top = 16) ppf t =
   Fmt.pf ppf "@.@.cycles by owner (exact attribution):@.";
   List.iteri
     (fun i l ->
-      if i < top then
+      if i < pp_lines then
         Fmt.pf ppf "  %10d cycles %5.1f%%  %s@." l.l_cycles l.l_share l.l_name)
     t.p_owners;
   if t.p_flat <> [] then begin
     Fmt.pf ppf "@.hottest sampled addresses:@.";
     List.iteri
       (fun i (addr, name, w) ->
-        if i < top then Fmt.pf ppf "  %10d cycles  @%-6d %s@." w addr name)
+        if i < pp_lines then Fmt.pf ppf "  %10d cycles  @%-6d %s@." w addr name)
       t.p_flat
   end;
   if t.p_hist <> [] then begin

@@ -25,14 +25,17 @@ type t = {
 
 (** Snapshot the profile of a kernel run.  Per-owner exactness needs
     tracing attached ({!Kernel.attach_tracing}); without it the whole
-    total lands on one "(unattributed)" line.  [top] bounds the flat
-    list. *)
-val collect : ?top:int -> Kernel.t -> Quamachine.Pmu.t -> t
+    total lands on one "(unattributed)" line.  The flat list keeps the
+    24 hottest addresses. *)
+val collect : Kernel.t -> Quamachine.Pmu.t -> t
 
 (** Sum of the owner lines — equals [p_total] whenever attribution was
     attached; {!balanced} checks it. *)
 val owners_total : t -> int
 
 val balanced : t -> bool
-val pp : ?top:int -> Format.formatter -> t -> unit
+
+(** Prints at most 16 owner lines and 16 sampled addresses. *)
+val pp : Format.formatter -> t -> unit
+
 val to_json : t -> string

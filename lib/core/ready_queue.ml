@@ -209,10 +209,6 @@ let remove k t =
       (Insn.Jmp (Insn.To_addr (entry_from t a)))
   | None -> ())
 
-let insert_after k a t =
-  insert_after k a t;
-  balance_idle k
-
 let insert_front k t =
   insert_front k t;
   balance_idle k

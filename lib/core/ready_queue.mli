@@ -21,9 +21,6 @@ val in_queue : Kernel.tte -> bool
 val next_exn : Kernel.tte -> Kernel.tte
 val prev_exn : Kernel.tte -> Kernel.tte
 
-(** Insert after [a], adopting [a]'s home core. *)
-val insert_after : Kernel.t -> Kernel.tte -> Kernel.tte -> unit
-
 (** Insert right after the thread running on the new thread's home
     core: next access to that CPU (§4.4). *)
 val insert_front : Kernel.t -> Kernel.tte -> unit

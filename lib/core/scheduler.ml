@@ -15,14 +15,16 @@ open Quamachine
 type t = {
   kernel : Kernel.t;
   epoch_us : int;
-  min_quantum : int;
-  max_quantum : int;
   last_gauge : (int, int) Hashtbl.t; (* tid -> gauge at last epoch *)
   last_cpu : (int, int) Hashtbl.t; (* tid -> traced CPU cycles at last epoch *)
   metrics : Metrics.t;
       (* epoch records and counters; shared with the kernel's ktrace
          registry when tracing is attached *)
 }
+
+(* the quantum range, in µs, a rebalance assigns from *)
+let min_quantum = 100
+let max_quantum = 1_000
 
 let gauge_cell (tte : Kernel.tte) = tte.Kernel.base + Layout.Tte.off_gauge
 
@@ -52,7 +54,7 @@ let rebalance t =
       k.Kernel.threads []
   in
   let max_rate = List.fold_left (fun a (_, r) -> max a r) 1 snapshot in
-  let span = t.max_quantum - t.min_quantum in
+  let span = max_quantum - min_quantum in
   (* §4.4 made observable: before retuning, compare the CPU share each
      ready thread was *promised* by its quantum over the epoch just
      ended against the share it *got* (per the trace's switch events).
@@ -92,7 +94,7 @@ let rebalance t =
   let entries =
     List.map
       (fun ((tte : Kernel.tte), rate) ->
-        let quantum = t.min_quantum + (span * rate / max_rate) in
+        let quantum = min_quantum + (span * rate / max_rate) in
         if quantum <> tte.Kernel.quantum_us then begin
           Ctx.set_quantum k tte quantum;
           Metrics.bump t.metrics "sched.retunes";
@@ -108,7 +110,7 @@ let rebalance t =
   Kernel.trace k (Ktrace.Rebalance (Metrics.epoch_count t.metrics))
 
 (* Install the scheduler as a periodic machine device. *)
-let install k ?(epoch_us = 5_000) ?(min_quantum = 100) ?(max_quantum = 1_000) () =
+let install k ?(epoch_us = 5_000) () =
   (* share the ktrace metrics registry when tracing is attached, so
      one [pp] shows scheduler and trace counters together *)
   let metrics =
@@ -120,8 +122,6 @@ let install k ?(epoch_us = 5_000) ?(min_quantum = 100) ?(max_quantum = 1_000) ()
     {
       kernel = k;
       epoch_us;
-      min_quantum;
-      max_quantum;
       last_gauge = Hashtbl.create 16;
       last_cpu = Hashtbl.create 16;
       metrics;

@@ -6,12 +6,8 @@
 type t
 
 (** Install as a periodic machine device rebalancing every
-    [epoch_us]. *)
-val install :
-  Kernel.t -> ?epoch_us:int -> ?min_quantum:int -> ?max_quantum:int -> unit -> t
-
-(** One rebalancing pass (also runs automatically each epoch). *)
-val rebalance : t -> unit
+    [epoch_us], assigning quanta from 100 to 1,000 µs. *)
+val install : Kernel.t -> ?epoch_us:int -> unit -> t
 
 (** Expected CPU share of a thread under the current quanta:
     quantum / sum of quanta (§4.4). *)

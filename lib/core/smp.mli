@@ -18,9 +18,6 @@ val stealable : Kernel.t -> Kernel.tte -> bool
     on a bad core id or an idle thread (pinned). *)
 val migrate : Kernel.t -> Kernel.tte -> cpu:int -> bool
 
-(** Non-idle ready threads on core [c]'s ring. *)
-val load : Kernel.t -> int -> int
-
 (** Steal one thread for [thief] from the most loaded other core
     (victim keeps at least one); bumps "smp.steals_total". *)
 val steal : Kernel.t -> thief:int -> Kernel.tte option

@@ -20,11 +20,13 @@ type role =
 type stage = {
   sg_role : role;
   sg_segments : (int * int) list;
-  sg_quantum : int;
 }
 
-let stage ?(segments = []) ?(quantum_us = 150) role =
-  { sg_role = role; sg_segments = segments; sg_quantum = quantum_us }
+let stage ?(segments = []) role = { sg_role = role; sg_segments = segments }
+
+(* every stage thread's quantum, and every arc's capacity in words *)
+let quantum_us = 150
+let pipe_cap = 256
 
 type built = {
   sg_threads : Kernel.tte list; (* in pipeline order *)
@@ -41,7 +43,7 @@ let connect_many ~producers ~consumers =
 
 (* Build a linear pipeline: Head, zero or more Middles, Tail.
    Returns the threads (created, runnable) and the connecting pipes. *)
-let pipeline vfs ?(pipe_cap = 256) stages =
+let pipeline vfs stages =
   let k = vfs.Vfs.kernel in
   let m = k.Kernel.machine in
   (match stages with
@@ -62,7 +64,7 @@ let pipeline vfs ?(pipe_cap = 256) stages =
   let threads =
     List.map
       (fun s ->
-        Thread.create k ~quantum_us:s.sg_quantum ~entry:0 ~segments:s.sg_segments ())
+        Thread.create k ~quantum_us ~entry:0 ~segments:s.sg_segments ())
       stages
   in
   (* one pipe per arc *)

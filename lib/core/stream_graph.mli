@@ -11,7 +11,8 @@ type role =
 
 type stage
 
-val stage : ?segments:(int * int) list -> ?quantum_us:int -> role -> stage
+(** A stage's thread runs with a 150 µs quantum. *)
+val stage : ?segments:(int * int) list -> role -> stage
 
 type built = {
   sg_threads : Kernel.tte list;  (** in pipeline order *)
@@ -23,6 +24,6 @@ type built = {
 val connect_many : producers:int -> consumers:int -> Quaject.connector
 
 (** Build Head → Middle* → Tail: creates the threads (runnable) and
-    the connecting pipes, with each pipe end synthesized for its
-    owning thread.  Raises [Invalid_argument] on malformed shapes. *)
-val pipeline : Vfs.t -> ?pipe_cap:int -> stage list -> built
+    the connecting 256-word pipes, with each pipe end synthesized for
+    its owning thread.  Raises [Invalid_argument] on malformed shapes. *)
+val pipeline : Vfs.t -> stage list -> built

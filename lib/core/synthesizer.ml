@@ -65,14 +65,6 @@ let create k ~name ~data_words ops =
     ops;
   q
 
-(* Deallocation: drop the quaject's claim on its synthesized operation
-   pages (the cache may keep them warm for the next same-shaped
-   quaject) and free the data block. *)
-let destroy k q =
-  List.iter (fun (_, entry) -> Ksynth.release_entry k entry) q.qj_ops;
-  q.qj_ops <- [];
-  Kalloc.free k.Kernel.alloc q.qj_data
-
 (* ---------------------------------------------------------------- *)
 (* The interfacer *)
 

@@ -28,10 +28,6 @@ val create :
   (string * (self:int -> Template.t)) list ->
   quaject
 
-(** Deallocation: release the quaject's synthesized operation pages
-    back to the synthesis cache and free its data block. *)
-val destroy : Kernel.t -> quaject -> unit
-
 type connection = {
   cn_connector : Quaject.connector;
   cn_call : int;  (** code the producer side invokes *)

@@ -37,8 +37,11 @@ let dispatcher_template ~fdtab =
 (* Creation (Table 3: ~142 us — ~100 us to fill the TTE, the rest is
    code synthesis) *)
 
+(* every thread's user stack *)
+let ustack_words = 512
+
 let create k ?cpu ?(quantum_us = 200) ?(uses_fp = false) ?(segments = [])
-    ?(ustack_words = 512) ?(system = false) ?share_map ~entry () =
+    ?(system = false) ?share_map ~entry () =
   let m = k.Kernel.machine in
   (* home core: the creating core unless pinned explicitly *)
   let cpu =
@@ -111,7 +114,6 @@ let create k ?cpu ?(quantum_us = 200) ?(uses_fp = false) ?(segments = [])
       is_system = system;
       entry;
       ustack;
-      ustack_words;
     }
   in
   Hashtbl.replace k.Kernel.threads tid t;
@@ -236,7 +238,7 @@ let restart k t =
   let sr = if Kernel.is_idle k t then Ctx.kernel_sr else 0 in
   Machine.poke m (save + 16) sr;
   Machine.poke m (save + 17) t.Kernel.entry;
-  Machine.poke m (save + 18) (t.Kernel.ustack + t.Kernel.ustack_words);
+  Machine.poke m (save + 18) (t.Kernel.ustack + ustack_words);
   Machine.poke m (t.Kernel.base + L.off_sig_inh) 0;
   Machine.poke m (t.Kernel.base + L.off_sig_queued) 0;
   Machine.charge_refs m 23;

@@ -4,6 +4,7 @@
     the TTE and the executable ready queue. *)
 
 (** Create a thread whose saved context enters [entry] in user mode.
+    It gets a 512-word user stack.
     [segments] extends its quaspace; [share_map] joins another
     thread's quaspace instead (enabling the non-MMU switch path
     between them); [system] threads don't keep the machine alive.
@@ -14,7 +15,6 @@ val create :
   ?quantum_us:int ->
   ?uses_fp:bool ->
   ?segments:(int * int) list ->
-  ?ustack_words:int ->
   ?system:bool ->
   ?share_map:Kernel.tte ->
   entry:int ->

@@ -249,7 +249,7 @@ let install vfs =
       srv_raw = Kqueue.create ~kind:Kqueue.Spsc k ~name:"tty/rawq" ~size:64;
       srv_cooked = Kqueue.create ~kind:Kqueue.Spsc k ~name:"tty/cookedq" ~size:512;
       srv_screen =
-        Kqueue.create ~producers:2 k ~name:"tty/screenq" ~size:1024;
+        Kqueue.create ~kind:Kqueue.Mpsc k ~name:"tty/screenq" ~size:1024;
       srv_lbuf = Kalloc.alloc_zeroed alloc lbuf_cap;
       srv_lbuf_cap = lbuf_cap;
       srv_len_cell = Kalloc.alloc_zeroed alloc 16;

@@ -27,9 +27,6 @@ type server = {
     /dev/tty in the name space. *)
 val install : Vfs.t -> server
 
-(** Fragment: wake a flagged waiter ([prefix] keeps labels unique). *)
-val wake : prefix:string -> flag:int -> hcall:int -> Quamachine.Insn.insn list
-
 (** Fragment: set the waiting flag under raised IPL, re-check the
     queue, and block — the lost-wakeup-safe sleep. *)
 val guarded_block :

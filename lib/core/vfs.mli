@@ -37,9 +37,6 @@ val lookup : t -> string -> open_fn option
 (** Register a file-system-wide write-back hook run by [sync]. *)
 val on_sync : t -> (unit -> unit) -> unit
 
-(** Run every registered sync hook (what trap 14 does). *)
-val sync : t -> unit
-
 (** Host-side equivalents of the system calls (used by servers that
     hand descriptors to other threads, and by tests). *)
 val open_named : t -> Kernel.tte -> string -> int option

@@ -3,7 +3,7 @@
    The fine-grain scheduler's insight (§4) is that progress is a
    *rate*: a healthy pump moves items every quantum.  The watchdog
    inverts that — a flow whose observed counter stops moving for
-   [threshold] consecutive periods is stalled, and the registered
+   [threshold] (3) consecutive periods is stalled, and the registered
    restart action kicks it back to life (re-arm a lost timer, re-issue
    a transfer, restart a pump thread).
 
@@ -20,8 +20,6 @@ type flow = {
   w_name : string;
   w_read : unit -> int; (* monotone progress counter *)
   w_restart : unit -> unit;
-  w_threshold : int; (* consecutive zero-delta periods before restart *)
-  w_escalate : int; (* restarts without progress before escalating *)
   mutable w_last : int;
   mutable w_zeros : int;
   mutable w_restarts : int;
@@ -42,6 +40,12 @@ type t = {
   mutable wd_audit_repairs : int;
 }
 
+(* consecutive zero-delta periods before a restart *)
+let threshold = 3
+
+(* restarts without progress before escalating *)
+let escalate = 3
+
 let check t flow =
   let v = flow.w_read () in
   if v <> flow.w_last then begin
@@ -51,7 +55,7 @@ let check t flow =
   end
   else begin
     flow.w_zeros <- flow.w_zeros + 1;
-    if flow.w_zeros >= flow.w_threshold then begin
+    if flow.w_zeros >= threshold then begin
       flow.w_zeros <- 0;
       flow.w_restarts <- flow.w_restarts + 1;
       flow.w_stuck <- flow.w_stuck + 1;
@@ -59,10 +63,10 @@ let check t flow =
       Metrics.bump k.Kernel.metrics "watchdog.restarts";
       Kernel.trace k (Ktrace.Fault ("watchdog/" ^ flow.w_name));
       (* escalation: restarting is not helping — the flow has been
-         restarted [w_escalate] times in a row without a single unit
+         restarted [escalate] times in a row without a single unit
          of progress in between.  Dump the flight recorder once per
          stuck streak so the wreckage is captured while fresh. *)
-      if flow.w_stuck = flow.w_escalate then begin
+      if flow.w_stuck = escalate then begin
         Kernel.log_fault k ~tid:0
           ~reason:("watchdog_escalation/" ^ flow.w_name);
         ignore
@@ -111,14 +115,12 @@ let install k ?(period_us = 2_000.0) () =
 let audit_code t = t.wd_audit <- true
 let audit_repairs t = t.wd_audit_repairs
 
-let watch t ~name ?(threshold = 3) ?(escalate = 3) ~read ~restart () =
+let watch t ~name ~read ~restart () =
   let flow =
     {
       w_name = name;
       w_read = read;
       w_restart = restart;
-      w_threshold = max 1 threshold;
-      w_escalate = max 1 escalate;
       w_last = read ();
       w_zeros = 0;
       w_restarts = 0;

@@ -21,15 +21,13 @@ val install : Kernel.t -> ?period_us:float -> unit -> t
 val watch :
   t ->
   name:string ->
-  ?threshold:int ->
-  ?escalate:int ->
   read:(unit -> int) ->
   restart:(unit -> unit) ->
   unit ->
   flow
 (** Register a flow: [read] is its monotone progress counter,
-    [restart] runs after [threshold] (default 3) zero-delta periods.
-    After [escalate] (default 3) consecutive restarts with no progress
+    [restart] runs after 3 zero-delta periods.
+    After 3 consecutive restarts with no progress
     between them the watchdog escalates: it logs
     "watchdog_escalation/<name>" and dumps the flight recorder
     ([Kernel.postmortem]) — restarting is evidently not helping. *)

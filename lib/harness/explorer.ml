@@ -2043,7 +2043,7 @@ let timer_loss ?(seed = 1) () =
   ignore (Thread.create k ~entry:ce ~quantum_us:500 ~segments ());
   let wd = Watchdog.install k ~period_us:2_000.0 () in
   let flow =
-    Watchdog.watch wd ~name:"tl/consumer" ~threshold:3
+    Watchdog.watch wd ~name:"tl/consumer"
       ~read:(fun () -> Machine.peek m counts)
       ~restart:(fun () -> Devices.Timer.arm k.Kernel.timer ~us:200.0)
       ()

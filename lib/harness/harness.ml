@@ -29,8 +29,6 @@ module Stamps = struct
       | _ -> []
     in
     List.map (fun c -> Cost.us_of_cycles (Machine.cost_model m) c) (pair (cycles t))
-
-  let clear (_, _, marks) = marks := []
 end
 
 (* ---------------------------------------------------------------- *)
@@ -63,7 +61,10 @@ type synthesis_env = {
   s_stamps : Machine.t * int * int list ref;
 }
 
-let synthesis_setup ?(cost = Cost.sun3_emulation) ?(file_content = 4096) () =
+(* words in the benchmark file /data/bench *)
+let file_content = 4096
+
+let synthesis_setup ?(cost = Cost.sun3_emulation) () =
   let b = Boot.boot ~cost () in
   let k = b.Boot.kernel in
   let _tty_srv = Tty.install b.Boot.vfs in
@@ -78,14 +79,14 @@ let synthesis_setup ?(cost = Cost.sun3_emulation) ?(file_content = 4096) () =
 
 (* Run a program (built against [s_env]) to completion on Synthesis;
    returns the elapsed simulated seconds. *)
-let synthesis_run ?(max_insns = 2_000_000_000) ?(quantum_us = 10_000) se ~program =
+let synthesis_run se ~program =
   let k = se.s_boot.Boot.kernel in
   let m = k.Kernel.machine in
   let entry, _ = Asm.assemble m program in
   let segs = [ (se.s_env.Programs.e_data, Programs.data_words) ] in
-  let _t = Thread.create k ~entry ~quantum_us ~segments:segs () in
+  let _t = Thread.create k ~entry ~quantum_us:10_000 ~segments:segs () in
   let s0 = Machine.snapshot m in
-  (match Boot.go ~max_insns se.s_boot with
+  (match Boot.go ~max_insns:2_000_000_000 se.s_boot with
   | Machine.Halted -> ()
   | Machine.Insn_limit -> failwith "synthesis_run: instruction limit");
   (* code_repair entries are recoveries, not deaths: a corrupted
@@ -107,7 +108,7 @@ let synthesis_run ?(max_insns = 2_000_000_000) ?(quantum_us = 10_000) se ~progra
 
 type baseline_env = { b_kernel : Baseline.t; b_env : Programs.env }
 
-let baseline_setup ?(cost = Cost.sun3_emulation) ?(file_content = 4096) () =
+let baseline_setup ?(cost = Cost.sun3_emulation) () =
   let bk = Baseline.boot ~cost () in
   let content = Array.init file_content (fun i -> i land 0xFF) in
   ignore (Baseline.create_file bk ~name:"/data/bench" ~content ());
@@ -117,12 +118,12 @@ let baseline_setup ?(cost = Cost.sun3_emulation) ?(file_content = 4096) () =
   Programs.populate env ~poke:(fun a v -> Baseline.poke bk a v);
   { b_kernel = bk; b_env = env }
 
-let baseline_run ?(max_insns = 2_000_000_000) be ~program =
+let baseline_run be ~program =
   let bk = be.b_kernel in
   let entry = Baseline.load_program bk program in
   let m = bk.Baseline.machine in
   let s0 = Machine.snapshot m in
-  (match Baseline.run ~max_insns bk ~entry with
+  (match Baseline.run ~max_insns:2_000_000_000 bk ~entry with
   | Machine.Halted -> ()
   | Machine.Insn_limit -> failwith "baseline_run: instruction limit");
   let d = Machine.delta m s0 in
@@ -144,10 +145,10 @@ module Pipeline = struct
     pl_total : int;
   }
 
-  let build ?(total = 1024) ?(cap = 64) b =
+  let build ?(total = 1024) b =
     let k = b.Boot.kernel in
     let m = k.Kernel.machine in
-    let pipe = Kpipe.create k ~cap () in
+    let pipe = Kpipe.create k ~cap:64 () in
     let src = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
     let dst = Kalloc.alloc_zeroed k.Kernel.alloc 64 in
     let result = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
@@ -212,8 +213,8 @@ module Pipeline = struct
       pl_result = result; pl_total = total }
 
   (* Run to completion and verify the consumer's checksum. *)
-  let run ?(max_insns = 200_000_000) p =
-    (match Boot.go ~max_insns p.pl_boot with
+  let run p =
+    (match Boot.go ~max_insns:200_000_000 p.pl_boot with
     | Machine.Halted -> ()
     | Machine.Insn_limit -> failwith "Pipeline.run: did not halt");
     let m = p.pl_boot.Boot.kernel.Kernel.machine in

@@ -15,12 +15,9 @@ module Stamps : sig
   (** The instruction to embed at each measurement point. *)
   val mark : t -> Insn.insn
 
-  val cycles : t -> int list
-
   (** Intervals between consecutive stamps, in microseconds. *)
   val spans : t -> float list
 
-  val clear : t -> unit
 end
 
 (** {1 Stepping helpers} *)
@@ -30,7 +27,8 @@ val run_until_pc : Machine.t -> max_insns:int -> int -> bool
 val run_until_user : Machine.t -> max_insns:int -> bool
 
 (** {1 A booted Synthesis instance} (all servers, the emulator, the
-    benchmark file, a populated user-data region, timestamps). *)
+    4,096-word benchmark file, a populated user-data region,
+    timestamps). *)
 
 type synthesis_env = {
   s_boot : Synthesis.Boot.t;
@@ -38,26 +36,25 @@ type synthesis_env = {
   s_stamps : Machine.t * int * int list ref;
 }
 
-val synthesis_setup : ?cost:Cost.t -> ?file_content:int -> unit -> synthesis_env
+val synthesis_setup : ?cost:Cost.t -> unit -> synthesis_env
 
-(** Run a program to completion; returns elapsed simulated seconds.
-    Fails loudly if any thread died of a fault. *)
-val synthesis_run :
-  ?max_insns:int -> ?quantum_us:int -> synthesis_env -> program:Insn.insn list -> float
+(** Run a program to completion in a thread with a 10 ms quantum;
+    returns elapsed simulated seconds.  Fails loudly if any thread
+    died of a fault or 2e9 instructions did not finish it. *)
+val synthesis_run : synthesis_env -> program:Insn.insn list -> float
 
 (** {1 A booted baseline instance} *)
 
 type baseline_env = { b_kernel : Baseline.t; b_env : Programs.env }
 
-val baseline_setup : ?cost:Cost.t -> ?file_content:int -> unit -> baseline_env
+val baseline_setup : ?cost:Cost.t -> unit -> baseline_env
 
-val baseline_run :
-  ?max_insns:int -> baseline_env -> program:Insn.insn list -> float
+val baseline_run : baseline_env -> program:Insn.insn list -> float
 
 (** {1 The two-stage pipe pipeline}
 
     The shared observability workload: a producer thread writes
-    [total] words into a pipe in 8-word bursts, a consumer reads and
+    [total] words into a 64-word pipe in 8-word bursts, a consumer reads and
     sums them.  Used by the ktrace/kperf CLI commands, the overhead
     benches, and the trace/profiler tests.  [build] on a freshly
     booted instance; [run] executes it and verifies the checksum. *)
@@ -71,8 +68,8 @@ module Pipeline : sig
     pl_total : int;
   }
 
-  val build : ?total:int -> ?cap:int -> Synthesis.Boot.t -> t
-  val run : ?max_insns:int -> t -> unit
+  val build : ?total:int -> Synthesis.Boot.t -> t
+  val run : t -> unit
 end
 
 (** {1 Zero cost on and off}

@@ -2,7 +2,7 @@
    replaying open/read/write/close request streams against the NIC.
 
    Session starts are open-loop — exponential inter-arrival times
-   (Poisson) with optional bursts — while each session is closed-loop:
+   (Poisson) with bursts — while each session is closed-loop:
    one request in flight, the next sent a think time after the
    previous response.  All randomness comes from a private seeded
    xorshift*, so a (seed, config) pair names one exact offered load.
@@ -49,8 +49,6 @@ type config = {
   lg_clients : int;  (* sessions to run *)
   lg_reqs_per_session : int;  (* data requests between open and close *)
   lg_rate_per_ms : float;  (* mean session arrivals per simulated ms *)
-  lg_burst_every : int;  (* every nth arrival is a burst; 0 = off *)
-  lg_burst_size : int;  (* extra sessions arriving at a burst instant *)
   lg_think_us : float;  (* mean gap between response and next request *)
   lg_write_1_in : int;  (* writes are 1-in-n of data requests; 0 = off *)
   lg_conn_ids : int;  (* connection-id pool (concurrency ceiling) *)
@@ -64,8 +62,6 @@ let default_config =
     lg_clients = 200;
     lg_reqs_per_session = 4;
     lg_rate_per_ms = 40.0;
-    lg_burst_every = 8;
-    lg_burst_size = 4;
     lg_think_us = 30.0;
     lg_write_1_in = 4;
     lg_conn_ids = 16000;
@@ -73,6 +69,11 @@ let default_config =
     lg_retries = 3;
     lg_seed = 0x10ad;
   }
+
+(* Every [burst_every]th arrival instant starts [burst_size] sessions
+   more than the others' one. *)
+let burst_every = 8
+let burst_size = 4
 
 (* ------------------------------------------------------------------ *)
 (* Sessions and the event heap                                         *)
@@ -411,7 +412,7 @@ let create ?(config = default_config) ?on_complete srv =
     }
   in
   (* lay out the arrival process up front: exponential gaps, with a
-     burst of simultaneous arrivals every lg_burst_every-th one.  Each
+     burst of simultaneous arrivals every burst_every-th one.  Each
      session's file is planned here too, so the files a run offers do
      not shift with response timing (a restart offers the same ones). *)
   let nfiles = (Kserve.config srv).Kserve.cfg_files in
@@ -421,11 +422,7 @@ let create ?(config = default_config) ?on_complete srv =
   let arrival = ref 0 in
   while !planned < config.lg_clients do
     arrival := !arrival + 1;
-    let burst =
-      if config.lg_burst_every > 0 && !arrival mod config.lg_burst_every = 0
-      then 1 + config.lg_burst_size
-      else 1
-    in
+    let burst = if !arrival mod burst_every = 0 then 1 + burst_size else 1 in
     let n = min burst (config.lg_clients - !planned) in
     for _ = 1 to n do
       heap_push t.lg_heap !at Arrive;
@@ -470,8 +467,3 @@ let in_flight t =
       t.lg_by_slot 0
 
 let elapsed_cycles t = now t - t.lg_started_cycle
-
-(* completed data+control requests per million cycles *)
-let throughput t =
-  if elapsed_cycles t = 0 then 0.0
-  else float_of_int t.lg_received *. 1e6 /. float_of_int (elapsed_cycles t)

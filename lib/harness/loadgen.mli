@@ -1,5 +1,6 @@
 (** The kserve load generator: seeded open-loop session arrivals
-    (Poisson plus bursts) over closed-loop sessions, each replaying an
+    (Poisson, with every 8th arrival instant starting 1 + 4 sessions)
+    over closed-loop sessions, each replaying an
     open / read / write / close request stream against the NIC.
 
     Runs as a machine device scheduled at event deadlines; responses
@@ -16,8 +17,6 @@ type config = {
   lg_clients : int;  (** sessions to run *)
   lg_reqs_per_session : int;  (** data requests between open and close *)
   lg_rate_per_ms : float;  (** mean session arrivals per simulated ms *)
-  lg_burst_every : int;  (** every nth arrival is a burst; 0 = off *)
-  lg_burst_size : int;  (** extra sessions arriving at a burst instant *)
   lg_think_us : float;  (** mean gap between response and next request *)
   lg_write_1_in : int;  (** writes are 1-in-n of data requests; 0 = off *)
   lg_conn_ids : int;  (** connection-id pool (concurrency ceiling) *)
@@ -64,6 +63,3 @@ val abandoned : t -> int
 val in_flight : t -> int
 
 val elapsed_cycles : t -> int
-
-(** Responses received per million cycles. *)
-val throughput : t -> float

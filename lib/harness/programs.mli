@@ -25,8 +25,6 @@ val populate : env -> poke:(int -> int -> unit) -> unit
 (** Total size of the region [layout] expects. *)
 val data_words : int
 
-val syscall : int -> Quamachine.Insn.insn list
-
 (** Program 1: the compute-bound calibration (Hofstadter Q-sequence,
     touching a large array at non-contiguous points). *)
 val compute : arr:int -> n:int -> Quamachine.Insn.insn list

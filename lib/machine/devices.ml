@@ -68,8 +68,6 @@ module Timer = struct
           int_of_float (Cost.us_of_cycles (Machine.cost_model m) remaining));
     t
 
-  let armed t = t.armed_at <> max_int
-
   (* Host-side arm, used by the kernel to force an early preemption
      (e.g. when an unblocked thread must get the CPU now). *)
   let arm t ~us =
@@ -97,11 +95,13 @@ module Tty = struct
     output : Buffer.t;
     mutable data_in : int; (* last delivered character *)
     mutable data_taken : bool; (* data_in consumed by an MMIO read *)
-    mutable char_interval_us : float; (* inter-arrival time *)
     dev : Machine.device;
   }
 
-  let install ?(char_interval_us = 100.0) m =
+  (* inter-arrival time of input characters *)
+  let char_interval_us = 100.0
+
+  let install m =
     let dev = Machine.add_device m ~name:"tty" ~due:max_int ~tick:(fun _ -> ()) in
     let t =
       {
@@ -110,7 +110,6 @@ module Tty = struct
         output = Buffer.create 256;
         data_in = 0;
         data_taken = true;
-        char_interval_us;
         dev;
       }
     in
@@ -125,7 +124,7 @@ module Tty = struct
              register is consumed. *)
           Machine.device_schedule m dev
             (Machine.cycles m
-            + Cost.cycles_of_us (Machine.cost_model m) t.char_interval_us)
+            + Cost.cycles_of_us (Machine.cost_model m) char_interval_us)
         else begin
           t.data_in <- Char.code (Queue.pop t.input);
           t.data_taken <- false;
@@ -134,7 +133,7 @@ module Tty = struct
           if not (Queue.is_empty t.input) then
             Machine.device_schedule m dev
               (Machine.cycles m
-              + Cost.cycles_of_us (Machine.cost_model m) t.char_interval_us)
+              + Cost.cycles_of_us (Machine.cost_model m) char_interval_us)
         end);
     Machine.map_mmio_read m ~addr:Mmio_map.tty_data_in (fun () ->
         t.data_taken <- true;
@@ -150,7 +149,7 @@ module Tty = struct
     if was_empty && not (Queue.is_empty t.input) then
       Machine.device_schedule t.machine t.dev
         (Machine.cycles t.machine
-        + Cost.cycles_of_us (Machine.cost_model t.machine) t.char_interval_us)
+        + Cost.cycles_of_us (Machine.cost_model t.machine) char_interval_us)
 
   let output t = Buffer.contents t.output
   let clear_output t = Buffer.clear t.output
@@ -168,8 +167,6 @@ module Disk = struct
     mutable reg_block : int;
     mutable reg_buffer : int;
     mutable status : int; (* 0 idle, 1 busy, 2 done, 3 error *)
-    mutable seek_us : float;
-    mutable transfer_us_per_word : float;
     mutable pending : [ `Read of int * int | `Write of int * int ] option;
     dev : Machine.device;
     (* kcrash: persistence model *)
@@ -178,17 +175,20 @@ module Disk = struct
     mutable journal : (int * int array) list; (* committed writes, newest first *)
   }
 
-  let install ?(blocks = 1024) ?(seek_us = 2000.0) ?(transfer_us_per_word = 1.0) m =
+  (* the platter's size, and a command's seek plus per-word transfer *)
+  let n_blocks = 1024
+  let seek_us = 2000.0
+  let transfer_us_per_word = 1.0
+
+  let install m =
     let dev = Machine.add_device m ~name:"disk" ~due:max_int ~tick:(fun _ -> ()) in
     let t =
       {
         machine = m;
-        store = Array.init blocks (fun _ -> Array.make block_words 0);
+        store = Array.init n_blocks (fun _ -> Array.make block_words 0);
         reg_block = 0;
         reg_buffer = 0;
         status = 0;
-        seek_us;
-        transfer_us_per_word;
         pending = None;
         dev;
         powered = true;
@@ -235,7 +235,7 @@ module Disk = struct
               None);
           if t.pending <> None then begin
             let latency =
-              t.seek_us +. (t.transfer_us_per_word *. float_of_int block_words)
+              seek_us +. (transfer_us_per_word *. float_of_int block_words)
             in
             Machine.device_schedule m t.dev
               (Machine.cycles m + Cost.cycles_of_us (Machine.cost_model m) latency)
@@ -364,8 +364,6 @@ module Da = struct
     let out = List.of_seq (Queue.to_seq t.samples) in
     Queue.clear t.samples;
     out
-
-  let count t = Queue.length t.samples
 end
 
 (* ------------------------------------------------------------------ *)

@@ -24,8 +24,6 @@ module Timer : sig
     ?name:string ->
     ?addr:int -> ?level:int -> ?vector:int -> ?cpu:int -> Machine.t -> t
 
-  val armed : t -> bool
-
   (** Host-side arm; only ever shortens the current deadline. *)
   val arm : t -> us:float -> unit
 end
@@ -33,7 +31,8 @@ end
 module Tty : sig
   type t
 
-  val install : ?char_interval_us:float -> Machine.t -> t
+  (** Input characters arrive 100 µs apart. *)
+  val install : Machine.t -> t
 
   (** Queue input characters for interrupt-driven delivery. *)
   val feed : t -> string -> unit
@@ -49,8 +48,9 @@ module Disk : sig
 
   type t
 
-  val install :
-    ?blocks:int -> ?seek_us:float -> ?transfer_us_per_word:float -> Machine.t -> t
+  (** 1,024 blocks; a command completes 2,000 µs of seek plus 1 µs per
+      word after it is issued. *)
+  val install : Machine.t -> t
 
   (** Host-side image access (populating disks in tests/examples). *)
   val write_block : t -> int -> int array -> unit
@@ -102,7 +102,6 @@ module Da : sig
   (** Remove and return all samples written so far. *)
   val drain : t -> int list
 
-  val count : t -> int
 end
 
 (** Network card (kserve): N queues, each an rx/tx pair of descriptor

@@ -226,12 +226,13 @@ let compile ?(config = default_config) seed =
   { seed; events; cas_gaps }
 
 (* Hand-built plan for targeted scenarios and tests: same machinery,
-   explicitly chosen events instead of seed-expanded ones. *)
-let make_plan ?(cas_gaps = []) ~seed events =
+   explicitly chosen events instead of seed-expanded ones, and no
+   forced CAS failures. *)
+let make_plan ~seed events =
   {
     seed;
     events = List.sort (fun a b -> compare a.ev_after b.ev_after) events;
-    cas_gaps;
+    cas_gaps = [];
   }
 
 (* ---------------------------------------------------------------- *)
@@ -331,4 +332,3 @@ let disarm m t =
   Machine.clear_cas_fail m
 
 let injected t = t.fi_injected
-let seed t = t.fi_plan.seed

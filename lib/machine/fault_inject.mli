@@ -99,9 +99,10 @@ val compile : ?config:config -> int -> plan
     spurious irqs, core stalls, bit flips, stalls and drops; it never
     draws a [Power_cut] or [Frame_fault]. *)
 
-val make_plan : ?cas_gaps:int list -> seed:int -> event list -> plan
+val make_plan : seed:int -> event list -> plan
 (** Hand-built plan for targeted scenarios: explicit events (sorted
-    for you) instead of seed-expanded ones. *)
+    for you) instead of seed-expanded ones, and no forced CAS
+    failures. *)
 
 type t
 (** An armed plan: live injection state on one machine. *)
@@ -117,7 +118,5 @@ val injected : t -> int
 (** Faults actually delivered so far (scheduled events may still be
     pending; stalls/drops with no in-flight completion still count as
     delivered but have no effect). *)
-
-val seed : t -> int
 
 val describe_action : action -> string

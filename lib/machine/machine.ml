@@ -1613,7 +1613,6 @@ let double_faulted t = t.double_fault
 let clear_double_fault t = t.double_fault <- false
 let stopped t = t.cur.stopped
 let last_fault_addr t = t.cur.last_fault_addr
-let vbr t = t.cur.vbr
 let set_vbr t v = t.cur.vbr <- v
 let set_ipl t l = t.cur.ipl <- l land 7
 

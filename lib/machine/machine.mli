@@ -149,7 +149,6 @@ val set_supervisor : t -> bool -> unit
 val pack_sr : t -> int
 val other_sp : t -> int
 val set_other_sp : t -> int -> unit
-val vbr : t -> int
 val set_vbr : t -> int -> unit
 val set_ipl : t -> int -> unit
 val set_fp_enabled : t -> bool -> unit

@@ -1,8 +1,6 @@
 (** Memory-mapped device register allocation (§6.1's I/O devices) and
     their interrupt levels/vectors. *)
 
-val base : int
-
 (** {1 Real-time clock} — read the acting core's time in microseconds. *)
 
 val rtc_us : int

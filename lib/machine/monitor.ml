@@ -1,22 +1,8 @@
-(* Kernel monitor utilities (§6.1, §6.4): disassembly of the code
-   store, execution-trace formatting, and counter reports.  The
+(* Kernel monitor utilities (§6.1, §6.4): static listing costs,
+   execution-trace formatting, and counter reports (disassembly of
+   synthesized routines is Inspect's).  The
    paper's kernel devotes half its size to the monitor; ours leans on
    the host for rendering but reads the same machine state. *)
-
-type annotation = int -> string option
-(* maps a code address to a label, e.g. from the synthesis registry *)
-
-let no_annotation : annotation = fun _ -> None
-
-(* Disassemble [len] instructions starting at [from]. *)
-let disassemble ?(annotate = no_annotation) m ~from ~len ppf =
-  let stop = min (from + len) (Machine.code_size m) in
-  for a = from to stop - 1 do
-    (match annotate a with
-    | Some label -> Fmt.pf ppf "%s:@." label
-    | None -> ());
-    Fmt.pf ppf "  %5d  %a@." a Insn.pp (Machine.read_code m a)
-  done
 
 (* Static cost of a straight-line listing: base cycles (memory
    references depend on dynamic addresses and are excluded). *)

@@ -1,12 +1,5 @@
-(** Kernel monitor utilities (§6.1, §6.4): disassembly, trace
-    formatting, counter reports. *)
-
-(** Maps a code address to a label (e.g. from the synthesis registry). *)
-type annotation = int -> string option
-
-(** Disassemble [len] instructions starting at [from]. *)
-val disassemble :
-  ?annotate:annotation -> Machine.t -> from:int -> len:int -> Format.formatter -> unit
+(** Kernel monitor utilities (§6.1, §6.4): static listing costs,
+    trace formatting, counter reports. *)
 
 (** Sum of base cycles over a listing (memory references excluded). *)
 val static_cycles : Machine.t -> from:int -> len:int -> int

@@ -71,7 +71,6 @@ let create machine =
     period = 0;
   }
 
-let machine t = t.machine
 let running t = t.running
 
 (* Counters accumulated over the current window (empty when stopped). *)

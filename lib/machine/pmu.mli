@@ -14,7 +14,6 @@ val counter_name : counter -> string
 type t
 
 val create : Machine.t -> t
-val machine : t -> Machine.t
 
 (** {1 Counter windows}
 

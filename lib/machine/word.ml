@@ -59,5 +59,4 @@ let divu a b = (a land mask) / (b land mask)
 
 let divs a b = (signed a / signed b) land mask
 
-let equal a b = a land mask = b land mask
 let compare_unsigned a b = compare (a land mask) (b land mask)

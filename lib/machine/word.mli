@@ -4,7 +4,6 @@
     non-negative as OCaml ints; [signed] reinterprets them as signed
     32-bit quantities. *)
 
-val bits : int
 val mask : int
 val sign_bit : int
 
@@ -34,5 +33,4 @@ val shift_right_arith : int -> int -> int
 val divu : int -> int -> int
 
 val divs : int -> int -> int
-val equal : int -> int -> bool
 val compare_unsigned : int -> int -> int

@@ -39,8 +39,3 @@ let try_get t =
     t.tail <- next t t.tail;
     v
   end
-
-let is_empty t = t.tail = t.head
-let is_full t = next t t.head = t.tail
-let length t = if t.head >= t.tail then t.head - t.tail else t.head - t.tail + t.size
-let capacity t = t.size - 1

@@ -10,7 +10,3 @@ type 'a t
 val create : int -> 'a t
 val try_put : 'a t -> 'a -> bool
 val try_get : 'a t -> 'a option
-val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
-val length : 'a t -> int
-val capacity : 'a t -> int

@@ -51,11 +51,3 @@ let rec get t =
   | None ->
     Domain.cpu_relax ();
     get t
-
-let length t =
-  Mutex.lock t.lock;
-  let n = if t.head >= t.tail then t.head - t.tail else t.head - t.tail + t.size in
-  Mutex.unlock t.lock;
-  n
-
-let capacity t = t.size - 1

@@ -63,14 +63,3 @@ let rec try_get t =
   else try_get t
 
 let rec put t v = if not (try_put t v) then (Domain.cpu_relax (); put t v)
-
-let rec get t =
-  match try_get t with
-  | Some v -> v
-  | None ->
-    Domain.cpu_relax ();
-    get t
-
-let is_empty t = Atomic.get t.head = Atomic.get t.tail
-let length t = max 0 (Atomic.get t.head - Atomic.get t.tail)
-let capacity t = t.size

@@ -13,7 +13,3 @@ val create : int -> 'a t
 val try_put : 'a t -> 'a -> bool
 val try_get : 'a t -> 'a option
 val put : 'a t -> 'a -> unit
-val get : 'a t -> 'a
-val is_empty : 'a t -> bool
-val length : 'a t -> int
-val capacity : 'a t -> int

@@ -88,10 +88,4 @@ let rec get t =
     Domain.cpu_relax ();
     get t
 
-let is_empty t = not (Atomic.get t.flag.(Atomic.get t.tail_c))
-
-let length t =
-  let h = Atomic.get t.head and tl = Atomic.get t.tail_c in
-  if h >= tl then h - tl else h - tl + t.size
-
 let capacity t = t.size - 1

@@ -77,4 +77,3 @@ let is_empty t =
   Atomic.get t.seq.(tl mod t.size) <> tl + 1
 
 let length t = max 0 (Atomic.get t.head - Atomic.get t.tail)
-let capacity t = t.size - 1

@@ -12,4 +12,3 @@ val put : 'a t -> 'a -> unit
 val get : 'a t -> 'a
 val is_empty : 'a t -> bool
 val length : 'a t -> int
-val capacity : 'a t -> int

@@ -53,9 +53,3 @@ let rec get t =
 
 let is_empty t = Atomic.get t.tail = Atomic.get t.head
 let is_full t = next t (Atomic.get t.head) = Atomic.get t.tail
-
-let length t =
-  let h = Atomic.get t.head and tl = Atomic.get t.tail in
-  if h >= tl then h - tl else h - tl + t.size
-
-let capacity t = t.size - 1

@@ -22,8 +22,3 @@ val put : 'a t -> 'a -> unit
 val get : 'a t -> 'a
 val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
-
-(** Approximate number of queued items (racy under concurrency). *)
-val length : 'a t -> int
-
-val capacity : 'a t -> int

@@ -626,7 +626,7 @@ let test_watchdog_restarts_stalled_flow () =
   let wd = Watchdog.install k ~period_us:200.0 () in
   let kicks = ref 0 in
   let flow =
-    Watchdog.watch wd ~name:"stuck" ~threshold:3
+    Watchdog.watch wd ~name:"stuck"
       ~read:(fun () -> 0) (* never makes progress *)
       ~restart:(fun () -> incr kicks)
       ()

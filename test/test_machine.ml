@@ -260,11 +260,11 @@ let test_timer_device () =
 
 let test_disk_error_status () =
   let m = machine () in
-  let disk = Devices.Disk.install ~blocks:8 m in
+  let disk = Devices.Disk.install m in
   ignore disk;
   let prog =
     [
-      I.Move (I.Imm 99, I.Abs Mmio_map.disk_block); (* out of range *)
+      I.Move (I.Imm 2000, I.Abs Mmio_map.disk_block); (* out of range *)
       I.Move (I.Imm 0x200, I.Abs Mmio_map.disk_buffer);
       I.Move (I.Imm 1, I.Abs Mmio_map.disk_command);
       I.Move (I.Abs Mmio_map.disk_status, I.Abs 0x100);

@@ -1,16 +1,17 @@
 (* kserve end-to-end: a seeded load-generator run over the full stack
    (NIC rx ring → the serve pumps' dispatch through synthesized
    per-connection service routines → NIC tx ring) completes every
-   session exactly once, recycled slots included; every kind of
-   (slot, op) dispatch entry answers correctly on the wire; a warm restart
-   serves its accepts from the synthesis cache with a flat code
-   footprint; overload arms admission control, sheds at the rx ring,
-   and still converges; spans measure every served request.  The
-   per-core pumps sleep without losing a wakeup, drain on shutdown,
-   keep cross-core appends to one file exact, and share a saturated
-   load evenly; a lone pump's quantum timer never switches it to
-   itself, yet a thread made ready next to it still gets turns; a
-   client times a straggler from its first send. *)
+   session exactly once, recycled slots included; its paced arrivals
+   burst every 8th instant; every kind of (slot, op) dispatch entry
+   answers correctly on the wire; a warm restart serves its accepts
+   from the synthesis cache with a flat code footprint; overload arms
+   admission control, sheds at the rx ring, and still converges;
+   spans measure every served request.  The per-core pumps sleep
+   without losing a wakeup, drain on shutdown, keep cross-core appends
+   to one file exact, and share a saturated load evenly; a lone pump's
+   quantum timer never switches it to itself, yet a thread made ready
+   next to it still gets turns; a client times a straggler from its
+   first send. *)
 
 open Quamachine
 open Synthesis
@@ -141,6 +142,62 @@ let test_loadgen_ticks_per_event () =
   check_bool "far fewer ticks than cycles" true
     (!ticks * 100 < Machine.cycles m)
 
+(* The paced arrival shape: sessions start in groups, one group per
+   arrival instant, and every 8th instant starts 1 + 4 sessions where
+   every other starts one (the last group is cut to the sessions left).
+   A think time far past the run keeps every session at its open, so
+   each load-generator tick's sends are exactly the sessions that
+   arrived at that instant. *)
+let test_arrival_bursts () =
+  let boot = Boot.boot () in
+  let m = boot.Boot.kernel.Kernel.machine in
+  let srv = Kserve.create boot in
+  let sessions = 45 in
+  let lg =
+    Loadgen.create
+      ~config:
+        {
+          Loadgen.default_config with
+          lg_clients = sessions;
+          lg_rate_per_ms = 0.8;
+          lg_think_us = 1e12;
+        }
+      srv
+  in
+  (* a hook runs before its device's tick: a tick's sends show at the
+     next device tick *)
+  let groups = ref [] and tick_start = ref None in
+  let close_tick () =
+    match !tick_start with
+    | Some sent when Loadgen.sent lg > sent -> groups := (Loadgen.sent lg - sent) :: !groups
+    | _ -> ()
+  in
+  Machine.set_hooks m
+    (Some
+       {
+         Machine.h_post = (fun ~source:_ ~level:_ ~vector:_ -> ());
+         h_irq = (fun ~level:_ ~vector:_ -> ());
+         h_device =
+           (fun name ->
+             close_tick ();
+             tick_start := if name = "loadgen" then Some (Loadgen.sent lg) else None);
+         h_fault = (fun _ -> ());
+       });
+  (match Boot.go ~max_insns:40_000_000 ~max_cycles:4_000_000 boot with
+  | Machine.Insn_limit -> ()
+  | Machine.Halted -> Alcotest.fail "sessions closed before their think time");
+  close_tick ();
+  Machine.set_hooks m None;
+  let rec expected instant left =
+    if left = 0 then []
+    else
+      let n = min left (if instant mod 8 = 0 then 5 else 1) in
+      n :: expected (instant + 1) (left - n)
+  in
+  check_int "every session opened" sessions (Loadgen.sent lg);
+  Alcotest.(check (list int))
+    "sessions per arrival instant" (expected 1 sessions) (List.rev !groups)
+
 let test_warm_restart_hits_cache () =
   let boot = Boot.boot () in
   let srv = Kserve.create boot in
@@ -224,7 +281,7 @@ let test_spans_survive_backpressure () =
   let boot = Boot.boot () in
   let k = boot.Boot.kernel in
   let m = k.Kernel.machine in
-  let tr = Ktrace.create ~capacity:(1 lsl 18) m in
+  let tr = Ktrace.create m in
   Kernel.attach_tracing k tr;
   let sp = Kernel.attach_spans k in
   let ring_len = 1 in
@@ -234,7 +291,6 @@ let test_spans_survive_backpressure () =
         {
           Kserve.default_config with
           cfg_ring_len = ring_len;
-          cfg_coalesce = 1;
           cfg_poll_us = 20.0;
         }
       boot
@@ -744,7 +800,7 @@ let test_neighbour_runs () =
       ]
   in
   let quantum_us = 100 in
-  let tr = Ktrace.create ~capacity:(1 lsl 18) m in
+  let tr = Ktrace.create m in
   Kernel.attach_tracing k tr;
   let created = Machine.cycles m in
   let tid = (Thread.create k ~quantum_us ~segments:[ (cell, 1) ] ~entry ()).Kernel.tid in
@@ -1217,6 +1273,8 @@ let () =
             test_sessions_complete_exactly_once;
           Alcotest.test_case "load generator ticks per event" `Quick
             test_loadgen_ticks_per_event;
+          Alcotest.test_case "arrivals burst every 8th instant" `Quick
+            test_arrival_bursts;
           Alcotest.test_case "warm restart hits the synthesis cache" `Quick
             test_warm_restart_hits_cache;
           Alcotest.test_case "overload sheds and converges" `Quick

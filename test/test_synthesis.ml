@@ -741,64 +741,7 @@ let test_passive_passive_pump () =
     && Machine.peek m cells <= int_of_float (Machine.time_us m))
 
 (* ------------------------------------------------------------------ *)
-(* Asynchronous (signalling) queues (§2.3) *)
-
-let test_async_queue_signals () =
-  let b = Boot.boot () in
-  let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  let aq = Async_queue.create k ~name:"t/aq" ~size:8 in
-  let cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
-  (* the consumer thread: spins in user mode; its signal handler
-     counts data-available edges *)
-  let handler, _ =
-    Asm.assemble m [ I.Alu_mem (I.Add, I.Imm 1, I.Abs cell); I.Rts ]
-  in
-  let spin_prog =
-    [
-      I.Move (I.Imm handler, I.Reg I.r1);
-      I.Trap 8; (* register signal handler *)
-      I.Label "spin";
-      I.Cmp (I.Imm 2, I.Abs cell);
-      I.B (I.Ne, I.To_label "spin");
-      I.Trap 0;
-    ]
-  in
-  let sentry, _ = Asm.assemble m spin_prog in
-  let consumer = Thread.create k ~quantum_us:100 ~entry:sentry ~segments:[ (cell, 16) ] () in
-  Async_queue.set_consumer aq consumer;
-  (* the producer: a kernel service thread driving the async put;
-     three puts back-to-back must raise exactly ONE signal (only the
-     empty->nonempty edge), then after a drain-and-refill a second *)
-  let producer_code =
-    [
-      (* let the consumer run first and register its handler *)
-      I.Move (I.Imm 5000, I.Reg I.r9);
-      I.Label "delay";
-      I.Dbra (I.r9, I.To_label "delay");
-      I.Move (I.Imm 11, I.Reg I.r1);
-      I.Jsr (I.To_addr aq.Async_queue.aq_put); (* edge: signal 1 *)
-      I.Move (I.Imm 22, I.Reg I.r1);
-      I.Jsr (I.To_addr aq.Async_queue.aq_put); (* no edge *)
-      I.Move (I.Imm 33, I.Reg I.r1);
-      I.Jsr (I.To_addr aq.Async_queue.aq_put); (* no edge *)
-      (* drain all three *)
-      I.Jsr (I.To_addr aq.Async_queue.aq_get);
-      I.Jsr (I.To_addr aq.Async_queue.aq_get);
-      I.Jsr (I.To_addr aq.Async_queue.aq_get);
-      (* refill: a second empty->nonempty edge *)
-      I.Move (I.Imm 44, I.Reg I.r1);
-      I.Jsr (I.To_addr aq.Async_queue.aq_put); (* edge: signal 2 *)
-      I.Trap 0;
-    ]
-  in
-  let pentry, _ = Ksynth.install k ~name:"t/aqproducer" producer_code in
-  let producer = Thread.create k ~quantum_us:100 ~system:false ~entry:pentry () in
-  Machine.poke m (producer.Kernel.base + Layout.Tte.off_regs + 16) Ctx.kernel_sr;
-  (match Boot.go ~max_insns:50_000_000 b with
-  | Machine.Halted -> ()
-  | Machine.Insn_limit -> Alcotest.fail "async queue test stuck");
-  check_int "exactly two data-available edges signalled" 2 (Machine.peek m cell)
+(* Signals (§2.3) *)
 
 (* A burst of signals while the handler is mid-flight coalesces: the
    handler runs once per delivery, never loses the thread's original
@@ -846,26 +789,6 @@ let test_signal_burst_coalesces () =
   | Machine.Insn_limit -> Alcotest.fail "burst test stuck");
   check_int "handler ran once per delivery" 5 (Machine.peek m cell);
   check_int "original continuation restored" 1 (Machine.peek m (cell + 1))
-
-let test_async_queue_full_status () =
-  let b = Boot.boot () in
-  let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  let aq = Async_queue.create k ~name:"t/aq2" ~size:4 in
-  (* no registered threads: wrappers must still work, returning status *)
-  for i = 1 to 3 do
-    let st, _ = run_call m ~entry:aq.Async_queue.aq_put ~r1:i () in
-    check_int "put ok" 1 st
-  done;
-  let st, _ = run_call m ~entry:aq.Async_queue.aq_put ~r1:9 () in
-  check_int "full returns 0, never blocks" 0 st;
-  for i = 1 to 3 do
-    let st, v = run_call m ~entry:aq.Async_queue.aq_get () in
-    check_int "get ok" 1 st;
-    check_int "order" i v
-  done;
-  let st, _ = run_call m ~entry:aq.Async_queue.aq_get () in
-  check_int "empty returns 0, never blocks" 0 st
 
 (* ------------------------------------------------------------------ *)
 (* The quaject creator and interfacer (§2.3) *)
@@ -1183,7 +1106,7 @@ let prop_ready_queue_churn =
 let test_scheduler_proportionality () =
   let b = Boot.boot () in
   let k = b.Boot.kernel in
-  let sched = Scheduler.install k ~epoch_us:1_000 ~min_quantum:100 ~max_quantum:900 () in
+  let sched = Scheduler.install k ~epoch_us:1_000 () in
   let spin, _ =
     Ksynth.install k ~name:"sched/spin"
       [ I.Label "s"; I.B (I.Always, I.To_label "s") ]
@@ -1268,9 +1191,6 @@ let () =
             test_passive_passive_pump ] );
       ( "async-queue",
         [
-          Alcotest.test_case "signals on edges only" `Quick test_async_queue_signals;
-          Alcotest.test_case "status instead of blocking" `Quick
-            test_async_queue_full_status;
           Alcotest.test_case "signal bursts coalesce" `Quick
             test_signal_burst_coalesces;
         ] );
