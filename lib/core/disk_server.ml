@@ -57,7 +57,6 @@ type t = {
      a barrier request sits alone in its own epoch and a plain
      [barrier] call just fences by bumping the counter *)
   mutable ds_epoch : int;
-  mutable ds_barriers : int;
   (* in-flight write-backs: descriptor -> (block, buffer).  The dirty
      bit stays set until the completion reports status 1, so a crash
      or a failed write-back never silently drops the block. *)
@@ -66,17 +65,12 @@ type t = {
      sync read timed out can re-await the same transfer instead of
      double-issuing or hitting a not-yet-filled cache slot *)
   ds_inflight : (int, request) Hashtbl.t;
-  mutable ds_sync_timeouts : int;
   (* recovery: bounded retry with backoff on lost completions *)
   ds_timeout_cycles : int;
   ds_max_tries : int;
   mutable ds_tries : int; (* issues of the active request, 1-based *)
   mutable ds_active_since : int; (* cycle the active request was issued *)
   mutable ds_watchdog : Machine.device option;
-  mutable ds_timeouts : int;
-  mutable ds_retries : int;
-  mutable ds_failed : int;
-  mutable ds_spurious : int; (* disk irqs with no done transfer behind them *)
   mutable ds_last_recovery_cycles : int; (* fault -> completion, for bench *)
   (* kspan: request descriptor -> open span id (host-side; empty
      unless a span layer is attached) *)
@@ -210,7 +204,6 @@ let submit t ?(barrier = false) ?waitq ~block ~buffer ~write () =
   Machine.charge_refs m 4;
   let epoch =
     if barrier then begin
-      t.ds_barriers <- t.ds_barriers + 1;
       Metrics.bump k.Kernel.metrics "disk.barriers";
       let e = t.ds_epoch + 1 in
       t.ds_epoch <- e + 1;
@@ -233,7 +226,6 @@ let submit t ?(barrier = false) ?waitq ~block ~buffer ~write () =
    Pure queue bookkeeping — no I/O, a few cycles. *)
 let barrier t =
   t.ds_epoch <- t.ds_epoch + 1;
-  t.ds_barriers <- t.ds_barriers + 1;
   Metrics.bump t.ds_kernel.Kernel.metrics "disk.barriers";
   Machine.charge t.ds_kernel.Kernel.machine 4
 
@@ -362,7 +354,6 @@ let install_irq t =
             start_next t
           end
           else begin
-            t.ds_spurious <- t.ds_spurious + 1;
             Metrics.bump k.Kernel.metrics "disk.spurious_irqs"
           end
         | None ->
@@ -546,7 +537,6 @@ let read_block_sync t block ~max_insns =
       if not (Hashtbl.mem t.ds_inflight block) then
         if Hashtbl.mem t.ds_cache block then Some buf else None
       else if n <= 0 then begin
-        t.ds_sync_timeouts <- t.ds_sync_timeouts + 1;
         Metrics.bump k.Kernel.metrics "disk.sync_timeouts";
         None
       end
@@ -571,18 +561,15 @@ let watchdog_tick t m =
   | None -> ()
   | Some req ->
     if Machine.peek m (req.r_desc + 3) = 0 then begin
-      t.ds_timeouts <- t.ds_timeouts + 1;
       Metrics.bump k.Kernel.metrics "disk.timeouts";
       Kernel.trace k (Ktrace.Fault "disk_timeout");
       if t.ds_tries < t.ds_max_tries then begin
         t.ds_tries <- t.ds_tries + 1;
-        t.ds_retries <- t.ds_retries + 1;
         Metrics.bump k.Kernel.metrics "disk.retries";
         issue_via_machine t req;
         watchdog_arm t
       end
       else begin
-        t.ds_failed <- t.ds_failed + 1;
         Metrics.bump k.Kernel.metrics "disk.failed";
         Kernel.log_fault k ~tid:0
           ~reason:(Fmt.str "disk_failed block=%d" req.r_block);
@@ -607,12 +594,6 @@ let watchdog_tick t m =
 
 let stats t = (t.ds_hits, t.ds_misses)
 let service_order t = List.rev t.ds_issued
-let barriers t = t.ds_barriers
-let sync_timeouts t = t.ds_sync_timeouts
-let timeouts t = t.ds_timeouts
-let retries t = t.ds_retries
-let failed t = t.ds_failed
-let spurious_irqs t = t.ds_spurious
 let last_recovery_cycles t = t.ds_last_recovery_cycles
 let active_tries t = t.ds_tries
 
@@ -636,19 +617,13 @@ let install k ?(cache_capacity = 16) ?(timeout_us = 8_000.0) ?(max_tries = 4)
       ds_hits = 0;
       ds_misses = 0;
       ds_epoch = 0;
-      ds_barriers = 0;
       ds_wb = Hashtbl.create 8;
       ds_inflight = Hashtbl.create 8;
-      ds_sync_timeouts = 0;
       ds_timeout_cycles = Cost.cycles_of_us (Machine.cost_model m) timeout_us;
       ds_max_tries = max_tries;
       ds_tries = 1;
       ds_active_since = 0;
       ds_watchdog = None;
-      ds_timeouts = 0;
-      ds_retries = 0;
-      ds_failed = 0;
-      ds_spurious = 0;
       ds_last_recovery_cycles = 0;
       ds_spans = Hashtbl.create 8;
     }

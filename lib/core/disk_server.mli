@@ -71,26 +71,16 @@ val stats : t -> int * int
 (** Block numbers in the order the device serviced them. *)
 val service_order : t -> int list
 
-(** Barriers issued (standalone fences and barrier requests). *)
-val barriers : t -> int
+(** {1 Recovery}
 
-(** Synchronous reads that exhausted their instruction budget. *)
-val sync_timeouts : t -> int
-
-(** {1 Recovery counters} *)
-
-(** Watchdog expiries (each is a retry or a permanent failure). *)
-val timeouts : t -> int
-
-val retries : t -> int
-
-(** Requests failed after exhausting the retry budget. *)
-val failed : t -> int
-
-(** Disk interrupts dismissed because the device did not report the
-    transfer done (completion-exactly-once guard; also counted in the
-    "disk.spurious_irqs" metric). *)
-val spurious_irqs : t -> int
+    The server counts into the kernel's metrics: "disk.barriers"
+    (standalone fences and barrier requests), "disk.sync_timeouts"
+    (synchronous reads that exhausted their budget), "disk.timeouts"
+    (watchdog expiries, each a retry or a permanent failure),
+    "disk.retries", "disk.failed" (requests failed after the retry
+    budget), "disk.spurious_irqs" (interrupts dismissed because the
+    device did not report the transfer done) and
+    "disk.writeback_failed". *)
 
 (** Cycles from first issue to completion of the most recent request
     that needed at least one retry; 0 if none has recovered yet. *)

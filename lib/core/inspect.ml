@@ -43,8 +43,8 @@ let disassemble_routine k ppf name =
       List.iter (Fmt.pf ppf "         ; probe %s@.") (probe_notes k a);
       Fmt.pf ppf "  %5d  %a@." a Insn.pp (Machine.read_code k.Kernel.machine a)
     done;
-    Fmt.pf ppf "static cycles (excl. memory refs): %d@."
-      (Monitor.static_cycles k.Kernel.machine ~from:entry ~len)
+    Fmt.pf ppf "straight-line cycles from entry: %d@."
+      (Monitor.static_cycles k.Kernel.machine ~from:entry)
 
 let pp_registry k ppf () =
   List.iter

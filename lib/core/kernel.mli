@@ -179,9 +179,6 @@ val fault_log_cap : int
     trace is attached.  Host-side — charges no simulated cycles. *)
 val log_fault : t -> tid:int -> reason:string -> unit
 
-(** Total faults ever logged (survives fault-log eviction). *)
-val faults_total : t -> int
-
 (** {1 Tracing}
 
     Attached or not, synthesized code is byte-identical and runs in

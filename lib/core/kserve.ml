@@ -598,26 +598,6 @@ let pump_template t ~ring_len ~pump ~rx_ring ~tx_ring ~cpu =
         I.Jmp (I.To_mem (I.Abs (Layout.cur_sw_out_cell_for cpu)));
       ])
 
-(* The cycles a tick stub spends after its timer store: the store
-   re-arms the longest quantum, and the instructions after it, up to
-   the Rte, run before the pump's next instruction.  A quantum no
-   longer than them is due again by that Rte, so the pump never runs
-   (a livelock).  Read off the instantiated page at [tick] through the
-   machine's cost model. *)
-let tick_tail_cycles m ~tick ~timer =
-  let model = Machine.cost_model m in
-  let cycles i = Cost.base i + (Cost.refs i * Cost.mem_ref_cycles model) in
-  let rec to_store a =
-    match Machine.read_code m a with
-    | I.Move (_, I.Abs c) when c = timer -> tail (a + 1) 0
-    | _ -> to_store (a + 1)
-  and tail a n =
-    match Machine.read_code m a with
-    | I.Rte as i -> n + cycles i
-    | i -> tail (a + 1) (n + cycles i)
-  in
-  to_store tick
-
 let pump_probes t =
   [
     ( "open",
@@ -902,7 +882,16 @@ let create ?(config = default_config) boot =
       let quantum =
         Cost.cycles_of_us (Machine.cost_model m) (float_of_int cfg.cfg_worker_quantum_max_us)
       in
-      if quantum <= tick_tail_cycles m ~tick:p.p_tick ~timer then
+      (* the tick stub's timer store re-arms the longest quantum, and
+         the straight line after it, up to the Rte, runs before the
+         pump's next instruction: a quantum no longer than that line is
+         due again by the Rte, so the pump never runs (a livelock) *)
+      let rec after_store a =
+        match Machine.read_code m a with
+        | I.Move (_, I.Abs c) when c = timer -> a + 1
+        | _ -> after_store (a + 1)
+      in
+      if quantum <= Monitor.static_cycles m ~from:(after_store p.p_tick) then
         invalid_arg "Kserve: worker_quantum_max_us is due again before the tick stub returns")
     t.sv_pumps;
   (* a slot's open entry is its pump's accept for good; the rest answer

@@ -130,7 +130,3 @@ val key : handle -> string
 (** {1 Introspection} *)
 
 val stats : Kernel.t -> stats
-
-(** Arena words ever acquired, across kinds (× 4 = the
-    "kernel.code_bytes_peak" gauge's byte count). *)
-val footprint_words : Kernel.t -> int

@@ -45,7 +45,7 @@ type t = {
   machine : Machine.t;
   metrics : Metrics.t;
   enabled : bool;
-  ring : event option array;
+  ring : event option array; (* empty when disabled: [emit] never writes it *)
   mutable pos : int;
   mutable count : int; (* total emitted, including dropped *)
   (* The flight-recorder black box: a small ring that records every
@@ -70,7 +70,7 @@ let create ?(capacity = 65536) ?(enabled = true) machine =
     machine;
     metrics = Metrics.create ();
     enabled;
-    ring = Array.make capacity None;
+    ring = (if enabled then Array.make capacity None else [||]);
     pos = 0;
     count = 0;
     bb_ring = Array.make blackbox_capacity None;
@@ -113,11 +113,6 @@ let emit t kind =
     t.count <- t.count + 1;
     Metrics.bump t.metrics ("ktrace.events." ^ kind_name kind)
   end
-
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
-  t.pos <- 0;
-  t.count <- 0
 
 (* Oldest first. *)
 let ring_events ring pos count =

@@ -45,7 +45,8 @@ type kind =
 
 type event = { ev_cycles : int; ev_kind : kind }
 
-(** [capacity] (default 65,536) sizes the event ring; the always-on
+(** [capacity] (default 65,536) sizes the event ring, which only an
+    [enabled] trace (the default) allocates; the always-on
     flight-recorder ring keeps the last 256 events (see
     {!blackbox_events}). *)
 val create : ?capacity:int -> ?enabled:bool -> Machine.t -> t
@@ -60,7 +61,6 @@ val events : t -> event list
 val event_count : t -> int
 
 val dropped : t -> int
-val clear : t -> unit
 
 (** {1 Flight recorder}
 
@@ -89,10 +89,6 @@ val attributed_total : t -> int
 
 (** Machine cycles elapsed since {!install}. *)
 val traced_cycles : t -> int
-
-(** Owner totals grouped by quaject (first ['/']-separated component
-    of the routine name). *)
-val quaject_cycles : t -> (string * int) list
 
 (** Per-thread CPU cycles reconstructed from the switch events. *)
 val thread_cycles : t -> (int * int) list

@@ -72,11 +72,6 @@ let gauge t name =
 let set_gauge g v = g.g_value <- v
 let gauge_value g = g.g_value
 
-let read_gauge t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some g -> Some g.g_value
-  | None -> None
-
 (* Windowed rates (§3's gauge as policy reads it): a counter that
    synthesized code or a device ticks, sampled once per window into a
    named gauge in events per kilocycle.  The counter is a 32-bit

@@ -50,7 +50,6 @@ val read : t -> string -> int
 val gauge : t -> string -> gauge
 val set_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
-val read_gauge : t -> string -> float option
 
 (** {1 Windowed rates}
 

@@ -1,10 +1,12 @@
 (* Quaject building blocks and the interfacer's connection analysis
    (§2.3, §5.2).
 
-   Quajects are built from a small set of blocks: queues (Kqueue),
-   monitors, switches, pumps and gauges (the scheduler's per-thread
-   counters, and the counters whose windowed rate [Metrics.rate]
-   gives policy).  The quaject interfacer picks
+   Quajects are built from a small set of blocks, each implemented
+   once: queues (Kqueue), the monitor (here), the switch (kserve's
+   (slot, op) jump table), the pump (a service thread, as tty's screen
+   pump) and gauges (the scheduler's per-thread counters, and the
+   counters whose windowed rate [Metrics.rate] gives policy).  The
+   quaject interfacer picks
    the cheapest connector for each producer/consumer pairing by the
    case analysis of §5.2 — applying the principle of frugality:
 
@@ -91,34 +93,3 @@ let create_monitor k ~name =
       [ I.Move (I.Imm 0, I.Abs lock); I.Rts ]
   in
   { mon_lock = lock; mon_enter = enter; mon_exit = exit }
-
-(* ---------------------------------------------------------------- *)
-(* Switch: directs control flow to one of several targets, e.g. an
-   interrupt demultiplexer or a file-system selector (§2.3).  The
-   target table lives in data memory so servers can retarget entries
-   at run time. *)
-
-type switch = { sw_table : int; sw_entry : int; sw_size : int }
-
-let create_switch k ~name targets =
-  let n = Array.length targets in
-  let table = Kalloc.alloc_zeroed k.Kernel.alloc (max n 1) in
-  Array.iteri (fun i t -> Machine.poke k.Kernel.machine (table + i) t) targets;
-  let bad = Ksynth.lookup k "bad_fd" in
-  let entry, _ =
-    Ksynth.install k ~name:(name ^ "/switch")
-      [
-        I.Cmp (I.Imm n, I.Reg I.r1);
-        I.B (I.Cc, I.To_label "bad"); (* selector out of range *)
-        I.Move (I.Reg I.r1, I.Reg I.r4);
-        I.Alu (I.Add, I.Imm table, I.r4);
-        I.Jmp (I.To_mem (I.Ind I.r4));
-        I.Label "bad";
-        I.Jmp (I.To_addr bad);
-      ]
-  in
-  { sw_table = table; sw_entry = entry; sw_size = n }
-
-let retarget k sw ~index ~target =
-  if index < 0 || index >= sw.sw_size then invalid_arg "Quaject.retarget";
-  Machine.poke k.Kernel.machine (sw.sw_table + index) target

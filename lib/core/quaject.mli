@@ -1,7 +1,7 @@
 (** Quaject building blocks and the interfacer's connection analysis
     (§2.3, §5.2): the case table that picks the cheapest connector for
-    each producer/consumer pairing, plus monitors and switches as
-    installable kernel code. *)
+    each producer/consumer pairing, plus the monitor as installable
+    kernel code. *)
 
 type endpoint = Active | Passive
 type multiplicity = Single | Multiple
@@ -35,11 +35,3 @@ val connector_name : connector -> string
 type monitor = { mon_lock : int; mon_enter : int; mon_exit : int }
 
 val create_monitor : Kernel.t -> name:string -> monitor
-
-(** {1 Switch}: routes control flow by a selector in r1 through a
-    retargetable table in data memory (§2.3). *)
-
-type switch = { sw_table : int; sw_entry : int; sw_size : int }
-
-val create_switch : Kernel.t -> name:string -> int array -> switch
-val retarget : Kernel.t -> switch -> index:int -> target:int -> unit

@@ -33,10 +33,6 @@ val to_list : ?cpu:int -> Kernel.t -> Kernel.tte list
 (** Ready threads summed over every core's ring. *)
 val length : Kernel.t -> int
 
-(** Re-establish the idle-thread invariant on every core after
-    external changes. *)
-val balance_idle : Kernel.t -> unit
-
 (** Structural check: the mirror is a consistent cycle and every
     patched jmp targets the right successor entry. *)
 val verify : Kernel.t -> bool

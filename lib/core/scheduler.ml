@@ -137,14 +137,4 @@ let install k ?(epoch_us = 5_000) () =
   t
 
 (* Expected CPU share of [tte] under the current quanta. *)
-let cpu_share t (tte : Kernel.tte) =
-  let total =
-    List.fold_left
-      (fun acc (x : Kernel.tte) -> acc + x.Kernel.quantum_us)
-      0 (all_ready t.kernel)
-  in
-  if total = 0 then 0.0 else float_of_int tte.Kernel.quantum_us /. float_of_int total
-
 let metrics t = t.metrics
-let epochs t = Metrics.epoch_count t.metrics
-let history t = Metrics.epoch_history t.metrics

@@ -20,9 +20,6 @@ type built = {
   sg_connectors : Quaject.connector list;  (** the interfacer's choices *)
 }
 
-(** The connector for an arc with the given endpoint multiplicities. *)
-val connect_many : producers:int -> consumers:int -> Quaject.connector
-
 (** Build Head → Middle* → Tail: creates the threads (runnable) and
     the connecting 256-word pipes, with each pipe end synthesized for
     its owning thread.  Raises [Invalid_argument] on malformed shapes. *)

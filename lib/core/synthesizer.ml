@@ -117,29 +117,5 @@ let interface k ~name ~producer ~consumer ~consumer_entry () =
     { cn_connector = connector; cn_call = q.Kqueue.q_put; cn_queue = Some q }
   | Quaject.Pump_thread ->
     invalid_arg
-      "Synthesizer.interface: passive-passive connections are built with \
-       [pump], which creates the service thread"
-
-(* Pump (§5.2's xclock): both endpoints passive, so a dedicated kernel
-   service thread animates the connection — it calls the producer
-   operation (result in r0), hands the value to the consumer operation
-   (argument in r1), and yields once per transfer so it never starves
-   the rest of the ring.  Returns the pump thread. *)
-let pump k ~name ~source_entry ~sink_entry =
-  let body =
-    [
-      Insn.Label "loop";
-      Insn.Jsr (Insn.To_addr source_entry); (* r0 := producer value *)
-      Insn.Move (Insn.Reg Insn.r0, Insn.Reg Insn.r1);
-      Insn.Jsr (Insn.To_addr sink_entry); (* consume r1 *)
-      Insn.Trap 5; (* yield: one transfer per turn *)
-      Insn.B (Insn.Always, Insn.To_label "loop");
-    ]
-  in
-  let entry, _ = Ksynth.install k ~name:(name ^ "/pump") body in
-  let t = Thread.create k ~quantum_us:150 ~system:true ~entry () in
-  Machine.poke k.Kernel.machine
-    (t.Kernel.base + Layout.Tte.off_regs + 16)
-    Ctx.kernel_sr;
-  t
-
+      "Synthesizer.interface: a passive-passive connection needs a pump \
+       service thread"

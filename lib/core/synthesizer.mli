@@ -37,7 +37,8 @@ type connection = {
 (** Combination + factorization + optimization for one arc: a direct
     (possibly monitored) call when one side is passive, an optimistic
     queue of the right flavour when both are active.  Passive-passive
-    pairs need a pump thread and are rejected here. *)
+    pairs need a pump: a service thread of their own, as tty's screen
+    pump is, so they are rejected here. *)
 val interface :
   Kernel.t ->
   name:string ->
@@ -46,9 +47,3 @@ val interface :
   consumer_entry:int ->
   unit ->
   connection
-
-(** Passive-passive connection (§5.2's xclock): a kernel service
-    thread that repeatedly calls the producer operation (value in r0),
-    feeds it to the consumer operation (argument in r1), and yields
-    between transfers.  Returns the pump thread. *)
-val pump : Kernel.t -> name:string -> source_entry:int -> sink_entry:int -> Kernel.tte

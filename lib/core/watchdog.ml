@@ -37,7 +37,6 @@ type t = {
      regions (Kernel.audit_code).  The walk itself is host-side and
      free; repairs charge synthesis cost. *)
   mutable wd_audit : bool;
-  mutable wd_audit_repairs : int;
 }
 
 (* consecutive zero-delta periods before a restart *)
@@ -84,8 +83,7 @@ let tick t m =
   if t.wd_running then begin
     List.iter (check t) t.wd_flows;
     if t.wd_audit then
-      t.wd_audit_repairs <-
-        t.wd_audit_repairs + Kernel.audit_code ~origin:"watchdog" t.wd_kernel;
+      ignore (Kernel.audit_code ~origin:"watchdog" t.wd_kernel);
     Machine.device_schedule m t.wd_dev (Machine.cycles m + t.wd_period_cycles)
   end
 
@@ -104,7 +102,6 @@ let install k ?(period_us = 2_000.0) () =
         wd_flows = [];
         wd_running = true;
         wd_audit = false;
-        wd_audit_repairs = 0;
       }
   in
   Lazy.force t
@@ -113,7 +110,6 @@ let install k ?(period_us = 2_000.0) () =
    channel: corruption in regions that never execute still gets
    caught and repaired within one watchdog period). *)
 let audit_code t = t.wd_audit <- true
-let audit_repairs t = t.wd_audit_repairs
 
 let watch t ~name ~read ~restart () =
   let flow =

@@ -43,6 +43,3 @@ val audit_code : t -> unit
     catches corruption in code that never executes (the trap path
     catches the rest).  The walk is host-side and free; each repair
     charges synthesis cost. *)
-
-val audit_repairs : t -> int
-(** Regions repaired by this watchdog's audit so far. *)

@@ -2156,8 +2156,8 @@ let disk_fault ?(seed = 1) ~mode () =
     df_mode = mode;
     df_completed = r <> None;
     df_tries = Disk_server.active_tries ds;
-    df_timeouts = Disk_server.timeouts ds;
-    df_retries = Disk_server.retries ds;
-    df_failed = Disk_server.failed ds;
+    df_timeouts = Metrics.read k.Kernel.metrics "disk.timeouts";
+    df_retries = Metrics.read k.Kernel.metrics "disk.retries";
+    df_failed = Metrics.read k.Kernel.metrics "disk.failed";
     df_recovery_cycles = Disk_server.last_recovery_cycles ds;
   }

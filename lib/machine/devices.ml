@@ -152,7 +152,6 @@ module Tty = struct
         + Cost.cycles_of_us (Machine.cost_model t.machine) char_interval_us)
 
   let output t = Buffer.contents t.output
-  let clear_output t = Buffer.clear t.output
 end
 
 (* ------------------------------------------------------------------ *)
@@ -266,12 +265,8 @@ module Disk = struct
     Array.blit data 0 t.store.(blk) 0 (min block_words (Array.length data))
 
   let read_block t blk = Array.copy t.store.(blk)
-  let blocks t = Array.length t.store
 
   (* ---- kcrash: power and persistence --------------------------- *)
-
-  let power_cut ?(torn_words = -1) t =
-    Machine.power_cut t.machine ~device:"disk" ~torn_words
 
   let power_on t =
     t.powered <- true;

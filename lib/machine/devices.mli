@@ -39,8 +39,6 @@ module Tty : sig
 
   (** Everything written to the output register so far. *)
   val output : t -> string
-
-  val clear_output : t -> unit
 end
 
 module Disk : sig
@@ -56,15 +54,14 @@ module Disk : sig
   val write_block : t -> int -> int array -> unit
 
   val read_block : t -> int -> int array
-  val blocks : t -> int
 
-  (** {2 Power cuts and persistence (kcrash)} *)
+  (** {2 Power cuts and persistence (kcrash)}
 
-  (** Freeze the platter now: an in-flight read is lost; an in-flight
-      write vanishes ([torn_words] absent) or lands exactly its first
-      [torn_words] words (prefix-torn).  No completion interrupt fires
-      and commands are ignored until {!power_on}. *)
-  val power_cut : ?torn_words:int -> t -> unit
+      [Machine.power_cut ~device:"disk" ~torn_words] freezes the
+      platter: an in-flight read is lost; an in-flight write vanishes
+      ([torn_words < 0]) or lands exactly its first [torn_words] words
+      (prefix-torn).  No completion interrupt fires and commands are
+      ignored until {!power_on}. *)
 
   val power_on : t -> unit
   val powered : t -> bool

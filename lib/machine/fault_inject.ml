@@ -136,27 +136,6 @@ let default_config =
     core_stall_cycles = 20_000;
   }
 
-let describe_action = function
-  | Spurious_irq { cpu = None; level; vector } ->
-    Printf.sprintf "spurious_irq level=%d vector=%d" level vector
-  | Spurious_irq { cpu = Some c; level; vector } ->
-    Printf.sprintf "spurious_irq cpu=%d level=%d vector=%d" c level vector
-  | Bit_flip { target = Data; addr; bit } ->
-    Printf.sprintf "bit_flip addr=%d bit=%d" addr bit
-  | Bit_flip { target = Code; addr; bit } ->
-    Printf.sprintf "code_flip addr=%d bit=%d" addr bit
-  | Stall { device; delay_cycles } ->
-    Printf.sprintf "stall %s +%d cycles" device delay_cycles
-  | Drop_completion { device } -> Printf.sprintf "drop_completion %s" device
-  | Power_cut { device; torn_words } ->
-    Printf.sprintf "power_cut %s torn=%d" device torn_words
-  | Core_stall { cpu; stall_cycles } ->
-    Printf.sprintf "core_stall cpu=%d +%d cycles" cpu stall_cycles
-  | Frame_fault { device; dir; kind } ->
-    Printf.sprintf "frame_fault %s %s %s" device
-      (if dir = 0 then "rx" else "tx")
-      (match kind with 0 -> "drop" | 1 -> "dup" | _ -> "reorder")
-
 let compile ?(config = default_config) seed =
   let r = rng_make seed in
   let events = ref [] in

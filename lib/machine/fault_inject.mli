@@ -118,5 +118,3 @@ val injected : t -> int
 (** Faults actually delivered so far (scheduled events may still be
     pending; stalls/drops with no in-flight completion still count as
     delivered but have no effect). *)
-
-val describe_action : action -> string

@@ -1423,11 +1423,6 @@ let set_sampling t ~period hook =
   t.sample_mark <- t.cur.c_time;
   t.sample_next <- t.cur.c_time + period
 
-let clear_sampling t =
-  t.sample_period <- 0;
-  t.sample_next <- max_int;
-  t.sample_hook <- (fun ~pc:_ ~weight:_ -> ())
-
 
 (* Most recent executed PCs, oldest first. *)
 let trace_window t n =

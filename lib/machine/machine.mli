@@ -417,4 +417,3 @@ val trace_window : t -> int -> int list
     counter windows and a sample buffer. *)
 
 val set_sampling : t -> period:int -> (pc:int -> weight:int -> unit) -> unit
-val clear_sampling : t -> unit

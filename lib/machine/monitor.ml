@@ -4,12 +4,21 @@
    paper's kernel devotes half its size to the monitor; ours leans on
    the host for rendering but reads the same machine state. *)
 
-(* Static cost of a straight-line listing: base cycles (memory
-   references depend on dynamic addresses and are excluded). *)
-let static_cycles m ~from ~len =
-  let stop = min (from + len) (Machine.code_size m) in
+(* Static cost of a straight line: what [step] charges each
+   instruction, base cycles plus its data references, up to and
+   including the first instruction that can transfer control. *)
+let static_cycles m ~from =
+  let per_ref = Cost.mem_ref_cycles (Machine.cost_model m) in
   let rec go a acc =
-    if a >= stop then acc else go (a + 1) (acc + Cost.base (Machine.read_code m a))
+    if a >= Machine.code_size m then acc
+    else
+      let i = Machine.read_code m a in
+      let acc = acc + Cost.base i + (Cost.refs i * per_ref) in
+      match i with
+      | Insn.B _ | Insn.Dbra _ | Insn.Jmp _ | Insn.Jsr _ | Insn.Rts | Insn.Rte
+      | Insn.Trap _ | Insn.Stop_wait | Insn.Halt ->
+        acc
+      | _ -> go (a + 1) acc
   in
   go from 0
 

@@ -71,8 +71,6 @@ let create machine =
     period = 0;
   }
 
-let running t = t.running
-
 (* Counters accumulated over the current window (empty when stopped). *)
 let window t =
   if not t.running then zero
@@ -175,15 +173,8 @@ let enable_sampling t ~period =
   Machine.set_sampling t.machine ~period (fun ~pc ~weight ->
       record t ~pc ~weight)
 
-let disable_sampling t =
-  t.period <- 0;
-  Machine.clear_sampling t.machine
-
 let sampling_period t = t.period
 let sample_count t = t.sample_len
-
-let samples t =
-  List.init t.sample_len (fun i -> (t.sample_pc.(i), t.sample_w.(i)))
 
 let sampled_cycles t =
   let total = ref 0 in
@@ -202,14 +193,6 @@ let sample_histogram t =
   done;
   Hashtbl.fold (fun pc w acc -> (pc, w) :: acc) tbl []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
-
-let reset t =
-  t.running <- false;
-  t.base <- zero;
-  t.acc <- zero;
-  t.base_cores <- zero_cores t.machine;
-  t.acc_cores <- zero_cores t.machine;
-  t.sample_len <- 0
 
 let pp ppf t =
   let w = if t.running then "running" else "stopped" in

@@ -9,8 +9,6 @@
 
 type counter = Cycles | Instructions | Mem_refs | Interrupts
 
-val counter_name : counter -> string
-
 type t
 
 val create : Machine.t -> t
@@ -23,12 +21,7 @@ val create : Machine.t -> t
 
 val start : t -> unit
 val stop : t -> unit
-val running : t -> bool
 val read : t -> counter -> int
-val read_all : t -> (counter * int) list
-
-(** Stop, zero the totals, and drop all samples. *)
-val reset : t -> unit
 
 (** {1 PC sampling}
 
@@ -38,13 +31,9 @@ val reset : t -> unit
     while a counter window is open. *)
 
 val enable_sampling : t -> period:int -> unit
-val disable_sampling : t -> unit
 
 (** The configured period; 0 when sampling is off. *)
 val sampling_period : t -> int
-
-(** All samples as (pc, weight-cycles), oldest first. *)
-val samples : t -> (int * int) list
 
 val sample_count : t -> int
 

@@ -33,4 +33,3 @@ val shift_right_arith : int -> int -> int
 val divu : int -> int -> int
 
 val divs : int -> int -> int
-val compare_unsigned : int -> int -> int

@@ -61,5 +61,3 @@ let rec try_get t =
     else try_get t
   else if s <= tl then None (* not yet published: empty *)
   else try_get t
-
-let rec put t v = if not (try_put t v) then (Domain.cpu_relax (); put t v)

@@ -12,4 +12,3 @@ val create : int -> 'a t
 
 val try_put : 'a t -> 'a -> bool
 val try_get : 'a t -> 'a option
-val put : 'a t -> 'a -> unit

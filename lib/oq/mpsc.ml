@@ -87,5 +87,3 @@ let rec get t =
   | None ->
     Domain.cpu_relax ();
     get t
-
-let capacity t = t.size - 1

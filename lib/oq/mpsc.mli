@@ -22,4 +22,3 @@ val try_put : 'a t -> 'a -> bool
 val try_get : 'a t -> 'a option
 val put : 'a t -> 'a -> unit
 val get : 'a t -> 'a
-val capacity : 'a t -> int

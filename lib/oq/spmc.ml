@@ -62,18 +62,3 @@ let rec try_get t =
     else try_get t (* another consumer won the claim; retry *)
   else if s <= tl then None (* empty or not yet published *)
   else try_get t (* tail moved on since we read it *)
-
-let rec put t v = if not (try_put t v) then (Domain.cpu_relax (); put t v)
-
-let rec get t =
-  match try_get t with
-  | Some v -> v
-  | None ->
-    Domain.cpu_relax ();
-    get t
-
-let is_empty t =
-  let tl = Atomic.get t.tail in
-  Atomic.get t.seq.(tl mod t.size) <> tl + 1
-
-let length t = max 0 (Atomic.get t.head - Atomic.get t.tail)

@@ -41,15 +41,3 @@ let try_get t =
     Atomic.set t.tail (next t tl);
     v
   end
-
-let rec put t v = if not (try_put t v) then (Domain.cpu_relax (); put t v)
-
-let rec get t =
-  match try_get t with
-  | Some v -> v
-  | None ->
-    Domain.cpu_relax ();
-    get t
-
-let is_empty t = Atomic.get t.tail = Atomic.get t.head
-let is_full t = next t (Atomic.get t.head) = Atomic.get t.tail

@@ -15,10 +15,3 @@ val try_put : 'a t -> 'a -> bool
 
 (** [try_get q] is [None] when the queue is empty. *)
 val try_get : 'a t -> 'a option
-
-(** Spinning variants of [try_put]/[try_get]. *)
-val put : 'a t -> 'a -> unit
-
-val get : 'a t -> 'a
-val is_empty : 'a t -> bool
-val is_full : 'a t -> bool

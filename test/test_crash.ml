@@ -38,7 +38,7 @@ let test_power_cut_torn_write () =
   ignore (Disk_server.flush ds ());
   (* the write-back is pending at the device; the cut lands its first
      8 words and loses the rest — the prefix-torn sector model *)
-  Devices.Disk.power_cut ~torn_words:8 disk;
+  Machine.power_cut m ~device:"disk" ~torn_words:8;
   check_bool "power off" false (Devices.Disk.powered disk);
   let blk = Devices.Disk.read_block disk 5 in
   for i = 0 to 7 do
@@ -59,7 +59,7 @@ let test_power_cut_drops_whole_write () =
     Machine.poke m buf 31337;
     Disk_server.mark_dirty ds 6);
   ignore (Disk_server.flush ds ());
-  Devices.Disk.power_cut ~torn_words:(-1) disk;
+  Machine.power_cut k.Kernel.machine ~device:"disk" ~torn_words:(-1);
   let blk = Devices.Disk.read_block disk 6 in
   check_int "whole write lost, old data intact" 600 blk.(0)
 
@@ -72,8 +72,7 @@ let test_sync_timeout_then_reawait () =
   (match Disk_server.read_block_sync ds 7 ~max_insns:3 with
   | Some _ -> Alcotest.fail "read completed in 3 instructions"
   | None -> ());
-  check_int "sync timeout counted" 1 (Disk_server.sync_timeouts ds);
-  check_int "disk.sync_timeouts metric" 1
+  check_int "sync timeout counted" 1
     (Metrics.read k.Kernel.metrics "disk.sync_timeouts");
   (* same block again: joins the same transfer instead of issuing a
      second one *)
@@ -91,15 +90,17 @@ let test_dead_device_fails_cleanly_then_recovers () =
   let _b, k, ds = setup () in
   let disk = k.Kernel.disk in
   Devices.Disk.write_block disk 9 (Array.init bwords (fun i -> 900 + i));
-  Devices.Disk.power_cut disk;
+  Machine.power_cut k.Kernel.machine ~device:"disk" ~torn_words:(-1);
   (* the fill command is swallowed by the dead device; the completion
      watchdog retries with backoff, then fails the request — the
      waiter wakes with an error instead of wedging forever *)
   (match Disk_server.read_block_sync ds 9 ~max_insns:10_000_000 with
   | Some _ -> Alcotest.fail "read completed against a dead device"
   | None -> ());
-  check_bool "bounded retry gave up" true (Disk_server.failed ds >= 1);
-  check_bool "watchdog retried first" true (Disk_server.retries ds >= 1);
+  check_bool "bounded retry gave up" true
+    (Metrics.read k.Kernel.metrics "disk.failed" >= 1);
+  check_bool "watchdog retried first" true
+    (Metrics.read k.Kernel.metrics "disk.retries" >= 1);
   (* power restored: the failed fill dropped its cache slot, so a
      fresh read issues cleanly and completes *)
   Devices.Disk.power_on disk;
@@ -140,7 +141,8 @@ let test_barrier_fences_elevator () =
     (Fmt.str "20 after 30 and 10 (got %a)" Fmt.(Dump.list int) order)
     true
     (pos order 20 > pos order 30 && pos order 20 > pos order 10);
-  check_bool "fence counted" true (Disk_server.barriers ds >= 1)
+  check_bool "fence counted" true
+    (Metrics.read k.Kernel.metrics "disk.barriers" >= 1)
 
 let test_barrier_request_private_epoch () =
   let _b, k, ds = setup () in

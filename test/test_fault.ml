@@ -219,7 +219,8 @@ let test_boot_logs_double_fault () =
     (List.exists
        (fun e -> e.Kernel.f_reason = "double_fault")
        k.Kernel.fault_log);
-  check_bool "counted in faults_total" true (Kernel.faults_total k >= 1)
+  check_bool "counted in faults_total" true
+    (Metrics.read k.Kernel.metrics "kernel.faults_total" >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded fault log *)
@@ -234,8 +235,7 @@ let test_fault_log_bounded () =
   check_int "log capped" Kernel.fault_log_cap (List.length k.Kernel.fault_log);
   check_int "length counter agrees" Kernel.fault_log_cap k.Kernel.fault_log_len;
   check_int "evictions counted" 36 k.Kernel.fault_dropped;
-  check_int "every fault counted" n (Kernel.faults_total k);
-  check_int "metrics counter agrees" n
+  check_int "every fault counted" n
     (Metrics.read k.Kernel.metrics "kernel.faults_total");
   (* newest first: the last tid logged heads the list *)
   match k.Kernel.fault_log with
@@ -521,7 +521,10 @@ let test_watchdog_audit_repairs_dormant () =
   (match Boot.go ~max_insns:2_000_000 b with
   | Machine.Halted -> ()
   | Machine.Insn_limit -> Alcotest.fail "spinner did not finish");
-  check_int "watchdog repaired the dormant region" 1 (Watchdog.audit_repairs wd);
+  check_bool "watchdog repaired the dormant region" true
+    (List.exists
+       (fun e -> e.Kernel.f_reason = "code_repair/watchdog/bad_fd")
+       k.Kernel.fault_log);
   check_bool "clean" false (Kernel.region_dirty k r);
   check_int "kernel repair count agrees" 1 (Kernel.code_repairs_total k)
 

@@ -441,23 +441,17 @@ let test_interfacer_cases () =
   check "passive-passive" "pump"
     (connect ~producer:(p Passive) ~consumer:(p Passive))
 
-let test_monitor_and_switch () =
+let test_monitor () =
   let b = Boot.boot () in
   let k = b.Boot.kernel in
   let m = k.Kernel.machine in
   let mon = Quaject.create_monitor k ~name:"t/mon" in
-  let sw_t1, _ = Ksynth.install k ~name:"t/sw1" [ I.Move (I.Imm 11, I.Reg I.r0); I.Rts ] in
-  let sw_t2, _ = Ksynth.install k ~name:"t/sw2" [ I.Move (I.Imm 22, I.Reg I.r0); I.Rts ] in
-  let sw = Quaject.create_switch k ~name:"t/sw" [| sw_t1; sw_t2 |] in
   let frag =
     [
       I.Jsr (I.To_addr mon.Quaject.mon_enter);
       I.Move (I.Abs mon.Quaject.mon_lock, I.Abs 0x500); (* locked = 1 *)
       I.Jsr (I.To_addr mon.Quaject.mon_exit);
       I.Move (I.Abs mon.Quaject.mon_lock, I.Abs 0x501); (* unlocked = 0 *)
-      I.Move (I.Imm 1, I.Reg I.r1);
-      I.Jsr (I.To_addr sw.Quaject.sw_entry); (* selector 1 -> 22 *)
-      I.Move (I.Reg I.r0, I.Abs 0x502);
       I.Halt;
     ]
   in
@@ -467,14 +461,7 @@ let test_monitor_and_switch () =
   Machine.set_pc m entry;
   ignore (Machine.run ~max_insns:10_000 m);
   check_int "monitor held" 1 (Machine.peek m 0x500);
-  check_int "monitor released" 0 (Machine.peek m 0x501);
-  check_int "switch routed" 22 (Machine.peek m 0x502);
-  (* retarget and call again *)
-  Quaject.retarget k sw ~index:1 ~target:sw_t1;
-  Machine.set_halted m false;
-  Machine.set_pc m entry;
-  ignore (Machine.run ~max_insns:10_000 m);
-  check_int "switch retargeted" 11 (Machine.peek m 0x502)
+  check_int "monitor released" 0 (Machine.peek m 0x501)
 
 (* Reference model of the cooked discipline: what a correct erase/kill
    filter delivers for a given keystroke stream. *)
@@ -591,7 +578,7 @@ let () =
       ( "quaject",
         [
           Alcotest.test_case "interfacer case analysis" `Quick test_interfacer_cases;
-          Alcotest.test_case "monitor and switch blocks" `Quick test_monitor_and_switch;
+          Alcotest.test_case "monitor block" `Quick test_monitor;
         ] );
       ("properties", qcheck [ prop_tty_matches_reference ]);
     ]

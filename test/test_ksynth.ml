@@ -409,18 +409,16 @@ let test_serve_connection_churn_no_leak () =
   for c = 0 to nfiles - 1 do
     cycle c
   done;
-  let fp0 = Ksynth.footprint_words k in
-  let peak0 = Metrics.read_gauge k.Kernel.metrics Metrics.code_bytes_peak in
+  let footprint () = (Ksynth.stats k).Ksynth.st_footprint_words in
+  let peak () = Metrics.gauge_value (Metrics.gauge k.Kernel.metrics Metrics.code_bytes_peak) in
+  let fp0 = footprint () and peak0 = peak () in
   let hits0 = (Ksynth.stats k).Ksynth.st_hits in
   let live0 = (Ksynth.stats k).Ksynth.st_live_words in
   for c = 0 to 99 do
     cycle c
   done;
-  check_int "arena footprint flat across 100 open/close cycles" fp0
-    (Ksynth.footprint_words k);
-  Alcotest.(check (option (float 0.0)))
-    "code_bytes_peak gauge flat" peak0
-    (Metrics.read_gauge k.Kernel.metrics Metrics.code_bytes_peak);
+  check_int "arena footprint flat across 100 open/close cycles" fp0 (footprint ());
+  Alcotest.(check (float 0.0)) "code_bytes_peak gauge flat" peak0 (peak ());
   check_int "every churned accept was a cache hit" (hits0 + 100)
     (Ksynth.stats k).Ksynth.st_hits;
   check_int "live words flat (no detached copies accumulating)" live0

@@ -122,20 +122,16 @@ let test_attribution_balances () =
   (* per-owner totals sum exactly to the cycles of the traced window *)
   check_int "attributed = traced" (Ktrace.traced_cycles tr)
     (Ktrace.attributed_total tr);
-  (* ... and the quaject grouping is just a re-bucketing of the same *)
-  let qsum = List.fold_left (fun a (_, c) -> a + c) 0 (Ktrace.quaject_cycles tr) in
-  check_int "quaject totals re-bucket the same cycles"
-    (Ktrace.attributed_total tr) qsum;
   (* tracing was attached right after boot, so the window is nearly
      the whole run: it can't exceed the machine total *)
   check_bool "window within machine total" true
     (Ktrace.traced_cycles tr <= Machine.cycles m);
   (* the synthesized pipe code dominates this workload; it must show
-     up as a pipe quaject with a nonzero share *)
+     up as a pipe owner with a nonzero share *)
   check_bool "pipe quaject attributed" true
     (List.exists
-       (fun (n, c) -> n = "pipe" && c > 0)
-       (Ktrace.quaject_cycles tr));
+       (fun (n, c) -> String.starts_with ~prefix:"pipe/" n && c > 0)
+       (Ktrace.owner_cycles tr));
   (* thread CPU reconstruction covers both workload threads *)
   check_bool "two or more threads measured" true
     (List.length (Ktrace.thread_cycles tr) >= 2)
@@ -291,6 +287,20 @@ let test_metrics_registry () =
   check_bool "switch-in counter nonzero" true
     (Metrics.read mx "ktrace.events.switch_in" > 0)
 
+(* A disabled trace allocates no event ring and collects nothing, but
+   its flight recorder still fills. *)
+let test_disabled_trace_keeps_blackbox () =
+  let b = Boot.boot () in
+  let k = b.Boot.kernel in
+  let tr = Ktrace.create ~enabled:false k.Kernel.machine in
+  Kernel.attach_tracing k tr;
+  let pl = Repro_harness.Harness.Pipeline.build ~total:1024 b in
+  Repro_harness.Harness.Pipeline.run pl;
+  check_int "no events collected" 0 (Ktrace.event_count tr);
+  check_bool "no events buffered" true (Ktrace.events tr = []);
+  check_int "none dropped" 0 (Ktrace.dropped tr);
+  check_bool "black box filled" true (Ktrace.blackbox_events tr <> [])
+
 let () =
   Alcotest.run "ktrace"
     [
@@ -312,5 +322,7 @@ let () =
             test_disassembly_shows_probes;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
           Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
+          Alcotest.test_case "disabled trace keeps its black box" `Quick
+            test_disabled_trace_keeps_blackbox;
         ] );
     ]

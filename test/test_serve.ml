@@ -213,7 +213,7 @@ let test_warm_restart_hits_cache () =
   in
   run ();
   let st1 = Kserve.stats srv in
-  let fp1 = Ksynth.footprint_words (Kserve.kernel srv) in
+  let fp1 = (Ksynth.stats (Kserve.kernel srv)).Ksynth.st_footprint_words in
   check_int "cold run misses for every accept" st1.Kserve.n_accepts
     st1.Kserve.n_misses;
   Kserve.restart srv;
@@ -221,7 +221,7 @@ let test_warm_restart_hits_cache () =
     (pump_timer_is_tick (Kserve.kernel srv));
   run ();
   let st2 = Kserve.stats srv in
-  let fp2 = Ksynth.footprint_words (Kserve.kernel srv) in
+  let fp2 = (Ksynth.stats (Kserve.kernel srv)).Ksynth.st_footprint_words in
   let warm_accepts = st2.Kserve.n_accepts - st1.Kserve.n_accepts in
   let warm_hits = st2.Kserve.n_hits - st1.Kserve.n_hits in
   check_bool
