@@ -346,7 +346,6 @@ let log_fault k ~tid ~reason =
     :: k.fault_log;
   k.fault_log_len <- k.fault_log_len + 1
 
-
 (* Attach a trace to this kernel: machine hooks, cycle attribution,
    and ownership and probes of everything synthesized so far.  Code
    synthesized from now on registers automatically. *)

@@ -136,5 +136,4 @@ let install k ?(epoch_us = 5_000) () =
       Machine.device_schedule m dev (Machine.cycles m + period ()));
   t
 
-(* Expected CPU share of [tte] under the current quanta. *)
 let metrics t = t.metrics
