@@ -156,7 +156,7 @@ let ablation_sched () =
     let b = Boot.boot () in
     let k = b.Boot.kernel in
     let m = k.Kernel.machine in
-    let sched = if adaptive then Some (Scheduler.install k ()) else None in
+    if adaptive then Scheduler.install k ();
     (* an I/O-bound thread (gauge ticks every loop) and a compute hog *)
     let io_prog tte_gauge =
       [
@@ -188,7 +188,6 @@ let ablation_sched () =
     Machine.define_map m ~id:io.Kernel.map_id ((gauge, 1) :: segs);
     let s0 = Machine.snapshot m in
     (match Boot.go ~max_insns:100_000_000 b with _ -> ());
-    ignore sched;
     ignore hog;
     let dt = Machine.stats_us m (Machine.delta m s0) in
     (dt, io.Kernel.quantum_us, hog.Kernel.quantum_us)

@@ -33,14 +33,15 @@ let audit_repair_cycles k r =
     ~bit:5;
   if not (Kernel.region_dirty k r) then
     failwith ("fault_repair: corruption not visible in " ^ r.Kernel.sp_name);
-  let before = Kernel.code_repairs_total k in
+  let repairs () = Metrics.read k.Kernel.metrics "kernel.code_repairs_total" in
+  let before = repairs () in
   let c0 = Machine.cycles m in
   let n = Kernel.audit_code ~origin:"bench" k in
   let cy = Machine.cycles m - c0 in
   if
     n <> 1
     || Kernel.region_dirty k r
-    || Kernel.code_repairs_total k <> before + 1
+    || repairs () <> before + 1
   then failwith ("fault_repair: audit did not repair " ^ r.Kernel.sp_name);
   cy
 

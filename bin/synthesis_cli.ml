@@ -38,9 +38,7 @@ let cmd_disasm pattern =
   match Inspect.grep k pattern with
   | [] -> Fmt.pr "no routine matching %S@." pattern
   | matches ->
-    List.iter
-      (fun p -> Inspect.disassemble_routine k Fmt.stdout p.Kernel.sp_name)
-      matches
+    List.iter (Inspect.disassemble_routine k Fmt.stdout) matches
 
 let cmd_switch_code () =
   let k = booted_with_opens () in
@@ -48,10 +46,10 @@ let cmd_switch_code () =
     "The executable ready queue: each thread's sw_out ends in a jmp@.\
      patched to the next thread's sw_in — this is the dispatcher.@.@.";
   (match Inspect.grep k "/sw_out" with
-  | p :: _ -> Inspect.disassemble_routine k Fmt.stdout p.Kernel.sp_name
+  | p :: _ -> Inspect.disassemble_routine k Fmt.stdout p
   | [] -> ());
   match Inspect.grep k "/sw_in" with
-  | p :: _ -> Inspect.disassemble_routine k Fmt.stdout p.Kernel.sp_name
+  | p :: _ -> Inspect.disassemble_routine k Fmt.stdout p
   | [] -> ()
 
 (* kperf: boot with tracing attached (exact owner attribution), turn
@@ -118,7 +116,7 @@ let cmd_trace out =
   let m = k.Kernel.machine in
   let tr = Ktrace.create m in
   Kernel.attach_tracing k tr;
-  let _sched = Scheduler.install k ~epoch_us:2_000 () in
+  Scheduler.install k ~epoch_us:2_000 ();
   let pl = Repro_harness.Harness.Pipeline.build ~total:4096 b in
   Repro_harness.Harness.Pipeline.run pl;
   Ktrace.pp_summary Fmt.stdout tr;

@@ -57,7 +57,7 @@ let () =
   let hog_entry, _ = Asm.assemble m hog_prog in
   let _hog = Thread.create k ~quantum_us:300 ~entry:hog_entry () in
 
-  let _sched = Scheduler.install k ~epoch_us:5_000 () in
+  Scheduler.install k ~epoch_us:5_000 ();
 
   (* switch on the sampler and run the hog to completion *)
   Devices.Ad.set_rate k.Kernel.ad 44_100;

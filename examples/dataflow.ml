@@ -86,7 +86,7 @@ let () =
     (List.length built.Stream_graph.sg_pipes)
     Fmt.(list ~sep:comma string)
     (List.map Quaject.connector_name built.Stream_graph.sg_connectors);
-  let _sched = Scheduler.install k ~epoch_us:2_000 () in
+  Scheduler.install k ~epoch_us:2_000 ();
   (match Boot.go ~max_insns:200_000_000 b with
   | Machine.Halted -> ()
   | Machine.Insn_limit -> failwith "did not halt");

@@ -55,9 +55,7 @@ let () =
   let handler = Thread.set_error_handler k t ~user_proc:emulator in
 
   Fmt.pr "synthesized error-trap handler for thread %d:@." t.Kernel.tid;
-  Inspect.disassemble_routine k Fmt.stdout
-    (Fmt.str "error/t%d/trap" t.Kernel.tid);
-  ignore handler;
+  Inspect.disassemble_routine k Fmt.stdout (Option.get (Kernel.find_region k handler));
 
   (match Boot.go ~max_insns:1_000_000 b with
   | Machine.Halted -> ()

@@ -102,7 +102,7 @@ let () =
   Machine.poke m (producer.Kernel.base + Layout.Tte.off_regs + 17) pentry;
 
   (* fine-grain scheduling watches both gauges *)
-  let _sched = Scheduler.install k ~epoch_us:2_000 () in
+  Scheduler.install k ~epoch_us:2_000 ();
 
   (match Boot.go ~max_insns:200_000_000 b with
   | Machine.Halted -> ()

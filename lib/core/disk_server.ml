@@ -50,7 +50,7 @@ type t = {
   ds_cache : (int, int) Hashtbl.t; (* block -> buffer address *)
   mutable ds_lru : int list; (* block numbers, most recent first *)
   ds_cache_capacity : int;
-  mutable ds_dirty : (int, unit) Hashtbl.t;
+  ds_dirty : (int, unit) Hashtbl.t;
   mutable ds_hits : int;
   mutable ds_misses : int;
   (* write barriers: requests carry the epoch current at submission;

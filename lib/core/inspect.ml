@@ -4,8 +4,6 @@
 
 open Quamachine
 
-let find k name = List.find_opt (fun p -> p.Kernel.sp_name = name) (Kernel.pages k)
-
 (* Routines whose page name contains [substr]. *)
 let grep k substr =
   List.filter
@@ -19,32 +17,26 @@ let grep k substr =
       contains 0)
     (Kernel.pages k)
 
-(* The probe points bound at [addr], as "<layer> <name>". *)
-let probe_notes k addr =
-  List.concat_map
-    (fun p ->
-      List.filter_map
-        (fun (off, (name, act)) ->
-          if p.Kernel.sp_entry + off <> addr then None
-          else
-            Some
-              ((match act with Kernel.Trace _ -> "ktrace " | Kernel.Span _ -> "kspan ")
-              ^ name))
-        p.Kernel.sp_probes)
-    (Kernel.pages k)
+(* The page's probe points bound at [addr], as "<layer> <name>". *)
+let probe_notes p addr =
+  List.filter_map
+    (fun (off, (name, act)) ->
+      if p.Kernel.sp_entry + off <> addr then None
+      else
+        Some
+          ((match act with Kernel.Trace _ -> "ktrace " | Kernel.Span _ -> "kspan ")
+          ^ name))
+    p.Kernel.sp_probes
 
-let disassemble_routine k ppf name =
-  match find k name with
-  | None -> Fmt.pf ppf "no such routine: %s@." name
-  | Some { Kernel.sp_name = n; sp_entry = entry; sp_len = len; _ } ->
-    Fmt.pf ppf "%s (%d instructions at %d):@.%s:@." n len entry n;
-    (* probe points emit no instructions: list them as comments *)
-    for a = entry to entry + len - 1 do
-      List.iter (Fmt.pf ppf "         ; probe %s@.") (probe_notes k a);
-      Fmt.pf ppf "  %5d  %a@." a Insn.pp (Machine.read_code k.Kernel.machine a)
-    done;
-    Fmt.pf ppf "straight-line cycles from entry: %d@."
-      (Monitor.static_cycles k.Kernel.machine ~from:entry)
+let disassemble_routine k ppf ({ Kernel.sp_name = n; sp_entry = entry; sp_len = len; _ } as p) =
+  Fmt.pf ppf "%s (%d instructions at %d):@.%s:@." n len entry n;
+  (* probe points emit no instructions: list them as comments *)
+  for a = entry to entry + len - 1 do
+    List.iter (Fmt.pf ppf "         ; probe %s@.") (probe_notes p a);
+    Fmt.pf ppf "  %5d  %a@." a Insn.pp (Machine.read_code k.Kernel.machine a)
+  done;
+  Fmt.pf ppf "straight-line cycles from entry: %d@."
+    (Monitor.static_cycles k.Kernel.machine ~from:entry)
 
 let pp_registry k ppf () =
   List.iter

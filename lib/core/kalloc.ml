@@ -19,13 +19,11 @@ type shared_page = { sp_len : int; mutable sp_refs : int }
 
 type t = {
   machine : Machine.t;
-  base : int;
-  limit : int;
   (* size-class free lists: class i holds blocks of exactly 2^(i+4) words *)
   classes : block list array;
   mutable large : block list; (* sorted by address, coalesced *)
   mutable live_words : int;
-  mutable allocated : (int, int) Hashtbl.t; (* addr -> len *)
+  allocated : (int, int) Hashtbl.t; (* addr -> len *)
   shared_pages : (int, shared_page) Hashtbl.t; (* base -> page *)
 }
 
@@ -35,8 +33,6 @@ let class_words i = 1 lsl (i + 4) (* 16 .. 2048 words *)
 let create machine ~base ~limit =
   {
     machine;
-    base;
-    limit;
     classes = Array.make num_classes [];
     large = [ { addr = base; len = limit - base } ];
     live_words = 0;

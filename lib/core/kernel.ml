@@ -160,11 +160,10 @@ type t = {
      signal IPI (drained by the boot-installed IPI handler) *)
   mutable sig_xc : tte list;
   (* error traps and kernel-detected failures, newest first, bounded
-     at [fault_log_cap] (oldest entries drop; [fault_dropped] counts
-     them, and "kernel.faults_total" in [metrics] never loses any) *)
+     at [fault_log_cap] (oldest entries drop; "kernel.faults_total" in
+     [metrics] never loses any, so the number dropped is that total
+     minus the log's length) *)
   mutable fault_log : fault_entry list;
-  mutable fault_log_len : int;
-  mutable fault_dropped : int;
   (* kernel-wide counter/gauge registry (faults, disk retries,
      watchdog restarts...) *)
   metrics : Metrics.t;
@@ -274,8 +273,6 @@ let create ?(cost = Cost.sun3_emulation) ?(cores = 1) () =
     idle_threads = Array.make cores None;
     sig_xc = [];
     fault_log = [];
-    fault_log_len = 0;
-    fault_dropped = 0;
     metrics = Metrics.create ();
     ktrace = None;
     restart_hook = None;
@@ -325,26 +322,17 @@ let rearm_probes k =
 let log_fault k ~tid ~reason =
   Metrics.bump k.metrics "kernel.faults_total";
   trace k (Ktrace.Fault reason);
-  if k.fault_log_len >= fault_log_cap then begin
-    (* newest-first list: drop the oldest entry off the tail *)
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | e :: tl -> e :: take (n - 1) tl
-    in
-    k.fault_log <- take (fault_log_cap - 1) k.fault_log;
-    k.fault_log_len <- fault_log_cap - 1;
-    k.fault_dropped <- k.fault_dropped + 1
-  end;
+  (* newest first: the oldest entry drops off the tail at the bound *)
   k.fault_log <-
-    {
-      f_cycle = Machine.cycles k.machine;
-      f_tid = tid;
-      f_cpu = Machine.current_core k.machine;
-      f_reason = reason;
-    }
-    :: k.fault_log;
-  k.fault_log_len <- k.fault_log_len + 1
+    List.filteri
+      (fun i _ -> i < fault_log_cap)
+      ({
+         f_cycle = Machine.cycles k.machine;
+         f_tid = tid;
+         f_cpu = Machine.current_core k.machine;
+         f_reason = reason;
+       }
+      :: k.fault_log)
 
 (* Attach a trace to this kernel: machine hooks, cycle attribution,
    and ownership and probes of everything synthesized so far.  Code
@@ -485,8 +473,11 @@ let postmortem ?(reason = "unspecified") k =
     let evs = Ktrace.blackbox_events tr in
     Fmt.pf ppf "@.black box (last %d events):@." (List.length evs);
     List.iter (fun e -> Fmt.pf ppf "  %a@." Ktrace.pp_event e) evs);
+  let dropped =
+    Metrics.read k.metrics "kernel.faults_total" - List.length k.fault_log
+  in
   Fmt.pf ppf "@.fault log (newest first%s):@."
-    (if k.fault_dropped > 0 then Fmt.str ", %d dropped" k.fault_dropped else "");
+    (if dropped > 0 then Fmt.str ", %d dropped" dropped else "");
   (match k.fault_log with
   | [] -> Fmt.pf ppf "  (empty)@."
   | log ->
@@ -549,8 +540,6 @@ let audit_code ?(origin = "audit") k =
       end)
     k.synth_pages;
   !repaired
-
-let code_repairs_total k = Metrics.read k.metrics "kernel.code_repairs_total"
 
 (* Route every legitimate post-synthesis patch through here: the
    owning page re-checksums (and remembers the patch for repair), so

@@ -133,10 +133,14 @@ type t = {
   mutable sig_xc : tte list;
       (** threads with a cross-core signal awaiting their home core's
           signal IPI (drained by the boot-installed IPI handler) *)
-  mutable fault_log : fault_entry list;  (** newest first, bounded *)
-  mutable fault_log_len : int;
-  mutable fault_dropped : int;  (** entries evicted by the bound *)
-  metrics : Metrics.t;  (** kernel-wide counters/gauges *)
+  mutable fault_log : fault_entry list;
+      (** newest first, at most {!fault_log_cap} entries;
+          ["kernel.faults_total"] in [metrics] counts every fault, so
+          the number the bound dropped is that total minus the log's
+          length *)
+  metrics : Metrics.t;
+      (** the kernel's one registry: every counter, gauge, histogram
+          and scheduler epoch record *)
   mutable ktrace : Ktrace.t option;
   mutable restart_hook : (tte -> unit) option;
       (** [Thread.restart], installed at boot *)
@@ -290,9 +294,6 @@ val repair_region : ?origin:string -> t -> synth_page -> unit
     number repaired.  Callable from the watchdog — detection charges
     no simulated cycles, each repair charges synthesis cost. *)
 val audit_code : ?origin:string -> t -> int
-
-(** The "kernel.code_repairs_total" metric. *)
-val code_repairs_total : t -> int
 
 (** Patch one code word through the page table: repairs the owning
     page first if it is already corrupted (a patch must never bless

@@ -111,11 +111,6 @@ let footprint_words k =
 let live_words k =
   Hashtbl.fold (fun _ a acc -> acc + Kalloc.arena_live_words a) k.synth_arenas 0
 
-let note_peak k =
-  let bytes = float_of_int (4 * footprint_words k) in
-  let g = Metrics.gauge k.metrics Metrics.code_bytes_peak in
-  if bytes > Metrics.gauge_value g then Metrics.set_gauge g bytes
-
 let tick k =
   k.synth_clock <- k.synth_clock + 1;
   k.synth_clock
@@ -239,7 +234,6 @@ let miss k ~name ~kind ~key ~template ~points optimized =
     if old.sp_refs = 0 then free_page k old
   | None -> ());
   Hashtbl.replace k.synth_cache key p;
-  note_peak k;
   enforce_cap k kind;
   p
 
@@ -264,7 +258,6 @@ let fork k h =
   List.iter
     (fun addr -> Kernel.region_mark_mutable k ~addr:(addr + delta))
     p.sp_mutable;
-  note_peak k;
   p.sp_refs <- p.sp_refs - 1;
   ignore (Kalloc.release k.alloc ~base:p.sp_entry);
   if p.sp_refs = 0 && (not p.sp_cached) && not p.sp_pinned then free_page k p;

@@ -43,7 +43,6 @@ type event = { ev_cycles : int; ev_kind : kind }
 
 type t = {
   machine : Machine.t;
-  metrics : Metrics.t;
   enabled : bool;
   ring : event option array; (* empty when disabled: [emit] never writes it *)
   mutable pos : int;
@@ -68,7 +67,6 @@ let create ?(capacity = 65536) ?(enabled = true) machine =
   if capacity <= 0 then invalid_arg "Ktrace.create: capacity";
   {
     machine;
-    metrics = Metrics.create ();
     enabled;
     ring = (if enabled then Array.make capacity None else [||]);
     pos = 0;
@@ -80,8 +78,6 @@ let create ?(capacity = 65536) ?(enabled = true) machine =
     next_owner = Machine.owner_first;
     base_cycles = Machine.cycles machine;
   }
-
-let metrics t = t.metrics
 
 let kind_name = function
   | Switch_out _ -> "switch_out"
@@ -110,8 +106,7 @@ let emit t kind =
   if t.enabled then begin
     t.ring.(t.pos) <- Some e;
     t.pos <- (t.pos + 1) mod Array.length t.ring;
-    t.count <- t.count + 1;
-    Metrics.bump t.metrics ("ktrace.events." ^ kind_name kind)
+    t.count <- t.count + 1
   end
 
 (* Oldest first. *)
@@ -275,16 +270,15 @@ let pp_event ppf e = Fmt.pf ppf "%10d  %a" e.ev_cycles pp_kind e.ev_kind
 let pp_summary ppf t =
   Fmt.pf ppf "ktrace: %d events (%d dropped), %d cycles traced@."
     t.count (dropped t) (traced_cycles t);
-  let counts =
-    List.filter
-      (fun (n, _) ->
-        String.length n > 14 && String.sub n 0 14 = "ktrace.events.")
-      (Metrics.counters t.metrics)
-  in
+  let counts = Hashtbl.create 16 in
   List.iter
-    (fun (n, v) ->
-      Fmt.pf ppf "  %-28s %8d@." (String.sub n 14 (String.length n - 14)) v)
-    counts;
+    (fun e ->
+      let n = kind_name e.ev_kind in
+      Hashtbl.replace counts n (1 + Option.value ~default:0 (Hashtbl.find_opt counts n)))
+    (events t);
+  Hashtbl.fold (fun n v acc -> (n, v) :: acc) counts []
+  |> List.sort compare
+  |> List.iter (fun (n, v) -> Fmt.pf ppf "  %-28s %8d@." n v);
   Fmt.pf ppf "cycles by quaject:@.";
   let total = max 1 (attributed_total t) in
   List.iter
@@ -299,9 +293,9 @@ let pp_summary ppf t =
     List.iter
       (fun (tid, cy) -> Fmt.pf ppf "  thread %-21d %10d cycles@." tid cy)
       per_thread);
-  let sched = Metrics.epoch_history t.metrics in
-  if sched <> [] then
-    Fmt.pf ppf "scheduler: %d rebalance epochs recorded@." (List.length sched)
+  match Hashtbl.find_opt counts "rebalance" with
+  | Some n -> Fmt.pf ppf "scheduler: %d rebalance epochs recorded@." n
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export (chrome://tracing / Perfetto JSON) *)

@@ -50,14 +50,16 @@ type event = { ev_cycles : int; ev_kind : kind }
     flight-recorder ring keeps the last 256 events (see
     {!blackbox_events}). *)
 val create : ?capacity:int -> ?enabled:bool -> Machine.t -> t
-val metrics : t -> Metrics.t
 
+(** Stamp [kind] with the cycle counter and record it in the black
+    box and, when enabled, in the event ring and its [event_count]. *)
 val emit : t -> kind -> unit
 
 (** Buffered events, oldest first. *)
 val events : t -> event list
 
-(** Total emitted, including events the ring has dropped. *)
+(** Total collected, including events the ring has dropped: a trace's
+    only event count. *)
 val event_count : t -> int
 
 val dropped : t -> int
@@ -104,6 +106,8 @@ val install : t -> unit
 
 (** {1 Export} *)
 
+(** Event totals, per-kind counts of the buffered events, cycles by
+    quaject and by thread, and the number of [Rebalance] events. *)
 val pp_summary : Format.formatter -> t -> unit
 
 (** One event as "cycles  kind detail" (postmortem dumps). *)

@@ -24,15 +24,13 @@ let create () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Well-known names: the ksynth cache's counters and the peak code
-   footprint gauge, spelled once so the cache, the profiler and the
-   dumps agree. *)
+(* Well-known names: the ksynth cache's counters, spelled once so the
+   cache, the profiler and the dumps agree. *)
 
 let synth_cache_hits = "kernel.synth_cache_hits_total"
 let synth_cache_misses = "kernel.synth_cache_misses_total"
 let synth_cache_evictions = "kernel.synth_cache_evictions_total"
 let synth_cache_resynth = "kernel.synth_cache_resynth_total"
-let code_bytes_peak = "kernel.code_bytes_peak"
 
 (* ------------------------------------------------------------------ *)
 (* Counters *)
@@ -114,7 +112,6 @@ let histograms t =
 
 let record_epoch t r = t.epochs <- r :: t.epochs
 let epoch_history t = t.epochs
-let epoch_count t = List.length t.epochs
 
 (* ------------------------------------------------------------------ *)
 (* Dumping *)
@@ -131,6 +128,4 @@ let pp ppf t =
   List.iter (fun (n, v) -> Fmt.pf ppf "%-40s %d@." n v) (counters t);
   List.iter (fun (n, v) -> Fmt.pf ppf "%-40s %g@." n v) (gauges t);
   List.iter (fun (n, h) -> Fmt.pf ppf "%-40s %a@." n Histogram.pp h)
-    (histograms t);
-  if t.epochs <> [] then
-    Fmt.pf ppf "%-40s %d@." "scheduler.epochs.recorded" (List.length t.epochs)
+    (histograms t)

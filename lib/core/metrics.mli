@@ -1,9 +1,10 @@
 (** Counter/gauge registry and the scheduler's typed epoch history.
 
     Host-side bookkeeping only: touching a metric never charges
-    simulated cycles.  The ktrace layer and the fine-grain scheduler
-    share one registry so a single dump shows event counts next to
-    rebalance history. *)
+    simulated cycles.  A kernel has one registry, [Kernel.metrics]:
+    faults, repairs, the synthesis cache, kspan's histograms and the
+    fine-grain scheduler's counters and epochs all land in it, so one
+    dump (and [Kernel.postmortem]) shows them together. *)
 
 type t
 
@@ -22,15 +23,13 @@ val create : unit -> t
 
 (** {1 Well-known names}
 
-    The ksynth synthesis cache's counters and the peak code-footprint
-    gauge (bytes, 4 per code word), spelled once so the cache, the
-    profiler and the dumps agree. *)
+    The ksynth synthesis cache's counters, spelled once so the cache,
+    the profiler and the dumps agree. *)
 
 val synth_cache_hits : string
 val synth_cache_misses : string
 val synth_cache_evictions : string
 val synth_cache_resynth : string
-val code_bytes_peak : string
 
 (** {1 Counters} *)
 
@@ -83,18 +82,17 @@ val observe : t -> string -> int -> unit
 (** All histograms, sorted by name. *)
 val histograms : t -> (string * Histogram.t) list
 
-(** {1 Scheduler epochs} *)
+(** {1 Scheduler epochs}
+
+    One record per rebalance; the ["sched.rebalances"] counter is
+    their number. *)
 
 val record_epoch : t -> epoch_record -> unit
 
 (** Newest first. *)
 val epoch_history : t -> epoch_record list
 
-val epoch_count : t -> int
-
 (** {1 Dumping} *)
 
-(** All counters, sorted by name. *)
-val counters : t -> (string * int) list
-
+(** Counters, gauges and histograms, each sorted by name. *)
 val pp : Format.formatter -> t -> unit

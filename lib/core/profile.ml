@@ -35,19 +35,6 @@ type t = {
 
 let boot_line_name = "(boot, pre-attach)"
 
-(* Map a code address to the registry routine containing it. *)
-let routine_at k =
-  let routines =
-    List.sort
-      (fun p q -> compare p.Kernel.sp_entry q.Kernel.sp_entry)
-      (Kernel.pages k)
-  in
-  fun addr ->
-    List.fold_left
-      (fun acc { Kernel.sp_name; sp_entry; sp_len; _ } ->
-        if addr >= sp_entry && addr < sp_entry + sp_len then Some sp_name else acc)
-      None routines
-
 (* sampled addresses [collect] keeps, and lines [pp] prints per list *)
 let flat_kept = 24
 let pp_lines = 16
@@ -79,12 +66,16 @@ let collect k pmu =
       owners
     |> List.sort (fun a b -> compare b.l_cycles a.l_cycles)
   in
-  let name_of = routine_at k in
   let flat =
     Pmu.sample_histogram pmu
     |> List.filteri (fun i _ -> i < flat_kept)
     |> List.map (fun (addr, w) ->
-           (addr, Option.value ~default:"(user/unowned)" (name_of addr), w))
+           let name =
+             match Kernel.find_region k addr with
+             | Some p -> p.Kernel.sp_name
+             | None -> "(user/unowned)"
+           in
+           (addr, name, w))
   in
   {
     p_total = total;

@@ -14,12 +14,8 @@ open Quamachine
 
 type t = {
   kernel : Kernel.t;
-  epoch_us : int;
   last_gauge : (int, int) Hashtbl.t; (* tid -> gauge at last epoch *)
   last_cpu : (int, int) Hashtbl.t; (* tid -> traced CPU cycles at last epoch *)
-  metrics : Metrics.t;
-      (* epoch records and counters; shared with the kernel's ktrace
-         registry when tracing is attached *)
 }
 
 (* the quantum range, in µs, a rebalance assigns from *)
@@ -41,6 +37,7 @@ let read_gauge k tte = Machine.peek k.Kernel.machine (gauge_cell tte)
    serves them every lap). *)
 let rebalance t =
   let k = t.kernel in
+  let metrics = k.Kernel.metrics in
   let snapshot =
     Hashtbl.fold
       (fun tid tte acc ->
@@ -90,50 +87,33 @@ let rebalance t =
                     -. (float_of_int d /. float_of_int total_c)))
              0.0 deltas
   in
-  Metrics.set_gauge (Metrics.gauge t.metrics "sched.share_drift") drift;
+  Metrics.set_gauge (Metrics.gauge metrics "sched.share_drift") drift;
   let entries =
     List.map
       (fun ((tte : Kernel.tte), rate) ->
         let quantum = min_quantum + (span * rate / max_rate) in
         if quantum <> tte.Kernel.quantum_us then begin
           Ctx.set_quantum k tte quantum;
-          Metrics.bump t.metrics "sched.retunes";
+          Metrics.bump metrics "sched.retunes";
           Kernel.trace k (Ktrace.Retune (tte.Kernel.tid, quantum))
         end;
         Machine.charge k.Kernel.machine 10;
         { Metrics.ep_tid = tte.Kernel.tid; ep_rate = rate; ep_quantum = quantum })
       snapshot
   in
-  Metrics.bump t.metrics "sched.rebalances";
-  Metrics.record_epoch t.metrics
+  Metrics.bump metrics "sched.rebalances";
+  Metrics.record_epoch metrics
     { Metrics.ep_time_us = Machine.time_us k.Kernel.machine; ep_entries = entries };
-  Kernel.trace k (Ktrace.Rebalance (Metrics.epoch_count t.metrics))
+  Kernel.trace k (Ktrace.Rebalance (Metrics.read metrics "sched.rebalances"))
 
-(* Install the scheduler as a periodic machine device. *)
+(* Install the scheduler as a periodic machine device.  Its counters,
+   drift gauge and epoch records land in the kernel's registry. *)
 let install k ?(epoch_us = 5_000) () =
-  (* share the ktrace metrics registry when tracing is attached, so
-     one [pp] shows scheduler and trace counters together *)
-  let metrics =
-    match k.Kernel.ktrace with
-    | Some tr -> Ktrace.metrics tr
-    | None -> Metrics.create ()
-  in
-  let t =
-    {
-      kernel = k;
-      epoch_us;
-      last_gauge = Hashtbl.create 16;
-      last_cpu = Hashtbl.create 16;
-      metrics;
-    }
-  in
+  let t = { kernel = k; last_gauge = Hashtbl.create 16; last_cpu = Hashtbl.create 16 } in
   let m = k.Kernel.machine in
   let period () = Cost.cycles_of_us (Machine.cost_model m) (float_of_int epoch_us) in
   let dev = Machine.add_device m ~name:"scheduler" ~due:(Machine.cycles m + period ()) ~tick:(fun _ -> ()) in
   dev.Machine.dev_tick <-
     (fun m ->
       rebalance t;
-      Machine.device_schedule m dev (Machine.cycles m + period ()));
-  t
-
-let metrics t = t.metrics
+      Machine.device_schedule m dev (Machine.cycles m + period ()))

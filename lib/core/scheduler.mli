@@ -3,13 +3,9 @@
     quantum from its measured I/O rate by patching the quantum
     immediate in the thread's synthesized switch-in code. *)
 
-type t
-
 (** Install as a periodic machine device rebalancing every
-    [epoch_us], assigning quanta from 100 to 1,000 µs. *)
-val install : Kernel.t -> ?epoch_us:int -> unit -> t
-
-(** The scheduler's metrics registry ([sched.rebalances],
-    [sched.retunes], epoch records).  Shared with the kernel's ktrace
-    registry when tracing was attached before [install]. *)
-val metrics : t -> Metrics.t
+    [epoch_us], assigning quanta from 100 to 1,000 µs.  Each rebalance
+    bumps [sched.rebalances] (and [sched.retunes] per changed quantum),
+    sets the [sched.share_drift] gauge and records an epoch, all in
+    the kernel's [metrics]. *)
+val install : Kernel.t -> ?epoch_us:int -> unit -> unit

@@ -82,8 +82,8 @@ let burst_size = 4
 type phase = Opening | Running | Closing | Finished | Refused | Abandoned
 
 type session = {
-  mutable ss_conn : int;
-  mutable ss_file : int;
+  ss_conn : int;
+  ss_file : int;
   mutable ss_slot : int;  (* -1 until the open response lands *)
   mutable ss_phase : phase;
   mutable ss_remaining : int;  (* data requests still to send *)
@@ -173,7 +173,7 @@ type t = {
   mutable lg_errors : int;  (* op_err responses to in-flight requests *)
   mutable lg_resent : int;  (* requests resent after a timeout *)
   mutable lg_abandoned : int;  (* sessions given up after max retries *)
-  mutable lg_started_cycle : int;
+  lg_started_cycle : int;
   mutable lg_on_complete : (unit -> unit) option;
 }
 

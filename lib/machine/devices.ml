@@ -161,7 +161,6 @@ module Disk = struct
   let block_words = 256
 
   type t = {
-    machine : Machine.t;
     store : int array array; (* blocks *)
     mutable reg_block : int;
     mutable reg_buffer : int;
@@ -183,7 +182,6 @@ module Disk = struct
     let dev = Machine.add_device m ~name:"disk" ~due:max_int ~tick:(fun _ -> ()) in
     let t =
       {
-        machine = m;
         store = Array.init n_blocks (fun _ -> Array.make block_words 0);
         reg_block = 0;
         reg_buffer = 0;

@@ -19,7 +19,6 @@ type 'a t = {
   flag : bool Atomic.t array;
   size : int;
   head : int Atomic.t; (* claimed by producers (CAS) *)
-  tail : int; (* dummy for layout symmetry; consumer index below *)
   tail_c : int Atomic.t; (* written only by the consumer *)
 }
 
@@ -30,7 +29,6 @@ let create size =
     flag = Array.init size (fun _ -> Atomic.make false);
     size;
     head = Atomic.make 0;
-    tail = 0;
     tail_c = Atomic.make 0;
   }
 

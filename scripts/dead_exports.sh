@@ -27,7 +27,9 @@
 #   - packs the module, `(module ...M`, and declares `val name` in a
 #     module type.
 # A record field spelled like the value also counts, so the check can
-# miss a dead value, never flag a live one.
+# miss a dead value, never flag a live one.  Dead fields themselves are
+# the compiler's to catch: lib/dune makes warning 69 (a record field
+# never read, or mutable and never mutated) an error in every library.
 #
 # scripts/test_seams lists one seam a line, `<mli> <name>: <reason>`,
 # with `S.name` for a val of submodule S; `#` starts a comment line.

@@ -163,7 +163,8 @@ let test_repair_then_acceptance () =
   let n = corrupt_regions k 6 in
   check_int "six regions corrupted" 6 n;
   check_int "audit repaired them all" n (Synthesis.Kernel.audit_code k);
-  check_int "repairs counted" n (Synthesis.Kernel.code_repairs_total k);
+  check_int "repairs counted" n
+    (Synthesis.Metrics.read k.Synthesis.Kernel.metrics "kernel.code_repairs_total");
   check_int "nothing left to repair" 0 (Synthesis.Kernel.audit_code k);
   (* the repaired kernel runs the shared acceptance binary and yields
      exactly the outputs the baseline kernel yields *)

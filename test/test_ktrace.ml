@@ -216,7 +216,9 @@ let test_disassembly_shows_probes () =
   let listing =
     Fmt.str "%a"
       (fun ppf () ->
-        Inspect.disassemble_routine k ppf (Fmt.str "ctx/t%d/sw_out" idle.Kernel.tid))
+        Inspect.disassemble_routine k ppf
+          (Option.get
+             (Kernel.find_region_by_name k (Fmt.str "ctx/t%d/sw_out" idle.Kernel.tid))))
       ()
   in
   let lines = String.split_on_char '\n' listing in
@@ -270,22 +272,27 @@ let test_chrome_export () =
   check_bool "quaject totals exported" true (contains "\"quajects\"")
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry *)
+(* Summary counts *)
 
-let test_metrics_registry () =
+(* The summary's per-kind lines are counted from the buffered events;
+   with nothing dropped they add up to the trace's one total. *)
+let test_summary_counts () =
   let _, tr, _, _ = run_pipeline () in
-  let mx = Ktrace.metrics tr in
-  (* every ring event was also counted, even if the ring dropped it *)
-  let counted =
-    List.fold_left (fun a (_, v) -> a + v) 0
-      (List.filter
-         (fun (n, _) ->
-           String.length n > 7 && String.sub n 0 7 = "ktrace.")
-         (Metrics.counters mx))
+  check_int "nothing dropped" 0 (Ktrace.dropped tr);
+  let lines = String.split_on_char '\n' (Fmt.str "%a" Ktrace.pp_summary tr) in
+  (* the per-kind lines sit between the header and the quaject table *)
+  let rec kinds acc = function
+    | "cycles by quaject:" :: _ | [] -> List.rev acc
+    | l :: rest -> (
+      match String.split_on_char ' ' (String.trim l) |> List.filter (( <> ) "") with
+      | [ kind; n ] -> kinds ((kind, int_of_string n) :: acc) rest
+      | _ -> kinds acc rest)
   in
-  check_int "counters add up to the emit total" (Ktrace.event_count tr) counted;
-  check_bool "switch-in counter nonzero" true
-    (Metrics.read mx "ktrace.events.switch_in" > 0)
+  let per_kind = kinds [] (List.tl lines) in
+  check_int "per-kind counts add up to event_count" (Ktrace.event_count tr)
+    (List.fold_left (fun a (_, n) -> a + n) 0 per_kind);
+  check_bool "switch-in counted" true
+    (match List.assoc_opt "switch_in" per_kind with Some n -> n > 0 | None -> false)
 
 (* A disabled trace allocates no event ring and collects nothing, but
    its flight recorder still fills. *)
@@ -321,7 +328,7 @@ let () =
           Alcotest.test_case "disassembly shows probes" `Quick
             test_disassembly_shows_probes;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
-          Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
+          Alcotest.test_case "summary counts" `Quick test_summary_counts;
           Alcotest.test_case "disabled trace keeps its black box" `Quick
             test_disabled_trace_keeps_blackbox;
         ] );

@@ -11,6 +11,11 @@ let check_bool = Alcotest.(check bool)
 
 let machine () = Machine.create ~mem_words:(1 lsl 16) Cost.sun3_emulation
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Assembler *)
 
@@ -100,7 +105,7 @@ let test_inspect_grep_and_disasm () =
   check_bool "grep misses junk" true (Inspect.grep k "zzzz-nothing" = []);
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  Inspect.disassemble_routine k ppf "idle_loop";
+  Inspect.disassemble_routine k ppf (Option.get (Kernel.find_region_by_name k "idle_loop"));
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
   check_bool "disassembly mentions stop" true
@@ -123,18 +128,23 @@ let test_registry_report_groups () =
 (* ------------------------------------------------------------------ *)
 (* Scheduler history *)
 
-let test_scheduler_history () =
+(* An untraced kernel with the scheduler installed, run through a
+   few 500 µs epochs with one spinning thread. *)
+let scheduled_spinner () =
   let b = Boot.boot () in
   let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  let sched = Scheduler.install k ~epoch_us:500 () in
+  Scheduler.install k ~epoch_us:500 ();
   let spin, _ =
     Ksynth.install k ~name:"m/spin" [ I.Label "s"; I.B (I.Always, I.To_label "s") ]
   in
   let _t = Thread.create k ~quantum_us:100 ~entry:spin () in
   Boot.enter_scheduler k;
-  ignore (Machine.run ~max_insns:100_000 m);
-  let metrics = Scheduler.metrics sched in
+  ignore (Machine.run ~max_insns:100_000 k.Kernel.machine);
+  k
+
+let test_scheduler_history () =
+  let k = scheduled_spinner () in
+  let metrics = k.Kernel.metrics in
   let h = Metrics.epoch_history metrics in
   check_bool "history recorded" true (List.length h >= 2);
   (* newest first: timestamps strictly decreasing down the list *)
@@ -153,9 +163,18 @@ let test_scheduler_history () =
               (fun e -> e.Metrics.ep_rate >= 0 && e.Metrics.ep_quantum > 0)
               r.Metrics.ep_entries)
        h);
-  check_int "epoch counter agrees" (List.length h) (Metrics.epoch_count metrics);
   check_int "rebalance counter agrees" (List.length h)
     (Metrics.read metrics "sched.rebalances")
+
+(* With no trace attached, the scheduler's counters still land in the
+   kernel's registry, so its dump and postmortem show them. *)
+let test_scheduler_untraced_metrics () =
+  let k = scheduled_spinner () in
+  check_bool "ran past two epochs" true (Machine.time_us k.Kernel.machine > 1_000.0);
+  check_bool "rebalances counted in the kernel registry" true
+    (Metrics.read k.Kernel.metrics "sched.rebalances" >= 1);
+  check_bool "postmortem shows sched.rebalances" true
+    (contains ~needle:"sched.rebalances" (Kernel.postmortem k))
 
 (* ------------------------------------------------------------------ *)
 (* Host queues: edges *)
@@ -200,7 +219,11 @@ let () =
           Alcotest.test_case "registry report" `Quick test_registry_report_groups;
         ] );
       ( "scheduler",
-        [ Alcotest.test_case "epoch history" `Quick test_scheduler_history ] );
+        [
+          Alcotest.test_case "epoch history" `Quick test_scheduler_history;
+          Alcotest.test_case "untraced counters reach the kernel" `Quick
+            test_scheduler_untraced_metrics;
+        ] );
       ( "blocks",
         [
           Alcotest.test_case "queue capacity edges" `Quick test_queue_capacity_edges;

@@ -1055,7 +1055,7 @@ let prop_ready_queue_churn =
 let test_scheduler_proportionality () =
   let b = Boot.boot () in
   let k = b.Boot.kernel in
-  let sched = Scheduler.install k ~epoch_us:1_000 () in
+  Scheduler.install k ~epoch_us:1_000 ();
   let spin, _ =
     Ksynth.install k ~name:"sched/spin"
       [ I.Label "s"; I.B (I.Always, I.To_label "s") ]
@@ -1066,7 +1066,7 @@ let test_scheduler_proportionality () =
   let m = k.Kernel.machine in
   Boot.enter_scheduler k;
   (* keep the io thread's gauge hot through several whole epochs *)
-  let epochs () = Metrics.epoch_count (Scheduler.metrics sched) in
+  let epochs () = Metrics.read k.Kernel.metrics "sched.rebalances" in
   let target = epochs () + 4 in
   while epochs () < target do
     Machine.poke m
