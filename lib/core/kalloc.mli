@@ -1,7 +1,8 @@
 (** Kernel memory allocator: a fast-fit heap (§6.3) over the
     machine's data memory — segregated power-of-two free lists with a
-    coalescing first-fit fallback.  Allocation costs are charged to
-    the simulated clock. *)
+    coalescing first-fit fallback — and per-kind code arenas that
+    recycle through the same first-fit list.  Allocation costs are
+    charged to the simulated clock. *)
 
 type t
 
@@ -16,36 +17,12 @@ val alloc : t -> int -> int
     charged). *)
 val alloc_zeroed : t -> int -> int
 
-(** Release a block.  Raises [Shared_page base] when [addr] is not an
-    allocated data block but falls inside a live refcounted shared
-    code page — freeing it would corrupt the page's co-owners. *)
+(** Release a block.  Raises [Invalid_argument] when [addr] is not
+    an allocated block. *)
 val free : t -> int -> unit
 
 val live_words : t -> int
 val block_len : t -> int -> int option
-
-(** {1 Shared code pages}
-
-    Refcounted registry of code pages handed out to multiple owners by
-    the synthesis cache.  [free] and [arena_free] consult it so a
-    stray free of a shared address refuses instead of silently
-    recycling words other threads still execute. *)
-
-exception Shared_page of int
-
-(** Register a page at refcount 1. *)
-val share : t -> base:int -> len:int -> unit
-
-(** Bump / drop a page's refcount; both return the new count. *)
-val retain : t -> base:int -> int
-
-val release : t -> base:int -> int
-
-(** Remove a page from the registry (after eviction). *)
-val unshare : t -> base:int -> unit
-
-(** Current refcount of the page at [base]; 0 when unknown. *)
-val shared_refs : t -> base:int -> int
 
 (** {1 Arenas}
 
@@ -63,8 +40,8 @@ val arena : t -> grow:(int -> int) -> arena
 (** Allocate [len] words, growing the arena if no free range fits. *)
 val arena_alloc : arena -> int -> int
 
-(** Recycle a range for the next instantiation.  Raises [Shared_page]
-    if the address still belongs to a live shared page. *)
+(** Recycle a range for the next instantiation.  The caller frees a
+    shared page only once its last claim is gone (Ksynth's refcount). *)
 val arena_free : arena -> int -> unit
 
 val arena_live_words : arena -> int

@@ -55,10 +55,6 @@ let msg_id w = (w lsr id_shift) land 0x3FFF
 let msg_op w = (w lsr op_shift) land 7
 let msg_arg w = w land arg_mask
 
-(* Span side-table keys: in-flight opens are keyed by connection in a
-   namespace disjoint from slot keys. *)
-let open_span_key conn = (1 lsl 20) lor conn
-
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -223,6 +219,7 @@ type pump = {
   mutable p_accept : int;  (* its open path *)
   mutable p_err : int;  (* its op_err answer *)
   mutable p_tte : Kernel.tte option;
+  mutable p_span : int option;  (* the request in flight's span *)
 }
 
 let pump_cells = 6
@@ -252,20 +249,24 @@ type t = {
   sv_retired : int list array array;  (* freed slots, per queue and last-served file *)
   sv_warm : bool array;  (* slot * files + file: has the slot served the file? *)
   sv_conn_of : (int, int) Hashtbl.t;
-  sv_spans : (int, int Queue.t) Hashtbl.t;  (* span ids in flight *)
   sv_segments : (int * int) list;
   mutable sv_accept_hc : int;
   mutable sv_close_hc : int;
   mutable sv_alone_hc : int;
   mutable sv_shedding : bool;
-  mutable sv_accepts : int;
-  mutable sv_closes : int;
-  mutable sv_refused : int;
-  mutable sv_dup_opens : int;
-  mutable sv_hits : int;
-  mutable sv_misses : int;
-  mutable sv_retunes : int;
 }
+
+(* The server's counters, in the kernel's registry. *)
+let accepts = "serve.accepts"
+let closes = "serve.closes"
+let refused = "serve.refused"
+let dup_opens = "serve.dup_opens"
+let hits = "serve.hits"
+let misses = "serve.misses"
+let retunes = "serve.retunes"
+
+let bump t name = Metrics.bump t.sv_k.Kernel.metrics name
+let count t name = Metrics.read t.sv_k.Kernel.metrics name
 
 let pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -282,29 +283,6 @@ let set_data_ops t ~slot ~read ~write ~close =
   Machine.poke m (at op_read) read;
   Machine.poke m (at op_write) write;
   Machine.poke m (at op_close) close
-
-(* span bookkeeping (host side, no simulated cycles) *)
-let span_push t key sid =
-  let q =
-    match Hashtbl.find_opt t.sv_spans key with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.replace t.sv_spans key q;
-      q
-  in
-  Queue.push sid q
-
-let span_pop t key =
-  match Hashtbl.find_opt t.sv_spans key with
-  | Some q when not (Queue.is_empty q) -> Some (Queue.pop q)
-  | _ -> None
-
-(* move one pending-open span from the conn key to the slot key *)
-let span_rekey t ~conn ~slot =
-  match span_pop t (open_span_key conn) with
-  | Some sid -> span_push t slot sid
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Accept and close (the hcall side of the server)                     *)
@@ -324,8 +302,7 @@ let do_accept t ~conn ~farg =
   let echo = conn land arg_mask in
   match Hashtbl.find_opt t.sv_conn_of conn with
   | Some slot ->
-    t.sv_dup_opens <- t.sv_dup_opens + 1;
-    span_rekey t ~conn ~slot;
+    bump t dup_opens;
     pack ~id:slot ~op:op_open ~arg:echo
   | None -> (
     let fidx = farg land (Array.length t.sv_files - 1) in
@@ -367,11 +344,12 @@ let do_accept t ~conn ~farg =
     in
     match take_slot () with
     | None ->
-      t.sv_refused <- t.sv_refused + 1;
-      Kernel.span k (fun sp ->
-          match span_pop t (open_span_key conn) with
-          | Some sid -> Kspan.fail sp sid ~reason:"refused"
-          | None -> ());
+      bump t refused;
+      (* the refusal is answered with id 0: fail the span here, on the
+         pump the open came in on, so its close probe closes nothing *)
+      let p = t.sv_pumps.(q) in
+      Kernel.span k (fun sp -> Option.iter (Kspan.fail sp ~reason:"refused") p.p_span);
+      p.p_span <- None;
       pack ~id:0 ~op:op_err ~arg:echo
     | Some slot ->
       let file = t.sv_files.(fidx) in
@@ -380,7 +358,7 @@ let do_accept t ~conn ~farg =
       | Some _ -> ()
       | None -> invalid_arg "Kserve: served file left the name space");
       let pos_cell = t.sv_pos_base + slot in
-      let before = (Ksynth.stats k).Ksynth.st_hits in
+      let before = Metrics.read k.Kernel.metrics Metrics.synth_cache_hits in
       let h =
         Ksynth.instantiate k ~name:"serve/conn" ~kind:"serve"
           ~template:
@@ -388,17 +366,16 @@ let do_accept t ~conn ~farg =
                ~lock:(if t.sv_locks = 0 then 0 else t.sv_locks + fidx)
                ~space:(pump_of t slot).p_space)
       in
-      if (Ksynth.stats k).Ksynth.st_hits > before then
-        t.sv_hits <- t.sv_hits + 1
-      else t.sv_misses <- t.sv_misses + 1;
+      bump t
+        (if Metrics.read k.Kernel.metrics Metrics.synth_cache_hits > before then hits
+         else misses);
       t.sv_warm.((slot * Array.length t.sv_files) + fidx) <- true;
       Machine.poke k.Kernel.machine pos_cell 0;
       set_data_ops t ~slot ~read:(Ksynth.sym h "read") ~write:(Ksynth.sym h "write")
         ~close:(Ksynth.sym h "close");
       t.sv_slots.(slot) <- Some { sl_conn = conn; sl_file = fidx; sl_handle = h };
       Hashtbl.replace t.sv_conn_of conn slot;
-      t.sv_accepts <- t.sv_accepts + 1;
-      span_rekey t ~conn ~slot;
+      bump t accepts;
       pack ~id:slot ~op:op_open ~arg:echo)
 
 (* Close: release the handle (the page stays warm in the cache for
@@ -416,7 +393,7 @@ let do_close t ~slot =
       t.sv_slots.(slot) <- None;
       let retired = t.sv_retired.(queue_of t slot) in
       retired.(s.sl_file) <- slot :: retired.(s.sl_file);
-      t.sv_closes <- t.sv_closes + 1
+      bump t closes
 
 let host_accept t ~conn ~file = do_accept t ~conn ~farg:file
 let host_close t ~slot = do_close t ~slot
@@ -479,9 +456,11 @@ let host_close t ~slot = do_close t ~slot
    call's result register, around the call, and touches no other
    register: the tick can land anywhere in the loop.
 
-   Span probes: "open" mints a request's span with the request word at
-   r11 (an open is keyed by conn until accept gives it a slot);
-   "close" closes it with the response word in r1. *)
+   Span probes: the pump serves one request at a time, from reading
+   its word to storing its response, so it carries that request's span
+   itself.  "open" mints the span before the request word is read;
+   "close" closes it once the response is stored.  A refused open
+   fails its span in the accept path instead. *)
 let pump_template t ~ring_len ~pump ~rx_ring ~tx_ring ~cpu =
   let entries = Array.length t.sv_slots * ops_per_slot in
   let yield = Ksynth.lookup t.sv_k "syscall/yield" in
@@ -598,24 +577,17 @@ let pump_template t ~ring_len ~pump ~rx_ring ~tx_ring ~cpu =
         I.Jmp (I.To_mem (I.Abs (Layout.cur_sw_out_cell_for cpu)));
       ])
 
-let pump_probes t =
+let pump_probes p =
   [
     ( "open",
       Kernel.Span
-        (fun sp m ->
-          let w = Machine.peek m (Machine.get_reg m I.r11) in
-          let key =
-            if msg_op w = op_open then open_span_key (msg_id w) else msg_id w
-          in
-          let sid = Kspan.open_span sp ~pipeline:"serve" ~detail:"req" in
-          span_push t key sid) );
+        (fun sp _ ->
+          p.p_span <- Some (Kspan.open_span sp ~pipeline:"serve" ~detail:"req")) );
     ( "close",
       Kernel.Span
-        (fun sp m ->
-          let w = Machine.get_reg m I.r1 in
-          match span_pop t (msg_id w) with
-          | Some sid -> Kspan.close sp sid
-          | None -> ()) );
+        (fun sp _ ->
+          Option.iter (Kspan.close sp) p.p_span;
+          p.p_span <- None) );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -686,7 +658,7 @@ let install_controller t =
                && not (alone tte) ->
           Ctx.set_quantum k tte q;
           Kernel.trace k (Ktrace.Retune (tte.Kernel.tid, q));
-          t.sv_retunes <- t.sv_retunes + 1
+          bump t retunes
         | _ -> ())
       t.sv_pumps;
     match !dev with
@@ -817,6 +789,7 @@ let create ?(config = default_config) boot =
               p_accept = 0;
               p_err = 0;
               p_tte = None;
+              p_span = None;
             })
           queue_mem;
       sv_slots = Array.make cfg.cfg_slots None;
@@ -826,19 +799,11 @@ let create ?(config = default_config) boot =
       sv_retired = Array.init nq (fun _ -> Array.make cfg.cfg_files []);
       sv_warm = Array.make (cfg.cfg_slots * cfg.cfg_files) false;
       sv_conn_of = Hashtbl.create 64;
-      sv_spans = Hashtbl.create 64;
       sv_segments = segments;
       sv_accept_hc = 0;
       sv_close_hc = 0;
       sv_alone_hc = 0;
       sv_shedding = false;
-      sv_accepts = 0;
-      sv_closes = 0;
-      sv_refused = 0;
-      sv_dup_opens = 0;
-      sv_hits = 0;
-      sv_misses = 0;
-      sv_retunes = 0;
     }
   in
   (* host service routines *)
@@ -870,7 +835,7 @@ let create ?(config = default_config) boot =
         ~head_cell:(tx_head_of p);
       let timer = Mmio_map.timer_alarm_for cpu in
       let h =
-        Ksynth.instantiate ~name:"serve/pump" ~probes:(pump_probes t) k
+        Ksynth.instantiate ~name:"serve/pump" ~probes:(pump_probes p) k
           ~template:(pump_template t ~ring_len ~pump:p ~rx_ring ~tx_ring ~cpu)
       in
       p.p_entry <- Ksynth.entry h;
@@ -945,13 +910,13 @@ let restart t =
 let stats t =
   let ns = Devices.Nic.stats t.sv_nic in
   {
-    n_accepts = t.sv_accepts;
-    n_closes = t.sv_closes;
-    n_refused = t.sv_refused;
-    n_dup_opens = t.sv_dup_opens;
-    n_hits = t.sv_hits;
-    n_misses = t.sv_misses;
-    n_retunes = t.sv_retunes;
+    n_accepts = count t accepts;
+    n_closes = count t closes;
+    n_refused = count t refused;
+    n_dup_opens = count t dup_opens;
+    n_hits = count t hits;
+    n_misses = count t misses;
+    n_retunes = count t retunes;
     n_responses = responses t;
     n_shed = ns.Devices.Nic.s_rx_shed;
   }

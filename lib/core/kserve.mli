@@ -166,6 +166,8 @@ val host_close : t -> slot:int -> unit
 
 (** {2 Introspection} *)
 
+(** [n_accepts] through [n_retunes] read the server's [serve.*]
+    counters in the kernel's registry. *)
 type stats = {
   n_accepts : int;
   n_closes : int;

@@ -118,10 +118,12 @@ let tick k =
 (* ------------------------------------------------------------------ *)
 (* Page bookkeeping *)
 
-(* Return a dead page's storage to its arena and forget its record. *)
+(* Return a dead page's storage to its arena and forget its record.
+   [sp_refs] is the page's one refcount: a page some handle still
+   holds is never freed. *)
 let free_page k p =
+  if p.sp_refs > 0 then invalid_arg "Ksynth.free_page: page still referenced";
   Kernel.drop_page k p;
-  Kalloc.unshare k.alloc ~base:p.sp_entry;
   Kalloc.arena_free (arena_for k p.sp_kind) p.sp_entry
 
 (* Remember an evicted page's key, so a later miss on it counts as
@@ -204,7 +206,6 @@ let record k ~key ~name ~kind ~entry ~len ~syms ~template ~points ~cached ~pinne
     }
   in
   Kernel.add_page k p;
-  Kalloc.share k.alloc ~base:entry ~len;
   p
 
 (* Charge generation, install [optimized] at a fresh range of [kind]
@@ -259,7 +260,6 @@ let fork k h =
     (fun addr -> Kernel.region_mark_mutable k ~addr:(addr + delta))
     p.sp_mutable;
   p.sp_refs <- p.sp_refs - 1;
-  ignore (Kalloc.release k.alloc ~base:p.sp_entry);
   if p.sp_refs = 0 && (not p.sp_cached) && not p.sp_pinned then free_page k p;
   h.h_page <- fp
 
@@ -274,7 +274,6 @@ let patch k h ~off insn =
 let release_page k p =
   if not p.sp_pinned then begin
     p.sp_refs <- max 0 (p.sp_refs - 1);
-    ignore (Kalloc.release k.alloc ~base:p.sp_entry);
     if p.sp_refs = 0 then
       if not p.sp_cached then free_page k p
       else begin
@@ -303,7 +302,6 @@ let instantiate ?name ?kind ?(probes = []) k ~template =
     match Hashtbl.find_opt k.synth_cache key with
     | Some p when same_code p.sp_body optimized ->
       p.sp_refs <- p.sp_refs + 1;
-      ignore (Kalloc.retain k.alloc ~base:p.sp_entry);
       p.sp_stamp <- tick k;
       Machine.charge k.machine hit_cycles;
       Metrics.bump k.metrics Metrics.synth_cache_hits;
@@ -365,7 +363,7 @@ let release k h =
 let release_entry k addr =
   match Hashtbl.find_opt k.page_index addr with
   | Some p -> release_page k p
-  | None -> () (* append-path or pinned-adjacent code: nothing to release *)
+  | None -> () (* code outside any page: nothing to release *)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection *)

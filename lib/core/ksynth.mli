@@ -114,8 +114,8 @@ val patch : Kernel.t -> handle -> off:int -> Insn.insn -> unit
 val release : Kernel.t -> handle -> unit
 
 (** [release_entry k addr]: release by code address, for callers that
-    kept only the entry (fd tables).  Addresses outside any cache page
-    (legacy append-path code, pinned pages) are ignored. *)
+    kept only the entry (fd tables).  Pinned pages ([install]'s
+    boot-time code) and addresses outside any page are ignored. *)
 val release_entry : Kernel.t -> int -> unit
 
 (** {1 Budgets and eviction} *)

@@ -110,7 +110,11 @@ let histograms t =
 (* ------------------------------------------------------------------ *)
 (* Scheduler epochs *)
 
-let record_epoch t r = t.epochs <- r :: t.epochs
+(* Like the kernel's fault log, only the newest [epoch_cap] records
+   are kept; [sched.rebalances] still counts every rebalance. *)
+let epoch_cap = 64
+
+let record_epoch t r = t.epochs <- List.filteri (fun i _ -> i < epoch_cap) (r :: t.epochs)
 let epoch_history t = t.epochs
 
 (* ------------------------------------------------------------------ *)

@@ -84,8 +84,8 @@ val histograms : t -> (string * Histogram.t) list
 
 (** {1 Scheduler epochs}
 
-    One record per rebalance; the ["sched.rebalances"] counter is
-    their number. *)
+    One record per rebalance, the newest 64 kept; the
+    ["sched.rebalances"] counter counts every rebalance. *)
 
 val record_epoch : t -> epoch_record -> unit
 

@@ -56,10 +56,11 @@ let rebalance t =
      ready thread was *promised* by its quantum over the epoch just
      ended against the share it *got* (per the trace's switch events).
      Drift is half the L1 distance between the two distributions:
-     0 = perfect proportionality, 1 = completely elsewhere. *)
+     0 = perfect proportionality, 1 = completely elsewhere.  Without a
+     trace nothing was measured, so the gauge is left unset. *)
   let drift =
     match k.Kernel.ktrace with
-    | None -> 0.0
+    | None -> None
     | Some tr ->
       let ready = all_ready k in
       let total_q =
@@ -76,18 +77,21 @@ let rebalance t =
           ready
       in
       let total_c = List.fold_left (fun a (_, d) -> a + d) 0 deltas in
-      if total_q = 0 || total_c <= 0 then 0.0
-      else
-        0.5
-        *. List.fold_left
-             (fun acc ((x : Kernel.tte), d) ->
-               acc
-               +. abs_float
-                    ((float_of_int x.Kernel.quantum_us /. float_of_int total_q)
-                    -. (float_of_int d /. float_of_int total_c)))
-             0.0 deltas
+      Some
+        (if total_q = 0 || total_c <= 0 then 0.0
+         else
+           0.5
+           *. List.fold_left
+                (fun acc ((x : Kernel.tte), d) ->
+                  acc
+                  +. abs_float
+                       ((float_of_int x.Kernel.quantum_us /. float_of_int total_q)
+                       -. (float_of_int d /. float_of_int total_c)))
+                0.0 deltas)
   in
-  Metrics.set_gauge (Metrics.gauge metrics "sched.share_drift") drift;
+  Option.iter
+    (fun d -> Metrics.set_gauge (Metrics.gauge metrics "sched.share_drift") d)
+    drift;
   let entries =
     List.map
       (fun ((tte : Kernel.tte), rate) ->
@@ -107,7 +111,8 @@ let rebalance t =
   Kernel.trace k (Ktrace.Rebalance (Metrics.read metrics "sched.rebalances"))
 
 (* Install the scheduler as a periodic machine device.  Its counters,
-   drift gauge and epoch records land in the kernel's registry. *)
+   drift gauge (traced runs only) and epoch records land in the
+   kernel's registry. *)
 let install k ?(epoch_us = 5_000) () =
   let t = { kernel = k; last_gauge = Hashtbl.create 16; last_cpu = Hashtbl.create 16 } in
   let m = k.Kernel.machine in

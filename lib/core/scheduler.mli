@@ -5,7 +5,9 @@
 
 (** Install as a periodic machine device rebalancing every
     [epoch_us], assigning quanta from 100 to 1,000 µs.  Each rebalance
-    bumps [sched.rebalances] (and [sched.retunes] per changed quantum),
-    sets the [sched.share_drift] gauge and records an epoch, all in
-    the kernel's [metrics]. *)
+    bumps [sched.rebalances] (and [sched.retunes] per changed quantum)
+    and records an epoch (the registry keeps the newest 64), all in
+    the kernel's [metrics].  With a trace attached it also sets the
+    [sched.share_drift] gauge from the trace's switch events; an
+    untraced run measured no shares and leaves it unset. *)
 val install : Kernel.t -> ?epoch_us:int -> unit -> unit

@@ -128,11 +128,12 @@ let test_registry_report_groups () =
 (* ------------------------------------------------------------------ *)
 (* Scheduler history *)
 
-(* An untraced kernel with the scheduler installed, run through a
-   few 500 µs epochs with one spinning thread. *)
-let scheduled_spinner () =
+(* A kernel (untraced unless [traced]) with the scheduler installed,
+   run through a few 500 µs epochs with one spinning thread. *)
+let scheduled_spinner ?(traced = false) () =
   let b = Boot.boot () in
   let k = b.Boot.kernel in
+  if traced then Kernel.attach_tracing k (Ktrace.create k.Kernel.machine);
   Scheduler.install k ~epoch_us:500 ();
   let spin, _ =
     Ksynth.install k ~name:"m/spin" [ I.Label "s"; I.B (I.Always, I.To_label "s") ]
@@ -163,8 +164,9 @@ let test_scheduler_history () =
               (fun e -> e.Metrics.ep_rate >= 0 && e.Metrics.ep_quantum > 0)
               r.Metrics.ep_entries)
        h);
-  check_int "rebalance counter agrees" (List.length h)
-    (Metrics.read metrics "sched.rebalances")
+  let rebalances = Metrics.read metrics "sched.rebalances" in
+  check_bool "more rebalances than the history keeps" true (rebalances > 64);
+  check_int "rebalance counter agrees" (min 64 rebalances) (List.length h)
 
 (* With no trace attached, the scheduler's counters still land in the
    kernel's registry, so its dump and postmortem show them. *)
@@ -174,7 +176,14 @@ let test_scheduler_untraced_metrics () =
   check_bool "rebalances counted in the kernel registry" true
     (Metrics.read k.Kernel.metrics "sched.rebalances" >= 1);
   check_bool "postmortem shows sched.rebalances" true
-    (contains ~needle:"sched.rebalances" (Kernel.postmortem k))
+    (contains ~needle:"sched.rebalances" (Kernel.postmortem k));
+  (* drift compares promised shares with the trace's switch events:
+     an untraced run measured none and reports none *)
+  check_bool "untraced postmortem has no share drift" false
+    (contains ~needle:"sched.share_drift" (Kernel.postmortem k));
+  check_bool "traced postmortem shows share drift" true
+    (contains ~needle:"sched.share_drift"
+       (Kernel.postmortem (scheduled_spinner ~traced:true ())))
 
 (* ------------------------------------------------------------------ *)
 (* Host queues: edges *)

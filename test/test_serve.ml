@@ -650,6 +650,52 @@ let test_dispatch_on_the_wire () =
     data_ops;
   served (Fmt.str "a read on live slot %d" high) ~id:high ~op:Kserve.op_read
 
+(* A refused open is answered with id 0, but its span is its own
+   pump's.  Two cores, two slots: slot 0 is pump 0's and slot 1 pump
+   1's.  With slot 1 held, a slot-0 read passes pump 0's open probe and
+   core 0 stalls for [stall] cycles; meanwhile pump 1 refuses an odd
+   conn's open.  The refusal must not close the read's span: that span
+   closes when pump 0 stores the read's response, [stall] cycles on. *)
+let test_refusal_keeps_other_pumps_span () =
+  let boot = Boot.boot ~cores:2 () in
+  let k = boot.Boot.kernel in
+  let m = k.Kernel.machine in
+  let sp = Kernel.attach_spans k in
+  let srv = Kserve.create ~config:{ Kserve.default_config with cfg_slots = 2 } boot in
+  (match Boot.go ~max_insns:1 boot with
+  | Machine.Insn_limit -> ()
+  | Machine.Halted -> Alcotest.fail "halted at once");
+  let nic = Kserve.nic srv in
+  let answers = ref 0 in
+  Devices.Nic.set_tx_sink nic (Some (fun _ -> incr answers));
+  let send what frame =
+    let before = !answers in
+    deliver_now m nic frame;
+    if not (step_until m ~cycles:200_000 (fun () -> !answers > before)) then
+      Alcotest.fail (what ^ ": no answer")
+  in
+  send "open of conn 0" (Kserve.pack ~id:0 ~op:Kserve.op_open ~arg:0);
+  send "open of conn 1" (Kserve.pack ~id:1 ~op:Kserve.op_open ~arg:0);
+  check_int "both slots held" 2 (Kserve.open_slots srv);
+  let stall = 50_000 in
+  deliver_now m nic (Kserve.pack ~id:0 ~op:Kserve.op_read ~arg:0);
+  check_bool "pump 0 opened the read's span" true
+    (step_until m ~cycles:200_000 (fun () -> Kspan.open_count sp = 1));
+  Machine.stall_core m ~cpu:0 ~cycles:stall;
+  send "open of conn 3" (Kserve.pack ~id:3 ~op:Kserve.op_open ~arg:0);
+  check_int "pump 1 refused conn 3" 1 (Kserve.stats srv).Kserve.n_refused;
+  check_bool "the read is answered" true
+    (step_until m ~cycles:200_000 (fun () -> !answers = 4));
+  check_int "no span left open" 0 (Kspan.open_count sp);
+  check_int "no orphan close" 0 (Metrics.read k.Kernel.metrics "kspan.orphan_closes");
+  let total = Metrics.histogram k.Kernel.metrics "kspan.serve.total_cycles" in
+  check_int "a span per request" 4 (Histogram.count total);
+  check_bool
+    (Printf.sprintf "the read's span spans the stall (%d >= %d)"
+       (Histogram.max_value total) stall)
+    true
+    (Histogram.max_value total >= stall)
+
 (* perfbench serve_1c's saturated phase (seed 1): 600 sessions of a
    48-client closed loop on one core. *)
 let saturated_1c ?(config = Kserve.default_config) () =
@@ -1293,6 +1339,8 @@ let () =
             test_service_rate_tracks_responses;
           Alcotest.test_case "the dispatch table answers on the wire" `Quick
             test_dispatch_on_the_wire;
+          Alcotest.test_case "a refusal keeps another pump's span" `Quick
+            test_refusal_keeps_other_pumps_span;
         ] );
       (* Suite names stay no longer than "kserve": Alcotest widens its
          suite column to the longest one and truncates test names to fit. *)
