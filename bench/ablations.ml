@@ -182,7 +182,7 @@ let ablation_sched () =
     let io = Thread.create k ~quantum_us:200 ~entry:0 () in
     let gauge = io.Kernel.base + Layout.Tte.off_gauge in
     let entry, _ = Asm.assemble m (io_prog gauge) in
-    Machine.poke m (io.Kernel.base + Layout.Tte.off_regs + 17) entry;
+    Machine.poke m (io.Kernel.base + Layout.Tte.off_pc) entry;
     (* the io program writes its own TTE gauge: allow it *)
     let segs = Machine.map_segments m ~id:io.Kernel.map_id in
     Machine.define_map m ~id:io.Kernel.map_id ((gauge, 1) :: segs);
@@ -291,11 +291,10 @@ let ablation_collapse () =
   let filter, _ =
     Ksynth.install k ~name:"col/filter" [ I.Neg I.r1; I.Rts ]
   in
-  let cn_call =
-    Synthesizer.interface k ~name:"col/direct"
-      ~producer:(Quaject.port Quaject.Active)
-      ~consumer:(Quaject.port Quaject.Passive)
-      ~consumer_entry:filter ()
+  (* an active producer calling a passive filter: §5.2 collapses the
+     connection to a jump straight to the filter *)
+  let direct_call, _ =
+    Ksynth.install k ~name:"col/direct/call" [ I.Jmp (I.To_addr filter) ]
   in
   let q = Kqueue.create ~kind:Kqueue.Spsc k ~name:"col/q" ~size:64 in
   let measure frag =
@@ -317,7 +316,7 @@ let ablation_collapse () =
         I.Move (I.Imm (n - 1), I.Reg I.r9);
         I.Label "loop";
         I.Move (I.Reg I.r9, I.Reg I.r1);
-        I.Jsr (I.To_addr cn_call.Synthesizer.cn_call);
+        I.Jsr (I.To_addr direct_call);
         I.Dbra (I.r9, I.To_label "loop");
         I.Halt;
       ]

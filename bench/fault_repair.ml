@@ -56,12 +56,11 @@ let run () =
   let idle, _ = Asm.assemble m [ I.Rts ] in
   let t = Thread.create k ~entry:idle ~quantum_us:1_000 () in
   let cell = Kalloc.alloc_zeroed alloc 4 in
-  let tick_template ~self:_ =
-    Template.make ~name:"tick" (fun () ->
-        [ I.Alu_mem (I.Add, I.Imm 1, I.Abs cell); I.Rts ])
-  in
   let qj =
-    Synthesizer.create k ~name:"bench" ~data_words:4 [ ("tick", tick_template) ]
+    Ksynth.instantiate k ~name:"quaject/bench/tick"
+      ~template:
+        (Template.make ~name:"tick" (fun () ->
+             [ I.Alu_mem (I.Add, I.Imm 1, I.Abs cell); I.Rts ]))
   in
   let kinds =
     [
@@ -83,7 +82,7 @@ let run () =
      Exceptions vector through vbr, so point it at a real table (the
      thread's private one — boot-level vbr is 0). *)
   Machine.set_vbr m (t.Kernel.base + Layout.Tte.off_vectors);
-  let tick = Synthesizer.op_entry qj "tick" in
+  let tick = Ksynth.entry qj in
   let call () =
     let start, _ = Asm.assemble m [ I.Jsr (I.To_addr tick); I.Halt ] in
     Machine.set_halted m false;

@@ -1,6 +1,6 @@
 (* A two-thread producer/consumer pipeline over a kernel pipe,
    illustrating the stream model of I/O (§5.2): both ends are active,
-   single producer and single consumer, so the quaject interfacer
+   single producer and single consumer, so the §5.2 case analysis
    picks an SP-SC queue — the pipe — and the threads block on
    full/empty through the standard protocol.
 
@@ -11,7 +11,7 @@ open Synthesis
 module I = Insn
 
 let () =
-  (* ask the interfacer what connects these endpoints *)
+  (* ask the §5.2 case table what connects these endpoints *)
   let connector =
     Quaject.connect
       ~producer:(Quaject.port Quaject.Active)
@@ -98,8 +98,8 @@ let () =
   let prod_fds = Kpipe.attach vfs pipe producer in
   let centry, _ = Asm.assemble m (consumer_prog cons_fds) in
   let pentry, _ = Asm.assemble m (producer_prog prod_fds) in
-  Machine.poke m (consumer.Kernel.base + Layout.Tte.off_regs + 17) centry;
-  Machine.poke m (producer.Kernel.base + Layout.Tte.off_regs + 17) pentry;
+  Machine.poke m (consumer.Kernel.base + Layout.Tte.off_pc) centry;
+  Machine.poke m (producer.Kernel.base + Layout.Tte.off_pc) pentry;
 
   (* fine-grain scheduling watches both gauges *)
   Scheduler.install k ~epoch_us:2_000 ();

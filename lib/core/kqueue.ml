@@ -359,15 +359,7 @@ let templates kind ~head ~tail ~buf ~flag ~size =
 (* The unified entry point.
 
    [create ?kind] picks the synchronization discipline (SP-SC when
-   omitted).  [kind_of_connector] maps the quaject interfacer's choice
-   for two active ends (§5.2) to the queue kind that realizes it. *)
-
-let kind_of_connector = function
-  | Quaject.Queue_spsc -> Some Spsc
-  | Quaject.Queue_mpsc -> Some Mpsc
-  | Quaject.Queue_spmc -> Some Spmc
-  | Quaject.Queue_mpmc -> Some Mpmc
-  | Quaject.Procedure_call | Quaject.Monitored_call | Quaject.Pump_thread -> None
+   omitted). *)
 
 (* The r0-status probes on a queue end's return points ("ret").  kspan
    carries an item's span across the queue on each successful call

@@ -41,10 +41,6 @@ val tail_cell : t -> int
     its status. *)
 val create : ?kind:kind -> Kernel.t -> name:string -> size:int -> t
 
-(** Map a queue connector from {!Quaject.connect} to the queue kind it
-    names; [None] for non-queue connectors. *)
-val kind_of_connector : Quaject.connector -> kind option
-
 (** Host-side access for servers and tests (uncharged). *)
 val host_length : Kernel.t -> t -> int
 

@@ -1,6 +1,6 @@
 (* Peephole optimizer run over synthesized code before installation
-   (the "optimization" stage of the quaject creator and interfacer,
-   §2.2–2.3).
+   (the "optimization" stage of [Ksynth.instantiate], which builds
+   every quaject, §2.2–2.3).
 
    Rules fire only when provably safe.  Because most instructions set
    condition codes, deleting or rewriting one may change flags seen by

@@ -1,14 +1,14 @@
-(* Quaject building blocks and the interfacer's connection analysis
-   (§2.3, §5.2).
+(* Quaject building blocks and the connection analysis (§2.3, §5.2).
 
    Quajects are built from a small set of blocks, each implemented
-   once: queues (Kqueue), the monitor (here), the switch (kserve's
-   (slot, op) jump table), the pump (a service thread, as tty's screen
-   pump) and gauges (the scheduler's per-thread counters, and the
-   counters whose windowed rate [Metrics.rate] gives policy).  The
-   quaject interfacer picks
-   the cheapest connector for each producer/consumer pairing by the
-   case analysis of §5.2 — applying the principle of frugality:
+   once: queues (Kqueue), the monitor (a CAS lock inlined where it is
+   needed, as kserve's write lock), the switch (kserve's (slot, op)
+   jump table), the pump (a service thread, as tty's screen pump) and
+   gauges (the scheduler's per-thread counters, and the counters whose
+   windowed rate [Metrics.rate] gives policy).  Each server builds its
+   quajects with [Ksynth.instantiate] and links them itself; the case
+   analysis of §5.2 picks the cheapest connector for each
+   producer/consumer pairing — applying the principle of frugality:
 
      active/passive, single/single      -> procedure call
      active/passive, multiple end       -> monitor + procedure call
@@ -16,11 +16,9 @@
      active/active,  multiple producers -> MP-SC queue (etc.)
      passive/passive                    -> pump
 
-   [connect] encodes that analysis; the examples and the tty/audio
-   servers use it to justify the connector they instantiate. *)
-
-open Quamachine
-module I = Insn
+   [connect] encodes that analysis.  test_io's "§5.2 case analysis"
+   checks it against the queue kinds the tty and interrupt-chain
+   servers build, and examples/pipeline prints its choice. *)
 
 type endpoint = Active | Passive
 type multiplicity = Single | Multiple
@@ -67,29 +65,3 @@ let connector_name = function
   | Queue_spmc -> "SP-MC optimistic queue"
   | Queue_mpmc -> "MP-MC optimistic queue"
   | Pump_thread -> "pump"
-
-(* ---------------------------------------------------------------- *)
-(* Monitor: serializes multiple participants at one end of a
-   connection.  enter/exit are synthesized around a CAS spin lock;
-   uncontended cost is one CAS. *)
-
-type monitor = { mon_lock : int; mon_enter : int; mon_exit : int }
-
-let create_monitor k ~name =
-  let lock = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
-  let enter, _ =
-    Ksynth.install k ~name:(name ^ "/enter")
-      [
-        I.Label "spin";
-        I.Move (I.Imm 0, I.Reg I.r4);
-        I.Move (I.Imm 1, I.Reg I.r5);
-        I.Cas (I.r4, I.r5, I.Abs lock);
-        I.B (I.Ne, I.To_label "spin");
-        I.Rts;
-      ]
-  in
-  let exit, _ =
-    Ksynth.install k ~name:(name ^ "/exit")
-      [ I.Move (I.Imm 0, I.Abs lock); I.Rts ]
-  in
-  { mon_lock = lock; mon_enter = enter; mon_exit = exit }

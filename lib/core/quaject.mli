@@ -1,7 +1,5 @@
-(** Quaject building blocks and the interfacer's connection analysis
-    (§2.3, §5.2): the case table that picks the cheapest connector for
-    each producer/consumer pairing, plus the monitor as installable
-    kernel code. *)
+(** The connection analysis of §5.2: the case table that picks the
+    cheapest connector for each producer/consumer pairing of quajects. *)
 
 type endpoint = Active | Passive
 type multiplicity = Single | Multiple
@@ -27,11 +25,3 @@ type connector =
 val connect : producer:port -> consumer:port -> connector
 
 val connector_name : connector -> string
-
-(** {1 Monitor}: serializes multiple participants at one end.
-    [mon_enter]/[mon_exit] are kernel subroutines (Jsr/Rts) around a
-    CAS spin lock. *)
-
-type monitor = { mon_lock : int; mon_enter : int; mon_exit : int }
-
-val create_monitor : Kernel.t -> name:string -> monitor

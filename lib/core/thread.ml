@@ -186,7 +186,7 @@ let start k t =
   Machine.charge k.Kernel.machine 90
 
 let saved_sr k t = Machine.peek k.Kernel.machine (t.Kernel.base + L.off_regs + 16)
-let saved_pc k t = Machine.peek k.Kernel.machine (t.Kernel.base + L.off_regs + 17)
+let saved_pc k t = Machine.peek k.Kernel.machine (t.Kernel.base + L.off_pc)
 
 let set_saved_reg k t r v = Machine.poke k.Kernel.machine (t.Kernel.base + L.off_regs + r) v
 let saved_reg k t r = Machine.peek k.Kernel.machine (t.Kernel.base + L.off_regs + r)
@@ -316,7 +316,7 @@ and deliver_here k t tramp =
         (* suspended inside a kernel continuation: chain the signal to
            the end of the kernel operation via the original frame *)
         deepest_frame_pc_slot t
-      else t.Kernel.base + L.off_regs + 17
+      else t.Kernel.base + L.off_pc
     in
     Machine.poke m (t.Kernel.base + L.off_sig_pending) (Machine.peek m slot);
     Machine.poke m slot tramp;

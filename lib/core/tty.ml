@@ -10,8 +10,8 @@
    it in a dedicated queue — the kernel knows the handler is the only
    producer and the filter thread the only consumer, so the queue has
    no synchronization code at all (Code Isolation).  The screen queue
-   has two producers (echo and user writes), so the interfacer picks
-   an optimistic MP-SC queue (§5.1). *)
+   has two producers (echo and user writes), so the §5.2 case analysis
+   picks an optimistic MP-SC queue (§5.1). *)
 
 open Quamachine
 module I = Insn

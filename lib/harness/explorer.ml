@@ -688,8 +688,8 @@ let kpipe_subject =
     in
     let wentry, _ = Asm.assemble m wprog in
     let rentry, _ = Asm.assemble m rprog in
-    Machine.poke m (writer.Kernel.base + Layout.Tte.off_regs + 17) wentry;
-    Machine.poke m (reader.Kernel.base + Layout.Tte.off_regs + 17) rentry;
+    Machine.poke m (writer.Kernel.base + Layout.Tte.off_pc) wentry;
+    Machine.poke m (reader.Kernel.base + Layout.Tte.off_pc) rentry;
     writer.Kernel.entry <- wentry;
     reader.Kernel.entry <- rentry;
     let peek a = Machine.peek m a in
@@ -949,13 +949,11 @@ let codeflip_subject =
     (* a quaject op: synthesized code that never runs during the
        storm, so only the audit channel can catch its corruption *)
     let tick_cell = Kalloc.alloc_zeroed alloc 4 in
-    let tick_template ~self:_ =
-      Template.make ~name:"tick" (fun () ->
-          [ I.Alu_mem (I.Add, I.Imm 1, I.Abs tick_cell); I.Rts ])
-    in
     ignore
-      (Synthesizer.create k ~name:"healer" ~data_words:4
-         [ ("tick", tick_template) ]);
+      (Ksynth.instantiate k ~name:"quaject/healer/tick"
+         ~template:
+           (Template.make ~name:"tick" (fun () ->
+                [ I.Alu_mem (I.Add, I.Imm 1, I.Abs tick_cell); I.Rts ])));
     (* second detection channel: periodic checksum walk *)
     let wd = Watchdog.install k ~period_us:1_000.0 () in
     Watchdog.audit_code wd;

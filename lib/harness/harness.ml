@@ -207,8 +207,8 @@ module Pipeline = struct
     let _, pwfd = Kpipe.attach b.Boot.vfs pipe producer in
     let centry, _ = Asm.assemble m (consumer_prog ~rfd:crfd) in
     let pentry, _ = Asm.assemble m (producer_prog ~wfd:pwfd) in
-    Machine.poke m (consumer.Kernel.base + Layout.Tte.off_regs + 17) centry;
-    Machine.poke m (producer.Kernel.base + Layout.Tte.off_regs + 17) pentry;
+    Machine.poke m (consumer.Kernel.base + Layout.Tte.off_pc) centry;
+    Machine.poke m (producer.Kernel.base + Layout.Tte.off_pc) pentry;
     { pl_boot = b; pl_producer = producer; pl_consumer = consumer;
       pl_result = result; pl_total = total }
 

@@ -7,8 +7,8 @@
    omitted (§2.3).  This is the cheapest possible queue: plain loads
    and stores, no atomics at all.
 
-   It must never be shared across domains — that is the contract the
-   quaject interfacer enforces when it picks this implementation. *)
+   It must never be shared across domains — that is the contract a
+   server keeps when the §5.2 case analysis picks this implementation. *)
 
 type 'a t = {
   buf : 'a option array;

@@ -366,11 +366,12 @@ let test_explorer_smoke () =
    only the audit channel (or a direct call) can reach it. *)
 let tick_quaject k =
   let cell = Kalloc.alloc_zeroed k.Kernel.alloc 4 in
-  let template ~self:_ =
-    Template.make ~name:"tick" (fun () ->
-        [ I.Alu_mem (I.Add, I.Imm 1, I.Abs cell); I.Rts ])
+  let qj =
+    Ksynth.instantiate k ~name:"quaject/heal/tick"
+      ~template:
+        (Template.make ~name:"tick" (fun () ->
+             [ I.Alu_mem (I.Add, I.Imm 1, I.Abs cell); I.Rts ]))
   in
-  let qj = Synthesizer.create k ~name:"heal" ~data_words:4 [ ("tick", template) ] in
   (qj, cell)
 
 let region_exn k name =
@@ -476,7 +477,7 @@ let test_trap_repairs_and_retries () =
   let qj, cell = tick_quaject k in
   let r = region_exn k "quaject/heal/tick" in
   Fault_inject.corrupt_code m ~addr:r.Kernel.sp_entry ~bit:19;
-  ignore (run_call m ~entry:(Synthesizer.op_entry qj "tick") ());
+  ignore (run_call m ~entry:(Ksynth.entry qj) ());
   check_bool "region repaired by the trap path" false (Kernel.region_dirty k r);
   check_int "op ran exactly once after the retry" 1 (Machine.peek m cell);
   check_int "repair counted" 1 (Metrics.read k.Kernel.metrics "kernel.code_repairs_total");

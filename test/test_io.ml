@@ -1,6 +1,6 @@
 (* I/O subsystem tests: the cooked TTY pipeline, the A/D buffered
-   queue, procedure chaining, VFS edge cases, and the quaject
-   interfacer's connection analysis. *)
+   queue, procedure chaining, VFS edge cases, and the §5.2 connection
+   analysis checked against the live queues. *)
 
 open Quamachine
 open Synthesis
@@ -418,9 +418,9 @@ let test_fs_against_model () =
   check_int "final size agrees" !model_size (Fs.file_size vfs file)
 
 (* ------------------------------------------------------------------ *)
-(* Quaject interfacer analysis (§5.2) *)
+(* Quaject connection analysis (§5.2) *)
 
-let test_interfacer_cases () =
+let test_case_analysis () =
   let open Quaject in
   let check name exp got = Alcotest.(check string) name exp (connector_name got) in
   let p ?mult e = port ?mult e in
@@ -439,29 +439,34 @@ let test_interfacer_cases () =
   check "multi both" "MP-MC optimistic queue"
     (connect ~producer:(p ~mult:Multiple Active) ~consumer:(p ~mult:Multiple Active));
   check "passive-passive" "pump"
-    (connect ~producer:(p Passive) ~consumer:(p Passive))
-
-let test_monitor () =
+    (connect ~producer:(p Passive) ~consumer:(p Passive));
+  (* The live queues whose ends the server fixes: the table must pick
+     the kind each server built.  The cooked queue is left out: how
+     many threads read /dev/tty is up to its users. *)
   let b = Boot.boot () in
-  let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  let mon = Quaject.create_monitor k ~name:"t/mon" in
-  let frag =
-    [
-      I.Jsr (I.To_addr mon.Quaject.mon_enter);
-      I.Move (I.Abs mon.Quaject.mon_lock, I.Abs 0x500); (* locked = 1 *)
-      I.Jsr (I.To_addr mon.Quaject.mon_exit);
-      I.Move (I.Abs mon.Quaject.mon_lock, I.Abs 0x501); (* unlocked = 0 *)
-      I.Halt;
-    ]
+  let srv = Tty.install b.Boot.vfs in
+  let chain = Interrupt.install_chain b.Boot.kernel in
+  let connector_of q =
+    match q.Kqueue.q_kind with
+    | Kqueue.Spsc -> Queue_spsc
+    | Kqueue.Mpsc -> Queue_mpsc
+    | Kqueue.Spmc -> Queue_spmc
+    | Kqueue.Mpmc -> Queue_mpmc
   in
-  let entry, _ = Asm.assemble m frag in
-  Machine.set_supervisor m true;
-  Machine.set_reg m I.sp 0xE00;
-  Machine.set_pc m entry;
-  ignore (Machine.run ~max_insns:10_000 m);
-  check_int "monitor held" 1 (Machine.peek m 0x500);
-  check_int "monitor released" 0 (Machine.peek m 0x501)
+  List.iter
+    (fun (name, producer, consumer, q) ->
+      check name (connector_name (connector_of q)) (connect ~producer ~consumer))
+    [
+      ("tty raw: irq -> filter", p Active, p Active, srv.Tty.srv_raw);
+      ( "tty screen: echo + writers -> pump",
+        p ~mult:Multiple Active,
+        p Active,
+        srv.Tty.srv_screen );
+      ( "chain: nested handlers -> runner",
+        p ~mult:Multiple Active,
+        p Active,
+        chain.Interrupt.ch_queue );
+    ]
 
 (* Reference model of the cooked discipline: what a correct erase/kill
    filter delivers for a given keystroke stream. *)
@@ -575,10 +580,6 @@ let () =
           Alcotest.test_case "fd reuse after close" `Quick test_fd_reuse_after_close;
           Alcotest.test_case "fs agrees with a reference model" `Quick test_fs_against_model;
         ] );
-      ( "quaject",
-        [
-          Alcotest.test_case "interfacer case analysis" `Quick test_interfacer_cases;
-          Alcotest.test_case "monitor block" `Quick test_monitor;
-        ] );
+      ("quaject", [ Alcotest.test_case "§5.2 case analysis" `Quick test_case_analysis ]);
       ("properties", qcheck [ prop_tty_matches_reference ]);
     ]

@@ -388,7 +388,7 @@ let test_signal_chained_to_kernel_exit () =
     ]
   in
   let tentry, _ = Asm.assemble m tprog in
-  Machine.poke m (target.Kernel.base + Layout.Tte.off_regs + 17) tentry;
+  Machine.poke m (target.Kernel.base + Layout.Tte.off_pc) tentry;
   let writer = Thread.create k ~quantum_us:100 ~entry:0 ~segments:[ (dst, 16) ] () in
   let _, wfd2 = Kpipe.attach vfs pipe writer in
   let sprog =
@@ -409,7 +409,7 @@ let test_signal_chained_to_kernel_exit () =
     ]
   in
   let sentry, _ = Asm.assemble m sprog in
-  Machine.poke m (writer.Kernel.base + Layout.Tte.off_regs + 17) sentry;
+  Machine.poke m (writer.Kernel.base + Layout.Tte.off_pc) sentry;
   (match Boot.go ~max_insns:50_000_000 b with
   | Machine.Halted -> ()
   | Machine.Insn_limit -> Alcotest.fail "did not halt");

@@ -279,8 +279,8 @@ let test_pipe_two_threads () =
   in
   let pentry, _ = Asm.assemble m pprog in
   let centry, _ = Asm.assemble m cprog in
-  Machine.poke m (producer.Kernel.base + Layout.Tte.off_regs + 17) pentry;
-  Machine.poke m (consumer.Kernel.base + Layout.Tte.off_regs + 17) centry;
+  Machine.poke m (producer.Kernel.base + Layout.Tte.off_pc) pentry;
+  Machine.poke m (consumer.Kernel.base + Layout.Tte.off_pc) centry;
   (match Boot.go ~max_insns:100_000_000 b with
   | Machine.Halted -> ()
   | Machine.Insn_limit -> Alcotest.fail "pipe threads did not finish");
@@ -319,12 +319,111 @@ let test_pipe_eof () =
     ]
   in
   let entry, _ = Asm.assemble m prog in
-  Machine.poke m (t.Kernel.base + Layout.Tte.off_regs + 17) entry;
+  Machine.poke m (t.Kernel.base + Layout.Tte.off_pc) entry;
   (match Boot.go ~max_insns:10_000_000 b with
   | Machine.Halted -> ()
   | Machine.Insn_limit -> Alcotest.fail "did not halt");
   check_int "partial read returns available" 3 (Machine.peek m (region + 40));
   check_int "read after close = EOF" 0 (Machine.peek m (region + 41))
+
+(* generator -> +1 -> *2 -> sum: four threads over three pipes, each
+   middle stage holding the read end of one pipe and the write end of
+   the next *)
+let test_pipe_four_stages () =
+  let b = Boot.boot () in
+  let k = b.Boot.kernel in
+  let m = k.Kernel.machine in
+  let vfs = b.Boot.vfs in
+  let n = 40 in
+  let result = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
+  let c1 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
+  let c2 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
+  let c3 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
+  let gen ~wfd =
+    [
+      I.Move (I.Imm 1, I.Reg I.r9);
+      I.Label "loop";
+      I.Move (I.Reg I.r9, I.Abs c1);
+      I.Move (I.Imm wfd, I.Reg I.r1);
+      I.Move (I.Imm c1, I.Reg I.r2);
+      I.Move (I.Imm 1, I.Reg I.r3);
+      I.Trap 2;
+      I.Alu (I.Add, I.Imm 1, I.r9);
+      I.Cmp (I.Imm (n + 1), I.Reg I.r9);
+      I.B (I.Ne, I.To_label "loop");
+      I.Trap 0;
+    ]
+  in
+  let xform cell f ~rfd ~wfd =
+    [
+      I.Move (I.Imm n, I.Reg I.r9);
+      I.Label "loop";
+      I.Move (I.Imm rfd, I.Reg I.r1);
+      I.Move (I.Imm cell, I.Reg I.r2);
+      I.Move (I.Imm 1, I.Reg I.r3);
+      I.Trap 1;
+      I.Move (I.Abs cell, I.Reg I.r10);
+    ]
+    @ f
+    @ [
+        I.Move (I.Reg I.r10, I.Abs cell);
+        I.Move (I.Imm wfd, I.Reg I.r1);
+        I.Move (I.Imm cell, I.Reg I.r2);
+        I.Move (I.Imm 1, I.Reg I.r3);
+        I.Trap 2;
+        I.Alu (I.Sub, I.Imm 1, I.r9);
+        I.B (I.Ne, I.To_label "loop");
+        I.Trap 0;
+      ]
+  in
+  let sum ~rfd =
+    [
+      I.Move (I.Imm 0, I.Reg I.r9);
+      I.Move (I.Imm n, I.Reg I.r10);
+      I.Label "loop";
+      I.Move (I.Imm rfd, I.Reg I.r1);
+      I.Move (I.Imm result, I.Reg I.r2);
+      I.Move (I.Imm 1, I.Reg I.r3);
+      I.Trap 1;
+      I.Alu (I.Add, I.Abs result, I.r9);
+      I.Alu (I.Sub, I.Imm 1, I.r10);
+      I.B (I.Ne, I.To_label "loop");
+      I.Move (I.Reg I.r9, I.Abs result);
+      I.Trap 0;
+    ]
+  in
+  let stage cell = Thread.create k ~quantum_us:150 ~entry:0 ~segments:[ (cell, 16) ] () in
+  let threads = [| stage c1; stage c2; stage c3; stage result |] in
+  let pipes = Array.init 3 (fun _ -> Kpipe.create k ~cap:256 ()) in
+  (* stage i writes pipe i, stage i+1 reads it *)
+  let ends =
+    Array.mapi
+      (fun i p ->
+        let _, w = Kpipe.attach vfs p threads.(i) in
+        let r, _ = Kpipe.attach vfs p threads.(i + 1) in
+        (r, w))
+      pipes
+  in
+  let rfd i = fst ends.(i - 1) and wfd i = snd ends.(i) in
+  let programs =
+    [|
+      gen ~wfd:(wfd 0);
+      xform c2 [ I.Alu (I.Add, I.Imm 1, I.r10) ] ~rfd:(rfd 1) ~wfd:(wfd 1);
+      xform c3 [ I.Alu (I.Mul, I.Imm 2, I.r10) ] ~rfd:(rfd 2) ~wfd:(wfd 2);
+      sum ~rfd:(rfd 3);
+    |]
+  in
+  Array.iteri
+    (fun i prog ->
+      let entry, _ = Asm.assemble m prog in
+      Machine.poke m (threads.(i).Kernel.base + Layout.Tte.off_pc) entry)
+    programs;
+  (match Boot.go ~max_insns:200_000_000 b with
+  | Machine.Halted -> ()
+  | Machine.Insn_limit -> Alcotest.fail "four-stage pipeline stuck");
+  (* sum of 2*(i+1) for i in 1..n *)
+  let expected = 2 * ((n * (n + 1) / 2) + n) in
+  check_int "transformed sum" expected (Machine.peek m result)
 
 (* Property: random chunk schedules through a two-thread pipe deliver
    every word intact and in order.  The writer sends 1..total in
@@ -744,92 +843,6 @@ let test_signal_burst_coalesces () =
   check_int "original continuation restored" 1 (Machine.peek m (cell + 1))
 
 (* ------------------------------------------------------------------ *)
-(* The quaject creator and interfacer (§2.3) *)
-
-let test_quaject_creator () =
-  let b = Boot.boot () in
-  let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  (* a counter quaject: state in its data block, two operations *)
-  let incr_t ~step ~self =
-    Template.make ~name:"ctr_incr" (fun () ->
-        [ I.Alu_mem (I.Add, I.Imm step, I.Abs (self + 2)); I.Rts ])
-  in
-  let read_t ~self =
-    Template.make ~name:"ctr_read" (fun () ->
-        [ I.Move (I.Abs (self + 2), I.Reg I.r0); I.Rts ])
-  in
-  let q =
-    Synthesizer.create k ~name:"counter" ~data_words:8
-      [ ("incr", incr_t ~step:5); ("read", read_t) ]
-  in
-  (* drive it through the operation table in memory (one indirection) *)
-  let frag =
-    [
-      I.Jsr (I.To_mem (I.Abs (Synthesizer.op_slot q 0))); (* incr *)
-      I.Jsr (I.To_mem (I.Abs (Synthesizer.op_slot q 0))); (* incr *)
-      I.Jsr (I.To_mem (I.Abs (Synthesizer.op_slot q 1))); (* read *)
-      I.Move (I.Reg I.r0, I.Abs 0x500);
-      I.Halt;
-    ]
-  in
-  let entry, _ = Asm.assemble m frag in
-  Machine.set_supervisor m true;
-  Machine.set_reg m I.sp 0xE00;
-  Machine.set_pc m entry;
-  ignore (Machine.run ~max_insns:1_000 m);
-  check_int "two increments of the folded step" 10 (Machine.peek m 0x500);
-  check_int "op table linked" (Synthesizer.op_entry q "incr")
-    (Machine.peek m (Synthesizer.op_slot q 0))
-
-let test_interfacer_collapses_call () =
-  let b = Boot.boot () in
-  let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  let consumer, _ =
-    Ksynth.install k ~name:"t/consume"
-      [ I.Alu_mem (I.Add, I.Imm 1, I.Abs 0x501); I.Rts ]
-  in
-  (* active producer, passive single consumer: collapses to a call *)
-  let cn =
-    Synthesizer.interface k ~name:"t/link"
-      ~producer:(Quaject.port Quaject.Active)
-      ~consumer:(Quaject.port Quaject.Passive)
-      ~consumer_entry:consumer ()
-  in
-  check_bool "procedure call chosen" true
-    (cn.Synthesizer.cn_connector = Quaject.Procedure_call);
-  let frag = [ I.Jsr (I.To_addr cn.Synthesizer.cn_call); I.Halt ] in
-  let entry, _ = Asm.assemble m frag in
-  Machine.set_supervisor m true;
-  Machine.set_reg m I.sp 0xE00;
-  Machine.set_pc m entry;
-  ignore (Machine.run ~max_insns:100 m);
-  check_int "collapsed call reached the consumer" 1 (Machine.peek m 0x501)
-
-let test_interfacer_queues_active_pair () =
-  let b = Boot.boot () in
-  let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  let dummy, _ = Ksynth.install k ~name:"t/dummy" [ I.Rts ] in
-  let cn =
-    Synthesizer.interface k ~name:"t/link2"
-      ~producer:(Quaject.port ~mult:Quaject.Multiple Quaject.Active)
-      ~consumer:(Quaject.port Quaject.Active)
-      ~consumer_entry:dummy ()
-  in
-  check_bool "MP-SC queue chosen" true
-    (cn.Synthesizer.cn_connector = Quaject.Queue_mpsc);
-  match cn.Synthesizer.cn_queue with
-  | Some q ->
-    (* the producer-side call is the queue's put *)
-    let st, _ = run_call m ~entry:cn.Synthesizer.cn_call ~r1:42 () in
-    check_int "put through the connection" 1 st;
-    check_int "item queued" 1 (Kqueue.host_length k q);
-    check_bool "item value" true (Kqueue.host_get k q = Some 42)
-  | None -> Alcotest.fail "queued connection has no queue"
-
-(* ------------------------------------------------------------------ *)
 (* Property: the synthesized queue code agrees with a FIFO model on
    random put/get sequences (one machine per flavour, fresh queue per
    case). *)
@@ -869,161 +882,6 @@ let prop_spsc_model = kqueue_model_prop "spsc vm queue matches FIFO model" (kque
 let prop_mpsc_model = kqueue_model_prop "mpsc vm queue matches FIFO model" (kqueue_of_kind Kqueue.Mpsc)
 let prop_spmc_model = kqueue_model_prop "spmc vm queue matches FIFO model" (kqueue_of_kind Kqueue.Spmc)
 let prop_mpmc_model = kqueue_model_prop "mpmc vm queue matches FIFO model" (kqueue_of_kind Kqueue.Mpmc)
-
-(* ------------------------------------------------------------------ *)
-(* Stream graph (§2.1) *)
-
-let test_stream_graph_pipeline () =
-  let b = Boot.boot () in
-  let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  let n = 64 in
-  let result = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
-  let cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
-  let generator ~wfd =
-    [
-      I.Move (I.Imm 1, I.Reg I.r9);
-      I.Label "loop";
-      I.Move (I.Reg I.r9, I.Abs cell);
-      I.Move (I.Imm wfd, I.Reg I.r1);
-      I.Move (I.Imm cell, I.Reg I.r2);
-      I.Move (I.Imm 1, I.Reg I.r3);
-      I.Trap 2;
-      I.Alu (I.Add, I.Imm 1, I.r9);
-      I.Cmp (I.Imm (n + 1), I.Reg I.r9);
-      I.B (I.Ne, I.To_label "loop");
-      I.Trap 0;
-    ]
-  in
-  let accumulator ~rfd =
-    [
-      I.Move (I.Imm 0, I.Reg I.r9);
-      I.Move (I.Imm n, I.Reg I.r10);
-      I.Label "loop";
-      I.Move (I.Imm rfd, I.Reg I.r1);
-      I.Move (I.Imm result, I.Reg I.r2);
-      I.Move (I.Imm 1, I.Reg I.r3);
-      I.Trap 1;
-      I.Alu (I.Add, I.Abs result, I.r9);
-      I.Alu (I.Sub, I.Imm 1, I.r10);
-      I.B (I.Ne, I.To_label "loop");
-      I.Move (I.Reg I.r9, I.Abs result);
-      I.Trap 0;
-    ]
-  in
-  let built =
-    Stream_graph.pipeline b.Boot.vfs
-      [
-        Stream_graph.stage ~segments:[ (cell, 16) ] (Stream_graph.Head generator);
-        Stream_graph.stage ~segments:[ (result, 16) ] (Stream_graph.Tail accumulator);
-      ]
-  in
-  check_int "two nodes" 2 (List.length built.Stream_graph.sg_threads);
-  check_int "one arc" 1 (List.length built.Stream_graph.sg_pipes);
-  (match built.Stream_graph.sg_connectors with
-  | [ Quaject.Queue_spsc ] -> ()
-  | _ -> Alcotest.fail "interfacer should pick SP-SC for single-single");
-  (match Boot.go ~max_insns:100_000_000 b with
-  | Machine.Halted -> ()
-  | Machine.Insn_limit -> Alcotest.fail "pipeline did not finish");
-  check_int "sum arrived" (n * (n + 1) / 2) (Machine.peek m result)
-
-let test_stream_graph_four_stages () =
-  (* generator -> +1 -> *2 -> sum over a 4-node pipeline *)
-  let b = Boot.boot () in
-  let k = b.Boot.kernel in
-  let m = k.Kernel.machine in
-  let n = 40 in
-  let result = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
-  let c1 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
-  let c2 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
-  let c3 = Kalloc.alloc_zeroed k.Kernel.alloc 16 in
-  let gen ~wfd =
-    [
-      I.Move (I.Imm 1, I.Reg I.r9);
-      I.Label "loop";
-      I.Move (I.Reg I.r9, I.Abs c1);
-      I.Move (I.Imm wfd, I.Reg I.r1);
-      I.Move (I.Imm c1, I.Reg I.r2);
-      I.Move (I.Imm 1, I.Reg I.r3);
-      I.Trap 2;
-      I.Alu (I.Add, I.Imm 1, I.r9);
-      I.Cmp (I.Imm (n + 1), I.Reg I.r9);
-      I.B (I.Ne, I.To_label "loop");
-      I.Trap 0;
-    ]
-  in
-  let xform cell f ~rfd ~wfd =
-    [
-      I.Move (I.Imm n, I.Reg I.r9);
-      I.Label "loop";
-      I.Move (I.Imm rfd, I.Reg I.r1);
-      I.Move (I.Imm cell, I.Reg I.r2);
-      I.Move (I.Imm 1, I.Reg I.r3);
-      I.Trap 1;
-      I.Move (I.Abs cell, I.Reg I.r10);
-    ]
-    @ f
-    @ [
-        I.Move (I.Reg I.r10, I.Abs cell);
-        I.Move (I.Imm wfd, I.Reg I.r1);
-        I.Move (I.Imm cell, I.Reg I.r2);
-        I.Move (I.Imm 1, I.Reg I.r3);
-        I.Trap 2;
-        I.Alu (I.Sub, I.Imm 1, I.r9);
-        I.B (I.Ne, I.To_label "loop");
-        I.Trap 0;
-      ]
-  in
-  let sum ~rfd =
-    [
-      I.Move (I.Imm 0, I.Reg I.r9);
-      I.Move (I.Imm n, I.Reg I.r10);
-      I.Label "loop";
-      I.Move (I.Imm rfd, I.Reg I.r1);
-      I.Move (I.Imm result, I.Reg I.r2);
-      I.Move (I.Imm 1, I.Reg I.r3);
-      I.Trap 1;
-      I.Alu (I.Add, I.Abs result, I.r9);
-      I.Alu (I.Sub, I.Imm 1, I.r10);
-      I.B (I.Ne, I.To_label "loop");
-      I.Move (I.Reg I.r9, I.Abs result);
-      I.Trap 0;
-    ]
-  in
-  let built =
-    Stream_graph.pipeline b.Boot.vfs
-      [
-        Stream_graph.stage ~segments:[ (c1, 16) ] (Stream_graph.Head gen);
-        Stream_graph.stage ~segments:[ (c2, 16) ]
-          (Stream_graph.Middle (xform c2 [ I.Alu (I.Add, I.Imm 1, I.r10) ]));
-        Stream_graph.stage ~segments:[ (c3, 16) ]
-          (Stream_graph.Middle (xform c3 [ I.Alu (I.Mul, I.Imm 2, I.r10) ]));
-        Stream_graph.stage ~segments:[ (result, 16) ] (Stream_graph.Tail sum);
-      ]
-  in
-  check_int "four nodes" 4 (List.length built.Stream_graph.sg_threads);
-  check_int "three arcs" 3 (List.length built.Stream_graph.sg_pipes);
-  (match Boot.go ~max_insns:200_000_000 b with
-  | Machine.Halted -> ()
-  | Machine.Insn_limit -> Alcotest.fail "four-stage pipeline stuck");
-  (* sum of 2*(i+1) for i in 1..n *)
-  let expected = 2 * ((n * (n + 1) / 2) + n) in
-  check_int "transformed sum" expected (Machine.peek m result)
-
-let test_stream_graph_shapes () =
-  let b = Boot.boot () in
-  let vfs = b.Boot.vfs in
-  let head = Stream_graph.stage (Stream_graph.Head (fun ~wfd -> ignore wfd; [])) in
-  let tail = Stream_graph.stage (Stream_graph.Tail (fun ~rfd -> ignore rfd; [])) in
-  (try
-     ignore (Stream_graph.pipeline vfs [ head ]);
-     Alcotest.fail "single stage accepted"
-   with Invalid_argument _ -> ());
-  (try
-     ignore (Stream_graph.pipeline vfs [ tail; head ]);
-     Alcotest.fail "reversed pipeline accepted"
-   with Invalid_argument _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Ready queue churn property *)
@@ -1113,6 +971,7 @@ let () =
           Alcotest.test_case "two threads stream with blocking" `Quick
             test_pipe_two_threads;
           Alcotest.test_case "EOF after writer close" `Quick test_pipe_eof;
+          Alcotest.test_case "four-stage transform pipeline" `Quick test_pipe_four_stages;
         ] );
       ("signal", [ Alcotest.test_case "delivery to running thread" `Quick test_signal_delivery ]);
       ("pipe-property", qcheck [ prop_pipe_random_chunks ]);
@@ -1138,25 +997,8 @@ let () =
           Alcotest.test_case "signal bursts coalesce" `Quick
             test_signal_burst_coalesces;
         ] );
-      ( "synthesizer",
-        [
-          Alcotest.test_case "creator: allocate/factorize/link" `Quick
-            test_quaject_creator;
-          Alcotest.test_case "interfacer collapses to a call" `Quick
-            test_interfacer_collapses_call;
-          Alcotest.test_case "interfacer queues active pairs" `Quick
-            test_interfacer_queues_active_pair;
-        ] );
       ( "kqueue-model",
         qcheck [ prop_spsc_model; prop_mpsc_model; prop_spmc_model; prop_mpmc_model ] );
-      ( "stream-graph",
-        [
-          Alcotest.test_case "two-stage pipeline" `Quick test_stream_graph_pipeline;
-          Alcotest.test_case "shape validation + fan analysis" `Quick
-            test_stream_graph_shapes;
-          Alcotest.test_case "four-stage transform pipeline" `Quick
-            test_stream_graph_four_stages;
-        ] );
       ("ready-queue", qcheck [ prop_ready_queue_churn ]);
       ( "scheduler",
         [
