@@ -33,7 +33,6 @@ let all_benches ~scale () =
   Queues.run ();
   Ablations.run ();
   Sizes.run ();
-  Host_queues.run ();
   Host_step.run ();
   Bechamel_suite.run ();
   emit_json "BENCH_tables.json"
@@ -131,7 +130,6 @@ let main_cmd =
       cmd_of "table5" Table5.run;
       cmd_of "queues" Queues.run;
       cmd_of "sizes" Sizes.run;
-      cmd_of "host-queues" Host_queues.run;
       cmd_of "host-step" Host_step.run;
       cmd_of "ablations" Ablations.run;
       cmd_of "overhead" Overhead.run;

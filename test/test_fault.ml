@@ -312,21 +312,6 @@ let test_stray_irq_preserves_registers () =
   check_int "r1 preserved across the stray irq" 8 (Machine.get_reg m I.r1)
 
 (* ------------------------------------------------------------------ *)
-(* Host-queue fault seam *)
-
-let test_oq_fault_seam () =
-  check_bool "disarmed by default" false (Oq.Fault.armed ());
-  Oq.Fault.arm ~seed:3 ~every:5;
-  let q = Oq.Mpsc.create 64 in
-  for i = 0 to 999 do
-    Oq.Mpsc.put q i;
-    check_int "fifo under CAS vetoes" i (Oq.Mpsc.get q)
-  done;
-  check_bool "vetoes were delivered" true (Oq.Fault.forced () > 0);
-  Oq.Fault.disarm ();
-  check_bool "disarmed" false (Oq.Fault.armed ())
-
-(* ------------------------------------------------------------------ *)
 (* Plan and explorer determinism *)
 
 let test_plan_deterministic () =
@@ -692,7 +677,6 @@ let () =
         ] );
       ( "kfault",
         [
-          Alcotest.test_case "oq fault seam" `Quick test_oq_fault_seam;
           Alcotest.test_case "plan determinism" `Quick test_plan_deterministic;
           Alcotest.test_case "explorer determinism" `Quick
             test_explorer_deterministic;

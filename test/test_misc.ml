@@ -1,6 +1,6 @@
 (* Smaller surfaces: assembler environments and label-immediates,
-   template parameter checking, the monitor/inspector, scheduler
-   history, and host queue edges. *)
+   template parameter checking, the monitor/inspector and scheduler
+   history. *)
 
 open Quamachine
 open Synthesis
@@ -186,18 +186,6 @@ let test_scheduler_untraced_metrics () =
        (Kernel.postmortem (scheduled_spinner ~traced:true ())))
 
 (* ------------------------------------------------------------------ *)
-(* Host queues: edges *)
-
-let test_queue_capacity_edges () =
-  Alcotest.check_raises "spsc too small"
-    (Invalid_argument "Spsc.create: size must be >= 2") (fun () ->
-      ignore (Oq.Spsc.create 1));
-  let q = Oq.Mpsc.create 4 in
-  Alcotest.check_raises "burst larger than capacity"
-    (Invalid_argument "Mpsc.try_put_many") (fun () ->
-      ignore (Oq.Mpsc.try_put_many q (fun i -> i) 4))
-
-(* ------------------------------------------------------------------ *)
 (* Cost model coherence *)
 
 let test_cost_model_scaling () =
@@ -232,10 +220,6 @@ let () =
           Alcotest.test_case "epoch history" `Quick test_scheduler_history;
           Alcotest.test_case "untraced counters reach the kernel" `Quick
             test_scheduler_untraced_metrics;
-        ] );
-      ( "blocks",
-        [
-          Alcotest.test_case "queue capacity edges" `Quick test_queue_capacity_edges;
         ] );
       ( "cost",
         [ Alcotest.test_case "clock/wait-state scaling" `Quick test_cost_model_scaling ] );
