@@ -88,6 +88,124 @@ let test_kqueue_put_many_atomic () =
   done;
   check_int "queue drained" 0 (Kqueue.host_length k q)
 
+(* Figure 2's bursts under preemption: three producer threads each put
+   16 bursts of 3 tagged words, (tag << 16) | seq, through q_put_many
+   into a small MP-SC queue, retrying while full; one consumer logs
+   what it takes.  As the explorer's driver does, the quantum-timer
+   interrupt is posted every [stride] core-0 instructions, and each
+   stride gives one interleaving.  A burst must land whole: its words
+   adjacent and in order in the log, each producer's bursts in order,
+   every word exactly once. *)
+let put_many_under_preemption ~stride =
+  let b = Boot.boot () in
+  let k = b.Boot.kernel in
+  let m = k.Kernel.machine in
+  let producers = 3 and bursts = 16 and burst = 3 in
+  let total = producers * bursts * burst in
+  let q = Kqueue.create ~kind:Kqueue.Mpsc k ~name:"t/burst" ~size:8 in
+  let alloc = k.Kernel.alloc in
+  let src = Kalloc.alloc_zeroed alloc 16 and count = Kalloc.alloc_zeroed alloc 16 in
+  let log = Kalloc.alloc_zeroed alloc (total + 8) in
+  let segments =
+    [
+      (q.Kqueue.q_desc, 16); (q.Kqueue.q_buf, 8); (q.Kqueue.q_flag, 8);
+      (src, 16); (count, 16); (log, total + 8);
+    ]
+  in
+  for tag = 1 to producers do
+    let s = src + (4 * (tag - 1)) in
+    let code =
+      [
+        I.Move (I.Imm 0, I.Reg I.r8);
+        I.Label "loop";
+        I.Move (I.Imm (tag lsl 16), I.Reg I.r1);
+        I.Alu (I.Add, I.Reg I.r8, I.r1);
+        I.Move (I.Reg I.r1, I.Abs s);
+        I.Alu (I.Add, I.Imm 1, I.r1);
+        I.Move (I.Reg I.r1, I.Abs (s + 1));
+        I.Alu (I.Add, I.Imm 1, I.r1);
+        I.Move (I.Reg I.r1, I.Abs (s + 2));
+        I.Label "again";
+        I.Move (I.Imm s, I.Reg I.r2);
+        I.Move (I.Imm burst, I.Reg I.r3);
+        I.Jsr (I.To_addr q.Kqueue.q_put_many);
+        I.Tst (I.Reg I.r0);
+        I.B (I.Eq, I.To_label "again"); (* full: retry until preempted away *)
+        I.Alu (I.Add, I.Imm burst, I.r8);
+        I.Cmp (I.Imm (bursts * burst), I.Reg I.r8);
+        I.B (I.Ne, I.To_label "loop");
+        I.Label "park";
+        I.B (I.Always, I.To_label "park");
+      ]
+    in
+    let entry, _ = Asm.assemble m code in
+    ignore (Thread.create k ~entry ~quantum_us:1_000 ~segments ())
+  done;
+  let consumer =
+    [
+      I.Move (I.Imm log, I.Reg I.r12);
+      I.Label "loop";
+      I.Jsr (I.To_addr q.Kqueue.q_get);
+      I.Tst (I.Reg I.r0);
+      I.B (I.Eq, I.To_label "loop");
+      I.Move (I.Reg I.r1, I.Post_inc I.r12);
+      I.Alu_mem (I.Add, I.Imm 1, I.Abs count);
+      I.B (I.Always, I.To_label "loop");
+    ]
+  in
+  let entry, _ = Asm.assemble m consumer in
+  ignore (Thread.create k ~entry ~quantum_us:1_000 ~segments ());
+  let page = Option.get (Kernel.find_region k q.Kqueue.q_put_many) in
+  let inside = ref 0 in
+  Boot.enter_scheduler k;
+  let start = Machine.insns_executed m in
+  let rec loop last =
+    if Machine.peek m count >= total then ()
+    else if Machine.insns_executed m - start > 4_000_000 then
+      Alcotest.failf "stride %d: consumed %d of %d words" stride
+        (Machine.peek m count) total
+    else begin
+      let n = Machine.core_insns m 0 in
+      if n - last >= stride then begin
+        (match Kernel.find_region k (Machine.get_pc m) with
+        | Some p when p == page -> incr inside
+        | _ -> ());
+        Machine.post_interrupt ~source:"test" m ~level:Mmio_map.timer_level
+          ~vector:Mmio_map.timer_vector;
+        loop n
+      end
+      else begin
+        Machine.step m;
+        loop last
+      end
+    end
+  in
+  loop (Machine.core_insns m 0);
+  let got = Array.init total (fun i -> Machine.peek m (log + i)) in
+  let seen = Hashtbl.create total in
+  let next_burst = Array.make (producers + 1) 0 in
+  Array.iteri
+    (fun i v ->
+      if Hashtbl.mem seen v then Alcotest.failf "stride %d: word %#x twice" stride v;
+      Hashtbl.replace seen v ();
+      (* position i is word i mod 3 of the burst that starts at i - i mod 3 *)
+      let first = got.(i - (i mod burst)) in
+      if v <> first + (i mod burst) then
+        Alcotest.failf "stride %d: log[%d] = %#x breaks the burst starting %#x"
+          stride i v first;
+      if i mod burst = 0 then begin
+        let tag = v lsr 16 and seq = v land 0xFFFF in
+        if tag < 1 || tag > producers || seq <> next_burst.(tag) * burst then
+          Alcotest.failf "stride %d: burst %#x out of order" stride v;
+        next_burst.(tag) <- next_burst.(tag) + 1
+      end)
+    got;
+  check_int "every word arrives exactly once" total (Hashtbl.length seen);
+  check_bool "a forced preemption landed inside q_put_many" true (!inside > 0)
+
+let test_kqueue_put_many_preempted () =
+  List.iter (fun stride -> put_many_under_preemption ~stride) [ 131; 173; 229; 311 ]
+
 let test_kqueue_interrupt_producer () =
   (* A producer running in interrupt context interleaves with a
      consumer thread on the same MP-SC queue: nothing lost. *)
@@ -959,6 +1077,8 @@ let () =
           Alcotest.test_case "spsc synthesized code" `Quick test_kqueue_spsc;
           Alcotest.test_case "mpsc wrap-around" `Quick test_kqueue_mpsc_wrap;
           Alcotest.test_case "multi-insert atomicity" `Quick test_kqueue_put_many_atomic;
+          Alcotest.test_case "multi-insert atomicity under preemption" `Quick
+            test_kqueue_put_many_preempted;
           Alcotest.test_case "interrupt producer vs thread consumer" `Quick
             test_kqueue_interrupt_producer;
           Alcotest.test_case "spmc consumer CAS race" `Quick
