@@ -7,8 +7,8 @@
 
    Everything here is host-side observation: a PMU — created or not,
    running or not, sampling or not — never charges a simulated cycle,
-   so instrumented and uninstrumented runs are bit-identical
-   (bench/pmu_overhead.ml asserts it). *)
+   so instrumented and unobserved runs are bit-identical
+   (Harness.Zero_cost's pmu rows test it). *)
 
 type counter = Cycles | Instructions | Mem_refs | Interrupts
 

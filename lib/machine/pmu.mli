@@ -4,8 +4,8 @@
     windows, plus timer-driven pc sampling in the step loop.
 
     Purely host-side: a PMU never charges a simulated cycle, so
-    instrumented and uninstrumented runs execute bit-identical
-    instruction streams ([bench/pmu_overhead.ml] asserts it). *)
+    instrumented and unobserved runs execute bit-identical
+    instruction streams ([Harness.Zero_cost]'s pmu rows test it). *)
 
 type counter = Cycles | Instructions | Mem_refs | Interrupts
 
